@@ -29,10 +29,10 @@ print(f"after min-max scaling: ch1 range [{normed.emg[:, 0].min():.3f}, "
       f"{normed.emg[:, 0].max():.3f}]")
 
 # 100 ms windows, 50 ms overlap, label taken at the window end time
-windows = dsp.segment_windows(normed)
-print(f"{len(windows)} windows of {windows[0].values.shape} samples x channels")
+windows, labels, end_times = dsp.segment_windows(normed)
+print(f"{len(windows)} windows of {windows[0].shape} samples x channels")
 
-spectral = dsp.build_matrix(windows[0], "spectral")
-temporal = dsp.build_matrix(windows[0], "temporal")
-print(f"spectral input matrix {spectral.values.shape}, temporal {temporal.values.shape}")
-print(f"first window label: {windows[0].label} deg at t={windows[0].end_time:.3f}s")
+spectral = dsp.build_matrices(windows, "spectral")
+temporal = dsp.build_matrices(windows, "temporal")
+print(f"spectral input matrices {spectral.shape}, temporal {temporal.shape}")
+print(f"first window label: {labels[0]} deg at t={end_times[0]:.3f}s")

@@ -6,9 +6,7 @@ CSVs (x, y, angle, dof, feature_kind) can be plotted with any tool.
 """
 from pathlib import Path
 
-import numpy as np
-
-from emgkin import dsp, features, io
+from emgkin import features, io
 from emgkin.config import PipelineConfig, desk_preset
 from emgkin.evaluation import split_session
 from emgkin.synth import SynthConfig, generate
@@ -21,24 +19,24 @@ rec = generate(SynthConfig(protocol="P1", duration_s=60.0, seed=1))
 config = desk_preset(PipelineConfig(protocol="P1", seed=1))
 train_raw, _ = split_session(rec)
 
-_, _, windows, matrices = preprocess_training(train_raw, config)
+_, scaler, windows, x, y = preprocess_training(train_raw, config)
 cnn, _ = train_cnn(
-    matrices,
+    x,
+    y,
     config.cnn,
     seed=config.seed,
     leaky_slope=config.leaky_slope,
     dropout=config.dropout,
 )
-x, _ = dsp.stack_matrices(matrices)
 deep = cnn.extract(x)
-angles = np.stack([w.label for w in windows])
+angles = scaler.inverse(y)
 
 deep_2d = features.project_2d(deep)
 io.export_feature_scatter(
     out_dir / "deep_features.csv", deep_2d, angles, train_raw.dof_names, "deep"
 )
 
-hand = np.stack([features.extract_features(w.values).values for w in windows])
+hand = features.extract_feature_matrix(windows)
 basis = features.fit_pca(hand)
 hand_2d = features.project_2d(basis.project(hand))
 io.export_feature_scatter(

@@ -8,7 +8,7 @@ kernel-ridge baseline and a deterministic synthetic data generator.
 """
 
 from .config import PipelineConfig, StageConfig, desk_preset, load_config
-from .dsp import InputMatrix, NormalizationStats, RawWindow, SemgRecording
+from .dsp import NormalizationStats, SemgRecording
 from .errors import EmgkinError
 from .evaluation import (
     EvaluationReport,
@@ -20,7 +20,7 @@ from .evaluation import (
     sweep_timesteps,
 )
 from .io import load_model, load_session, save_model, save_session
-from .lstm import FeatureSequence, LstmParams, LstmState, build_sequences
+from .lstm import LstmParams, LstmState, build_sequences
 from .nn import CnnModel
 from .synth import SynthConfig, generate, generate_session_pair
 from .training import (
@@ -38,15 +38,12 @@ __all__ = [
     "CnnModel",
     "EmgkinError",
     "EvaluationReport",
-    "FeatureSequence",
     "HybridModel",
-    "InputMatrix",
     "LstmParams",
     "LstmState",
     "NormalizationStats",
     "PipelineConfig",
     "PredictionTrajectory",
-    "RawWindow",
     "SemgRecording",
     "SplitPlan",
     "StageConfig",

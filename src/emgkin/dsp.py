@@ -12,12 +12,12 @@ zero-padded to 200 points so L = 101).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal
 
-from . import tensor
 from .errors import (
     DataError,
     DegenerateChannelError,
@@ -144,34 +144,6 @@ class NormalizationStats:
             )
 
 
-@dataclass
-class RawWindow:
-    """One segmentation window before matrix construction."""
-
-    values: np.ndarray  # [window_samples x N]
-    label: np.ndarray  # [D] degrees, interpolated at the window end time
-    start_sample: int
-    end_time: float
-
-
-@dataclass
-class InputMatrix:
-    """One CNN input frame, the 1 x L x N matrix built from a window."""
-
-    mode: MatrixMode
-    values: np.ndarray  # [1 x L x N]
-    window_start_sample: int
-    label: np.ndarray  # [D]
-
-    def __post_init__(self):
-        if self.values.ndim != 3 or self.values.shape[0] != 1:
-            raise DimensionError(
-                f"InputMatrix values must be 1 x L x N, got {self.values.shape}"
-            )
-        if self.mode == "spectral" and np.any(self.values < 0):
-            raise DataError("spectral matrices must be nonnegative magnitudes")
-
-
 def design_filter(spec: FilterSpec, fs: float) -> np.ndarray:
     """Realize ``spec`` at sampling rate ``fs`` as a biquad (SOS) cascade.
 
@@ -238,75 +210,56 @@ def segment_windows(
     rec: SemgRecording,
     window_samples: int = WINDOW_SAMPLES,
     hop_samples: int = HOP_SAMPLES,
-) -> list[RawWindow]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slice the recording into overlapping windows with causally aligned labels.
 
-    Yields floor((T - window) / hop) + 1 windows; each label is the angle
-    trace linearly interpolated at the window's end time, so a window only
-    ever sees a target from its own past-and-present samples.
+    Returns (windows [M x window x N], labels [M x D], end_times [M]) with
+    M = floor((T - window) / hop) + 1. ``windows`` is a read-only view into
+    ``rec.emg``. Each label is the angle trace linearly interpolated at the
+    window's end time, so a window only ever sees a target from its own
+    past-and-present samples.
     """
     n = len(rec.emg)
     if window_samples > n:
         raise InsufficientDataError(
             f"window of {window_samples} samples exceeds recording length {n}"
         )
-    starts = range(0, n - window_samples + 1, hop_samples)
-    windows = []
-    for start in starts:
-        end_time = rec.t_emg[start + window_samples - 1]
-        label = np.array(
-            [
-                np.interp(end_time, rec.t_ang, rec.angles[:, d])
-                for d in range(rec.n_dof)
-            ]
-        )
-        windows.append(
-            RawWindow(
-                values=rec.emg[start : start + window_samples],
-                label=label,
-                start_sample=start,
-                end_time=float(end_time),
-            )
-        )
-    return windows
+    windows = sliding_window_view(rec.emg, window_samples, axis=0)[::hop_samples]
+    end_times = rec.t_emg[window_samples - 1 :: hop_samples]
+    labels = np.stack(
+        [np.interp(end_times, rec.t_ang, rec.angles[:, d]) for d in range(rec.n_dof)],
+        axis=1,
+    )
+    return windows.swapaxes(1, 2), labels, end_times
 
 
-def build_matrix(
-    window: RawWindow, mode: MatrixMode, n_fft: int = N_FFT
-) -> InputMatrix:
-    """Turn one window into a 1 x L x N input matrix.
+def build_matrices(windows: np.ndarray, mode: MatrixMode) -> np.ndarray:
+    """Turn windows [M x window x N] into float32 input matrices [M x L x N].
 
-    Spectral mode zero-pads each channel to ``n_fft`` and keeps the one-sided
-    FFT magnitude (L = n_fft/2 + 1 = 101 bins at the defaults); temporal mode
-    passes samples through unchanged (L = window length).
+    Spectral mode zero-pads each channel to N_FFT and keeps the one-sided
+    FFT magnitude (L = N_FFT/2 + 1 = 101 bins); temporal mode passes samples
+    through unchanged (L = window length).
     """
-    values = window.values
     if mode == "spectral":
-        spectrum = np.abs(np.fft.rfft(values, n=n_fft, axis=0))
-        mat = spectrum
+        mats = np.abs(np.fft.rfft(windows, n=N_FFT, axis=1))
     elif mode == "temporal":
-        mat = values
+        mats = windows
     else:
         raise DataError(f"unknown matrix mode {mode!r}")
-    mat = mat[np.newaxis].astype(tensor.default_dtype())
-    return InputMatrix(
-        mode=mode,
-        values=mat,
-        window_start_sample=window.start_sample,
-        label=np.asarray(window.label, dtype=np.float64),
-    )
+    return mats.astype(np.float32)
 
 
-def build_matrices(
-    windows: Sequence[RawWindow], mode: MatrixMode, n_fft: int = N_FFT
-) -> list[InputMatrix]:
-    return [build_matrix(w, mode, n_fft) for w in windows]
+def build_matrix(window: np.ndarray, mode: MatrixMode) -> np.ndarray:
+    """One window [window x N] as a 1 x L x N input matrix."""
+    return build_matrices(window[np.newaxis], mode)
 
 
-def stack_matrices(matrices: Sequence[InputMatrix]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack InputMatrix objects into (X [B x L x N], Y [B x D]) arrays."""
-    if not matrices:
-        raise InsufficientDataError("no matrices to stack")
-    x = np.stack([m.values[0] for m in matrices])
-    y = np.stack([m.label for m in matrices])
-    return x, y
+def stack_matrices(
+    windows: np.ndarray, labels: np.ndarray, mode: MatrixMode
+) -> tuple[np.ndarray, np.ndarray]:
+    """(X [M x L x N], Y [M x D]): the input matrices with their labels."""
+    if len(windows) == 0:
+        raise InsufficientDataError("no windows to build matrices from")
+    if len(labels) != len(windows):
+        raise DimensionError("windows and labels must align")
+    return build_matrices(windows, mode), labels

@@ -26,7 +26,7 @@ from . import dsp, features, krr, training
 from .config import PipelineConfig
 from .dsp import SemgRecording
 from .errors import ConfigError, InsufficientDataError, UndefinedMetricError
-from .lstm import build_sequences
+from .lstm import stack_sequences
 from .training import HybridModel, PredictionTrajectory, TrainingRun
 
 DEFAULT_K_SWEEP = (8, 18, 58, 98)
@@ -226,23 +226,21 @@ def _krr_report(
     filtered_train = dsp.apply_filter_chain(train_raw)
     stats = dsp.fit_normalizer(filtered_train)
     window, hop = training.window_geometry(config, train_raw.fs_emg)
-
-    def windows_of(raw, fitted):
-        normed = dsp.apply_normalizer(fitted, dsp.apply_filter_chain(raw))
-        return dsp.segment_windows(normed, window, hop)
-
-    train_windows = windows_of(train_raw, stats)
-    test_windows = windows_of(test_raw, stats)
-    basis = features.fit_pca(features.extract_feature_matrix(train_windows))
-    x_train = basis.project(features.extract_feature_matrix(train_windows))
+    train_windows, y_train, _ = dsp.segment_windows(
+        dsp.apply_normalizer(stats, filtered_train), window, hop
+    )
+    test_windows, y_test, test_times = dsp.segment_windows(
+        dsp.apply_normalizer(stats, dsp.apply_filter_chain(test_raw)), window, hop
+    )
+    train_features = features.extract_feature_matrix(train_windows)
+    basis = features.fit_pca(train_features)
+    x_train = basis.project(train_features)
     x_test = basis.project(features.extract_feature_matrix(test_windows))
-    y_train = np.stack([w.label for w in train_windows])
-    y_test = np.stack([w.label for w in test_windows])
     gamma, ridge = krr.tune(x_train, y_train)
     model = krr.fit(x_train, y_train, gamma, ridge)
     y_pred = krr.predict(model, x_test)
     traj = PredictionTrajectory(
-        timestamps=np.array([w.end_time for w in test_windows]),
+        timestamps=test_times,
         predictions=np.atleast_2d(y_pred),
         truths=y_test,
         dof_names=list(train_raw.dof_names),
@@ -370,18 +368,16 @@ def sweep_timesteps(
     split = _split_descriptor(plan, train_raw, test_raw)
 
     shared_start = time.perf_counter()
-    stats, scaler, windows, matrices = training.preprocess_training(
-        train_raw, config
-    )
+    stats, scaler, _, x, y = training.preprocess_training(train_raw, config)
     cnn, _ = training.train_cnn(
-        matrices,
+        x,
+        y,
         config.cnn,
         seed=config.seed,
         leaky_slope=config.leaky_slope,
         dropout=config.dropout,
     )
-    feats = training.extract_dataset_features(cnn, matrices)
-    labels = scaler.transform(np.stack([w.label for w in windows]))
+    feats = training.extract_dataset_features(cnn, x)
     shared_s = time.perf_counter() - shared_start
 
     window, hop = training.window_geometry(config, train_raw.fs_emg)
@@ -389,9 +385,9 @@ def sweep_timesteps(
     def run_k(k: int) -> EvaluationReport:
         start = time.perf_counter()
         k_config = replace(config, k=int(k))
-        sequences = build_sequences(feats, labels, k_config.k)
+        seqs, targets = stack_sequences(feats, y, k_config.k)
         lstm, _ = training.train_lstm(
-            sequences, k_config.lstm, seed=k_config.seed, dropout=k_config.dropout
+            seqs, targets, k_config.lstm, seed=k_config.seed, dropout=k_config.dropout
         )
         model = HybridModel(
             cnn=cnn,

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .dsp import RawWindow
 from .errors import InsufficientDataError
 
 AR_ORDER = 4
@@ -82,9 +80,9 @@ def extract_features(window: np.ndarray) -> HandcraftedVector:
     return HandcraftedVector(values=out, degenerate=degenerate)
 
 
-def extract_feature_matrix(windows: Sequence[RawWindow]) -> np.ndarray:
-    """Stack hand-crafted vectors for a window list into [M x 7N]."""
-    return np.stack([extract_features(w.values).values for w in windows])
+def extract_feature_matrix(windows: np.ndarray) -> np.ndarray:
+    """Hand-crafted vectors of windows [M x window x N], stacked into [M x 7N]."""
+    return np.stack([extract_features(w).values for w in windows])
 
 
 @dataclass
@@ -157,10 +155,6 @@ def fit_pca(train_features: np.ndarray, n_components: int = PCA_COMPONENTS) -> P
         explained_variance=variances[:keep],
         n_components=n_components,
     )
-
-
-def project(basis: PcaBasis, v: np.ndarray) -> np.ndarray:
-    return basis.project(v)
 
 
 def project_2d(features: np.ndarray) -> np.ndarray:

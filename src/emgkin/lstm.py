@@ -19,12 +19,11 @@ finite-difference checked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, InsufficientDataError
-from .tensor import sigmoid
 
 HIDDEN_UNITS = 50
 FEATURE_DIM = 20
@@ -83,16 +82,15 @@ class LstmState:
     c: np.ndarray
 
 
-@dataclass
-class FeatureSequence:
-    """k consecutive deep features with the label of the last window."""
-
-    features: np.ndarray  # [k x F]
-    target: np.ndarray  # [D]
-
-    @property
-    def k(self) -> int:
-        return self.features.shape[0]
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid 1 / (1 + exp(-x)), overflow-safe in both branches."""
+    x = np.asarray(x)
+    out = np.empty_like(x, dtype=x.dtype if x.dtype.kind == "f" else np.float32)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def init_lstm_params(
@@ -244,44 +242,22 @@ def lstm_step(
     return LstmState(h=h, c=c), y
 
 
-def lstm_forward(
-    params: LstmParams,
-    features: np.ndarray,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-    dropout_rate: float = 0.3,
-) -> np.ndarray:
-    """Run one sequence [k x F] from the zero state; returns y_k only."""
+def build_sequences(features: np.ndarray, k: int = DEFAULT_TIMESTEPS) -> np.ndarray:
+    """All stride-1 runs of k consecutive features, as a read-only view
+    [S x k x F] with S = M - k + 1; row i is ``features[i : i + k]``."""
     features = np.asarray(features)
-    if features.ndim != 2 or features.shape[0] < 1:
-        raise InsufficientDataError("lstm_forward needs a non-empty [k x F] sequence")
-    y, _ = lstm_forward_batch(params, features[np.newaxis], mode, rng, dropout_rate)
-    return y[0]
-
-
-def build_sequences(
-    features: np.ndarray, labels: np.ndarray, k: int = DEFAULT_TIMESTEPS
-) -> list[FeatureSequence]:
-    """All stride-1 windows of k consecutive features, targeting the last label."""
-    features = np.asarray(features)
-    labels = np.asarray(labels)
     m = features.shape[0]
     if m < k:
-        raise InsufficientDataError(f"need at least k={k} features, got {m}")
-    if labels.shape[0] != m:
-        raise DimensionError("features and labels must align")
-    return [
-        FeatureSequence(features=features[i : i + k], target=labels[i + k - 1])
-        for i in range(m - k + 1)
-    ]
+        raise InsufficientDataError(f"need at least k={k} windows, got {m}")
+    return sliding_window_view(features, k, axis=0).swapaxes(1, 2)
 
 
 def stack_sequences(
-    sequences: Sequence[FeatureSequence],
+    features: np.ndarray, labels: np.ndarray, k: int = DEFAULT_TIMESTEPS
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stack FeatureSequences into (X [S x k x F], Y [S x D])."""
-    if not sequences:
-        raise InsufficientDataError("no sequences to stack")
-    x = np.stack([s.features for s in sequences])
-    y = np.stack([np.atleast_1d(s.target) for s in sequences])
-    return x, y
+    """(X [S x k x F], Y [S x D]): every k-run of features, each targeting the
+    label of its last window."""
+    labels = np.asarray(labels)
+    if len(labels) != len(features):
+        raise DimensionError("features and labels must align")
+    return build_sequences(features, k), labels[k - 1 :]

@@ -389,10 +389,3 @@ class CnnModel:
                 yield name, layer
         yield "head", self.head
 
-
-def cnn_forward(model: CnnModel, x: np.ndarray, mode: Mode = "eval") -> np.ndarray:
-    return model.forward(x, mode)
-
-
-def cnn_extract(model: CnnModel, x: np.ndarray) -> np.ndarray:
-    return model.extract(x)

@@ -14,20 +14,16 @@ single-threaded mode.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import dsp, nn
 from .config import PipelineConfig, StageConfig
-from .dsp import InputMatrix, NormalizationStats, RawWindow, SemgRecording
+from .dsp import NormalizationStats, SemgRecording
 from .errors import DimensionError, DivergenceError, InsufficientDataError
 from .lstm import (
-    FeatureSequence,
     LstmParams,
-    build_sequences,
     init_lstm_params,
     lstm_backward,
     lstm_forward_batch,
@@ -137,14 +133,15 @@ def _batch_bounds(n: int, batch: int) -> list[tuple[int, int]]:
 
 
 def train_cnn(
-    dataset: Sequence[InputMatrix],
+    x: np.ndarray,
+    y: np.ndarray,
     stage: StageConfig,
     seed: int = 0,
     leaky_slope: float = nn.DEFAULT_LEAKY_SLOPE,
     dropout: float = nn.DEFAULT_DROPOUT,
 ) -> tuple[CnnModel, list[float]]:
-    """Stage 1: SGDM on per-window angle regression; returns eval-mode model."""
-    x, y = dsp.stack_matrices(dataset)
+    """Stage 1: SGDM on per-window angle regression of matrices x [M x L x N]
+    against labels y [M x D]; returns the eval-mode model."""
     n = x.shape[0]
     if n < 2:
         raise InsufficientDataError(
@@ -177,22 +174,20 @@ def train_cnn(
     return model, history
 
 
-def extract_dataset_features(
-    cnn: CnnModel, dataset: Sequence[InputMatrix]
-) -> np.ndarray:
-    """[M x 20] deep features in segmentation order (eval mode, pure)."""
-    x, _ = dsp.stack_matrices(dataset)
+def extract_dataset_features(cnn: CnnModel, x: np.ndarray) -> np.ndarray:
+    """[M x 20] deep features of matrices x in segmentation order (eval mode, pure)."""
     return cnn.extract(x)
 
 
 def train_lstm(
-    sequences: Sequence[FeatureSequence],
+    x: np.ndarray,
+    y: np.ndarray,
     stage: StageConfig,
     seed: int = 0,
     dropout: float = nn.DEFAULT_DROPOUT,
 ) -> tuple[LstmParams, list[float]]:
-    """Stage 2: ADAM on last-step MSE with 30% dropout before the readout."""
-    x, y = stack_sequences(sequences)
+    """Stage 2: ADAM on last-step MSE of sequences x [S x k x F] against
+    targets y [S x D], with 30% dropout before the readout."""
     n = x.shape[0]
     params = init_lstm_params(
         feature_dim=x.shape[2],
@@ -222,40 +217,38 @@ def train_lstm(
 
 def preprocess_training(
     rec: SemgRecording, config: PipelineConfig
-) -> tuple[NormalizationStats, LabelScaler, list[RawWindow], list[InputMatrix]]:
+) -> tuple[NormalizationStats, LabelScaler, np.ndarray, np.ndarray, np.ndarray]:
     """Filter, fit+apply min-max scaling, segment, build input matrices.
 
-    The returned windows keep raw-degree labels; the input matrices carry
-    standardized labels for the optimizers (see LabelScaler).
+    Returns (stats, scaler, windows, x, y): ``windows`` [M x window x N] are
+    the scaled samples, ``x`` [M x L x N] their input matrices and ``y``
+    [M x D] the labels standardized for the optimizers (see LabelScaler).
     """
     filtered = dsp.apply_filter_chain(rec)
     stats = dsp.fit_normalizer(filtered)
     normed = dsp.apply_normalizer(stats, filtered)
     window, hop = window_geometry(config, rec.fs_emg)
-    windows = dsp.segment_windows(normed, window, hop)
-    matrices = dsp.build_matrices(windows, config.matrix_mode)
-    scaler = LabelScaler.fit(np.stack([w.label for w in windows]))
-    matrices = [
-        dataclasses.replace(m, label=scaler.transform(m.label)) for m in matrices
-    ]
-    return stats, scaler, windows, matrices
+    windows, labels, _ = dsp.segment_windows(normed, window, hop)
+    scaler = LabelScaler.fit(labels)
+    x, y = dsp.stack_matrices(windows, scaler.transform(labels), config.matrix_mode)
+    return stats, scaler, windows, x, y
 
 
 def train_hybrid(rec: SemgRecording, config: PipelineConfig) -> TrainingRun:
     """Run both stages on one training recording."""
-    stats, scaler, windows, matrices = preprocess_training(rec, config)
+    stats, scaler, _, x, y = preprocess_training(rec, config)
     cnn, cnn_hist = train_cnn(
-        matrices,
+        x,
+        y,
         config.cnn,
         seed=config.seed,
         leaky_slope=config.leaky_slope,
         dropout=config.dropout,
     )
-    features = extract_dataset_features(cnn, matrices)
-    scaled_labels = scaler.transform(np.stack([w.label for w in windows]))
-    sequences = build_sequences(features, scaled_labels, config.k)
+    features = extract_dataset_features(cnn, x)
+    seqs, targets = stack_sequences(features, y, config.k)
     lstm, lstm_hist = train_lstm(
-        sequences, config.lstm, seed=config.seed, dropout=config.dropout
+        seqs, targets, config.lstm, seed=config.seed, dropout=config.dropout
     )
     window, hop = window_geometry(config, rec.fs_emg)
     model = HybridModel(
@@ -276,13 +269,18 @@ def train_hybrid(rec: SemgRecording, config: PipelineConfig) -> TrainingRun:
 
 def _prepare_windows(
     model: HybridModel, rec: SemgRecording
-) -> tuple[list[RawWindow], list[InputMatrix]]:
-    """Apply the model's stored preprocessing to a raw recording."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Apply the model's stored preprocessing to a raw recording.
+
+    Returns (x [M x L x N], labels [M x D] in degrees, end_times [M]).
+    """
     filtered = dsp.apply_filter_chain(rec)
     normed = dsp.apply_normalizer(model.norm_stats, filtered)
-    windows = dsp.segment_windows(normed, model.window_samples, model.hop_samples)
-    matrices = dsp.build_matrices(windows, model.matrix_mode)
-    return windows, matrices
+    windows, labels, end_times = dsp.segment_windows(
+        normed, model.window_samples, model.hop_samples
+    )
+    x, labels = dsp.stack_matrices(windows, labels, model.matrix_mode)
+    return x, labels, end_times
 
 
 def predict(model: HybridModel, rec: SemgRecording) -> PredictionTrajectory:
@@ -292,19 +290,12 @@ def predict(model: HybridModel, rec: SemgRecording) -> PredictionTrajectory:
     in the model; one y_k comes out per k-window sequence, stamped with the
     end time of its last window.
     """
-    windows, matrices = _prepare_windows(model, rec)
-    if len(windows) < model.k:
-        raise InsufficientDataError(
-            f"recording yields {len(windows)} windows; need at least k={model.k}"
-        )
-    features = extract_dataset_features(model.cnn, matrices)
-    labels = np.stack([w.label for w in windows])
-    sequences = build_sequences(features, labels, model.k)
-    x, y_true = stack_sequences(sequences)
-    y_pred, _ = lstm_forward_batch(model.lstm, x, mode="eval")
-    times = np.array([w.end_time for w in windows[model.k - 1 :]])
+    x, labels, end_times = _prepare_windows(model, rec)
+    features = extract_dataset_features(model.cnn, x)
+    seqs, y_true = stack_sequences(features, labels, model.k)
+    y_pred, _ = lstm_forward_batch(model.lstm, seqs, mode="eval")
     return PredictionTrajectory(
-        timestamps=times,
+        timestamps=end_times[model.k - 1 :],
         predictions=model.label_scaler.inverse(y_pred),
         truths=y_true,
         dof_names=list(model.dof_names),
@@ -313,12 +304,10 @@ def predict(model: HybridModel, rec: SemgRecording) -> PredictionTrajectory:
 
 def predict_cnn_only(model: HybridModel, rec: SemgRecording) -> PredictionTrajectory:
     """Stage-1-only inference: the CNN regression head, one y per window."""
-    windows, matrices = _prepare_windows(model, rec)
-    x, y_true = dsp.stack_matrices(matrices)
+    x, y_true, end_times = _prepare_windows(model, rec)
     y_pred = model.cnn.forward(x, mode="eval")
-    times = np.array([w.end_time for w in windows])
     return PredictionTrajectory(
-        timestamps=times,
+        timestamps=end_times,
         predictions=model.label_scaler.inverse(y_pred),
         truths=y_true,
         dof_names=list(model.dof_names),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from emgkin import dsp, krr, tensor
+from emgkin import dsp, krr
 from emgkin.cli import _summary_csv
 from emgkin.config import PipelineConfig, StageConfig
 from emgkin.errors import CorruptCheckpointError, UnsupportedVersionError
@@ -101,116 +101,115 @@ def test_01_every_layer_gradient_matches_finite_differences():
     errs: dict[str, float] = {}
     rng = np.random.default_rng(7)
 
-    with tensor.precision("f64"):
-        # conv: dx, dW, db against a fixed random readout
-        conv = Conv1d(3, 4, rng, slope=0.1, dtype=np.float64)
-        x = rng.normal(size=(2, 10, 3))
-        r = rng.normal(size=(2, 10, 4))
-        conv.forward(x, "train")
-        dx = conv.backward(r)
+    # conv: dx, dW, db against a fixed random readout
+    conv = Conv1d(3, 4, rng, slope=0.1, dtype=np.float64)
+    x = rng.normal(size=(2, 10, 3))
+    r = rng.normal(size=(2, 10, 4))
+    conv.forward(x, "train")
+    dx = conv.backward(r)
 
-        def conv_loss():
-            return float(np.sum(r * conv.forward(x, "train")))
+    def conv_loss():
+        return float(np.sum(r * conv.forward(x, "train")))
 
-        errs["conv.x"] = _rel_err(_numeric_grad(conv_loss, x), dx)
-        errs["conv.W"] = _rel_err(_numeric_grad(conv_loss, conv.W), conv.dW)
-        errs["conv.b"] = _rel_err(_numeric_grad(conv_loss, conv.b), conv.db)
+    errs["conv.x"] = _rel_err(_numeric_grad(conv_loss, x), dx)
+    errs["conv.W"] = _rel_err(_numeric_grad(conv_loss, conv.W), conv.dW)
+    errs["conv.b"] = _rel_err(_numeric_grad(conv_loss, conv.b), conv.db)
 
-        # batch norm (train mode, batch statistics)
-        bn = BatchNorm(3, dtype=np.float64)
-        bn.gamma[:] = rng.normal(1.0, 0.2, 3)
-        bn.beta[:] = rng.normal(0.0, 0.2, 3)
-        xb = rng.normal(size=(6, 5, 3))
-        rb = rng.normal(size=(6, 5, 3))
-        bn.forward(xb, "train")
-        dxb = bn.backward(rb)
+    # batch norm (train mode, batch statistics)
+    bn = BatchNorm(3, dtype=np.float64)
+    bn.gamma[:] = rng.normal(1.0, 0.2, 3)
+    bn.beta[:] = rng.normal(0.0, 0.2, 3)
+    xb = rng.normal(size=(6, 5, 3))
+    rb = rng.normal(size=(6, 5, 3))
+    bn.forward(xb, "train")
+    dxb = bn.backward(rb)
 
-        def bn_loss():
-            return float(np.sum(rb * bn.forward(xb, "train")))
+    def bn_loss():
+        return float(np.sum(rb * bn.forward(xb, "train")))
 
-        errs["batchnorm.x"] = _rel_err(_numeric_grad(bn_loss, xb), dxb)
-        errs["batchnorm.gamma"] = _rel_err(
-            _numeric_grad(bn_loss, bn.gamma), bn.dgamma
-        )
-        errs["batchnorm.beta"] = _rel_err(_numeric_grad(bn_loss, bn.beta), bn.dbeta)
+    errs["batchnorm.x"] = _rel_err(_numeric_grad(bn_loss, xb), dxb)
+    errs["batchnorm.gamma"] = _rel_err(
+        _numeric_grad(bn_loss, bn.gamma), bn.dgamma
+    )
+    errs["batchnorm.beta"] = _rel_err(_numeric_grad(bn_loss, bn.beta), bn.dbeta)
 
-        # leaky ReLU, sampled away from the kink at 0
-        relu = LeakyRelu(slope=0.1)
-        xr = rng.normal(size=(4, 7, 2))
-        xr[np.abs(xr) < 1e-3] = 0.5
-        rr = rng.normal(size=(4, 7, 2))
-        relu.forward(xr, "train")
-        dxr = relu.backward(rr)
+    # leaky ReLU, sampled away from the kink at 0
+    relu = LeakyRelu(slope=0.1)
+    xr = rng.normal(size=(4, 7, 2))
+    xr[np.abs(xr) < 1e-3] = 0.5
+    rr = rng.normal(size=(4, 7, 2))
+    relu.forward(xr, "train")
+    dxr = relu.backward(rr)
 
-        def relu_loss():
-            return float(np.sum(rr * relu.forward(xr, "train")))
+    def relu_loss():
+        return float(np.sum(rr * relu.forward(xr, "train")))
 
-        errs["leaky_relu.x"] = _rel_err(_numeric_grad(relu_loss, xr), dxr)
+    errs["leaky_relu.x"] = _rel_err(_numeric_grad(relu_loss, xr), dxr)
 
-        # max pool on tie-free data (distinct values, gaps >> fd step)
-        pool = MaxPool1d()
-        xp = rng.permutation(2 * 11 * 3).astype(np.float64).reshape(2, 11, 3) * 0.01
-        rp = rng.normal(size=(2, 9, 3))
-        pool.forward(xp, "train")
-        dxp = pool.backward(rp)
+    # max pool on tie-free data (distinct values, gaps >> fd step)
+    pool = MaxPool1d()
+    xp = rng.permutation(2 * 11 * 3).astype(np.float64).reshape(2, 11, 3) * 0.01
+    rp = rng.normal(size=(2, 9, 3))
+    pool.forward(xp, "train")
+    dxp = pool.backward(rp)
 
-        def pool_loss():
-            return float(np.sum(rp * pool.forward(xp, "train")))
+    def pool_loss():
+        return float(np.sum(rp * pool.forward(xp, "train")))
 
-        errs["maxpool.x"] = _rel_err(_numeric_grad(pool_loss, xp), dxp)
+    errs["maxpool.x"] = _rel_err(_numeric_grad(pool_loss, xp), dxp)
 
-        # dropout with the rate at 0 (identity path, train mode)
-        drop = Dropout(0.0, np.random.default_rng(0))
-        xd = rng.normal(size=(3, 5, 4))
-        rd = rng.normal(size=(3, 5, 4))
-        drop.forward(xd, "train")
-        dxd = drop.backward(rd)
+    # dropout with the rate at 0 (identity path, train mode)
+    drop = Dropout(0.0, np.random.default_rng(0))
+    xd = rng.normal(size=(3, 5, 4))
+    rd = rng.normal(size=(3, 5, 4))
+    drop.forward(xd, "train")
+    dxd = drop.backward(rd)
 
-        def drop_loss():
-            return float(np.sum(rd * drop.forward(xd, "train")))
+    def drop_loss():
+        return float(np.sum(rd * drop.forward(xd, "train")))
 
-        errs["dropout.x"] = _rel_err(_numeric_grad(drop_loss, xd), dxd)
+    errs["dropout.x"] = _rel_err(_numeric_grad(drop_loss, xd), dxd)
 
-        # fully connected
-        fc = Dense(10, 4, rng, dtype=np.float64)
-        xf = rng.normal(size=(3, 10))
-        rf = rng.normal(size=(3, 4))
-        fc.forward(xf, "train")
-        dxf = fc.backward(rf)
+    # fully connected
+    fc = Dense(10, 4, rng, dtype=np.float64)
+    xf = rng.normal(size=(3, 10))
+    rf = rng.normal(size=(3, 4))
+    fc.forward(xf, "train")
+    dxf = fc.backward(rf)
 
-        def fc_loss():
-            return float(np.sum(rf * fc.forward(xf, "train")))
+    def fc_loss():
+        return float(np.sum(rf * fc.forward(xf, "train")))
 
-        errs["fc.x"] = _rel_err(_numeric_grad(fc_loss, xf), dxf)
-        errs["fc.W"] = _rel_err(_numeric_grad(fc_loss, fc.W), fc.dW)
-        errs["fc.b"] = _rel_err(_numeric_grad(fc_loss, fc.b), fc.db)
+    errs["fc.x"] = _rel_err(_numeric_grad(fc_loss, xf), dxf)
+    errs["fc.W"] = _rel_err(_numeric_grad(fc_loss, fc.W), fc.dW)
+    errs["fc.b"] = _rel_err(_numeric_grad(fc_loss, fc.b), fc.db)
 
-        # MSE loss gradient
-        pred = rng.normal(size=(5, 3))
-        target = rng.normal(size=(5, 3))
-        _, dpred = mse_loss(pred, target)
+    # MSE loss gradient
+    pred = rng.normal(size=(5, 3))
+    target = rng.normal(size=(5, 3))
+    _, dpred = mse_loss(pred, target)
 
-        def mse_value():
-            return mse_loss(pred, target)[0]
+    def mse_value():
+        return mse_loss(pred, target)[0]
 
-        errs["mse.pred"] = _rel_err(_numeric_grad(mse_value, pred), dpred)
+    errs["mse.pred"] = _rel_err(_numeric_grad(mse_value, pred), dpred)
 
-        # LSTM backpropagation through time, k=4 <= 5
-        params = init_lstm_params(
-            feature_dim=3, hidden=4, n_outputs=2, seed=9, dtype=np.float64
-        )
-        params.b_m[:] = 0.3  # move the forget gate off its saturating init
-        seqs = rng.normal(size=(3, 4, 3))
-        dy = rng.normal(size=(3, 2))
-        _, cache = lstm_forward_batch(params, seqs, mode="eval")
-        grads = lstm_backward(params, cache, dy)
+    # LSTM backpropagation through time, k=4 <= 5
+    params = init_lstm_params(
+        feature_dim=3, hidden=4, n_outputs=2, seed=9, dtype=np.float64
+    )
+    params.b_m[:] = 0.3  # move the forget gate off its saturating init
+    seqs = rng.normal(size=(3, 4, 3))
+    dy = rng.normal(size=(3, 2))
+    _, cache = lstm_forward_batch(params, seqs, mode="eval")
+    grads = lstm_backward(params, cache, dy)
 
-        def lstm_loss():
-            y, _ = lstm_forward_batch(params, seqs, mode="eval")
-            return float(np.sum(dy * y))
+    def lstm_loss():
+        y, _ = lstm_forward_batch(params, seqs, mode="eval")
+        return float(np.sum(dy * y))
 
-        for name, arr in params.parameters().items():
-            errs[f"lstm.{name}"] = _rel_err(_numeric_grad(lstm_loss, arr), grads[name])
+    for name, arr in params.parameters().items():
+        errs[f"lstm.{name}"] = _rel_err(_numeric_grad(lstm_loss, arr), grads[name])
 
     elapsed = time.perf_counter() - start
     worst_name = max(errs, key=errs.get)
@@ -296,23 +295,23 @@ def test_04_shape_audit():
     rec = generate(SynthConfig(protocol="P1", duration_s=3.0, seed=11))
     filtered = dsp.apply_filter_chain(rec)
     normed = dsp.apply_normalizer(dsp.fit_normalizer(filtered), filtered)
-    windows = dsp.segment_windows(normed)
+    windows, _, _ = dsp.segment_windows(normed)
     matrices = [dsp.build_matrix(w, "spectral") for w in windows[:4]]
-    x, _ = dsp.stack_matrices(matrices)
+    x = np.concatenate(matrices)
 
     model = CnnModel(input_len=101, in_channels=6, n_outputs=1, seed=0)
     lengths = model.block_lengths()
     features = model.extract(x)
 
     ok = (
-        all(m.values.shape == (1, 101, 6) for m in matrices)
+        all(m.shape == (1, 101, 6) for m in matrices)
         and lengths == [101, 99, 97, 95, 93]
         and features.shape == (4, 20)
     )
     _record(
         "shape audit",
         ok,
-        f"matrix {matrices[0].values.shape} (want (1, 101, 6)), "
+        f"matrix {matrices[0].shape} (want (1, 101, 6)), "
         f"length chain {lengths}, feature dim {features.shape[1]} (want 20)",
     )
 

@@ -16,6 +16,7 @@ from emgkin.errors import (
     FilterDesignError,
     InsufficientDataError,
 )
+from emgkin.synth import SynthConfig, generate
 
 FS = 1024.0
 
@@ -155,12 +156,21 @@ def test_constant_channel_rejected():
 
 def test_window_count_and_geometry():
     emg = np.random.default_rng(4).normal(size=(10240, 6))
-    windows = dsp.segment_windows(make_recording(emg))
-    assert len(windows) == (10240 - 102) // 51 + 1
-    for i, w in enumerate(windows):
-        assert w.start_sample == 51 * i
-        assert w.values.shape == (102, 6)
-    np.testing.assert_array_equal(windows[3].values, emg[153:255])
+    windows, labels, end_times = dsp.segment_windows(make_recording(emg))
+    m = (10240 - 102) // 51 + 1
+    assert windows.shape == (m, 102, 6)
+    assert labels.shape == (m, 1) and end_times.shape == (m,)
+    for i in range(m):
+        np.testing.assert_array_equal(windows[i], emg[51 * i : 51 * i + 102])
+    np.testing.assert_array_equal(windows[3], emg[153:255])
+
+
+def test_windows_are_a_read_only_view():
+    emg = np.random.default_rng(8).normal(size=(2048, 6))
+    rec = make_recording(emg)
+    windows, _, _ = dsp.segment_windows(rec)
+    assert np.shares_memory(windows, rec.emg)
+    assert not windows.flags.writeable
 
 
 def test_window_label_interpolated_at_end_time():
@@ -168,10 +178,10 @@ def test_window_label_interpolated_at_end_time():
     emg = np.random.default_rng(5).normal(size=(4096, 6))
     rec = make_recording(emg)
     rec.angles[:, 0] = 10.0 * rec.t_ang
-    windows = dsp.segment_windows(rec)
-    for w in windows[::7]:
-        assert w.end_time == rec.t_emg[w.start_sample + 101]
-        assert w.label[0] == pytest.approx(10.0 * w.end_time, abs=1e-9)
+    _, labels, end_times = dsp.segment_windows(rec)
+    for i in range(0, len(end_times), 7):
+        assert end_times[i] == rec.t_emg[51 * i + 101]
+        assert labels[i, 0] == pytest.approx(10.0 * end_times[i], abs=1e-9)
 
 
 def test_too_short_recording_raises():
@@ -181,61 +191,89 @@ def test_too_short_recording_raises():
 
 def test_custom_geometry_respected():
     emg = np.random.default_rng(6).normal(size=(1000, 6))
-    windows = dsp.segment_windows(make_recording(emg), window_samples=200, hop_samples=100)
-    assert len(windows) == (1000 - 200) // 100 + 1
-    assert windows[0].values.shape == (200, 6)
+    windows, labels, _ = dsp.segment_windows(
+        make_recording(emg), window_samples=200, hop_samples=100
+    )
+    assert len(windows) == len(labels) == (1000 - 200) // 100 + 1
+    assert windows[0].shape == (200, 6)
+
+
+@pytest.mark.parametrize("window, hop", [(dsp.WINDOW_SAMPLES, dsp.HOP_SAMPLES), (200, 100)])
+def test_array_path_matches_per_window_loop(window, hop):
+    """Windows, labels, end times and both matrix modes equal, bit for bit,
+    a per-window loop: slice, scalar interpolation, one FFT per window."""
+    rec = generate(SynthConfig(protocol="P4", duration_s=10.0, seed=2))
+    filtered = dsp.apply_filter_chain(rec)
+    rec = dsp.apply_normalizer(dsp.fit_normalizer(filtered), filtered)
+    windows, labels, end_times = dsp.segment_windows(rec, window, hop)
+    starts = range(0, len(rec.emg) - window + 1, hop)
+    assert len(windows) == len(starts)
+    for i, start in enumerate(starts):
+        values = rec.emg[start : start + window]
+        end_time = rec.t_emg[start + window - 1]
+        np.testing.assert_array_equal(windows[i], values)
+        assert end_times[i] == end_time
+        for d in range(rec.n_dof):
+            assert labels[i, d] == np.interp(end_time, rec.t_ang, rec.angles[:, d])
+    spectral = dsp.build_matrices(windows, "spectral")
+    temporal = dsp.build_matrices(windows, "temporal")
+    assert spectral.dtype == temporal.dtype == np.float32
+    for i, start in enumerate(starts):
+        values = rec.emg[start : start + window]
+        spectrum = np.abs(np.fft.rfft(values, n=dsp.N_FFT, axis=0))
+        np.testing.assert_array_equal(spectral[i], spectrum.astype(np.float32))
+        np.testing.assert_array_equal(temporal[i], values.astype(np.float32))
 
 
 # --- input matrices ---------------------------------------------------------
 
 
-def sine_window(freq_hz: float, channel: int) -> dsp.RawWindow:
+def sine_window(freq_hz: float, channel: int) -> np.ndarray:
     values = np.zeros((102, 6))
     values[:, channel] = np.sin(2 * np.pi * freq_hz * np.arange(102) / FS)
-    return dsp.RawWindow(values=values, label=np.zeros(1), start_sample=0, end_time=0.1)
+    return values
 
 
 def test_spectral_matrix_shape():
     mat = dsp.build_matrix(sine_window(100.0, 0), "spectral")
-    assert mat.values.shape == (1, 101, 6)
-    assert np.all(mat.values >= 0.0)
+    assert mat.shape == (1, 101, 6)
+    assert np.all(mat >= 0.0)
 
 
 def test_spectral_peak_at_input_frequency():
     # 100 Hz at bin spacing 1024/200 = 5.12 Hz -> energy around bin 19.5
     mat = dsp.build_matrix(sine_window(100.0, 2), "spectral")
-    spectrum = mat.values[0, :, 2]
+    spectrum = mat[0, :, 2]
     assert int(np.argmax(spectrum)) in (19, 20)
-    assert np.all(mat.values[0, :, [0, 1, 3, 4, 5]] == 0.0)
+    assert np.all(mat[0, :, [0, 1, 3, 4, 5]] == 0.0)
 
 
 def test_spectral_dc_window_concentrates_at_bin_zero():
-    values = np.ones((102, 6)) * 0.5
-    w = dsp.RawWindow(values=values, label=np.zeros(1), start_sample=0, end_time=0.1)
-    mat = dsp.build_matrix(w, "spectral")
-    assert np.all(np.argmax(mat.values[0], axis=0) == 0)
+    mat = dsp.build_matrix(np.ones((102, 6)) * 0.5, "spectral")
+    assert np.all(np.argmax(mat[0], axis=0) == 0)
 
 
 def test_temporal_matrix_passes_samples_through():
     w = sine_window(60.0, 1)
     mat = dsp.build_matrix(w, "temporal")
-    assert mat.values.shape == (1, 102, 6)
-    np.testing.assert_allclose(mat.values[0], w.values, rtol=1e-6)
+    assert mat.shape == (1, 102, 6)
+    np.testing.assert_allclose(mat[0], w, rtol=1e-6)
 
 
 def test_stack_matrices_shapes_and_labels():
     emg = np.random.default_rng(7).normal(size=(2048, 6))
     rec = make_recording(emg)
     rec.angles[:, 0] = np.sin(rec.t_ang)
-    windows = dsp.segment_windows(rec)
-    x, y = dsp.stack_matrices(dsp.build_matrices(windows, "spectral"))
+    windows, labels, _ = dsp.segment_windows(rec)
+    x, y = dsp.stack_matrices(windows, labels, "spectral")
     assert x.shape == (len(windows), 101, 6)
     assert y.shape == (len(windows), 1)
+    np.testing.assert_array_equal(y, labels)
 
 
 def test_stack_empty_rejected():
     with pytest.raises(InsufficientDataError):
-        dsp.stack_matrices([])
+        dsp.stack_matrices(np.zeros((0, 102, 6)), np.zeros((0, 1)), "spectral")
 
 
 def test_recording_validation():

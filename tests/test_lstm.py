@@ -3,15 +3,15 @@ against central finite differences (small dimensions, 64-bit)."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from emgkin import lstm
 from emgkin.lstm import (
-    FeatureSequence,
     LstmParams,
     build_sequences,
     init_lstm_params,
     lstm_backward,
-    lstm_forward,
     lstm_forward_batch,
     lstm_step,
     stack_sequences,
@@ -63,7 +63,8 @@ def test_single_sequence_forward_matches_batch():
     seqs = rng.standard_normal((3, 5, 3))
     y_batch, _ = lstm_forward_batch(p, seqs)
     for b in range(3):
-        np.testing.assert_allclose(lstm_forward(p, seqs[b]), y_batch[b], atol=1e-12)
+        y_single, _ = lstm_forward_batch(p, seqs[b : b + 1])
+        np.testing.assert_allclose(y_single[0], y_batch[b], atol=1e-12)
 
 
 def test_step_gates_bounded_and_state_mixes():
@@ -185,13 +186,23 @@ def test_build_sequences_counts_and_alignment():
     rng = np.random.default_rng(18)
     features = rng.standard_normal((30, 20))
     labels = rng.standard_normal((30, 2))
-    seqs = build_sequences(features, labels, k=18)
-    assert len(seqs) == 30 - 18 + 1
+    seqs, targets = stack_sequences(features, labels, k=18)
+    assert len(seqs) == len(targets) == 30 - 18 + 1
     # sequence j covers feature rows [j, j+k); its target is the last row's label
-    np.testing.assert_array_equal(seqs[0].features, features[:18])
-    np.testing.assert_array_equal(seqs[0].target, labels[17])
-    np.testing.assert_array_equal(seqs[-1].features, features[12:30])
-    np.testing.assert_array_equal(seqs[-1].target, labels[29])
+    np.testing.assert_array_equal(seqs[0], features[:18])
+    np.testing.assert_array_equal(targets[0], labels[17])
+    np.testing.assert_array_equal(seqs[-1], features[12:30])
+    np.testing.assert_array_equal(targets[-1], labels[29])
+
+
+def test_build_sequences_is_a_view_of_the_features():
+    features = np.random.default_rng(21).standard_normal((40, 20)).astype(np.float32)
+    seqs = build_sequences(features, k=18)
+    assert seqs.shape == (40 - 18 + 1, 18, 20)
+    assert np.shares_memory(seqs, features)
+    assert not seqs.flags.writeable
+    for i in range(len(seqs)):
+        np.testing.assert_array_equal(seqs[i], features[i : i + 18])
 
 
 def test_build_sequences_k_larger_than_data():
@@ -199,15 +210,42 @@ def test_build_sequences_k_larger_than_data():
 
     rng = np.random.default_rng(19)
     with pytest.raises(InsufficientDataError):
-        build_sequences(rng.standard_normal((5, 20)), rng.standard_normal((5, 1)), k=18)
+        build_sequences(rng.standard_normal((5, 20)), k=18)
+    with pytest.raises(InsufficientDataError):
+        stack_sequences(rng.standard_normal((5, 20)), rng.standard_normal((5, 1)), k=18)
 
 
 def test_stack_sequences_shapes():
+    from emgkin.errors import DimensionError
+
     rng = np.random.default_rng(20)
-    seqs = [
-        FeatureSequence(rng.standard_normal((4, 3)), rng.standard_normal(2))
-        for _ in range(7)
-    ]
-    x, y = stack_sequences(seqs)
+    features = rng.standard_normal((10, 3))
+    labels = rng.standard_normal((10, 2))
+    x, y = stack_sequences(features, labels, k=4)
     assert x.shape == (7, 4, 3)
     assert y.shape == (7, 2)
+    with pytest.raises(DimensionError):
+        stack_sequences(features, labels[:9], k=4)
+
+
+def test_sigmoid_extreme_inputs_do_not_overflow():
+    x = np.array([-1e4, -50.0, 0.0, 50.0, 1e4])
+    with np.errstate(over="raise"):
+        y = lstm.sigmoid(x)
+    assert np.all(np.isfinite(y))
+    np.testing.assert_allclose(y[2], 0.5)
+    assert y[0] == 0.0 and y[-1] == 1.0
+
+
+@given(st.lists(st.floats(-30, 30), min_size=1, max_size=50))
+def test_sigmoid_matches_reference(values):
+    x = np.array(values)
+    np.testing.assert_allclose(lstm.sigmoid(x), 1.0 / (1.0 + np.exp(-x)), rtol=1e-12)
+
+
+@given(st.lists(st.floats(-100, 100), min_size=1, max_size=50))
+def test_sigmoid_bounded_and_monotone(values):
+    x = np.sort(np.array(values))
+    y = lstm.sigmoid(x)
+    assert np.all((y >= 0.0) & (y <= 1.0))
+    assert np.all(np.diff(y) >= 0.0)

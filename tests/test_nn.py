@@ -7,7 +7,7 @@ structure; the asserted tolerance is 1e-4 relative on the worst entry.
 import numpy as np
 import pytest
 
-from emgkin import nn, tensor
+from emgkin import nn
 
 EPS = 1e-6
 TOL = 1e-4
@@ -32,12 +32,6 @@ def numeric_grad(f, arr: np.ndarray, eps: float = EPS) -> np.ndarray:
         flat[i] = keep
         gflat[i] = (hi - lo) / (2 * eps)
     return grad
-
-
-@pytest.fixture(autouse=True)
-def f64_mode():
-    with tensor.precision("f64"):
-        yield
 
 
 def layer_loss(layer, x, r, mode="train"):

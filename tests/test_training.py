@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from emgkin import dsp
 from emgkin.config import PipelineConfig, StageConfig
 from emgkin.errors import DivergenceError, InsufficientDataError
 from emgkin.training import (
@@ -44,35 +45,34 @@ def test_label_scaler_rejects_constant_targets():
 
 
 def test_preprocess_training_scales_matrix_labels_only(tiny_session, tiny_config):
-    stats, scaler, windows, matrices = preprocess_training(tiny_session, tiny_config)
-    raw = np.stack([w.label for w in windows])
-    scaled = np.stack([m.label for m in matrices])
-    # window labels stay in degrees; matrix labels are standardized
+    stats, scaler, windows, x, scaled = preprocess_training(tiny_session, tiny_config)
+    _, raw, _ = dsp.segment_windows(tiny_session)
+    # window labels stay in degrees; the training targets are standardized
     assert raw.std() > 5.0
     np.testing.assert_allclose(scaled.mean(axis=0), 0.0, atol=1e-9)
     np.testing.assert_allclose(scaled.std(axis=0), 1.0, atol=1e-9)
     np.testing.assert_allclose(scaler.inverse(scaled), raw, atol=1e-9)
-    assert len(windows) == len(matrices)
-    assert matrices[0].values.shape == (1, 101, 6)
+    assert len(windows) == len(x) == len(scaled)
+    assert x.shape[1:] == (101, 6)
 
 
 def test_train_cnn_runs_and_reports_losses(tiny_session, tiny_config):
-    _, _, _, matrices = preprocess_training(tiny_session, tiny_config)
+    _, _, _, x, y = preprocess_training(tiny_session, tiny_config)
     stage = StageConfig(epochs=2, batch=128, lr0=1e-4)
-    model, history = train_cnn(matrices, stage, seed=1)
+    model, history = train_cnn(x, y, stage, seed=1)
     assert len(history) == 2
     assert all(np.isfinite(h) for h in history)
-    feats = extract_dataset_features(model, matrices)
-    assert feats.shape == (len(matrices), 20)
+    feats = extract_dataset_features(model, x)
+    assert feats.shape == (len(x), 20)
     assert np.all(np.isfinite(feats))
 
 
 def test_train_cnn_deterministic_per_seed(tiny_session, tiny_config):
-    _, _, _, matrices = preprocess_training(tiny_session, tiny_config)
+    _, _, _, x, y = preprocess_training(tiny_session, tiny_config)
     stage = StageConfig(epochs=1, batch=128, lr0=1e-4)
-    m1, h1 = train_cnn(matrices, stage, seed=3)
-    m2, h2 = train_cnn(matrices, stage, seed=3)
-    m3, _ = train_cnn(matrices, stage, seed=4)
+    m1, h1 = train_cnn(x, y, stage, seed=3)
+    m2, h2 = train_cnn(x, y, stage, seed=3)
+    m3, _ = train_cnn(x, y, stage, seed=4)
     assert h1 == h2
     for k, v in m1.state_arrays().items():
         np.testing.assert_array_equal(v, m2.state_arrays()[k])
@@ -85,10 +85,10 @@ def test_train_cnn_deterministic_per_seed(tiny_session, tiny_config):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_train_cnn_diverges_loudly(tiny_session, tiny_config):
-    _, _, _, matrices = preprocess_training(tiny_session, tiny_config)
+    _, _, _, x, y = preprocess_training(tiny_session, tiny_config)
     stage = StageConfig(epochs=3, batch=128, lr0=1e12)
     with pytest.raises(DivergenceError):
-        train_cnn(matrices, stage, seed=0)
+        train_cnn(x, y, stage, seed=0)
 
 
 def test_train_hybrid_end_to_end(tiny_session, tiny_config):
@@ -114,9 +114,10 @@ def test_hybrid_loss_decreases_with_more_epochs(tiny_session):
 def test_stage_two_does_not_touch_cnn(tiny_session, tiny_config):
     """The CNN state after hybrid training equals a standalone stage-1 run."""
     run = train_hybrid(tiny_session, tiny_config)
-    _, _, _, matrices = preprocess_training(tiny_session, tiny_config)
+    _, _, _, x, y = preprocess_training(tiny_session, tiny_config)
     solo, _ = train_cnn(
-        matrices,
+        x,
+        y,
         tiny_config.cnn,
         seed=tiny_config.seed,
         leaky_slope=tiny_config.leaky_slope,
