@@ -7,7 +7,7 @@ from pathlib import Path
 
 from emgkin import io
 from emgkin.config import PipelineConfig, desk_preset
-from emgkin.evaluation import run_evaluation, split_session
+from emgkin.evaluation import SplitPlan, evaluate_model, split_session
 from emgkin.synth import SynthConfig, generate
 from emgkin.training import train_hybrid
 
@@ -19,14 +19,14 @@ config = desk_preset(PipelineConfig(protocol="P1", seed=1))
 
 # folds 1-3 train, fold 4 tests; the split happens on raw samples so the
 # test partition sees its own fresh filter transients
-reports = run_evaluation(config, rec, baselines=True)
+train_raw, test_raw = split_session(rec)
+run = train_hybrid(train_raw, config)
+reports = evaluate_model(run.model, train_raw, test_raw, SplitPlan(), baselines=True)
 for report in reports:
     scores = ", ".join(f"{e['name']} R2={e['r2']:.4f}" for e in report.dof)
     print(f"{report.model:>8}: {scores}  ({report.runtime_s:.1f}s)")
 
 # persist the hybrid for later use and dump the full report + trajectory
-train_raw, _ = split_session(rec)
-run = train_hybrid(train_raw, config)
 ckpt = io.save_model(run.model, out_dir / "p1_demo.ckpt")
 io.write_losses(out_dir / "p1_demo.losses.csv", run.cnn_loss, run.lstm_loss)
 io.write_report(reports[0], out_dir / "p1_demo.report.json")

@@ -14,12 +14,9 @@ config = desk_preset(PipelineConfig(protocol="P1", seed=1))
 
 intra = run_evaluation(config, session_a, baselines=False)[0]
 
-plan = SplitPlan(
-    mode="inter",
-    train_session=session_a.session_id,
-    test_session=session_b.session_id,
-)
-inter = run_evaluation(config, [session_a, session_b], plan=plan, baselines=False)[0]
+inter = run_evaluation(
+    config, [session_a, session_b], plan=SplitPlan(mode="inter"), baselines=False
+)[0]
 
 r2_intra = intra.r2_of("fe")
 r2_inter = inter.r2_of("fe")

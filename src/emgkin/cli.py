@@ -4,7 +4,8 @@ Every command echoes an ``effective-config:`` banner (one JSON line with all
 resolved values) so any run can be reproduced from its log. Exit codes:
 0 success, 1 runtime failure (e.g. divergence), 2 usage/config/data error.
 ``EMGKIN_THREADS`` caps sweep worker threads (default 1 for strict
-reproducibility; each variant trains its own model either way).
+reproducibility). The timesteps sweep trains one CNN shared by every k and
+one LSTM per k; the matrix-mode sweep trains a whole model per mode.
 """
 
 from __future__ import annotations
@@ -215,11 +216,7 @@ def eval_cmd(model_path, data_dir, split, report_path, baselines):
                 f"inter-session eval needs two sessions, found {len(sessions)}"
             )
         train_raw, test_raw = sessions[0], sessions[1]
-        plan = SplitPlan(
-            mode="inter",
-            train_session=train_raw.session_id,
-            test_session=test_raw.session_id,
-        )
+        plan = SplitPlan(mode="inter")
     reports = evaluation.evaluate_model(
         model, train_raw, test_raw, plan, baselines=baselines
     )
@@ -266,11 +263,7 @@ def sweep_cmd(what, config_path, data_dir, out_dir, desk, seed):
     )
     if len(sessions) >= 2:
         data = (sessions[0], sessions[1])
-        plan = SplitPlan(
-            mode="inter",
-            train_session=sessions[0].session_id,
-            test_session=sessions[1].session_id,
-        )
+        plan = SplitPlan(mode="inter")
     else:
         data = sessions[0]
         plan = SplitPlan(mode="intra")

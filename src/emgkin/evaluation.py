@@ -26,8 +26,7 @@ from . import dsp, features, krr, training
 from .config import PipelineConfig
 from .dsp import SemgRecording
 from .errors import ConfigError, InsufficientDataError, UndefinedMetricError
-from .lstm import stack_sequences
-from .training import HybridModel, PredictionTrajectory, TrainingRun
+from .training import HybridModel, PredictionTrajectory
 
 DEFAULT_K_SWEEP = (8, 18, 58, 98)
 N_FOLDS = 4
@@ -52,8 +51,6 @@ def r_squared(alpha: np.ndarray, y: np.ndarray) -> float:
 @dataclass(frozen=True)
 class SplitPlan:
     mode: str = "intra"  # intra | inter
-    train_session: str | None = None
-    test_session: str | None = None
 
     def __post_init__(self):
         if self.mode not in ("intra", "inter"):
@@ -97,6 +94,16 @@ def split_session(
 
 @dataclass
 class EvaluationReport:
+    """One model's scores and trajectory on one split.
+
+    ``runtime_s`` is wall time, and what it covers depends on the model and
+    the driver: cnn-lstm from ``run_evaluation`` counts training plus
+    inference, from ``evaluate_model`` inference only; cnn counts inference
+    only; krr counts its own filtering, features, tuning, fit and predict;
+    a ``sweep_timesteps`` report counts the shared stage 1 plus that k's
+    stage 2 and inference.
+    """
+
     model: str  # cnn-lstm | cnn | krr
     protocol: str
     split: str
@@ -173,19 +180,20 @@ def _dof_scores(traj: PredictionTrajectory) -> list[dict[str, Any]]:
 def _traj_report(
     traj: PredictionTrajectory,
     *,
-    model: str,
-    config: PipelineConfig,
+    name: str,
+    model: HybridModel,
+    test_raw: SemgRecording,
     split: str,
     runtime_s: float,
     input_len: int,
 ) -> EvaluationReport:
     return EvaluationReport(
-        model=model,
-        protocol=config.protocol,
+        model=name,
+        protocol=test_raw.protocol,
         split=split,
         dof=_dof_scores(traj),
-        k=config.k,
-        matrix_mode=config.matrix_mode,
+        k=model.k,
+        matrix_mode=model.matrix_mode,
         runtime_s=runtime_s,
         input_len=input_len,
         timestamps=traj.timestamps,
@@ -218,14 +226,15 @@ def _resolve_partitions(
 def _krr_report(
     train_raw: SemgRecording,
     test_raw: SemgRecording,
-    config: PipelineConfig,
+    model: HybridModel,
     split: str,
 ) -> EvaluationReport:
-    """Handcrafted features + PCA-20 + tuned RBF kernel ridge regression."""
+    """Handcrafted features + PCA-20 + tuned RBF kernel ridge regression,
+    windowed in samples exactly as the hybrid was."""
     start = time.perf_counter()
     filtered_train = dsp.apply_filter_chain(train_raw)
     stats = dsp.fit_normalizer(filtered_train)
-    window, hop = training.window_geometry(config, train_raw.fs_emg)
+    window, hop = model.window_samples, model.hop_samples
     train_windows, y_train, _ = dsp.segment_windows(
         dsp.apply_normalizer(stats, filtered_train), window, hop
     )
@@ -237,8 +246,8 @@ def _krr_report(
     x_train = basis.project(train_features)
     x_test = basis.project(features.extract_feature_matrix(test_windows))
     gamma, ridge = krr.tune(x_train, y_train)
-    model = krr.fit(x_train, y_train, gamma, ridge)
-    y_pred = krr.predict(model, x_test)
+    fitted = krr.fit(x_train, y_train, gamma, ridge)
+    y_pred = krr.predict(fitted, x_test)
     traj = PredictionTrajectory(
         timestamps=test_times,
         predictions=np.atleast_2d(y_pred),
@@ -247,8 +256,9 @@ def _krr_report(
     )
     return _traj_report(
         traj,
-        model="krr",
-        config=config,
+        name="krr",
+        model=model,
+        test_raw=test_raw,
         split=split,
         runtime_s=time.perf_counter() - start,
         input_len=window,
@@ -264,40 +274,16 @@ def run_evaluation(
     """Train on the plan's training partition, score every model on the test.
 
     Returns reports for cnn-lstm, then (if ``baselines``) cnn-only and krr,
-    all on the identical split.
+    all on the identical split. The cnn-lstm report's runtime_s includes
+    training.
     """
     plan = plan or SplitPlan()
     train_raw, test_raw = _resolve_partitions(data, plan)
-    split = _split_descriptor(plan, train_raw, test_raw)
-
     start = time.perf_counter()
     run = training.train_hybrid(train_raw, config)
-    traj = training.predict(run.model, test_raw)
-    input_len = run.model.cnn.input_len
-    reports = [
-        _traj_report(
-            traj,
-            model="cnn-lstm",
-            config=config,
-            split=split,
-            runtime_s=time.perf_counter() - start,
-            input_len=input_len,
-        )
-    ]
-    if baselines:
-        start = time.perf_counter()
-        cnn_traj = training.predict_cnn_only(run.model, test_raw)
-        reports.append(
-            _traj_report(
-                cnn_traj,
-                model="cnn",
-                config=config,
-                split=split,
-                runtime_s=time.perf_counter() - start,
-                input_len=input_len,
-            )
-        )
-        reports.append(_krr_report(train_raw, test_raw, config, split))
+    train_s = time.perf_counter() - start
+    reports = evaluate_model(run.model, train_raw, test_raw, plan, baselines)
+    reports[0].runtime_s += train_s
     return reports
 
 
@@ -314,21 +300,14 @@ def evaluate_model(
     must fit on the training partition); the hybrid itself is not retrained.
     """
     split = _split_descriptor(plan, train_raw, test_raw)
-    fs = test_raw.fs_emg
-    config = PipelineConfig(
-        protocol=test_raw.protocol,
-        matrix_mode=model.matrix_mode,
-        window_ms=model.window_samples * 1000.0 / fs,
-        hop_ms=model.hop_samples * 1000.0 / fs,
-        k=model.k,
-    )
     start = time.perf_counter()
     traj = training.predict(model, test_raw)
     reports = [
         _traj_report(
             traj,
-            model="cnn-lstm",
-            config=config,
+            name="cnn-lstm",
+            model=model,
+            test_raw=test_raw,
             split=split,
             runtime_s=time.perf_counter() - start,
             input_len=model.cnn.input_len,
@@ -340,14 +319,15 @@ def evaluate_model(
         reports.append(
             _traj_report(
                 cnn_traj,
-                model="cnn",
-                config=config,
+                name="cnn",
+                model=model,
+                test_raw=test_raw,
                 split=split,
                 runtime_s=time.perf_counter() - start,
                 input_len=model.cnn.input_len,
             )
         )
-        reports.append(_krr_report(train_raw, test_raw, config, split))
+        reports.append(_krr_report(train_raw, test_raw, model, split))
     return reports
 
 
@@ -362,53 +342,24 @@ def sweep_timesteps(
 
     Stage 1 runs once; each k reuses the frozen CNN and deep features, so
     variants are independent and may fan out to ``max_workers`` threads.
+    Each report's runtime_s is the shared stage 1 plus that k's stage 2 and
+    inference.
     """
     plan = plan or SplitPlan()
     train_raw, test_raw = _resolve_partitions(data, plan)
-    split = _split_descriptor(plan, train_raw, test_raw)
 
     shared_start = time.perf_counter()
-    stats, scaler, _, x, y = training.preprocess_training(train_raw, config)
-    cnn, _ = training.train_cnn(
-        x,
-        y,
-        config.cnn,
-        seed=config.seed,
-        leaky_slope=config.leaky_slope,
-        dropout=config.dropout,
-    )
-    feats = training.extract_dataset_features(cnn, x)
+    stage1 = training._train_cnn_stage(train_raw, config)
     shared_s = time.perf_counter() - shared_start
-
-    window, hop = training.window_geometry(config, train_raw.fs_emg)
 
     def run_k(k: int) -> EvaluationReport:
         start = time.perf_counter()
-        k_config = replace(config, k=int(k))
-        seqs, targets = stack_sequences(feats, y, k_config.k)
-        lstm, _ = training.train_lstm(
-            seqs, targets, k_config.lstm, seed=k_config.seed, dropout=k_config.dropout
+        model, _ = training._train_lstm_stage(
+            stage1, train_raw, replace(config, k=int(k))
         )
-        model = HybridModel(
-            cnn=cnn,
-            lstm=lstm,
-            norm_stats=stats,
-            label_scaler=scaler,
-            k=k_config.k,
-            matrix_mode=config.matrix_mode,
-            dof_names=list(train_raw.dof_names),
-            window_samples=window,
-            hop_samples=hop,
-        )
-        traj = training.predict(model, test_raw)
-        return _traj_report(
-            traj,
-            model="cnn-lstm",
-            config=k_config,
-            split=split,
-            runtime_s=shared_s + time.perf_counter() - start,
-            input_len=cnn.input_len,
-        )
+        report = evaluate_model(model, train_raw, test_raw, plan, baselines=False)[0]
+        report.runtime_s = shared_s + time.perf_counter() - start
+        return report
 
     return _fan_out(run_k, list(ks), max_workers)
 

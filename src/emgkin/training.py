@@ -234,8 +234,21 @@ def preprocess_training(
     return stats, scaler, windows, x, y
 
 
-def train_hybrid(rec: SemgRecording, config: PipelineConfig) -> TrainingRun:
-    """Run both stages on one training recording."""
+@dataclass
+class _CnnStage:
+    """Stage 1's output, shared by every stage 2 trained on top of it."""
+
+    stats: NormalizationStats
+    scaler: LabelScaler
+    cnn: CnnModel
+    loss: list[float]
+    features: np.ndarray  # [M x 20] deep features in segmentation order
+    y: np.ndarray  # [M x D] standardized labels
+
+
+def _train_cnn_stage(rec: SemgRecording, config: PipelineConfig) -> _CnnStage:
+    """Stage 1: preprocess the training recording, train the CNN, and extract
+    the deep features stage 2 trains on."""
     stats, scaler, _, x, y = preprocess_training(rec, config)
     cnn, cnn_hist = train_cnn(
         x,
@@ -246,24 +259,39 @@ def train_hybrid(rec: SemgRecording, config: PipelineConfig) -> TrainingRun:
         dropout=config.dropout,
     )
     features = extract_dataset_features(cnn, x)
-    seqs, targets = stack_sequences(features, y, config.k)
+    return _CnnStage(stats, scaler, cnn, cnn_hist, features, y)
+
+
+def _train_lstm_stage(
+    stage1: _CnnStage, rec: SemgRecording, config: PipelineConfig
+) -> tuple[HybridModel, list[float]]:
+    """Stage 2: train the LSTM on config.k-step sequences of the frozen
+    CNN's features and assemble the hybrid."""
+    seqs, targets = stack_sequences(stage1.features, stage1.y, config.k)
     lstm, lstm_hist = train_lstm(
         seqs, targets, config.lstm, seed=config.seed, dropout=config.dropout
     )
     window, hop = window_geometry(config, rec.fs_emg)
     model = HybridModel(
-        cnn=cnn,
+        cnn=stage1.cnn,
         lstm=lstm,
-        norm_stats=stats,
-        label_scaler=scaler,
+        norm_stats=stage1.stats,
+        label_scaler=stage1.scaler,
         k=config.k,
         matrix_mode=config.matrix_mode,
         dof_names=list(rec.dof_names),
         window_samples=window,
         hop_samples=hop,
     )
+    return model, lstm_hist
+
+
+def train_hybrid(rec: SemgRecording, config: PipelineConfig) -> TrainingRun:
+    """Run both stages on one training recording."""
+    stage1 = _train_cnn_stage(rec, config)
+    model, lstm_hist = _train_lstm_stage(stage1, rec, config)
     return TrainingRun(
-        config=config, cnn_loss=cnn_hist, lstm_loss=lstm_hist, model=model
+        config=config, cnn_loss=stage1.loss, lstm_loss=lstm_hist, model=model
     )
 
 

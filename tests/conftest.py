@@ -73,7 +73,7 @@ def desk_p4_reports(p4_session):
 
 @pytest.fixture(scope="session")
 def desk_inter_reports(desk_p1_config, p1_pair):
-    plan = SplitPlan(mode="inter", train_session=0, test_session=1)
+    plan = SplitPlan(mode="inter")
     return run_evaluation(desk_p1_config, list(p1_pair), plan=plan, baselines=True)
 
 

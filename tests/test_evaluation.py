@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from emgkin import dsp
 from emgkin.config import PipelineConfig, StageConfig
-from emgkin.errors import UndefinedMetricError
+from emgkin.errors import ConfigError, UndefinedMetricError
 from emgkin.evaluation import (
     EvaluationReport,
     SplitPlan,
+    _split_descriptor,
     compare_matrix_modes,
+    evaluate_model,
     r_squared,
     run_evaluation,
     split_session,
@@ -132,12 +134,14 @@ def test_partitions_are_filtered_independently():
 
 
 def test_split_respects_plan_sessions():
+    """An inter plan takes its session names from the recordings, and the
+    quartering protocol refuses it."""
     a = quarter_rec(4096)
     b = dataclasses.replace(a, session_id="s1")
-    plan = SplitPlan(mode="inter", train_session=0, test_session=1)
-    assert plan.mode == "inter"
-    assert (plan.train_session, plan.test_session) == (0, 1)
-    assert b.session_id == "s1"
+    plan = SplitPlan(mode="inter")
+    assert _split_descriptor(plan, a, b) == f"inter:{a.session_id}->s1"
+    with pytest.raises(ConfigError):
+        split_session(a, plan)
 
 
 # --- report object ------------------------------------------------------------
@@ -247,6 +251,13 @@ def test_sweep_timesteps_counts_and_thread_determinism(quick_config, quick_sessi
         # fan-out must not change results at all
         assert rep_s.dof == rep_t.dof
         np.testing.assert_array_equal(rep_s.predictions, rep_t.predictions)
+        # sharing stage 1 across ks is the same as training each k afresh
+        alone = run_evaluation(
+            dataclasses.replace(quick_config, k=k), quick_session, baselines=False
+        )[0]
+        assert rep_s.dof == alone.dof
+        np.testing.assert_array_equal(rep_s.predictions, alone.predictions)
+        np.testing.assert_array_equal(rep_s.timestamps, alone.timestamps)
 
 
 def test_compare_matrix_modes_pairs(quick_config, quick_session):
@@ -258,12 +269,12 @@ def test_compare_matrix_modes_pairs(quick_config, quick_session):
 
 
 def test_intra_scores_match_direct_training(quick_config, quick_session, quick_reports):
-    """run_evaluation == train on folds 1-3, predict fold 4, score."""
+    """run_evaluation == train on folds 1-3, then score that model on fold 4."""
     train, test = split_session(quick_session)
     run = train_hybrid(train, quick_config)
-    from emgkin.training import predict
-
-    traj = predict(run.model, test)
-    expected = r_squared(traj.truths[:, 0], traj.predictions[:, 0])
-    got = {r.model: r for r in quick_reports}["cnn-lstm"].r2_of("fe")
-    assert got == pytest.approx(expected, abs=1e-12)
+    direct = evaluate_model(run.model, train, test, SplitPlan(), baselines=True)
+    assert [r.model for r in direct] == [r.model for r in quick_reports]
+    for got, expected in zip(quick_reports, direct):
+        got, expected = got.to_dict(), expected.to_dict()
+        del got["runtime_s"], expected["runtime_s"]
+        assert got == expected
