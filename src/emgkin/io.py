@@ -21,6 +21,7 @@ import json
 import os
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -122,12 +123,16 @@ def _read_csv(path: Path, expected_header: str) -> np.ndarray:
                 f"{path.name}: expected header {expected_header!r}, got {header!r}"
             )
         try:
-            data = np.genfromtxt(fh, delimiter=",", dtype=np.float64)
+            with warnings.catch_warnings():
+                # An empty data section is reported below as "no data rows".
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning
+                )
+                data = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
         except ValueError as exc:
             raise LoadError(f"{path.name}: malformed row ({exc})") from exc
     if data.size == 0:
         raise LoadError(f"{path.name}: no data rows")
-    data = np.atleast_2d(data)
     n_cols = expected_header.count(",") + 1
     if data.shape[1] != n_cols:
         raise LoadError(

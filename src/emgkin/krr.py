@@ -5,6 +5,13 @@ dual problem (K + lambda I) alpha = Y is solved densely in float64; targets
 are centered so the model predicts the mean far away from all support
 points. Hyperparameters come from 5-fold inner cross-validation on fixed
 log grids.
+
+``fit`` solves the system by LU. Cross-validation in ``tune`` builds one
+kernel over all samples per gamma, slices each fold's train and test blocks
+from it, and solves each (gamma, lambda, fold) system by Cholesky, falling
+back to LU where the factorization fails (a numerically singular system at
+a tiny lambda). Its scores can therefore differ from fit/predict ones in
+the last bits; the tests check that the selected grid point does not.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import InsufficientDataError, SolverError
 
@@ -36,8 +44,8 @@ class KrrModel:
             )
 
 
-def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    """K_ij = exp(-gamma * ||a_i - b_j||^2)."""
+def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||a_i - b_j||^2, clipped at 0 against cancellation."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     sq = (
@@ -45,7 +53,22 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
         + np.sum(b**2, axis=1)[np.newaxis, :]
         - 2.0 * (a @ b.T)
     )
-    return np.exp(-gamma * np.maximum(sq, 0.0))
+    return np.maximum(sq, 0.0)
+
+
+def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
+    """K_ij = exp(-gamma * ||a_i - b_j||^2)."""
+    return np.exp(-gamma * _sq_distances(a, b))
+
+
+def _lu_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(
+            f"kernel system is singular ({exc}); duplicate training points at "
+            "ridge=0 — use ridge > 0"
+        ) from exc
 
 
 def fit(x: np.ndarray, y: np.ndarray, gamma: float, ridge: float) -> KrrModel:
@@ -63,13 +86,7 @@ def fit(x: np.ndarray, y: np.ndarray, gamma: float, ridge: float) -> KrrModel:
     mean = y.mean(axis=0)
     kernel = rbf_kernel(x, x, gamma)
     system = kernel + ridge * np.eye(x.shape[0])
-    try:
-        coef = np.linalg.solve(system, y - mean)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            f"kernel system is singular ({exc}); duplicate training points at "
-            "ridge=0 — use ridge > 0"
-        ) from exc
+    coef = _lu_solve(system, y - mean)
     return KrrModel(
         support=x, coefficients=coef, gamma=gamma, ridge=ridge, target_mean=mean
     )
@@ -118,16 +135,35 @@ def tune(
         raise InsufficientDataError(
             f"tuning needs >= {2 * folds} samples for {folds}-fold CV, got {x.shape[0]}"
         )
-    slices = _fold_slices(x.shape[0], folds)
+    if min(gamma_grid) <= 0:
+        raise SolverError(f"gamma must be > 0, got {min(gamma_grid)}")
+    if min(lambda_grid) < 0:
+        raise SolverError(f"ridge must be >= 0, got {min(lambda_grid)}")
+    splits = []
+    for fold in _fold_slices(x.shape[0], folds):
+        mask = np.ones(x.shape[0], dtype=bool)
+        mask[fold] = False
+        y_train = y[mask]
+        mean = y_train.mean(axis=0)
+        splits.append((fold, np.ix_(mask, mask), mask, y_train - mean, mean))
+    sq = _sq_distances(x, x)
     best = None
     for gamma in gamma_grid:
-        for ridge in lambda_grid:
-            scores = []
-            for fold in slices:
-                mask = np.ones(x.shape[0], dtype=bool)
-                mask[fold] = False
-                model = fit(x[mask], y[mask], gamma, ridge)
-                scores.append(_mean_r2(y[fold], predict(model, x[fold])))
+        kernel = np.exp(-gamma * sq)
+        scores_by_ridge = [[] for _ in lambda_grid]
+        for fold, train_block, mask, centered, mean in splits:
+            k_train = kernel[train_block]
+            k_test = kernel[fold][:, mask]
+            eye = np.eye(k_train.shape[0])
+            for scores, ridge in zip(scores_by_ridge, lambda_grid):
+                system = k_train + ridge * eye
+                try:
+                    factor = scipy.linalg.cho_factor(system, check_finite=False)
+                    coef = scipy.linalg.cho_solve(factor, centered, check_finite=False)
+                except np.linalg.LinAlgError:
+                    coef = _lu_solve(system, centered)
+                scores.append(_mean_r2(y[fold], mean + k_test @ coef))
+        for ridge, scores in zip(lambda_grid, scores_by_ridge):
             score = float(np.mean(scores))
             # Grid order already visits smaller gamma first and larger ridge
             # last, so strict improvement keeps the tie-break rule: accept

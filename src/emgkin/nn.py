@@ -1,8 +1,11 @@
 """Layers and the deep-feature CNN, with hand-written backward passes.
 
-No autodiff: every layer caches what its backward pass needs, and every
-analytic gradient is checked against central finite differences in the test
-suite. Data layout is channels-last: conv stages see [B x L x C], fully
+No autodiff: a train-mode forward caches what the layer's backward pass
+needs, and every analytic gradient is checked against central finite
+differences in the test suite. An eval-mode forward caches nothing and clears
+what an earlier train-mode forward left, so inference holds no per-batch
+state and a backward pass needs a train-mode forward first; without one it
+raises. Data layout is channels-last: conv stages see [B x L x C], fully
 connected stages see [B x F].
 
 The CNN is four conv blocks (conv k3/pad1/stride1 -> batch norm -> leaky
@@ -34,6 +37,13 @@ def he_leaky_std(fan_in: int, slope: float) -> float:
     return float(np.sqrt(2.0 / (fan_in * (1.0 + slope * slope))))
 
 
+def _train_cache(cache):
+    """What the last train-mode forward saved for backward; eval saves None."""
+    if cache is None:
+        raise RuntimeError("backward needs a train-mode forward first")
+    return cache
+
+
 class Conv1d:
     """1-D convolution along the length axis, kernel 3, pad 1, stride 1."""
 
@@ -54,12 +64,12 @@ class Conv1d:
         padded = np.pad(x, ((0, 0), (1, 1), (0, 0)))
         cols = np.stack([padded[:, i : i + length, :] for i in range(3)], axis=-1)
         cols = cols.reshape(batch, length, in_ch * 3)
-        self._cols = cols
+        self._cols = cols if mode == "train" else None
         w_mat = self.W.transpose(1, 2, 0).reshape(in_ch * 3, -1)
         return cols @ w_mat + self.b
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        cols = self._cols
+        cols = _train_cache(self._cols)
         batch, length, _ = dout.shape
         out_ch, in_ch, _ = self.W.shape
         d_wmat = np.einsum("blk,blo->ko", cols, dout)
@@ -112,16 +122,14 @@ class BatchNorm:
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mean) * inv_std
-        self._cache = (xhat, inv_std, axes, mode)
+        self._cache = (xhat, inv_std, axes) if mode == "train" else None
         return self.gamma * xhat + self.beta
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        xhat, inv_std, axes, mode = self._cache
+        xhat, inv_std, axes = _train_cache(self._cache)
         self.dgamma = (dout * xhat).sum(axis=axes)
         self.dbeta = dout.sum(axis=axes)
         dxhat = dout * self.gamma
-        if mode == "eval":
-            return dxhat * inv_std
         m = np.prod([dout.shape[a] for a in axes])
         return (
             inv_std
@@ -136,43 +144,50 @@ class LeakyRelu:
         self._positive = None
 
     def forward(self, x: np.ndarray, mode: Mode) -> np.ndarray:
-        self._positive = x >= 0
-        return np.where(self._positive, x, self.slope * x)
+        positive = x >= 0
+        self._positive = positive if mode == "train" else None
+        return np.where(positive, x, self.slope * x)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        return np.where(self._positive, dout, self.slope * dout)
+        return np.where(_train_cache(self._positive), dout, self.slope * dout)
 
 
 class MaxPool1d:
     """Max pooling along the length axis, size 3, stride 1, no padding.
 
     Backward routes each output gradient to the argmax position; ties break
-    to the first index.
+    to the first index. Train mode keeps one first-max mask per tap.
     """
 
     SIZE = 3
 
     def __init__(self):
-        self._argmax = None
-        self._in_shape = None
+        self._masks = None
 
     def forward(self, x: np.ndarray, mode: Mode) -> np.ndarray:
-        batch, length, channels = x.shape
+        length = x.shape[1]
         out_len = length - (self.SIZE - 1)
         if out_len < 1:
             raise DimensionError(f"pool input length {length} too short")
-        windows = np.stack(
-            [x[:, i : i + out_len, :] for i in range(self.SIZE)], axis=2
-        )  # [B, out_len, 3, C]
-        self._argmax = windows.argmax(axis=2)
-        self._in_shape = x.shape
-        return windows.max(axis=2)
+        a, b, c = (x[:, i : i + out_len, :] for i in range(self.SIZE))
+        out = np.maximum(np.maximum(a, b), c)
+        if mode == "train":
+            m0 = a == out
+            m1 = (b == out) & ~m0
+            self._masks = (m0, m1, ~(m0 | m1))
+        else:
+            self._masks = None
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        dx = np.zeros(self._in_shape, dtype=dout.dtype)
+        masks = _train_cache(self._masks)
         batch, out_len, channels = dout.shape
-        b_idx, l_idx, c_idx = np.indices((batch, out_len, channels))
-        np.add.at(dx, (b_idx, l_idx + self._argmax, c_idx), dout)
+        dx = np.zeros((batch, out_len + self.SIZE - 1, channels), dtype=dout.dtype)
+        # Tap 2, then 1, then 0: an input position sums the windows that
+        # start at or before it in ascending order, as a scatter-add over the
+        # outputs would, so every gradient keeps its exact bytes.
+        for tap in reversed(range(self.SIZE)):
+            dx[:, tap : tap + out_len, :] += dout * masks[tap]
         return dx
 
 
@@ -216,11 +231,11 @@ class Dense:
             raise DimensionError(
                 f"dense expects {self.W.shape[0]} inputs, got {x.shape[1]}"
             )
-        self._x = x
+        self._x = x if mode == "train" else None
         return x @ self.W + self.b
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        self.dW = self._x.T @ dout
+        self.dW = _train_cache(self._x).T @ dout
         self.db = dout.sum(axis=0)
         return dout @ self.W.T
 

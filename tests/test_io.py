@@ -2,6 +2,7 @@
 
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,28 @@ def test_text_cell_rejected(tiny_session, tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(LoadError):
         load_session(tmp_path)
+
+
+def test_single_letter_cell_is_a_malformed_row(tiny_session, tmp_path):
+    save_session(tiny_session, tmp_path)
+    path = tmp_path / "angles.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[6].split(",")
+    cells[2] = "x"
+    lines[6] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LoadError, match="angles.csv: malformed row"):
+        load_session(tmp_path)
+
+
+def test_header_only_csv_has_no_data_rows(tiny_session, tmp_path):
+    save_session(tiny_session, tmp_path)
+    path = tmp_path / "emg.csv"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LoadError, match="emg.csv: no data rows"):
+            load_session(tmp_path)
 
 
 def test_rate_mismatch_rejected(tiny_session, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from emgkin import krr
+from emgkin import dsp, features, krr, synth
 from emgkin.errors import InsufficientDataError, SolverError
 
 
@@ -140,3 +140,79 @@ def test_tune_recovers_signal_on_learnable_data():
     pred = krr.predict(model, x)
     ss_res = np.var(pred - y)
     assert 1.0 - ss_res / np.var(y) > 0.8
+
+
+def reference_tune(x, y, gamma_grid=krr.GAMMA_GRID, lambda_grid=krr.LAMBDA_GRID):
+    """The fit/predict loop tune replaced: one LU fit per (gamma, ridge, fold)."""
+    slices = krr._fold_slices(x.shape[0], krr.INNER_FOLDS)
+    best = None
+    for gamma in gamma_grid:
+        for ridge in lambda_grid:
+            scores = []
+            for fold in slices:
+                mask = np.ones(x.shape[0], dtype=bool)
+                mask[fold] = False
+                model = krr.fit(x[mask], y[mask], gamma, ridge)
+                scores.append(krr._mean_r2(y[fold], krr.predict(model, x[fold])))
+            score = float(np.mean(scores))
+            if best is None or score > best[0] or (
+                score == best[0] and gamma == best[1] and ridge > best[2]
+            ):
+                best = (score, gamma, ridge)
+    return float(best[1]), float(best[2])
+
+
+def synthetic_p1_features(seed):
+    """PCA-20 handcrafted features of a 20 s synthetic P1 session, as the
+    KRR baseline builds them."""
+    rec = synth.generate(synth.SynthConfig(protocol="P1", duration_s=20.0, seed=seed))
+    filtered = dsp.apply_filter_chain(rec)
+    normed = dsp.apply_normalizer(dsp.fit_normalizer(filtered), filtered)
+    windows, labels, _ = dsp.segment_windows(normed, dsp.WINDOW_SAMPLES, dsp.HOP_SAMPLES)
+    feats = features.extract_feature_matrix(windows)
+    return features.fit_pca(feats).project(feats), labels
+
+
+@pytest.mark.parametrize("source", ["random-1", "random-2", "sine-3", "p1-1", "p1-2"])
+def test_tune_selects_what_the_fit_predict_loop_selects(source):
+    kind, seed = source.split("-")
+    rng = np.random.default_rng(int(seed))
+    if kind == "random":
+        x = rng.standard_normal((90, 5))
+        y = rng.standard_normal((90, 2))
+    elif kind == "sine":
+        x = rng.uniform(-2, 2, (120, 3))
+        y = np.sin(2 * x[:, :1]) + 0.1 * rng.standard_normal((120, 1))
+    else:
+        x, y = synthetic_p1_features(int(seed))
+    assert krr.tune(x, y) == reference_tune(x, y)
+
+
+def test_tune_falls_back_to_lu_when_cholesky_fails(monkeypatch):
+    # Row 7 repeats row 0 up to 1e-9, so the kernel entry between them
+    # rounds to exactly 1: at ridge 0 the Cholesky pivot of row 7 is <= 0,
+    # while LU still finds a nonzero pivot.
+    rng = np.random.default_rng(26)
+    x = rng.standard_normal((40, 3))
+    x[7] = x[0] + 1e-9
+    y = np.sin(x[:, :1]) + 0.1 * rng.standard_normal((40, 1))
+    lu_calls = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        lu_calls.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    chosen = krr.tune(x, y, gamma_grid=(0.1,), lambda_grid=(0.0, 1e-2))
+    assert lu_calls, "no system fell back to LU"
+    assert chosen == reference_tune(x, y, gamma_grid=(0.1,), lambda_grid=(0.0, 1e-2))
+
+
+def test_tune_singular_system_raises_solver_error():
+    rng = np.random.default_rng(27)
+    x = rng.standard_normal((20, 3))
+    y = rng.standard_normal((20, 1))
+    x[12] = x[3]  # exactly singular kernel at ridge 0, for Cholesky and LU
+    with pytest.raises(SolverError, match="ridge"):
+        krr.tune(x, y, lambda_grid=(0.0,))

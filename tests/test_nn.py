@@ -269,3 +269,94 @@ def test_same_seed_same_init():
     assert any(
         not np.array_equal(v, c.parameters()[k]) for k, v in a.parameters().items()
     )
+
+
+def reference_pool_forward(x):
+    """The argmax pool this layer replaced: stack the taps, argmax, max."""
+    out_len = x.shape[1] - (nn.MaxPool1d.SIZE - 1)
+    windows = np.stack(
+        [x[:, i : i + out_len, :] for i in range(nn.MaxPool1d.SIZE)], axis=2
+    )
+    return windows.max(axis=2), windows.argmax(axis=2)
+
+
+def reference_pool_backward(argmax, dout, in_shape):
+    dx = np.zeros(in_shape, dtype=dout.dtype)
+    b_idx, l_idx, c_idx = np.indices(dout.shape)
+    np.add.at(dx, (b_idx, l_idx + argmax, c_idx), dout)
+    return dx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("inputs", ["small_ints", "all_equal", "signed_zeros", "normal"])
+def test_maxpool_matches_argmax_reference_bytes(dtype, inputs):
+    rng = np.random.default_rng(22)
+    shape = (6, 30, 4)
+    x = {
+        "small_ints": lambda: rng.integers(-2, 3, shape),
+        "all_equal": lambda: np.full(shape, 1.5),
+        "signed_zeros": lambda: rng.choice([-0.0, 0.0, 1.0], shape),
+        "normal": lambda: rng.standard_normal(shape),
+    }[inputs]().astype(dtype)
+    dout = rng.standard_normal((6, 28, 4)).astype(dtype)
+    layer = nn.MaxPool1d()
+    out = layer.forward(x, "train")
+    dx = layer.backward(dout)
+    ref_out, argmax = reference_pool_forward(x)
+    ref_dx = reference_pool_backward(argmax, dout, x.shape)
+    assert out.dtype == ref_out.dtype and dx.dtype == ref_dx.dtype
+    assert out.tobytes() == ref_out.tobytes()
+    assert dx.tobytes() == ref_dx.tobytes()
+
+
+def _batch_arrays(obj, batch):
+    """Names of the arrays reachable from a layer whose leading axis is batch."""
+    found = []
+    for name, value in vars(obj).items():
+        items = value if isinstance(value, tuple) else (value,)
+        for item in items:
+            if isinstance(item, np.ndarray) and item.ndim and item.shape[0] == batch:
+                found.append(name)
+    return found
+
+
+def test_eval_forward_leaves_no_batch_state():
+    model = nn.CnnModel(input_len=12, in_channels=3, n_outputs=2, seed=9)
+    batch = 7  # no parameter has a leading axis of 7
+    x = np.random.default_rng(23).standard_normal((batch, 12, 3)).astype(np.float32)
+    layers = [layer for _, layer in model._feature_layers] + [model.head]
+    model.forward(x, "train")
+    assert any(_batch_arrays(layer, batch) for layer in layers)
+    model.forward(x, "eval")
+    for layer in layers:
+        assert _batch_arrays(layer, batch) == [], type(layer).__name__
+
+
+@pytest.mark.parametrize(
+    "make, shape",
+    [
+        (lambda: nn.Conv1d(3, 4, np.random.default_rng(1), 0.1, np.float64), (2, 8, 3)),
+        (lambda: nn.BatchNorm(3, dtype=np.float64), (4, 8, 3)),
+        (lambda: nn.LeakyRelu(), (2, 8, 3)),
+        (lambda: nn.MaxPool1d(), (2, 8, 3)),
+        (lambda: nn.Dense(5, 4, np.random.default_rng(2), np.float64), (3, 5)),
+    ],
+    ids=["conv", "batchnorm", "leaky_relu", "maxpool", "dense"],
+)
+def test_backward_after_eval_forward_raises(make, shape):
+    layer = make()
+    x = np.random.default_rng(24).standard_normal(shape)
+    out = layer.forward(x, "train")
+    layer.backward(np.ones_like(out))
+    layer.forward(x, "eval")
+    with pytest.raises(RuntimeError, match="train-mode forward"):
+        layer.backward(np.ones_like(out))
+
+
+def test_model_backward_after_eval_forward_raises():
+    model = nn.CnnModel(input_len=12, in_channels=3, n_outputs=2, seed=10)
+    x = np.random.default_rng(25).standard_normal((4, 12, 3)).astype(np.float32)
+    model.forward(x, "train")
+    pred = model.forward(x, "eval")
+    with pytest.raises(RuntimeError, match="train-mode forward"):
+        model.backward(np.ones_like(pred))
