@@ -7,7 +7,7 @@ from pathlib import Path
 
 from emgkin import io
 from emgkin.config import PipelineConfig, desk_preset
-from emgkin.evaluation import SplitPlan, evaluate_model, split_session
+from emgkin.evaluation import evaluate_model, partition
 from emgkin.synth import SynthConfig, generate
 from emgkin.training import train_hybrid
 
@@ -17,11 +17,12 @@ out_dir.mkdir(exist_ok=True)
 rec = generate(SynthConfig(protocol="P1", duration_s=60.0, seed=1))
 config = desk_preset(PipelineConfig(protocol="P1", seed=1))
 
-# folds 1-3 train, fold 4 tests; the split happens on raw samples so the
-# test partition sees its own fresh filter transients
-train_raw, test_raw = split_session(rec)
+# one recording: folds 1-3 train, fold 4 tests; the split happens on raw
+# samples so the test partition sees its own fresh filter transients
+train_raw, _, split = partition(rec)
 run = train_hybrid(train_raw, config)
-reports = evaluate_model(run.model, train_raw, test_raw, SplitPlan(), baselines=True)
+reports = evaluate_model(run.model, rec, baselines=True)
+print(f"split: {split}")
 for report in reports:
     scores = ", ".join(f"{e['name']} R2={e['r2']:.4f}" for e in report.dof)
     print(f"{report.model:>8}: {scores}  ({report.runtime_s:.1f}s)")

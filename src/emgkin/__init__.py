@@ -12,15 +12,15 @@ from .dsp import NormalizationStats, SemgRecording
 from .errors import EmgkinError
 from .evaluation import (
     EvaluationReport,
-    SplitPlan,
     compare_matrix_modes,
+    partition,
     r_squared,
     run_evaluation,
     split_session,
     sweep_timesteps,
 )
 from .io import load_model, load_session, save_model, save_session
-from .lstm import LstmParams, LstmState, build_sequences
+from .lstm import LstmParams, build_sequences
 from .nn import CnnModel
 from .synth import SynthConfig, generate, generate_session_pair
 from .training import (
@@ -40,12 +40,10 @@ __all__ = [
     "EvaluationReport",
     "HybridModel",
     "LstmParams",
-    "LstmState",
     "NormalizationStats",
     "PipelineConfig",
     "PredictionTrajectory",
     "SemgRecording",
-    "SplitPlan",
     "StageConfig",
     "SynthConfig",
     "TrainingRun",
@@ -58,6 +56,7 @@ __all__ = [
     "load_config",
     "load_model",
     "load_session",
+    "partition",
     "predict",
     "predict_cnn_only",
     "r_squared",

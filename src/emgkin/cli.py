@@ -3,6 +3,10 @@
 Every command echoes an ``effective-config:`` banner (one JSON line with all
 resolved values) so any run can be reproduced from its log. Exit codes:
 0 success, 1 runtime failure (e.g. divergence), 2 usage/config/data error.
+``train``, ``eval`` and ``sweep`` take the protocol from the sessions under
+``--data`` (``evaluation.partition``): one session is scored intra-session
+(folds 1-3 train, fold 4 tests), two inter-session (train on the first,
+test on the second), and any other count exits 2.
 ``EMGKIN_THREADS`` caps sweep worker threads (default 1 for strict
 reproducibility). The timesteps sweep trains one CNN shared by every k and
 one LSTM per k; the matrix-mode sweep trains a whole model per mode.
@@ -14,7 +18,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -28,7 +31,6 @@ from .config import (
 )
 from .dsp import SemgRecording
 from .errors import ConfigError, EmgkinError, LoadError
-from .evaluation import SplitPlan
 
 PROTOCOLS = ("P1", "P2", "P3", "P4")
 
@@ -141,18 +143,16 @@ def synth_gen(protocol, duration, seed, out_dir, pair, snr_db):
               default=None, help="YAML pipeline config.")
 @click.option("--data", "data_dir", type=click.Path(path_type=Path), required=True)
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
-@click.option("--split", type=click.Choice(["intra", "inter"]), default="intra",
-              show_default=True,
-              help="intra: train on folds 1-3; inter: train on full session A.")
 @click.option("--desk", is_flag=True, help="Desk-scale epoch preset (CNN 5, LSTM 10).")
 @click.option("--seed", type=int, default=None)
 @click.option("--k", type=int, default=None)
 @click.option("--matrix-mode", type=click.Choice(["spectral", "temporal"]),
               default=None)
 @_handle_errors
-def train_cmd(config_path, data_dir, out_path, split, desk, seed, k, matrix_mode):
+def train_cmd(config_path, data_dir, out_path, desk, seed, k, matrix_mode):
     """Run both training stages; write checkpoint + loss-history CSV."""
     sessions = _load_sessions(data_dir)
+    train_raw, _, split = evaluation.partition(sessions)
     cfg = _resolve_config(
         config_path,
         desk,
@@ -164,12 +164,8 @@ def train_cmd(config_path, data_dir, out_path, split, desk, seed, k, matrix_mode
         config=cfg.to_dict(),
         data=str(data_dir),
         out=str(out_path),
-        split=split,
+        split=split.split(":")[0],
     )
-    if split == "intra":
-        train_raw, _ = evaluation.split_session(sessions[0])
-    else:
-        train_raw = sessions[0]
     run = training.train_hybrid(train_raw, cfg)
     io.save_model(run.model, out_path)
     losses_path = io.write_losses(
@@ -184,42 +180,25 @@ def train_cmd(config_path, data_dir, out_path, split, desk, seed, k, matrix_mode
 @main.command("eval")
 @click.option("--model", "model_path", type=click.Path(path_type=Path), required=True)
 @click.option("--data", "data_dir", type=click.Path(path_type=Path), required=True)
-@click.option("--split", type=click.Choice(["intra", "inter"]), default="intra",
-              show_default=True)
 @click.option("--report", "report_path", type=click.Path(path_type=Path),
               required=True)
 @click.option("--baselines", is_flag=True,
               help="Also score CNN-only and KRR on the same split.")
 @_handle_errors
-def eval_cmd(model_path, data_dir, split, report_path, baselines):
+def eval_cmd(model_path, data_dir, report_path, baselines):
     """Score a checkpoint on the held-out partition; write JSON + trajectory."""
+    sessions = _load_sessions(data_dir)
+    _, _, split = evaluation.partition(sessions)
     _banner(
         "eval",
         model=str(model_path),
         data=str(data_dir),
-        split=split,
+        split=split.split(":")[0],
         report=str(report_path),
         baselines=baselines,
     )
     model = io.load_model(model_path)
-    sessions = _load_sessions(data_dir)
-    if split == "intra":
-        if len(sessions) != 1:
-            raise ConfigError(
-                f"intra-session eval takes exactly one session, found {len(sessions)}"
-            )
-        train_raw, test_raw = evaluation.split_session(sessions[0])
-        plan = SplitPlan(mode="intra")
-    else:
-        if len(sessions) < 2:
-            raise ConfigError(
-                f"inter-session eval needs two sessions, found {len(sessions)}"
-            )
-        train_raw, test_raw = sessions[0], sessions[1]
-        plan = SplitPlan(mode="inter")
-    reports = evaluation.evaluate_model(
-        model, train_raw, test_raw, plan, baselines=baselines
-    )
+    reports = evaluation.evaluate_model(model, sessions, baselines=baselines)
     report_path = Path(report_path)
     if len(reports) == 1:
         io.write_report(reports[0], report_path)
@@ -261,25 +240,14 @@ def sweep_cmd(what, config_path, data_dir, out_dir, desk, seed):
         out=str(out_dir),
         workers=workers,
     )
-    if len(sessions) >= 2:
-        data = (sessions[0], sessions[1])
-        plan = SplitPlan(mode="inter")
-    else:
-        data = sessions[0]
-        plan = SplitPlan(mode="intra")
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if what == "timesteps":
-        reports = evaluation.sweep_timesteps(
-            cfg, data, plan=plan, max_workers=workers
-        )
+        reports = evaluation.sweep_timesteps(cfg, sessions, max_workers=workers)
         names = [f"k{r.k}" for r in reports]
     else:
-        reports = evaluation.compare_matrix_modes(
-            cfg, data, plan=plan, max_workers=workers
-        )
+        reports = evaluation.compare_matrix_modes(cfg, sessions, max_workers=workers)
         names = [r.matrix_mode for r in reports]
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for name, report in zip(names, reports):
         path = io.write_report(report, out_dir / f"{name}.json")
         click.echo(f"wrote {path}")

@@ -86,18 +86,7 @@ class PipelineConfig:
             raise ConfigError(f"leaky_slope must be >= 0, got {self.leaky_slope}")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "protocol": self.protocol,
-            "matrix_mode": self.matrix_mode,
-            "window_ms": self.window_ms,
-            "hop_ms": self.hop_ms,
-            "k": self.k,
-            "cnn": dataclasses.asdict(self.cnn),
-            "lstm": dataclasses.asdict(self.lstm),
-            "dropout": self.dropout,
-            "leaky_slope": self.leaky_slope,
-            "seed": self.seed,
-        }
+        return dataclasses.asdict(self)
 
 
 def desk_preset(base: PipelineConfig | None = None) -> PipelineConfig:
@@ -118,56 +107,39 @@ def _require_mapping(value: Any, where: str) -> dict:
     return value
 
 
+def _overridden(defaults, raw: dict[str, Any]) -> dict[str, Any]:
+    """The fields of dataclass ``defaults``, each value in ``raw`` cast to its
+    default's type."""
+    values = {
+        f.name: getattr(defaults, f.name) for f in dataclasses.fields(defaults)
+    }
+    for name, value in raw.items():
+        values[name] = type(values[name])(value)
+    return values
+
+
 def config_from_dict(raw: dict[str, Any]) -> PipelineConfig:
     """Build a validated PipelineConfig from a (possibly partial) mapping."""
     raw = dict(_require_mapping(raw, "config"))
-    known = {
-        "protocol",
-        "matrix_mode",
-        "window_ms",
-        "hop_ms",
-        "k",
-        "cnn",
-        "lstm",
-        "dropout",
-        "leaky_slope",
-        "seed",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in dataclasses.fields(PipelineConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     defaults = PipelineConfig()
+    stage_keys = {f.name for f in dataclasses.fields(StageConfig)}
     try:
-        cnn_raw = _require_mapping(raw.pop("cnn", {}), "cnn")
-        lstm_raw = _require_mapping(raw.pop("lstm", {}), "lstm")
-        for stage_name, stage_raw in (("cnn", cnn_raw), ("lstm", lstm_raw)):
-            extra = set(stage_raw) - {"epochs", "batch", "lr0"}
+        stages = {
+            name: _require_mapping(raw.pop(name, {}), name) for name in ("cnn", "lstm")
+        }
+        for stage_name, stage_raw in stages.items():
+            extra = set(stage_raw) - stage_keys
             if extra:
                 raise ConfigError(
                     f"unknown {stage_name} config keys: {sorted(extra)}"
                 )
-        cnn = StageConfig(
-            epochs=int(cnn_raw.get("epochs", defaults.cnn.epochs)),
-            batch=int(cnn_raw.get("batch", defaults.cnn.batch)),
-            lr0=float(cnn_raw.get("lr0", defaults.cnn.lr0)),
-        )
-        lstm = StageConfig(
-            epochs=int(lstm_raw.get("epochs", defaults.lstm.epochs)),
-            batch=int(lstm_raw.get("batch", defaults.lstm.batch)),
-            lr0=float(lstm_raw.get("lr0", defaults.lstm.lr0)),
-        )
-        return PipelineConfig(
-            protocol=str(raw.get("protocol", defaults.protocol)),
-            matrix_mode=str(raw.get("matrix_mode", defaults.matrix_mode)),
-            window_ms=float(raw.get("window_ms", defaults.window_ms)),
-            hop_ms=float(raw.get("hop_ms", defaults.hop_ms)),
-            k=int(raw.get("k", defaults.k)),
-            cnn=cnn,
-            lstm=lstm,
-            dropout=float(raw.get("dropout", defaults.dropout)),
-            leaky_slope=float(raw.get("leaky_slope", defaults.leaky_slope)),
-            seed=int(raw.get("seed", defaults.seed)),
-        )
+        for name, stage_raw in stages.items():
+            stage_defaults = getattr(defaults, name)
+            stages[name] = StageConfig(**_overridden(stage_defaults, stage_raw))
+        return PipelineConfig(**{**_overridden(defaults, raw), **stages})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
 

@@ -7,11 +7,13 @@ R² follows the variance-ratio form
 with population variances, so a constant offset in the prediction does not
 change the score (unlike SSE-based R²).
 
-Intra-session evaluation splits one session into four contiguous folds at
-raw-sample boundaries floor(i*T/4) — folds 1-3 train, fold 4 tests — and
+``partition`` is the one split decision, and the sessions given make it.
+One session is scored intra-session: it is split into four contiguous folds
+at raw-sample boundaries floor(i*T/4) — folds 1-3 train, fold 4 tests — and
 each partition is filtered/segmented independently so no window straddles
-the boundary and no test sample leaks into preprocessing statistics.
-Inter-session evaluation trains on one full session and tests on another.
+the boundary and no test sample leaks into preprocessing statistics. A pair
+of sessions is scored inter-session: train on the whole first, test on the
+whole second.
 """
 
 from __future__ import annotations
@@ -48,18 +50,28 @@ def r_squared(alpha: np.ndarray, y: np.ndarray) -> float:
     return float(1.0 - np.var(alpha - y) / var)
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    mode: str = "intra"  # intra | inter
+def partition(
+    data: SemgRecording | Sequence[SemgRecording],
+) -> tuple[SemgRecording, SemgRecording, str]:
+    """(train, test, split name): the sessions given decide the protocol.
 
-    def __post_init__(self):
-        if self.mode not in ("intra", "inter"):
-            raise ConfigError(f"split mode must be intra or inter, got {self.mode!r}")
+    One recording (or a sequence of one) is quartered by ``split_session``;
+    a pair trains on the whole first session and tests on the whole second.
+    """
+    sessions = [data] if isinstance(data, SemgRecording) else list(data)
+    if len(sessions) == 1:
+        train, test = split_session(sessions[0])
+        return train, test, f"intra:{train.session_id}:folds123/fold4"
+    if len(sessions) == 2:
+        train, test = sessions
+        return train, test, f"inter:{train.session_id}->{test.session_id}"
+    raise ConfigError(
+        "evaluation takes one session (intra) or two (inter), "
+        f"found {len(sessions)}"
+    )
 
 
-def split_session(
-    rec: SemgRecording, plan: SplitPlan | None = None
-) -> tuple[SemgRecording, SemgRecording]:
+def split_session(rec: SemgRecording) -> tuple[SemgRecording, SemgRecording]:
     """Quarter the raw session in time; (folds 1-3, fold 4) as raw recordings.
 
     Splitting happens on raw samples, before any filtering or scaling; the
@@ -67,8 +79,6 @@ def split_session(
     the boundary timestamp. Too-short partitions surface as
     insufficient-data errors downstream when windows/sequences are built.
     """
-    if plan is not None and plan.mode != "intra":
-        raise ConfigError("split_session implements the intra-session protocol")
     n = rec.emg.shape[0]
     if n < N_FOLDS:
         raise InsufficientDataError(f"cannot quarter {n} samples")
@@ -202,27 +212,6 @@ def _traj_report(
     )
 
 
-def _split_descriptor(
-    plan: SplitPlan, train: SemgRecording, test: SemgRecording
-) -> str:
-    if plan.mode == "intra":
-        return f"intra:{train.session_id}:folds123/fold4"
-    return f"inter:{train.session_id}->{test.session_id}"
-
-
-def _resolve_partitions(
-    data: SemgRecording | Sequence[SemgRecording], plan: SplitPlan
-) -> tuple[SemgRecording, SemgRecording]:
-    if plan.mode == "intra":
-        if not isinstance(data, SemgRecording):
-            raise ConfigError("intra-session evaluation takes a single recording")
-        return split_session(data)
-    if isinstance(data, SemgRecording):
-        raise ConfigError("inter-session evaluation needs (train, test) recordings")
-    train, test = data
-    return train, test
-
-
 def _krr_report(
     train_raw: SemgRecording,
     test_raw: SemgRecording,
@@ -268,38 +257,34 @@ def _krr_report(
 def run_evaluation(
     config: PipelineConfig,
     data: SemgRecording | Sequence[SemgRecording],
-    plan: SplitPlan | None = None,
     baselines: bool = True,
 ) -> list[EvaluationReport]:
-    """Train on the plan's training partition, score every model on the test.
+    """Train on ``partition(data)``'s training set, score every model on its test.
 
     Returns reports for cnn-lstm, then (if ``baselines``) cnn-only and krr,
     all on the identical split. The cnn-lstm report's runtime_s includes
     training.
     """
-    plan = plan or SplitPlan()
-    train_raw, test_raw = _resolve_partitions(data, plan)
+    train_raw, _, _ = partition(data)
     start = time.perf_counter()
     run = training.train_hybrid(train_raw, config)
     train_s = time.perf_counter() - start
-    reports = evaluate_model(run.model, train_raw, test_raw, plan, baselines)
+    reports = evaluate_model(run.model, data, baselines)
     reports[0].runtime_s += train_s
     return reports
 
 
 def evaluate_model(
     model: HybridModel,
-    train_raw: SemgRecording,
-    test_raw: SemgRecording,
-    plan: SplitPlan,
+    data: SemgRecording | Sequence[SemgRecording],
     baselines: bool = False,
 ) -> list[EvaluationReport]:
-    """Score an already-trained hybrid on a split.
+    """Score an already-trained hybrid on ``partition(data)``'s test set.
 
-    ``train_raw`` is only touched when ``baselines`` is set (the KRR baseline
-    must fit on the training partition); the hybrid itself is not retrained.
+    The training set is only touched when ``baselines`` is set (the KRR
+    baseline must fit on it); the hybrid itself is not retrained.
     """
-    split = _split_descriptor(plan, train_raw, test_raw)
+    train_raw, test_raw, split = partition(data)
     start = time.perf_counter()
     traj = training.predict(model, test_raw)
     reports = [
@@ -335,7 +320,6 @@ def sweep_timesteps(
     config: PipelineConfig,
     data: SemgRecording | Sequence[SemgRecording],
     ks: Sequence[int] = DEFAULT_K_SWEEP,
-    plan: SplitPlan | None = None,
     max_workers: int = 1,
 ) -> list[EvaluationReport]:
     """Stage-2-only k sweep: one shared CNN, one LSTM retraining per k.
@@ -345,8 +329,7 @@ def sweep_timesteps(
     Each report's runtime_s is the shared stage 1 plus that k's stage 2 and
     inference.
     """
-    plan = plan or SplitPlan()
-    train_raw, test_raw = _resolve_partitions(data, plan)
+    train_raw, _, _ = partition(data)
 
     shared_start = time.perf_counter()
     stage1 = training._train_cnn_stage(train_raw, config)
@@ -357,7 +340,7 @@ def sweep_timesteps(
         model, _ = training._train_lstm_stage(
             stage1, train_raw, replace(config, k=int(k))
         )
-        report = evaluate_model(model, train_raw, test_raw, plan, baselines=False)[0]
+        report = evaluate_model(model, data, baselines=False)[0]
         report.runtime_s = shared_s + time.perf_counter() - start
         return report
 
@@ -377,7 +360,6 @@ def _fan_out(fn, variants: list, max_workers: int) -> list:
 def compare_matrix_modes(
     config: PipelineConfig,
     data: SemgRecording | Sequence[SemgRecording],
-    plan: SplitPlan | None = None,
     max_workers: int = 1,
 ) -> list[EvaluationReport]:
     """Identical pipeline under both input-matrix modes; spectral first.
@@ -388,6 +370,6 @@ def compare_matrix_modes(
 
     def run_mode(mode: str) -> EvaluationReport:
         mode_config = replace(config, matrix_mode=mode)
-        return run_evaluation(mode_config, data, plan, baselines=False)[0]
+        return run_evaluation(mode_config, data, baselines=False)[0]
 
     return _fan_out(run_mode, ["spectral", "temporal"], max_workers)

@@ -115,11 +115,6 @@ class PcaBasis:
             proj = np.concatenate([proj, np.zeros(pad_shape)], axis=-1)
         return proj
 
-    def reconstruct(self, proj: np.ndarray) -> np.ndarray:
-        """Inverse map back to original feature units (lossy beyond rank)."""
-        proj = np.asarray(proj, dtype=np.float64)[..., : self.rank]
-        return proj @ self.components.T * self.scale + self.mean
-
 
 def fit_pca(train_features: np.ndarray, n_components: int = PCA_COMPONENTS) -> PcaBasis:
     """Fit the z-score + PCA reduction on training features only.

@@ -76,12 +76,6 @@ class LstmParams:
         return state
 
 
-@dataclass
-class LstmState:
-    h: np.ndarray
-    c: np.ndarray
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic sigmoid 1 / (1 + exp(-x)), overflow-safe in both branches."""
     x = np.asarray(x)
@@ -218,28 +212,6 @@ def lstm_backward(
         dh = dz[:, :hidden]
         dc = dc * m
     return grads
-
-
-def lstm_step(
-    params: LstmParams, state: LstmState, f: np.ndarray
-) -> tuple[LstmState, np.ndarray]:
-    """Single Eq.-style update: (state, feature) -> (new state, y)."""
-    f = np.asarray(f)
-    if f.shape != (params.feature_dim,):
-        raise DimensionError(
-            f"feature must have shape ({params.feature_dim},), got {f.shape}"
-        )
-    if state.h.shape != (params.hidden,) or state.c.shape != (params.hidden,):
-        raise DimensionError("state shape does not match hidden size")
-    z = np.concatenate([state.h, f])
-    i = sigmoid(params.W_i @ z + params.b_i)
-    m = sigmoid(params.W_m @ z + params.b_m)
-    o = sigmoid(params.W_o @ z + params.b_o)
-    g = np.tanh(params.W_c @ z + params.b_c)
-    c = i * g + m * state.c
-    h = o * np.tanh(c)
-    y = params.W_y @ h + params.b_y
-    return LstmState(h=h, c=c), y
 
 
 def build_sequences(features: np.ndarray, k: int = DEFAULT_TIMESTEPS) -> np.ndarray:

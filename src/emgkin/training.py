@@ -80,8 +80,8 @@ class HybridModel:
     k: int
     matrix_mode: str
     dof_names: list[str]
-    window_samples: int = dsp.WINDOW_SAMPLES
-    hop_samples: int = dsp.HOP_SAMPLES
+    window_samples: int
+    hop_samples: int
 
     def __post_init__(self):
         if self.lstm.feature_dim != nn.FEATURE_DIM:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from emgkin.config import PipelineConfig, StageConfig, desk_preset
-from emgkin.evaluation import SplitPlan, run_evaluation
+from emgkin.evaluation import run_evaluation
 from emgkin.synth import SynthConfig, generate, generate_session_pair
 from emgkin.training import train_hybrid
 
@@ -73,8 +73,7 @@ def desk_p4_reports(p4_session):
 
 @pytest.fixture(scope="session")
 def desk_inter_reports(desk_p1_config, p1_pair):
-    plan = SplitPlan(mode="inter")
-    return run_evaluation(desk_p1_config, list(p1_pair), plan=plan, baselines=True)
+    return run_evaluation(desk_p1_config, list(p1_pair), baselines=True)
 
 
 @pytest.fixture(scope="session")

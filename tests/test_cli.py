@@ -1,6 +1,7 @@
 """End-to-end CLI coverage: synth gen / train / eval / sweep, exit codes."""
 
 import json
+import shutil
 
 import pytest
 from click.testing import CliRunner
@@ -100,6 +101,7 @@ def test_banner_reports_effective_config(trained):
     assert payload["command"] == "train"
     assert payload["config"]["cnn"]["epochs"] == 1
     assert payload["config"]["protocol"] == "P1"
+    assert payload["split"] == "intra"
 
 
 def test_train_writes_checkpoint_and_losses(workspace, trained):
@@ -168,40 +170,44 @@ def test_eval_baselines_writes_report_array(workspace, trained, tmp_path):
         assert name in result.output
 
 
-def test_eval_intra_rejects_multi_session_dir(workspace, trained, tmp_path):
+@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+def test_three_session_dir_exits_2(workspace, trained, tmp_path, command):
+    """One session is intra, two are inter; three name no protocol."""
+    trio = tmp_path / "trio"
+    for child in ("s0", "s0_b"):
+        shutil.copytree(workspace / "pair" / child, trio / child)
+    shutil.copytree(workspace / "solo", trio / "s1")
     out, _ = trained
-    result = _invoke(
-        ["eval", "--model", str(out), "--data", str(workspace / "pair"),
-         "--report", str(tmp_path / "r.json")]
-    )
+    args = {
+        "train": ["train", "--config", str(workspace / "tiny.yaml"),
+                  "--out", str(tmp_path / "m.ckpt")],
+        "eval": ["eval", "--model", str(out), "--report", str(tmp_path / "r.json")],
+        "sweep": ["sweep", "--what", "timesteps", "--config",
+                  str(workspace / "tiny.yaml"), "--out", str(tmp_path / "ks")],
+    }[command]
+    result = _invoke([*args, "--data", str(trio)])
     assert result.exit_code == 2
-    assert "exactly one session" in _all_output(result)
-
-
-def test_eval_inter_rejects_single_session_dir(workspace, trained, tmp_path):
-    out, _ = trained
-    result = _invoke(
-        ["eval", "--model", str(out), "--data", str(workspace / "solo"),
-         "--split", "inter", "--report", str(tmp_path / "r.json")]
-    )
-    assert result.exit_code == 2
-    assert "needs two sessions" in _all_output(result)
+    assert "found 3" in _all_output(result)
+    assert not (tmp_path / "m.ckpt").exists()
+    assert not (tmp_path / "ks").exists()
 
 
 def test_eval_inter_session_pair(workspace, tmp_path):
-    # Inter-session training uses the full first session, no fold split.
+    # A pair directory is scored inter-session: train on the full first
+    # session, no fold split, and test on the second.
     out = tmp_path / "inter.ckpt"
     result = _invoke(
         ["train", "--config", str(workspace / "tiny.yaml"),
-         "--data", str(workspace / "pair"), "--out", str(out),
-         "--split", "inter"]
+         "--data", str(workspace / "pair"), "--out", str(out)]
     )
     assert result.exit_code == 0, result.output
+    banner = json.loads(result.output.splitlines()[0].removeprefix("effective-config: "))
+    assert banner["split"] == "inter"
 
     report_path = tmp_path / "inter.json"
     result = _invoke(
         ["eval", "--model", str(out), "--data", str(workspace / "pair"),
-         "--split", "inter", "--report", str(report_path)]
+         "--report", str(report_path)]
     )
     assert result.exit_code == 0, result.output
     payload = json.loads(report_path.read_text())

@@ -60,6 +60,12 @@ def test_dict_round_trip():
     cfg = PipelineConfig(protocol="P4", k=58, seed=9)
     again = config_from_dict(cfg.to_dict())
     assert again == cfg
+    # fields in declaration order, stages as nested mappings
+    assert list(cfg.to_dict()) == [
+        "protocol", "matrix_mode", "window_ms", "hop_ms", "k", "cnn", "lstm",
+        "dropout", "leaky_slope", "seed",
+    ]
+    assert cfg.to_dict()["cnn"] == {"epochs": 50, "batch": 128, "lr0": 1e-4}
 
 
 def test_config_from_dict_rejects_unknown_keys():

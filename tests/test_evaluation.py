@@ -12,10 +12,9 @@ from emgkin.config import PipelineConfig, StageConfig
 from emgkin.errors import ConfigError, UndefinedMetricError
 from emgkin.evaluation import (
     EvaluationReport,
-    SplitPlan,
-    _split_descriptor,
     compare_matrix_modes,
     evaluate_model,
+    partition,
     r_squared,
     run_evaluation,
     split_session,
@@ -133,15 +132,22 @@ def test_partitions_are_filtered_independently():
     assert tail < 1e-6
 
 
-def test_split_respects_plan_sessions():
-    """An inter plan takes its session names from the recordings, and the
-    quartering protocol refuses it."""
+def test_partition_names_the_split():
+    """One recording is quartered (intra); a pair is (train, test) whole
+    (inter); any other count is refused with the count in the message."""
     a = quarter_rec(4096)
     b = dataclasses.replace(a, session_id="s1")
-    plan = SplitPlan(mode="inter")
-    assert _split_descriptor(plan, a, b) == f"inter:{a.session_id}->s1"
-    with pytest.raises(ConfigError):
-        split_session(a, plan)
+    for data in (a, [a], (a,)):
+        train, test, name = partition(data)
+        assert name == f"intra:{a.session_id}:folds123/fold4"
+        np.testing.assert_array_equal(train.emg, split_session(a)[0].emg)
+        np.testing.assert_array_equal(test.emg, split_session(a)[1].emg)
+    train, test, name = partition([a, b])
+    assert name == f"inter:{a.session_id}->s1"
+    assert train is a and test is b
+    for sessions in ([], [a, b, a]):
+        with pytest.raises(ConfigError, match=f"found {len(sessions)}"):
+            partition(sessions)
 
 
 # --- report object ------------------------------------------------------------
@@ -270,9 +276,9 @@ def test_compare_matrix_modes_pairs(quick_config, quick_session):
 
 def test_intra_scores_match_direct_training(quick_config, quick_session, quick_reports):
     """run_evaluation == train on folds 1-3, then score that model on fold 4."""
-    train, test = split_session(quick_session)
+    train, _ = split_session(quick_session)
     run = train_hybrid(train, quick_config)
-    direct = evaluate_model(run.model, train, test, SplitPlan(), baselines=True)
+    direct = evaluate_model(run.model, quick_session, baselines=True)
     assert [r.model for r in direct] == [r.model for r in quick_reports]
     for got, expected in zip(quick_reports, direct):
         got, expected = got.to_dict(), expected.to_dict()

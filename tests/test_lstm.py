@@ -13,7 +13,6 @@ from emgkin.lstm import (
     init_lstm_params,
     lstm_backward,
     lstm_forward_batch,
-    lstm_step,
     stack_sequences,
 )
 
@@ -52,9 +51,11 @@ def test_forward_matches_loop_reference():
     p = small_params()
     rng = np.random.default_rng(1)
     seqs = rng.standard_normal((5, 4, 3))
-    y, _ = lstm_forward_batch(p, seqs)
+    y, cache = lstm_forward_batch(p, seqs)
     for b in range(5):
         np.testing.assert_allclose(y[b], reference_forward(p, seqs[b]), atol=1e-12)
+    # h = o * tanh(c) with o in (0,1): magnitude strictly below 1
+    assert np.all(np.abs(cache.h_final) < 1.0)
 
 
 def test_single_sequence_forward_matches_batch():
@@ -65,18 +66,6 @@ def test_single_sequence_forward_matches_batch():
     for b in range(3):
         y_single, _ = lstm_forward_batch(p, seqs[b : b + 1])
         np.testing.assert_allclose(y_single[0], y_batch[b], atol=1e-12)
-
-
-def test_step_gates_bounded_and_state_mixes():
-    p = small_params(seed=4)
-    state = lstm.LstmState(h=np.zeros(4), c=np.zeros(4))
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        state, y = lstm_step(p, state, rng.standard_normal(3))
-        # h = o * tanh(c) with o in (0,1): magnitude strictly below 1
-        assert np.all(np.abs(state.h) < 1.0)
-        assert np.all(np.isfinite(state.c))
-        assert y.shape == (2,)
 
 
 def test_initial_state_is_zero_and_untouched():

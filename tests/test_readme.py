@@ -1,0 +1,47 @@
+"""The README's shell examples name only commands and options the CLI has.
+
+Every ``emgkin ...`` line in a bash block of the README is resolved against
+the click command tree: the subcommand must exist, and every ``--option``
+on the line must be one of that command's options.
+"""
+
+import re
+import shlex
+from pathlib import Path
+
+import click
+
+from emgkin.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_commands() -> list[str]:
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(), flags=re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line.strip() for line in lines if line.strip().startswith("emgkin ")]
+
+
+def _problems(line: str) -> list[str]:
+    tokens = shlex.split(line, comments=True)[1:]
+    command, path = main, "emgkin"
+    while isinstance(command, click.Group) and tokens and not tokens[0].startswith("-"):
+        name = tokens.pop(0)
+        if name not in command.commands:
+            return [f"{path} has no subcommand {name!r}"]
+        command, path = command.commands[name], f"{path} {name}"
+    known = {"--help"}
+    for param in command.params:
+        known.update(param.opts + param.secondary_opts)
+    return [
+        f"{path} has no option {token.split('=', 1)[0]}"
+        for token in tokens
+        if token.startswith("--") and token.split("=", 1)[0] not in known
+    ]
+
+
+def test_readme_commands_resolve():
+    commands = _readme_commands()
+    assert commands, "README has no emgkin command in a bash block"
+    problems = [f"{line}: {p}" for line in commands for p in _problems(line)]
+    assert not problems, "\n".join(problems)
