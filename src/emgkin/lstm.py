@@ -77,14 +77,15 @@ class LstmParams:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid 1 / (1 + exp(-x)), overflow-safe in both branches."""
+    """Logistic sigmoid 1 / (1 + exp(-x)), overflow-safe in both branches.
+
+    ``exp`` only ever sees -|x|; ``minimum(x, -x)`` rather than ``-abs(x)``
+    keeps a NaN input's sign bit, as evaluating each branch on its own did.
+    """
     x = np.asarray(x)
-    out = np.empty_like(x, dtype=x.dtype if x.dtype.kind == "f" else np.float32)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return out.astype(x.dtype if x.dtype.kind == "f" else np.float32, copy=False)
 
 
 def init_lstm_params(

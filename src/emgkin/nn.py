@@ -13,6 +13,13 @@ ReLU -> max pool 3/stride1 -> dropout) with channel plan in->16->16->32->32,
 then two FC blocks (100 then 20 units, each fc -> batch norm -> leaky ReLU
 -> dropout), then a linear regression head. The 20-unit block's output is
 the deep feature handed to the sequence regressor.
+
+Dtypes in training: parameters, caches and optimizer state are float32, but
+the backward passes of this CNN and of the LSTM run in float64. The targets
+are float64 (``training.LabelScaler`` returns them so), ``mse_loss``
+promotes the float32 predictions against them, and every gradient below the
+loss inherits float64. Each SGDM or Adam update reads the float64 gradient
+and is rounded into the float32 optimizer state and parameters.
 """
 
 from __future__ import annotations
@@ -61,18 +68,24 @@ class Conv1d:
                 f"conv expects {self.W.shape[1]} input channels, got {x.shape[2]}"
             )
         batch, length, in_ch = x.shape
-        padded = np.pad(x, ((0, 0), (1, 1), (0, 0)))
-        cols = np.stack([padded[:, i : i + length, :] for i in range(3)], axis=-1)
+        # im2col straight from x: tap i of position l reads x[l + i - 1], and
+        # the zero fill stands in for the padding at both ends.
+        cols = np.zeros((batch, length, in_ch, 3), dtype=x.dtype)
+        cols[:, 1:, :, 0] = x[:, :-1, :]
+        cols[:, :, :, 1] = x
+        cols[:, :-1, :, 2] = x[:, 1:, :]
         cols = cols.reshape(batch, length, in_ch * 3)
         self._cols = cols if mode == "train" else None
         w_mat = self.W.transpose(1, 2, 0).reshape(in_ch * 3, -1)
-        return cols @ w_mat + self.b
+        out = cols @ w_mat
+        out += self.b
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         cols = _train_cache(self._cols)
         batch, length, _ = dout.shape
         out_ch, in_ch, _ = self.W.shape
-        d_wmat = np.einsum("blk,blo->ko", cols, dout)
+        d_wmat = cols.reshape(-1, in_ch * 3).T @ dout.reshape(-1, out_ch)
         self.dW = d_wmat.reshape(in_ch, 3, out_ch).transpose(2, 0, 1)
         self.db = dout.sum(axis=(0, 1))
         w_mat = self.W.transpose(1, 2, 0).reshape(in_ch * 3, out_ch)

@@ -42,11 +42,13 @@ _LSTM_SHUFFLE_OFFSET = 3_000_003
 class LabelScaler:
     """Per-DoF standardization of regression targets during training.
 
-    Both stages optimize on zero-mean/unit-variance angles so the published
-    learning rates converge regardless of the DoF's amplitude in degrees;
-    predictions are mapped back to degrees. R² is unaffected by the affine
-    map, so reported scores are identical to raw-degree training at
-    convergence.
+    Both stages optimize on zero-mean/unit-variance angles, so the loss has
+    the same scale for every DoF whatever its amplitude in degrees;
+    predictions are mapped back to degrees. R² is invariant to the affine
+    map. Standardization does not make the published learning rates
+    converge: at ``cnn.lr0`` 1e-4 the stage-1 loss on these targets stays
+    at 1.4-1.75 (always predicting the mean scores 1.0) through the desk
+    recipe's five epochs (ROADMAP item 1).
     """
 
     mean: np.ndarray  # [D]

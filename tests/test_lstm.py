@@ -238,3 +238,30 @@ def test_sigmoid_bounded_and_monotone(values):
     y = lstm.sigmoid(x)
     assert np.all((y >= 0.0) & (y <= 1.0))
     assert np.all(np.diff(y) >= 0.0)
+
+
+def masked_sigmoid(x):
+    """The sigmoid this module replaced: one boolean-mask gather and scatter
+    per branch."""
+    x = np.asarray(x)
+    out = np.empty_like(x, dtype=x.dtype if x.dtype.kind == "f" else np.float32)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+def test_sigmoid_matches_masked_reference_bytes(dtype):
+    rng = np.random.default_rng(31)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-40, -1e-40,
+                88.7, -88.7, 710.0, -710.0, 1e4, -1e4]
+    x = np.concatenate([specials, 20.0 * rng.standard_normal(5000)])
+    if np.dtype(dtype).kind == "i":
+        x = np.round(x[np.isfinite(x)])
+    x = x.astype(dtype).reshape(-1, 2)  # a 2-D gate block, as in the unroll
+    y = lstm.sigmoid(x)
+    ref = masked_sigmoid(x)
+    assert y.dtype == ref.dtype and y.shape == ref.shape
+    assert y.tobytes() == ref.tobytes()

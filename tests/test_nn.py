@@ -4,6 +4,8 @@ All checks run in 64-bit where central differences resolve ~1e-10 of
 structure; the asserted tolerance is 1e-4 relative on the worst entry.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -307,6 +309,93 @@ def test_maxpool_matches_argmax_reference_bytes(dtype, inputs):
     assert out.dtype == ref_out.dtype and dx.dtype == ref_dx.dtype
     assert out.tobytes() == ref_out.tobytes()
     assert dx.tobytes() == ref_dx.tobytes()
+
+
+def reference_conv_forward(layer, x):
+    """The conv forward this layer replaced: a padded copy of x, the three
+    taps stacked into im2col, and a bias add into a second output array."""
+    batch, length, in_ch = x.shape
+    padded = np.pad(x, ((0, 0), (1, 1), (0, 0)))
+    cols = np.stack([padded[:, i : i + length, :] for i in range(3)], axis=-1)
+    cols = cols.reshape(batch, length, in_ch * 3)
+    w_mat = layer.W.transpose(1, 2, 0).reshape(in_ch * 3, -1)
+    return cols @ w_mat + layer.b, cols
+
+
+def reference_conv_backward(layer, cols, dout):
+    """The conv backward this layer replaced: the weight gradient as an
+    einsum, which runs no BLAS when cols and dout differ in dtype."""
+    batch, length, _ = dout.shape
+    out_ch, in_ch, _ = layer.W.shape
+    d_wmat = np.einsum("blk,blo->ko", cols, dout)
+    dW = d_wmat.reshape(in_ch, 3, out_ch).transpose(2, 0, 1)
+    w_mat = layer.W.transpose(1, 2, 0).reshape(in_ch * 3, out_ch)
+    dcols = (dout @ w_mat.T).reshape(batch, length, in_ch, 3)
+    dpadded = np.zeros((batch, length + 2, in_ch), dtype=dout.dtype)
+    for tap in range(3):
+        dpadded[:, tap : tap + length, :] += dcols[:, :, :, tap]
+    return dpadded[:, 1 : 1 + length, :], dW
+
+
+# (batch, in channels, out channels, length) of conv1..conv4 in training on
+# the desk recipe's 6-channel, 101-bin spectral matrices.
+REAL_CONV_SHAPES = [(128, 6, 16, 101), (128, 16, 16, 99), (128, 16, 32, 97), (128, 32, 32, 95)]
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", REAL_CONV_SHAPES + [(3, 2, 4, 1), (3, 2, 4, 2)])
+def test_conv_forward_matches_pad_stack_reference_bytes(shape, dtype, mode):
+    batch, in_ch, out_ch, length = shape
+    rng = np.random.default_rng(26)
+    layer = nn.Conv1d(in_ch, out_ch, rng, 0.1, dtype)
+    layer.b = rng.standard_normal(out_ch).astype(dtype)
+    x = rng.choice([-0.0, 0.0, 1.0], (batch, length, in_ch)) * rng.standard_normal(
+        (batch, length, in_ch)
+    )
+    x = x.astype(dtype)
+    out = layer.forward(x, mode)
+    ref, _ = reference_conv_forward(layer, x)
+    assert out.dtype == ref.dtype and out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("shape", REAL_CONV_SHAPES)
+def test_conv_backward_matches_einsum_reference(shape):
+    """float32 layer and float64 output gradient, as in stage-1 training. The
+    input gradient keeps its bytes; the weight gradient is one float64 GEMM
+    instead of the einsum, the same products summed in another order."""
+    batch, in_ch, out_ch, length = shape
+    rng = np.random.default_rng(27)
+    layer = nn.Conv1d(in_ch, out_ch, rng, 0.1, np.float32)
+    x = rng.standard_normal((batch, length, in_ch)).astype(np.float32)
+    dout = rng.standard_normal((batch, length, out_ch))
+    layer.forward(x, "train")
+    dx = layer.backward(dout)
+    _, cols = reference_conv_forward(layer, x)
+    ref_dx, ref_dW = reference_conv_backward(layer, cols, dout)
+    assert dx.dtype == ref_dx.dtype and dx.tobytes() == ref_dx.tobytes()
+    assert layer.dW.dtype == ref_dW.dtype == np.float64
+    assert np.max(np.abs(layer.dW - ref_dW)) <= 1e-12 * np.max(np.abs(ref_dW))
+
+
+def test_conv_eval_forward_peak_memory():
+    """An eval forward holds only the im2col buffer and the output: no padded
+    copy of the input and no second output array for the bias add."""
+    batch, in_ch, out_ch, length = 512, 32, 32, 95
+    layer = nn.Conv1d(in_ch, out_ch, np.random.default_rng(28), 0.1, np.float32)
+    x = np.random.default_rng(29).standard_normal((batch, length, in_ch)).astype(np.float32)
+    cols_bytes = batch * length * in_ch * 3 * 4
+    out_bytes = batch * length * out_ch * 4
+    slack = 1 << 20
+    tracemalloc.start()
+    try:
+        out = layer.forward(x, "eval")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == out_bytes
+    assert peak <= cols_bytes + out_bytes + slack, (peak, cols_bytes, out_bytes)
 
 
 def _batch_arrays(obj, batch):
