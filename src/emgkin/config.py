@@ -45,7 +45,7 @@ class StageConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch < 1:
             raise ConfigError(f"batch must be >= 1, got {self.batch}")
-        if self.lr0 <= 0:
+        if not self.lr0 > 0:  # NaN fails too
             raise ConfigError(f"lr0 must be > 0, got {self.lr0}")
 
 

@@ -1,12 +1,17 @@
 """Signal conditioning and input-matrix construction.
 
-The preprocessing chain is fixed: 3rd-order Butterworth high-pass at 20 Hz,
-3rd-order low-pass at 450 Hz, then a 50 Hz notch, all applied causally in a
-single forward pass. Filtered channels are min-max scaled with statistics
-fitted on the training partition only, segmented into 100 ms windows with a
-50 ms hop (102/51 samples at 1024 Hz), and each window becomes either a
-temporal matrix (raw samples) or a spectral one (one-sided FFT magnitudes,
-zero-padded to 200 points so L = 101).
+The preprocessing chain is the paper's and fixed: a ``BUTTER_ORDER`` = 3
+Butterworth high-pass at ``HIGHPASS_HZ`` = 20 Hz, a low-pass at
+``LOWPASS_HZ`` = 450 Hz, then a mains notch at ``NOTCH_HZ`` = 50 Hz,
+``NOTCH_BANDWIDTH_HZ`` = 2 Hz wide (Q = 25; the paper gives no width), all
+applied causally in a single forward pass. Filtered channels are min-max
+scaled with statistics fitted on the training partition only, segmented into
+100 ms windows with a 50 ms hop (``WINDOW_SAMPLES``/``HOP_SAMPLES`` = 102/51
+at the paper's 1024 Hz), and each window becomes either a temporal matrix
+(raw samples) or a spectral one (one-sided FFT magnitudes, zero-padded to
+``N_FFT`` = 200 points so L = 101). ``DEFAULT_FS_EMG`` = 1024 Hz,
+``DEFAULT_FS_ANG`` = 100 Hz and ``N_CHANNELS`` = 6 are the paper's recording
+setup and what a session without ``meta.json`` is read as.
 """
 
 from __future__ import annotations
@@ -34,9 +39,8 @@ HIGHPASS_HZ = 20.0
 LOWPASS_HZ = 450.0
 NOTCH_HZ = 50.0
 NOTCH_BANDWIDTH_HZ = 2.0
+BUTTER_ORDER = 3
 
-WINDOW_MS = 100.0
-HOP_MS = 50.0
 WINDOW_SAMPLES = 102  # floor(100 ms * 1024 Hz)
 HOP_SAMPLES = 51
 N_FFT = 200  # one-sided spectrum has N_FFT/2 + 1 = 101 bins
@@ -88,7 +92,7 @@ class SemgRecording:
                 f"{len(PROTOCOL_DOFS[self.protocol])} DoF column(s), "
                 f"got {self.angles.shape[1]}"
             )
-        if self.fs_emg <= 2 * LOWPASS_HZ:
+        if not self.fs_emg > 2 * LOWPASS_HZ:
             raise DataError(
                 f"fs_emg={self.fs_emg} violates Nyquist for the "
                 f"{LOWPASS_HZ} Hz low-pass"
@@ -113,21 +117,6 @@ class SemgRecording:
 
 
 @dataclass(frozen=True)
-class FilterSpec:
-    """Specification for one stage of the preprocessing chain."""
-
-    kind: Literal["butter_high", "butter_low", "notch"]
-    order: int = 3
-    cutoff_hz: float = 0.0
-    center_hz: float = 0.0
-    bandwidth_hz: float = NOTCH_BANDWIDTH_HZ
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise FilterDesignError(f"order must be >= 1, got {self.order}")
-
-
-@dataclass(frozen=True)
 class NormalizationStats:
     """Per-channel min/max fitted on the training partition only."""
 
@@ -144,45 +133,23 @@ class NormalizationStats:
             )
 
 
-def design_filter(spec: FilterSpec, fs: float) -> np.ndarray:
-    """Realize ``spec`` at sampling rate ``fs`` as a biquad (SOS) cascade.
-
-    Raises FilterDesignError for cutoffs at or beyond Nyquist; the returned
-    cascade is verified stable (all poles strictly inside the unit circle).
-    """
-    nyquist = fs / 2.0
-    if spec.kind in ("butter_high", "butter_low"):
-        if not 0 < spec.cutoff_hz < nyquist:
-            raise FilterDesignError(
-                f"cutoff {spec.cutoff_hz} Hz outside (0, {nyquist}) at fs={fs}"
-            )
-        btype = "highpass" if spec.kind == "butter_high" else "lowpass"
-        sos = signal.butter(spec.order, spec.cutoff_hz, btype=btype, fs=fs, output="sos")
-    elif spec.kind == "notch":
-        if not 0 < spec.center_hz < nyquist:
-            raise FilterDesignError(
-                f"notch center {spec.center_hz} Hz outside (0, {nyquist}) at fs={fs}"
-            )
-        q = spec.center_hz / spec.bandwidth_hz
-        b, a = signal.iirnotch(spec.center_hz, q, fs=fs)
-        sos = signal.tf2sos(b, a)
-    else:
-        raise FilterDesignError(f"unknown filter kind {spec.kind!r}")
-
-    for section in sos:
-        poles = np.roots(section[3:])
-        if np.any(np.abs(poles) >= 1.0):
-            raise FilterDesignError(f"unstable section in {spec.kind} design")
-    return sos
-
-
 def standard_chain(fs: float) -> list[np.ndarray]:
-    """The fixed high-pass -> low-pass -> notch cascade at rate ``fs``."""
-    return [
-        design_filter(FilterSpec("butter_high", 3, cutoff_hz=HIGHPASS_HZ), fs),
-        design_filter(FilterSpec("butter_low", 3, cutoff_hz=LOWPASS_HZ), fs),
-        design_filter(FilterSpec("notch", 2, center_hz=NOTCH_HZ), fs),
+    """The fixed high-pass -> low-pass -> notch cascade at rate ``fs`` as SOS
+    arrays. Raises FilterDesignError unless ``fs`` > 2 * LOWPASS_HZ (a NaN
+    rate fails) and every pole lies strictly inside the unit circle."""
+    if not fs > 2 * LOWPASS_HZ:
+        raise FilterDesignError(f"fs={fs} Hz puts the low-pass at or beyond Nyquist")
+    b, a = signal.iirnotch(NOTCH_HZ, NOTCH_HZ / NOTCH_BANDWIDTH_HZ, fs=fs)
+    chain = [
+        signal.butter(BUTTER_ORDER, HIGHPASS_HZ, btype="highpass", fs=fs, output="sos"),
+        signal.butter(BUTTER_ORDER, LOWPASS_HZ, btype="lowpass", fs=fs, output="sos"),
+        signal.tf2sos(b, a),
     ]
+    for sos in chain:
+        for section in sos:
+            if np.any(np.abs(np.roots(section[3:])) >= 1.0):
+                raise FilterDesignError(f"unstable section in the chain at fs={fs}")
+    return chain
 
 
 def apply_filter_chain(rec: SemgRecording) -> SemgRecording:

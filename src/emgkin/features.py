@@ -3,6 +3,11 @@
 These feed the classical-ML baseline and the 2-D feature scatter export.
 All statistics are population statistics, so rms^2 == var + mean^2 holds
 exactly per channel.
+
+``AR_ORDER`` = 4 gives each channel ``FEATURES_PER_CHANNEL`` = 3 + 4 = 7
+values. ``PCA_COMPONENTS`` = 20 matches the CNN's deep feature
+(``nn.FEATURE_DIM``), so the KRR baseline and the LSTM see features of one
+size.
 """
 
 from __future__ import annotations
@@ -89,16 +94,15 @@ def extract_feature_matrix(windows: np.ndarray) -> np.ndarray:
 class PcaBasis:
     """Principal axes of the z-scored training features.
 
-    ``components`` holds up to ``n_components`` orthonormal columns (fewer if
-    the training data is rank-deficient); projections are padded with zeros
-    back to ``n_components``.
+    ``components`` holds up to ``PCA_COMPONENTS`` orthonormal columns (fewer
+    if the training data is rank-deficient); projections are padded with
+    zeros back to ``PCA_COMPONENTS``.
     """
 
     mean: np.ndarray  # [F] feature means (original units)
     scale: np.ndarray  # [F] feature stds used for z-scoring
     components: np.ndarray  # [F x rank]
     explained_variance: np.ndarray  # [rank], non-increasing
-    n_components: int = PCA_COMPONENTS
 
     @property
     def rank(self) -> int:
@@ -109,14 +113,14 @@ class PcaBasis:
         v = np.asarray(v, dtype=np.float64)
         z = (v - self.mean) / self.scale
         proj = z @ self.components
-        pad = self.n_components - self.rank
+        pad = PCA_COMPONENTS - self.rank
         if pad > 0:
             pad_shape = proj.shape[:-1] + (pad,)
             proj = np.concatenate([proj, np.zeros(pad_shape)], axis=-1)
         return proj
 
 
-def fit_pca(train_features: np.ndarray, n_components: int = PCA_COMPONENTS) -> PcaBasis:
+def fit_pca(train_features: np.ndarray) -> PcaBasis:
     """Fit the z-score + PCA reduction on training features only.
 
     Features are standardized first because MAV/VAR magnitudes differ by
@@ -124,9 +128,9 @@ def fit_pca(train_features: np.ndarray, n_components: int = PCA_COMPONENTS) -> P
     emits a warning; projections then carry trailing zeros.
     """
     x = np.asarray(train_features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < n_components + 1:
+    if x.ndim != 2 or x.shape[0] < PCA_COMPONENTS + 1:
         raise InsufficientDataError(
-            f"PCA needs at least {n_components + 1} training vectors, got "
+            f"PCA needs at least {PCA_COMPONENTS + 1} training vectors, got "
             f"{x.shape[0] if x.ndim == 2 else 'non-matrix input'}"
         )
     mean = x.mean(axis=0)
@@ -136,10 +140,10 @@ def fit_pca(train_features: np.ndarray, n_components: int = PCA_COMPONENTS) -> P
     _, s, vt = np.linalg.svd(z, full_matrices=False)
     variances = s**2 / x.shape[0]
     rank = int(np.sum(s > s[0] * max(x.shape) * np.finfo(np.float64).eps))
-    keep = min(rank, n_components)
-    if keep < n_components:
+    keep = min(rank, PCA_COMPONENTS)
+    if keep < PCA_COMPONENTS:
         warnings.warn(
-            f"training features have rank {rank} < {n_components}; "
+            f"training features have rank {rank} < {PCA_COMPONENTS}; "
             f"projections will be zero-padded",
             stacklevel=2,
         )
@@ -148,7 +152,6 @@ def fit_pca(train_features: np.ndarray, n_components: int = PCA_COMPONENTS) -> P
         scale=scale,
         components=vt[:keep].T,
         explained_variance=variances[:keep],
-        n_components=n_components,
     )
 
 

@@ -18,6 +18,7 @@ a temp file + rename so interrupted runs never leave partial files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -27,9 +28,12 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .dsp import PROTOCOL_DOFS, NormalizationStats, SemgRecording
+from .dsp import DEFAULT_FS_ANG, DEFAULT_FS_EMG, N_CHANNELS, PROTOCOL_DOFS
+from .dsp import NormalizationStats, SemgRecording
 from .errors import (
     CorruptCheckpointError,
+    DegenerateChannelError,
+    DimensionError,
     LoadError,
     UnsupportedVersionError,
 )
@@ -180,12 +184,18 @@ def _infer_protocol(full_angles: np.ndarray) -> str:
     return table[active]
 
 
-def load_session(
-    directory: str | Path, expected_channels: int = 6
-) -> SemgRecording:
+def _meta_rate(meta: dict[str, Any], key: str, default: float) -> float:
+    """``meta[key]`` (``default`` if absent) as a finite, positive rate in Hz."""
+    value = meta.get(key, default)
+    if type(value) in (int, float) and math.isfinite(value) and value > 0:
+        return float(value)
+    raise LoadError(f"meta.json: {key} must be a finite positive number, got {value!r}")
+
+
+def load_session(directory: str | Path) -> SemgRecording:
     """Load and validate one session directory."""
     directory = Path(directory)
-    emg_header = "t," + ",".join(f"ch{i + 1}" for i in range(expected_channels))
+    emg_header = "t," + ",".join(f"ch{i + 1}" for i in range(N_CHANNELS))
     emg_data = _read_csv(directory / EMG_FILE, emg_header)
     ang_data = _read_csv(directory / ANGLES_FILE, "t," + ",".join(ANGLE_COLUMNS))
 
@@ -194,13 +204,15 @@ def load_session(
     if meta_path.is_file():
         try:
             meta = json.loads(meta_path.read_text())
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise LoadError(f"meta.json: invalid JSON ({exc})") from exc
+        if not isinstance(meta, dict):
+            raise LoadError(f"meta.json: expected a JSON object, got {meta!r:.80}")
     protocol = meta.get("protocol") or _infer_protocol(ang_data[:, 1:])
-    if protocol not in PROTOCOL_DOFS:
+    if not isinstance(protocol, str) or protocol not in PROTOCOL_DOFS:
         raise LoadError(f"meta.json: unknown protocol {protocol!r}")
-    fs_emg = float(meta.get("fs_emg", 1024.0))
-    fs_ang = float(meta.get("fs_ang", 100.0))
+    fs_emg = _meta_rate(meta, "fs_emg", DEFAULT_FS_EMG)
+    fs_ang = _meta_rate(meta, "fs_ang", DEFAULT_FS_ANG)
     _check_rate(EMG_FILE, emg_data[:, 0], fs_emg)
     _check_rate(ANGLES_FILE, ang_data[:, 0], fs_ang)
 
@@ -282,11 +294,46 @@ def save_model(model: HybridModel, path: str | Path) -> Path:
     return path
 
 
-def _header_field(header: dict, key: str):
+def _positive_int(value) -> int:
+    if type(value) is not int or value < 1:
+        raise ValueError("want a positive integer")
+    return value
+
+
+def _finite(value) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError("want a finite number")
+    return float(value)
+
+
+def _float_lists(raw: dict, names: tuple[str, str], length: int) -> list[np.ndarray]:
+    """``raw[name]`` for each name as ``length`` finite float64 values."""
+    vectors = [np.asarray(raw[name], dtype=np.float64) for name in names]
+    if any(v.shape != (length,) or not np.all(np.isfinite(v)) for v in vectors):
+        raise ValueError(f"want {names} as {length} finite numbers each")
+    return vectors
+
+
+def _array_entries(entries) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every array in the blob, in blob order."""
+    parsed = [(entry["name"], tuple(entry["shape"])) for entry in entries]
+    for name, shape in parsed:
+        if not isinstance(name, str) or any(type(d) is not int or d < 0 for d in shape):
+            raise ValueError(f"want a name and non-negative integer dims: {name!r} {shape}")
+    return parsed
+
+
+def _header_field(header: dict, key: str, convert=None):
+    """``header[key]``, passed through ``convert`` if given. A missing key or
+    a value ``convert`` rejects raises CorruptCheckpointError naming ``key``."""
     try:
-        return header[key]
+        value = header[key]
     except KeyError:
         raise CorruptCheckpointError(key, "missing from header") from None
+    try:
+        return value if convert is None else convert(value)
+    except (TypeError, ValueError, KeyError, DegenerateChannelError) as exc:
+        raise CorruptCheckpointError(key, f"{exc!r}; got {value!r:.80}") from None
 
 
 def load_model(path: str | Path) -> HybridModel:
@@ -309,22 +356,23 @@ def load_model(path: str | Path) -> HybridModel:
         header = json.loads(raw[12 : 12 + header_len])
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptCheckpointError("header", f"invalid JSON ({exc})") from exc
+    if not isinstance(header, dict):
+        raise CorruptCheckpointError("header", f"not a JSON object: {header!r:.80}")
     if _header_field(header, "model_kind") != MODEL_KIND:
         raise CorruptCheckpointError(
             "model_kind", f"got {header['model_kind']!r}, want {MODEL_KIND!r}"
         )
 
     blob = raw[12 + header_len :]
-    arrays: dict[str, np.ndarray] = {}
+    states: dict[str, dict[str, np.ndarray]] = {"cnn": {}, "lstm": {}}
     offset = 0
-    for entry in _header_field(header, "arrays"):
-        name = entry["name"]
-        shape = tuple(int(s) for s in entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for name, shape in _header_field(header, "arrays", _array_entries):
+        count = math.prod(shape)
         nbytes = 4 * count
         if offset + nbytes > len(blob):
             raise CorruptCheckpointError("blob", f"truncated inside {name}")
-        arrays[name] = (
+        part, _, short = name.partition(".")
+        states.setdefault(part, {})[short] = (
             np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
             .reshape(shape)
             .copy()
@@ -335,59 +383,58 @@ def load_model(path: str | Path) -> HybridModel:
             "blob", f"{len(blob) - offset} trailing bytes after declared arrays"
         )
 
-    cnn = CnnModel(
-        input_len=int(_header_field(header, "input_len")),
-        in_channels=int(_header_field(header, "in_channels")),
-        n_outputs=int(_header_field(header, "n_outputs")),
-        seed=0,
-        leaky_slope=float(_header_field(header, "leaky_slope")),
-        dropout_rate=float(_header_field(header, "dropout")),
-    )
-    cnn_state = {
-        name[len("cnn.") :]: arr
-        for name, arr in arrays.items()
-        if name.startswith("cnn.")
-    }
+    in_channels = _header_field(header, "in_channels", _positive_int)
+    n_outputs = _header_field(header, "n_outputs", _positive_int)
     try:
-        cnn.load_state_arrays(cnn_state)
+        cnn = CnnModel(
+            input_len=_header_field(header, "input_len", _positive_int),
+            in_channels=in_channels,
+            n_outputs=n_outputs,
+            seed=0,
+            leaky_slope=_header_field(header, "leaky_slope", _finite),
+            dropout_rate=_header_field(header, "dropout", _finite),
+        )
+    except DimensionError as exc:
+        raise CorruptCheckpointError("input_len", str(exc)) from None
+    try:
+        cnn.load_state_arrays(states["cnn"])
     except (KeyError, ValueError) as exc:
         raise CorruptCheckpointError("arrays", f"cnn state: {exc}") from exc
-
-    lstm_state = {
-        name[len("lstm.") :]: arr
-        for name, arr in arrays.items()
-        if name.startswith("lstm.")
-    }
     try:
-        lstm = LstmParams(
-            **{name: lstm_state[name] for name in LSTM_PARAM_NAMES},
-            h0=lstm_state["h0"],
-            c0=lstm_state["c0"],
-        )
+        lstm = LstmParams(**{n: states["lstm"][n] for n in (*LSTM_PARAM_NAMES, "h0", "c0")})
     except KeyError as exc:
         raise CorruptCheckpointError("arrays", f"lstm state missing {exc}") from exc
 
-    stats_raw = _header_field(header, "norm_stats")
-    stats = NormalizationStats(
-        mins=np.asarray(stats_raw["mins"], dtype=np.float64),
-        maxs=np.asarray(stats_raw["maxs"], dtype=np.float64),
+    stats = _header_field(
+        header,
+        "norm_stats",
+        lambda v: NormalizationStats(*_float_lists(v, ("mins", "maxs"), in_channels)),
     )
-    scaler_raw = _header_field(header, "label_scaler")
-    scaler = LabelScaler(
-        mean=np.asarray(scaler_raw["mean"], dtype=np.float64),
-        std=np.asarray(scaler_raw["std"], dtype=np.float64),
+    scaler = _header_field(
+        header,
+        "label_scaler",
+        lambda v: LabelScaler(*_float_lists(v, ("mean", "std"), n_outputs)),
     )
-    return HybridModel(
-        cnn=cnn,
-        lstm=lstm,
-        norm_stats=stats,
-        label_scaler=scaler,
-        k=int(_header_field(header, "k")),
-        matrix_mode=str(_header_field(header, "matrix_mode")),
-        dof_names=list(_header_field(header, "dof_names")),
-        window_samples=int(_header_field(header, "window_samples")),
-        hop_samples=int(_header_field(header, "hop_samples")),
-    )
+    matrix_mode = _header_field(header, "matrix_mode")
+    if matrix_mode not in ("spectral", "temporal"):
+        raise CorruptCheckpointError("matrix_mode", f"unknown mode {matrix_mode!r:.80}")
+    dof_names = _header_field(header, "dof_names", list)
+    if len(dof_names) != n_outputs:
+        raise CorruptCheckpointError("dof_names", f"{len(dof_names)} for {n_outputs} output(s)")
+    try:
+        return HybridModel(
+            cnn=cnn,
+            lstm=lstm,
+            norm_stats=stats,
+            label_scaler=scaler,
+            k=_header_field(header, "k", _positive_int),
+            matrix_mode=matrix_mode,
+            dof_names=dof_names,
+            window_samples=_header_field(header, "window_samples", _positive_int),
+            hop_samples=_header_field(header, "hop_samples", _positive_int),
+        )
+    except DimensionError as exc:
+        raise CorruptCheckpointError("arrays", str(exc)) from None
 
 
 # --------------------------------------------------------------------------

@@ -9,10 +9,15 @@ raises. Data layout is channels-last: conv stages see [B x L x C], fully
 connected stages see [B x F].
 
 The CNN is four conv blocks (conv k3/pad1/stride1 -> batch norm -> leaky
-ReLU -> max pool 3/stride1 -> dropout) with channel plan in->16->16->32->32,
-then two FC blocks (100 then 20 units, each fc -> batch norm -> leaky ReLU
--> dropout), then a linear regression head. The 20-unit block's output is
-the deep feature handed to the sequence regressor.
+ReLU -> max pool 3/stride1 -> dropout) with channel plan in->16->16->32->32
+(``CONV_CHANNELS``), then two FC blocks (``FC_SIZES``: 100 then 20 units,
+each fc -> batch norm -> leaky ReLU -> dropout), then a linear regression
+head. The 20-unit block's output is the ``FEATURE_DIM`` = 20 deep feature
+handed to the sequence regressor. These, the pool size ``MaxPool1d.SIZE`` =
+3, the leaky slope ``DEFAULT_LEAKY_SLOPE`` = 0.1 and the dropout rate
+``DEFAULT_DROPOUT`` = 0.3 are the reproduced architecture's. Batch norm's
+``BN_MOMENTUM`` = 0.1 (running-stat update weight) and ``BN_EPS`` = 1e-5
+(variance guard) are the customary values; the paper gives neither.
 
 Dtypes in training: parameters, caches and optimizer state are float32, but
 the backward passes of this CNN and of the LSTM run in float64. The targets
@@ -35,6 +40,8 @@ FC_SIZES = (100, 20)
 FEATURE_DIM = 20
 DEFAULT_LEAKY_SLOPE = 0.1
 DEFAULT_DROPOUT = 0.3
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
 Mode = Literal["train", "eval"]
 
@@ -104,13 +111,11 @@ class BatchNorm:
     batches of one sample are rejected.
     """
 
-    def __init__(self, channels, dtype, momentum=0.1, eps=1e-5):
+    def __init__(self, channels, dtype):
         self.gamma = np.ones(channels, dtype=dtype)
         self.beta = np.zeros(channels, dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.momentum = momentum
-        self.eps = eps
         self.dgamma = None
         self.dbeta = None
         self._cache = None
@@ -125,15 +130,15 @@ class BatchNorm:
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
             self.running_mean = (
-                (1.0 - self.momentum) * self.running_mean + self.momentum * mean
+                (1.0 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
             ).astype(self.running_mean.dtype)
             self.running_var = (
-                (1.0 - self.momentum) * self.running_var + self.momentum * var
+                (1.0 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
             ).astype(self.running_var.dtype)
         else:
             mean = self.running_mean
             var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x - mean) * inv_std
         self._cache = (xhat, inv_std, axes) if mode == "train" else None
         return self.gamma * xhat + self.beta
@@ -265,6 +270,15 @@ class Flatten:
         return dout.reshape(self._shape)
 
 
+# Per parameterized layer type: its trainable arrays (the gradient of ``p``
+# is ``layer.d<p>``), then the running statistics a checkpoint also carries.
+_LAYER_ARRAYS = {
+    Conv1d: (("W", "b"), ()),
+    BatchNorm: (("gamma", "beta"), ("running_mean", "running_var")),
+    Dense: (("W", "b"), ()),
+}
+
+
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean squared error over batch and outputs, with its gradient."""
     pred = np.asarray(pred)
@@ -304,7 +318,6 @@ class CnnModel:
         self.rng = np.random.default_rng(seed)
 
         self._feature_layers: list[tuple[str, object]] = []
-        length = input_len
         prev_ch = in_channels
         for i, out_ch in enumerate(CONV_CHANNELS, start=1):
             self._feature_layers += [
@@ -315,7 +328,9 @@ class CnnModel:
                 (f"drop{i}", Dropout(dropout_rate, self.rng)),
             ]
             prev_ch = out_ch
-            length -= MaxPool1d.SIZE - 1
+        length = self.block_lengths()[-1]
+        if length < 1:
+            raise DimensionError(f"input length {input_len} leaves nothing after the pools")
         self.flat_dim = length * prev_ch
         self._feature_layers.append(("flatten", Flatten()))
         prev = self.flat_dim
@@ -366,54 +381,32 @@ class CnnModel:
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Trainable arrays in declared (checkpoint) order."""
-        params: dict[str, np.ndarray] = {}
-        for name, layer in self._named_param_layers():
-            if isinstance(layer, (Conv1d, Dense)):
-                params[f"{name}.W"] = layer.W
-                params[f"{name}.b"] = layer.b
-            elif isinstance(layer, BatchNorm):
-                params[f"{name}.gamma"] = layer.gamma
-                params[f"{name}.beta"] = layer.beta
-        return params
+        return self._arrays(0)
 
     def gradients(self) -> dict[str, np.ndarray]:
-        grads: dict[str, np.ndarray] = {}
-        for name, layer in self._named_param_layers():
-            if isinstance(layer, (Conv1d, Dense)):
-                grads[f"{name}.W"] = layer.dW
-                grads[f"{name}.b"] = layer.db
-            elif isinstance(layer, BatchNorm):
-                grads[f"{name}.gamma"] = layer.dgamma
-                grads[f"{name}.beta"] = layer.dbeta
-        return grads
+        return self._arrays(0, prefix="d")
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Everything a checkpoint must carry: parameters + running stats."""
-        state = dict(self.parameters())
-        for name, layer in self._named_param_layers():
-            if isinstance(layer, BatchNorm):
-                state[f"{name}.running_mean"] = layer.running_mean
-                state[f"{name}.running_var"] = layer.running_var
-        return state
+        return {**self._arrays(0), **self._arrays(1)}
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
-        for name, layer in self._named_param_layers():
-            if isinstance(layer, (Conv1d, Dense)):
-                layer.W = state[f"{name}.W"].reshape(layer.W.shape).astype(self.dtype)
-                layer.b = state[f"{name}.b"].reshape(layer.b.shape).astype(self.dtype)
-            elif isinstance(layer, BatchNorm):
-                layer.gamma = state[f"{name}.gamma"].reshape(layer.gamma.shape).astype(self.dtype)
-                layer.beta = state[f"{name}.beta"].reshape(layer.beta.shape).astype(self.dtype)
-                layer.running_mean = state[f"{name}.running_mean"].reshape(
-                    layer.running_mean.shape
-                ).astype(self.dtype)
-                layer.running_var = state[f"{name}.running_var"].reshape(
-                    layer.running_var.shape
-                ).astype(self.dtype)
+        for name, layer in self._array_layers():
+            trainable, stats = _LAYER_ARRAYS[type(layer)]
+            for attr in (*trainable, *stats):
+                shape = getattr(layer, attr).shape
+                setattr(layer, attr, state[f"{name}.{attr}"].reshape(shape).astype(self.dtype))
 
-    def _named_param_layers(self):
-        for name, layer in self._feature_layers:
-            if isinstance(layer, (Conv1d, Dense, BatchNorm)):
+    def _arrays(self, column: int, prefix: str = "") -> dict[str, np.ndarray]:
+        """``layer.<prefix><attr>`` keyed ``<layer name>.<attr>`` for the attrs
+        in one ``_LAYER_ARRAYS`` column, in checkpoint order."""
+        return {
+            f"{name}.{attr}": getattr(layer, prefix + attr)
+            for name, layer in self._array_layers()
+            for attr in _LAYER_ARRAYS[type(layer)][column]
+        }
+
+    def _array_layers(self):
+        for name, layer in [*self._feature_layers, ("head", self.head)]:
+            if type(layer) in _LAYER_ARRAYS:
                 yield name, layer
-        yield "head", self.head
-

@@ -1,57 +1,39 @@
 """Optimizers: SGD with momentum and ADAM, plus the stepped LR schedule.
 
-Both stages use the same schedule: the learning rate drops by 90% every 10
-epochs, i.e. lr(epoch) = lr0 * 0.1 ** floor(epoch / 10) with epochs counted
-from zero.
+Both stages use the paper's schedule: the learning rate drops by 90% every
+10 epochs, i.e. lr(epoch) = lr0 * DROP_FACTOR ** floor(epoch / DROP_PERIOD)
+with ``DROP_FACTOR`` = 0.1, ``DROP_PERIOD`` = 10 and epochs counted from
+zero. Only ``lr0`` differs between the stages (``StageConfig.lr0``, which
+checks that it is positive). The paper names SGDM and ADAM without their
+coefficients, so these are the customary ones: ``MOMENTUM`` = 0.9 for SGDM,
+and ``BETA1`` = 0.9, ``BETA2`` = 0.999, ``EPS`` = 1e-8 for ADAM (Kingma & Ba
+2015).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 DROP_FACTOR = 0.1
 DROP_PERIOD = 10
+MOMENTUM = 0.9
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    lr0: float
-    momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    drop_factor: float = DROP_FACTOR
-    drop_period: int = DROP_PERIOD
-
-    def __post_init__(self):
-        if self.lr0 <= 0:
-            raise ValueError(f"lr0 must be positive, got {self.lr0}")
-        if self.drop_period < 1:
-            raise ValueError("drop_period must be >= 1")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {value}")
-        if not 0.0 < self.drop_factor <= 1.0:
-            raise ValueError(f"drop_factor must be in (0, 1], got {self.drop_factor}")
-
-
-def lr_at(config: OptimizerConfig, epoch: int) -> float:
+def lr_at(lr0: float, epoch: int) -> float:
     """Piecewise-constant schedule; epoch is zero-based."""
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")
-    return config.lr0 * config.drop_factor ** (epoch // config.drop_period)
+    return lr0 * DROP_FACTOR ** (epoch // DROP_PERIOD)
 
 
 class Sgdm:
     """Classical momentum: v <- mu*v - lr*g; theta <- theta + v."""
 
-    def __init__(self, params: dict[str, np.ndarray], config: OptimizerConfig):
-        self.config = config
+    def __init__(self, params: dict[str, np.ndarray], lr0: float):
+        self.lr0 = lr0
         self._velocity = {name: np.zeros_like(p) for name, p in params.items()}
 
     def step(
@@ -60,11 +42,10 @@ class Sgdm:
         grads: dict[str, np.ndarray],
         epoch: int,
     ) -> None:
-        lr = lr_at(self.config, epoch)
-        mu = self.config.momentum
+        lr = lr_at(self.lr0, epoch)
         for name, p in params.items():
             v = self._velocity[name]
-            v *= mu
+            v *= MOMENTUM
             v -= lr * grads[name]
             p += v
 
@@ -72,8 +53,8 @@ class Sgdm:
 class Adam:
     """ADAM with bias-corrected first/second moments."""
 
-    def __init__(self, params: dict[str, np.ndarray], config: OptimizerConfig):
-        self.config = config
+    def __init__(self, params: dict[str, np.ndarray], lr0: float):
+        self.lr0 = lr0
         self._m = {name: np.zeros_like(p) for name, p in params.items()}
         self._v = {name: np.zeros_like(p) for name, p in params.items()}
         self._t = 0
@@ -84,18 +65,17 @@ class Adam:
         grads: dict[str, np.ndarray],
         epoch: int,
     ) -> None:
-        lr = lr_at(self.config, epoch)
-        b1, b2, eps = self.config.beta1, self.config.beta2, self.config.eps
+        lr = lr_at(self.lr0, epoch)
         self._t += 1
         t = self._t
         for name, p in params.items():
             g = grads[name]
             m = self._m[name]
             v = self._v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1**t)
-            v_hat = v / (1.0 - b2**t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            m_hat = m / (1.0 - BETA1**t)
+            v_hat = v / (1.0 - BETA2**t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + EPS)

@@ -30,7 +30,7 @@ from .lstm import (
     stack_sequences,
 )
 from .nn import CnnModel, mse_loss
-from .optim import Adam, OptimizerConfig, Sgdm
+from .optim import Adam, Sgdm
 
 # Fixed offsets deriving independent deterministic streams from one seed.
 _SHUFFLE_OFFSET = 1_000_003
@@ -90,6 +90,11 @@ class HybridModel:
             raise DimensionError(
                 f"LSTM feature dim {self.lstm.feature_dim} != CNN feature "
                 f"dim {nn.FEATURE_DIM}"
+            )
+        if not len(self.dof_names) == self.cnn.n_outputs == self.lstm.n_outputs:
+            raise DimensionError(
+                f"{len(self.dof_names)} DoF name(s), but the CNN has "
+                f"{self.cnn.n_outputs} output(s) and the LSTM {self.lstm.n_outputs}"
             )
 
     @property
@@ -157,7 +162,7 @@ def train_cnn(
         leaky_slope=leaky_slope,
         dropout_rate=dropout,
     )
-    optimizer = Sgdm(model.parameters(), OptimizerConfig(lr0=stage.lr0))
+    optimizer = Sgdm(model.parameters(), stage.lr0)
     shuffle_rng = np.random.default_rng(seed + _SHUFFLE_OFFSET)
     history: list[float] = []
     for epoch in range(stage.epochs):
@@ -196,7 +201,7 @@ def train_lstm(
         n_outputs=y.shape[1],
         seed=seed + _LSTM_INIT_OFFSET,
     )
-    optimizer = Adam(params.parameters(), OptimizerConfig(lr0=stage.lr0))
+    optimizer = Adam(params.parameters(), stage.lr0)
     rng = np.random.default_rng(seed + _LSTM_SHUFFLE_OFFSET)
     history: list[float] = []
     for epoch in range(stage.epochs):

@@ -54,6 +54,8 @@ def test_validation_rejects_bad_values():
         StageConfig(epochs=0, batch=64, lr0=1e-3)
     with pytest.raises(ConfigError):
         StageConfig(epochs=1, batch=64, lr0=0.0)
+    with pytest.raises(ConfigError):
+        StageConfig(epochs=1, batch=64, lr0=float("nan"))
 
 
 def test_dict_round_trip():

@@ -5,6 +5,8 @@ function of the designed biquad cascade, independently of the time-domain
 implementation that the pipeline actually runs.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import signal
@@ -76,10 +78,46 @@ def test_notch_is_narrow():
 
 
 def test_design_rejects_cutoff_beyond_nyquist():
+    # 800 Hz puts the 450 Hz low-pass beyond Nyquist; NaN compares false.
     with pytest.raises(FilterDesignError):
-        dsp.design_filter(dsp.FilterSpec("butter_low", 3, cutoff_hz=600.0), FS)
+        dsp.standard_chain(800.0)
     with pytest.raises(FilterDesignError):
-        dsp.design_filter(dsp.FilterSpec("notch", center_hz=0.0), FS)
+        dsp.standard_chain(float("nan"))
+
+
+def reference_chain(fs: float) -> list[np.ndarray]:
+    """The chain as the earlier per-stage filter design built it (a kind,
+    order and corner per stage), kept to pin standard_chain's arguments."""
+
+    def design(kind: str, order: int, freq_hz: float) -> np.ndarray:
+        if kind == "notch":
+            b, a = signal.iirnotch(freq_hz, freq_hz / 2.0, fs=fs)
+            return signal.tf2sos(b, a)
+        btype = "highpass" if kind == "butter_high" else "lowpass"
+        return signal.butter(order, freq_hz, btype=btype, fs=fs, output="sos")
+
+    return [
+        design("butter_high", 3, 20.0),
+        design("butter_low", 3, 450.0),
+        design("notch", 2, 50.0),
+    ]
+
+
+@pytest.mark.parametrize("fs", [1024.0, 2048.0])
+def test_standard_chain_matches_per_stage_reference_bytes(fs):
+    chain = dsp.standard_chain(fs)
+    reference = reference_chain(fs)
+    assert len(chain) == len(reference)
+    for sos, ref in zip(chain, reference):
+        assert sos.dtype == ref.dtype and sos.shape == ref.shape
+        assert sos.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("fs_emg", [float("nan"), 900.0])
+def test_recording_rejects_rate_at_or_below_nyquist(fs_emg):
+    rec = make_recording(np.zeros((2048, 6)))
+    with pytest.raises(DataError, match="Nyquist"):
+        replace(rec, fs_emg=fs_emg)
 
 
 def test_designed_sections_are_stable():

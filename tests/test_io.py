@@ -192,6 +192,30 @@ def test_uninferable_angles_need_meta(tmp_path):
         load_session(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "meta_text",
+    [
+        '["P1", 1024]',
+        '"P1"',
+        '{"fs_emg": "abc"}',
+        '{"fs_emg": NaN}',
+        '{"fs_emg": Infinity}',
+        '{"fs_emg": 0}',
+        '{"fs_emg": -1024.0}',
+        '{"fs_emg": null}',
+        '{"fs_ang": "abc"}',
+        '{"fs_ang": NaN}',
+        '{"fs_ang": -100.0}',
+        '{"protocol": ["P1"]}',
+    ],
+)
+def test_malformed_meta_raises_load_error(tiny_session, tmp_path, meta_text):
+    save_session(tiny_session, tmp_path)
+    (tmp_path / "meta.json").write_text(meta_text)
+    with pytest.raises(LoadError, match="meta.json"):
+        load_session(tmp_path)
+
+
 def test_list_session_dirs(tiny_session, tmp_path):
     save_session(tiny_session, tmp_path / "solo")
     assert list_session_dirs(tmp_path / "solo") == [tmp_path / "solo"]
@@ -246,12 +270,47 @@ def test_checkpoint_round_trip_bit_identical(saved_model, tiny_session):
     np.testing.assert_array_equal(after.timestamps, before.timestamps)
 
 
-def _repack_header(raw: bytes, mutate) -> bytes:
+def _replace_header(raw: bytes, rebuild) -> bytes:
+    """The checkpoint with its JSON header replaced by rebuild(header)."""
     (header_len,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12 : 12 + header_len])
-    mutate(header)
+    header = rebuild(json.loads(raw[12 : 12 + header_len]))
     encoded = json.dumps(header).encode("utf-8")
     return raw[:8] + struct.pack("<I", len(encoded)) + encoded + raw[12 + header_len :]
+
+
+def _set(key: str, value):
+    """(key, rebuild) for a header whose ``key`` holds ``value``."""
+    return key, lambda header: {**header, key: value}
+
+
+BAD_HEADERS = {
+    "not-an-object": ("header", lambda header: [header]),
+    "arrays-not-a-list": _set("arrays", 5),
+    "entry-without-name": _set("arrays", [{"shape": [3]}]),
+    "text-dimension": _set("arrays", [{"name": "cnn.conv1.W", "shape": ["x"]}]),
+    "negative-dimension": _set("arrays", [{"name": "cnn.conv1.W", "shape": [-16, 6, 3]}]),
+    "text-k": _set("k", "abc"),
+    "zero-k": _set("k", 0),
+    "negative-in-channels": _set("in_channels", -6),
+    "short-input-len": _set("input_len", 8),
+    "nan-leaky-slope": _set("leaky_slope", float("nan")),
+    "empty-norm-stats": _set("norm_stats", {}),
+    "short-norm-stats": _set("norm_stats", {"mins": [0.0], "maxs": [1.0]}),
+    "text-label-scaler": _set("label_scaler", "x"),
+    "unknown-matrix-mode": _set("matrix_mode", "wavelet"),
+    "three-dof-names": _set("dof_names", ["fe", "ps", "ru"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HEADERS))
+def test_malformed_header_names_field(saved_model, tmp_path, case):
+    field, rebuild = BAD_HEADERS[case]
+    _, path = saved_model
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_replace_header(path.read_bytes(), rebuild))
+    with pytest.raises(CorruptCheckpointError) as exc_info:
+        load_model(bad)
+    assert exc_info.value.field == field
 
 
 def test_truncated_blob_rejected(saved_model, tmp_path):
@@ -305,19 +364,20 @@ def test_future_version_rejected(saved_model, tmp_path):
 def test_missing_header_field_is_named(saved_model, tmp_path):
     _, path = saved_model
     bad = tmp_path / "nok.ckpt"
-    bad.write_bytes(_repack_header(path.read_bytes(), lambda h: h.pop("k")))
+    bad.write_bytes(
+        _replace_header(path.read_bytes(), lambda h: {k: v for k, v in h.items() if k != "k"})
+    )
     with pytest.raises(CorruptCheckpointError, match="bad k") as exc_info:
         load_model(bad)
     assert exc_info.value.field == "k"
 
 
 def test_wrong_model_kind_rejected(saved_model, tmp_path):
-    def mutate(header):
-        header["model_kind"] = "something-else"
-
     _, path = saved_model
     bad = tmp_path / "kind.ckpt"
-    bad.write_bytes(_repack_header(path.read_bytes(), mutate))
+    bad.write_bytes(
+        _replace_header(path.read_bytes(), lambda h: {**h, "model_kind": "something-else"})
+    )
     with pytest.raises(CorruptCheckpointError) as exc_info:
         load_model(bad)
     assert exc_info.value.field == "model_kind"
