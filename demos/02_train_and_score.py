@@ -15,7 +15,7 @@ out_dir = Path("demo_out")
 out_dir.mkdir(exist_ok=True)
 
 rec = generate(SynthConfig(protocol="P1", duration_s=60.0, seed=1))
-config = desk_preset(PipelineConfig(protocol="P1", seed=1))
+config = desk_preset(PipelineConfig(seed=1))
 
 # one recording: folds 1-3 train, fold 4 tests; the split happens on raw
 # samples so the test partition sees its own fresh filter transients

@@ -9,7 +9,7 @@ from emgkin.evaluation import sweep_timesteps
 from emgkin.synth import SynthConfig, generate
 
 rec = generate(SynthConfig(protocol="P1", duration_s=60.0, seed=1))
-config = desk_preset(PipelineConfig(protocol="P1", seed=1))
+config = desk_preset(PipelineConfig(seed=1))
 
 reports = sweep_timesteps(config, rec)
 

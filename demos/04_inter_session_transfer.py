@@ -10,7 +10,7 @@ from emgkin.synth import SynthConfig, generate_session_pair
 session_a, session_b = generate_session_pair(
     SynthConfig(protocol="P1", duration_s=60.0, seed=1)
 )
-config = desk_preset(PipelineConfig(protocol="P1", seed=1))
+config = desk_preset(PipelineConfig(seed=1))
 
 # one session is scored intra-session, a pair inter-session (train on A,
 # test on B)

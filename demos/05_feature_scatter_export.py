@@ -16,18 +16,11 @@ out_dir = Path("demo_out")
 out_dir.mkdir(exist_ok=True)
 
 rec = generate(SynthConfig(protocol="P1", duration_s=60.0, seed=1))
-config = desk_preset(PipelineConfig(protocol="P1", seed=1))
+config = desk_preset(PipelineConfig(seed=1))
 train_raw, _ = split_session(rec)
 
 _, scaler, windows, x, y = preprocess_training(train_raw, config)
-cnn, _ = train_cnn(
-    x,
-    y,
-    config.cnn,
-    seed=config.seed,
-    leaky_slope=config.leaky_slope,
-    dropout=config.dropout,
-)
+cnn, _ = train_cnn(x, y, config.cnn, seed=config.seed)
 deep = cnn.extract(x)
 angles = scaler.inverse(y)
 

@@ -2,9 +2,12 @@
 
 Every command echoes an ``effective-config:`` banner (one JSON line with all
 resolved values) so any run can be reproduced from its log. Exit codes:
-0 success, 1 runtime failure (e.g. divergence), 2 usage/config/data error.
+0 success, 1 runtime failure (e.g. divergence or a recording at a sample
+rate the model was not trained for), 2 usage/config/data error.
 ``train``, ``eval`` and ``sweep`` take the protocol from the sessions under
-``--data`` (``evaluation.partition``): one session is scored intra-session
+``--data``; the ``train`` and ``sweep`` banners print it as ``protocol``
+beside the ``config`` mapping. The sessions also set the split
+(``evaluation.partition``): one session is scored intra-session
 (folds 1-3 train, fold 4 tests), two inter-session (train on the first,
 test on the second), and any other count exits 2.
 ``EMGKIN_THREADS`` caps sweep worker threads (default 1 for strict
@@ -79,13 +82,10 @@ def _load_sessions(data_dir: Path) -> list[SemgRecording]:
 
 
 def _resolve_config(
-    config_path: Path | None,
-    desk: bool,
-    protocol: str,
-    overrides: dict,
+    config_path: Path | None, desk: bool, overrides: dict
 ) -> PipelineConfig:
     cfg = load_config(config_path) if config_path else PipelineConfig()
-    cfg = merge_overrides(cfg, {**overrides, "protocol": protocol})
+    cfg = merge_overrides(cfg, overrides)
     if desk:
         cfg = desk_preset(cfg)
     return cfg
@@ -154,14 +154,12 @@ def train_cmd(config_path, data_dir, out_path, desk, seed, k, matrix_mode):
     sessions = _load_sessions(data_dir)
     train_raw, _, split = evaluation.partition(sessions)
     cfg = _resolve_config(
-        config_path,
-        desk,
-        sessions[0].protocol,
-        {"seed": seed, "k": k, "matrix_mode": matrix_mode},
+        config_path, desk, {"seed": seed, "k": k, "matrix_mode": matrix_mode}
     )
     _banner(
         "train",
         config=cfg.to_dict(),
+        protocol=sessions[0].protocol,
         data=str(data_dir),
         out=str(out_path),
         split=split.split(":")[0],
@@ -231,11 +229,12 @@ def sweep_cmd(what, config_path, data_dir, out_dir, desk, seed):
     """Run the k sweep or the spectral/temporal comparison; write reports."""
     workers = _workers()
     sessions = _load_sessions(data_dir)
-    cfg = _resolve_config(config_path, desk, sessions[0].protocol, {"seed": seed})
+    cfg = _resolve_config(config_path, desk, {"seed": seed})
     _banner(
         "sweep",
         what=what,
         config=cfg.to_dict(),
+        protocol=sessions[0].protocol,
         data=str(data_dir),
         out=str(out_dir),
         workers=workers,

@@ -1,17 +1,20 @@
 """Pipeline configuration: dataclasses, YAML loading, CLI override merging.
 
-The config file is YAML. Normative keys and defaults:
+The config file is YAML and holds only what a run may vary. Keys and
+defaults:
 
-    protocol: P1
     matrix_mode: spectral        # spectral | temporal
-    window_ms: 100
-    hop_ms: 50
     k: 18
-    cnn:  {epochs: 50,  batch: 128, lr0: 0.0001}
-    lstm: {epochs: 100, batch: 64,  lr0: 0.001}
-    dropout: 0.3
-    leaky_slope: 0.1
+    cnn:  {epochs: 50,  lr0: 0.0001}
+    lstm: {epochs: 100, lr0: 0.001}
     seed: 0
+
+The protocol is not a setting: it comes from the sessions under ``--data``.
+The rest of the recipe is fixed: 100 ms windows with a 50 ms hop
+(``dsp.WINDOW_MS``/``dsp.HOP_MS``), batches of 128 and 64
+(``training.CNN_BATCH``/``training.LSTM_BATCH``), dropout 0.3 and a leaky
+slope of 0.1 (``nn.DEFAULT_DROPOUT``/``nn.DEFAULT_LEAKY_SLOPE``). A key
+outside the list above raises ConfigError.
 
 ``desk_preset`` shrinks only the epoch counts (5/10) so CI-scale runs stay
 inside minutes; everything else keeps the full-run values.
@@ -26,7 +29,6 @@ from typing import Any
 
 import yaml
 
-from .dsp import PROTOCOL_DOFS
 from .errors import ConfigError
 
 MATRIX_MODES = ("spectral", "temporal")
@@ -34,56 +36,33 @@ MATRIX_MODES = ("spectral", "temporal")
 
 @dataclass(frozen=True)
 class StageConfig:
-    """Per-stage optimizer settings (epochs / batch size / initial LR)."""
+    """Per-stage optimizer settings (epochs / initial LR)."""
 
     epochs: int
-    batch: int
     lr0: float
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch < 1:
-            raise ConfigError(f"batch must be >= 1, got {self.batch}")
         if not self.lr0 > 0:  # NaN fails too
             raise ConfigError(f"lr0 must be > 0, got {self.lr0}")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    protocol: str = "P1"
     matrix_mode: str = "spectral"
-    window_ms: float = 100.0
-    hop_ms: float = 50.0
     k: int = 18
-    cnn: StageConfig = field(default_factory=lambda: StageConfig(50, 128, 1e-4))
-    lstm: StageConfig = field(default_factory=lambda: StageConfig(100, 64, 1e-3))
-    dropout: float = 0.3
-    leaky_slope: float = 0.1
+    cnn: StageConfig = field(default_factory=lambda: StageConfig(50, 1e-4))
+    lstm: StageConfig = field(default_factory=lambda: StageConfig(100, 1e-3))
     seed: int = 0
 
     def __post_init__(self):
-        if self.protocol not in PROTOCOL_DOFS:
-            raise ConfigError(
-                f"unknown protocol {self.protocol!r}; expected one of "
-                f"{sorted(PROTOCOL_DOFS)}"
-            )
         if self.matrix_mode not in MATRIX_MODES:
             raise ConfigError(
                 f"matrix_mode must be one of {MATRIX_MODES}, got {self.matrix_mode!r}"
             )
-        if self.window_ms <= 0 or self.hop_ms <= 0:
-            raise ConfigError("window_ms and hop_ms must be positive")
-        if self.hop_ms > self.window_ms:
-            raise ConfigError(
-                f"hop_ms ({self.hop_ms}) must not exceed window_ms ({self.window_ms})"
-            )
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.leaky_slope < 0:
-            raise ConfigError(f"leaky_slope must be >= 0, got {self.leaky_slope}")
 
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)
@@ -159,20 +138,11 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def merge_overrides(config: PipelineConfig, overrides: dict[str, Any]) -> PipelineConfig:
-    """Apply flat CLI-style overrides; dotted keys reach nested stages.
+    """Apply flat CLI-style overrides such as ``{"k": 58, "seed": 3}``.
 
     ``None`` values are skipped so unset CLI flags leave the file values
-    intact. Example: ``{"k": 58, "cnn.epochs": 5}``.
+    intact.
     """
     raw = config.to_dict()
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if "." in key:
-            head, _, tail = key.partition(".")
-            if head not in ("cnn", "lstm"):
-                raise ConfigError(f"unknown override key: {key}")
-            raw.setdefault(head, {})[tail] = value
-        else:
-            raw[key] = value
+    raw.update({key: value for key, value in overrides.items() if value is not None})
     return config_from_dict(raw)

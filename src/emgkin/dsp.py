@@ -6,8 +6,9 @@ Butterworth high-pass at ``HIGHPASS_HZ`` = 20 Hz, a low-pass at
 ``NOTCH_BANDWIDTH_HZ`` = 2 Hz wide (Q = 25; the paper gives no width), all
 applied causally in a single forward pass. Filtered channels are min-max
 scaled with statistics fitted on the training partition only, segmented into
-100 ms windows with a 50 ms hop (``WINDOW_SAMPLES``/``HOP_SAMPLES`` = 102/51
-at the paper's 1024 Hz), and each window becomes either a temporal matrix
+``WINDOW_MS`` = 100 ms windows with a ``HOP_MS`` = 50 ms hop
+(``window_geometry(fs)`` in samples; ``WINDOW_SAMPLES``/``HOP_SAMPLES`` =
+102/51 at the paper's 1024 Hz), and each window becomes a temporal matrix
 (raw samples) or a spectral one (one-sided FFT magnitudes, zero-padded to
 ``N_FFT`` = 200 points so L = 101). ``DEFAULT_FS_EMG`` = 1024 Hz,
 ``DEFAULT_FS_ANG`` = 100 Hz and ``N_CHANNELS`` = 6 are the paper's recording
@@ -41,7 +42,9 @@ NOTCH_HZ = 50.0
 NOTCH_BANDWIDTH_HZ = 2.0
 BUTTER_ORDER = 3
 
-WINDOW_SAMPLES = 102  # floor(100 ms * 1024 Hz)
+WINDOW_MS = 100.0
+HOP_MS = 50.0
+WINDOW_SAMPLES = 102  # round(100 ms * 1024 Hz)
 HOP_SAMPLES = 51
 N_FFT = 200  # one-sided spectrum has N_FFT/2 + 1 = 101 bins
 
@@ -171,6 +174,11 @@ def apply_normalizer(stats: NormalizationStats, rec: SemgRecording) -> SemgRecor
     """Map each channel through (x - min) / (max - min); test data may leave [0, 1]."""
     scaled = (rec.emg - stats.mins) / (stats.maxs - stats.mins)
     return replace(rec, emg=scaled)
+
+
+def window_geometry(fs: float) -> tuple[int, int]:
+    """(window, hop) in samples for WINDOW_MS and HOP_MS at rate ``fs``."""
+    return int(round(WINDOW_MS * fs / 1000.0)), int(round(HOP_MS * fs / 1000.0))
 
 
 def segment_windows(

@@ -40,7 +40,7 @@ from .errors import (
 from .evaluation import EvaluationReport
 from .lstm import PARAM_NAMES as LSTM_PARAM_NAMES
 from .lstm import LstmParams
-from .nn import CnnModel
+from .nn import CONV_CHANNELS, CnnModel, MaxPool1d
 from .training import HybridModel, LabelScaler
 
 MAGIC = b"EMGK"
@@ -385,9 +385,26 @@ def load_model(path: str | Path) -> HybridModel:
 
     in_channels = _header_field(header, "in_channels", _positive_int)
     n_outputs = _header_field(header, "n_outputs", _positive_int)
+    input_len = _header_field(header, "input_len", _positive_int)
+    # The header sizes must fit the stored arrays before they size the CNN
+    # built below; otherwise a corrupt header alone decides what it allocates.
+    pooled_len = input_len - len(CONV_CHANNELS) * (MaxPool1d.SIZE - 1)
+    for key, array, axis, size in (
+        ("in_channels", "conv1.W", 1, in_channels),
+        ("n_outputs", "head.W", 1, n_outputs),
+        ("input_len", "fc1.W", 0, pooled_len * CONV_CHANNELS[-1]),
+    ):
+        stored = states["cnn"].get(array)
+        if stored is None:
+            raise CorruptCheckpointError("arrays", f"cnn state missing {array!r}")
+        if stored.ndim <= axis or stored.shape[axis] != size:
+            raise CorruptCheckpointError(
+                key, f"{header[key]} needs cnn.{array} with {size} along axis "
+                f"{axis}, stored shape {stored.shape}"
+            )
     try:
         cnn = CnnModel(
-            input_len=_header_field(header, "input_len", _positive_int),
+            input_len=input_len,
             in_channels=in_channels,
             n_outputs=n_outputs,
             seed=0,

@@ -1,11 +1,15 @@
 """Two-stage (separate) training of the CNN-LSTM hybrid.
 
 Stage 1 trains the CNN end-to-end against wrist angles with SGD+momentum
-(batch 128, lr0 1e-4). Stage 2 freezes the CNN, extracts 20-dim deep
-features from every window in segmentation order, forms overlapping
-k-length sequences, and trains the LSTM with ADAM (batch 64, lr0 1e-3) on
-the last-step output. Both stages drop the learning rate by 90% every 10
+(batches of ``CNN_BATCH`` = 128, lr0 1e-4). Stage 2 freezes the CNN,
+extracts 20-dim deep features from every window in segmentation order, forms
+overlapping k-length sequences, and trains the LSTM with ADAM (batches of
+``LSTM_BATCH`` = 64, lr0 1e-3) on the last-step output. Both batch sizes are
+the paper's recipe. Both stages drop the learning rate by 90% every 10
 epochs and record one mean loss per epoch.
+
+Prediction refuses a recording whose sampling rate gives other window and
+hop lengths (``dsp.window_geometry``) than the model was trained with.
 
 All shuffling and dropout draw from generators derived from the run seed,
 so a (seed, config, dataset) triple reproduces bit-identical models in
@@ -21,7 +25,7 @@ import numpy as np
 from . import dsp, nn
 from .config import PipelineConfig, StageConfig
 from .dsp import NormalizationStats, SemgRecording
-from .errors import DimensionError, DivergenceError, InsufficientDataError
+from .errors import DataError, DimensionError, DivergenceError, InsufficientDataError
 from .lstm import (
     LstmParams,
     init_lstm_params,
@@ -31,6 +35,9 @@ from .lstm import (
 )
 from .nn import CnnModel, mse_loss
 from .optim import Adam, Sgdm
+
+CNN_BATCH = 128
+LSTM_BATCH = 64
 
 # Fixed offsets deriving independent deterministic streams from one seed.
 _SHUFFLE_OFFSET = 1_000_003
@@ -120,14 +127,6 @@ class TrainingRun:
     model: HybridModel
 
 
-def window_geometry(config: PipelineConfig, fs: float) -> tuple[int, int]:
-    """(window, hop) in samples for the config's millisecond settings."""
-    return (
-        int(round(config.window_ms * fs / 1000.0)),
-        int(round(config.hop_ms * fs / 1000.0)),
-    )
-
-
 def _batch_bounds(n: int, batch: int) -> list[tuple[int, int]]:
     """Mini-batch index ranges; a trailing singleton merges into the previous
     batch because train-mode batch norm cannot normalize a single sample."""
@@ -144,8 +143,6 @@ def train_cnn(
     y: np.ndarray,
     stage: StageConfig,
     seed: int = 0,
-    leaky_slope: float = nn.DEFAULT_LEAKY_SLOPE,
-    dropout: float = nn.DEFAULT_DROPOUT,
 ) -> tuple[CnnModel, list[float]]:
     """Stage 1: SGDM on per-window angle regression of matrices x [M x L x N]
     against labels y [M x D]; returns the eval-mode model."""
@@ -159,8 +156,6 @@ def train_cnn(
         in_channels=x.shape[2],
         n_outputs=y.shape[1],
         seed=seed,
-        leaky_slope=leaky_slope,
-        dropout_rate=dropout,
     )
     optimizer = Sgdm(model.parameters(), stage.lr0)
     shuffle_rng = np.random.default_rng(seed + _SHUFFLE_OFFSET)
@@ -168,7 +163,7 @@ def train_cnn(
     for epoch in range(stage.epochs):
         order = shuffle_rng.permutation(n)
         epoch_losses = []
-        for batch_index, (lo, hi) in enumerate(_batch_bounds(n, stage.batch)):
+        for batch_index, (lo, hi) in enumerate(_batch_bounds(n, CNN_BATCH)):
             idx = order[lo:hi]
             pred = model.forward(x[idx], mode="train")
             loss, dpred = mse_loss(pred, y[idx])
@@ -191,7 +186,6 @@ def train_lstm(
     y: np.ndarray,
     stage: StageConfig,
     seed: int = 0,
-    dropout: float = nn.DEFAULT_DROPOUT,
 ) -> tuple[LstmParams, list[float]]:
     """Stage 2: ADAM on last-step MSE of sequences x [S x k x F] against
     targets y [S x D], with 30% dropout before the readout."""
@@ -207,10 +201,10 @@ def train_lstm(
     for epoch in range(stage.epochs):
         order = rng.permutation(n)
         epoch_losses = []
-        for batch_index, start in enumerate(range(0, n, stage.batch)):
-            idx = order[start : start + stage.batch]
+        for batch_index, start in enumerate(range(0, n, LSTM_BATCH)):
+            idx = order[start : start + LSTM_BATCH]
             pred, cache = lstm_forward_batch(
-                params, x[idx], mode="train", rng=rng, dropout_rate=dropout
+                params, x[idx], mode="train", rng=rng, dropout_rate=nn.DEFAULT_DROPOUT
             )
             loss, dpred = mse_loss(pred, y[idx])
             if not np.isfinite(loss):
@@ -234,7 +228,7 @@ def preprocess_training(
     filtered = dsp.apply_filter_chain(rec)
     stats = dsp.fit_normalizer(filtered)
     normed = dsp.apply_normalizer(stats, filtered)
-    window, hop = window_geometry(config, rec.fs_emg)
+    window, hop = dsp.window_geometry(rec.fs_emg)
     windows, labels, _ = dsp.segment_windows(normed, window, hop)
     scaler = LabelScaler.fit(labels)
     x, y = dsp.stack_matrices(windows, scaler.transform(labels), config.matrix_mode)
@@ -257,14 +251,7 @@ def _train_cnn_stage(rec: SemgRecording, config: PipelineConfig) -> _CnnStage:
     """Stage 1: preprocess the training recording, train the CNN, and extract
     the deep features stage 2 trains on."""
     stats, scaler, _, x, y = preprocess_training(rec, config)
-    cnn, cnn_hist = train_cnn(
-        x,
-        y,
-        config.cnn,
-        seed=config.seed,
-        leaky_slope=config.leaky_slope,
-        dropout=config.dropout,
-    )
+    cnn, cnn_hist = train_cnn(x, y, config.cnn, seed=config.seed)
     features = extract_dataset_features(cnn, x)
     return _CnnStage(stats, scaler, cnn, cnn_hist, features, y)
 
@@ -275,10 +262,8 @@ def _train_lstm_stage(
     """Stage 2: train the LSTM on config.k-step sequences of the frozen
     CNN's features and assemble the hybrid."""
     seqs, targets = stack_sequences(stage1.features, stage1.y, config.k)
-    lstm, lstm_hist = train_lstm(
-        seqs, targets, config.lstm, seed=config.seed, dropout=config.dropout
-    )
-    window, hop = window_geometry(config, rec.fs_emg)
+    lstm, lstm_hist = train_lstm(seqs, targets, config.lstm, seed=config.seed)
+    window, hop = dsp.window_geometry(rec.fs_emg)
     model = HybridModel(
         cnn=stage1.cnn,
         lstm=lstm,
@@ -308,7 +293,16 @@ def _prepare_windows(
     """Apply the model's stored preprocessing to a raw recording.
 
     Returns (x [M x L x N], labels [M x D] in degrees, end_times [M]).
+    Raises DataError if the recording's rate gives other window and hop
+    lengths than the model's.
     """
+    geometry = dsp.window_geometry(rec.fs_emg)
+    if geometry != (model.window_samples, model.hop_samples):
+        raise DataError(
+            f"recording at {rec.fs_emg:g} Hz windows as {geometry[0]}/{geometry[1]} "
+            f"samples (window/hop), but the model was trained on "
+            f"{model.window_samples}/{model.hop_samples}"
+        )
     filtered = dsp.apply_filter_chain(rec)
     normed = dsp.apply_normalizer(model.norm_stats, filtered)
     windows, labels, end_times = dsp.segment_windows(

@@ -47,16 +47,15 @@ def tiny_session():
 def tiny_config():
     # 1-epoch stages: exercises the full path in a couple of seconds.
     return PipelineConfig(
-        protocol="P1",
         seed=5,
-        cnn=StageConfig(epochs=1, batch=128, lr0=1e-4),
-        lstm=StageConfig(epochs=2, batch=64, lr0=1e-3),
+        cnn=StageConfig(epochs=1, lr0=1e-4),
+        lstm=StageConfig(epochs=2, lr0=1e-3),
     )
 
 
 @pytest.fixture(scope="session")
 def desk_p1_config():
-    return desk_preset(PipelineConfig(protocol="P1", seed=1))
+    return desk_preset(PipelineConfig(seed=1))
 
 
 @pytest.fixture(scope="session")
@@ -67,7 +66,7 @@ def desk_p1_reports(desk_p1_config, p1_session):
 
 @pytest.fixture(scope="session")
 def desk_p4_reports(p4_session):
-    config = desk_preset(PipelineConfig(protocol="P4", seed=0))
+    config = desk_preset(PipelineConfig(seed=0))
     return run_evaluation(config, p4_session, baselines=True)
 
 
@@ -79,5 +78,5 @@ def desk_inter_reports(desk_p1_config, p1_pair):
 @pytest.fixture(scope="session")
 def desk_tiny_runs(tiny_session):
     """The same desk-preset training executed twice, for determinism checks."""
-    config = desk_preset(PipelineConfig(protocol="P1", seed=7))
+    config = desk_preset(PipelineConfig(seed=7))
     return train_hybrid(tiny_session, config), train_hybrid(tiny_session, config)

@@ -49,10 +49,9 @@ def _record(name: str, ok: bool, detail: str) -> None:
 
 def _sweep_config() -> PipelineConfig:
     return PipelineConfig(
-        protocol="P1",
         seed=3,
-        cnn=StageConfig(epochs=1, batch=128, lr0=1e-4),
-        lstm=StageConfig(epochs=2, batch=64, lr0=1e-3),
+        cnn=StageConfig(epochs=1, lr0=1e-4),
+        lstm=StageConfig(epochs=2, lr0=1e-3),
     )
 
 

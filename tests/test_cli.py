@@ -7,19 +7,17 @@ import pytest
 from click.testing import CliRunner
 
 from emgkin.cli import main
-from emgkin.io import load_model
+from emgkin.io import load_model, save_session
+from emgkin.synth import SynthConfig, generate
 
 
 TINY_YAML = """\
-protocol: P1
 seed: 5
 cnn:
   epochs: 1
-  batch: 128
   lr0: 1.0e-4
 lstm:
   epochs: 2
-  batch: 64
   lr0: 1.0e-3
 """
 
@@ -100,7 +98,8 @@ def test_banner_reports_effective_config(trained):
     payload = json.loads(first.removeprefix("effective-config: "))
     assert payload["command"] == "train"
     assert payload["config"]["cnn"]["epochs"] == 1
-    assert payload["config"]["protocol"] == "P1"
+    assert payload["protocol"] == "P1"
+    assert "protocol" not in payload["config"]
     assert payload["split"] == "intra"
 
 
@@ -212,6 +211,26 @@ def test_eval_inter_session_pair(workspace, tmp_path):
     assert result.exit_code == 0, result.output
     payload = json.loads(report_path.read_text())
     assert payload["split"] == "inter:s0->s0_b"
+
+
+def test_eval_refuses_session_at_other_rate(trained, tmp_path):
+    """The checkpoint windows 1024 Hz data; a 2048 Hz session is refused
+    before any report is written."""
+    out, _ = trained
+    fast = tmp_path / "fast"
+    save_session(
+        generate(SynthConfig(protocol="P1", duration_s=20.0, seed=5, fs_emg=2048.0)),
+        fast,
+    )
+    report_path = tmp_path / "fast.json"
+    result = _invoke(
+        ["eval", "--model", str(out), "--data", str(fast),
+         "--report", str(report_path)]
+    )
+    assert result.exit_code != 0
+    assert "2048 Hz" in _all_output(result)
+    assert not report_path.exists()
+    assert not (tmp_path / "fast.trajectory.csv").exists()
 
 
 def test_eval_corrupt_checkpoint_exits_1(workspace, tmp_path):

@@ -13,15 +13,10 @@ from emgkin.errors import ConfigError
 
 def test_defaults_match_reference_training_recipe():
     cfg = PipelineConfig()
-    assert cfg.protocol == "P1"
     assert cfg.matrix_mode == "spectral"
-    assert cfg.window_ms == 100.0
-    assert cfg.hop_ms == 50.0
     assert cfg.k == 18
-    assert (cfg.cnn.epochs, cfg.cnn.batch, cfg.cnn.lr0) == (50, 128, 1e-4)
-    assert (cfg.lstm.epochs, cfg.lstm.batch, cfg.lstm.lr0) == (100, 64, 1e-3)
-    assert cfg.dropout == 0.3
-    assert cfg.leaky_slope == 0.1
+    assert (cfg.cnn.epochs, cfg.cnn.lr0) == (50, 1e-4)
+    assert (cfg.lstm.epochs, cfg.lstm.lr0) == (100, 1e-3)
     assert cfg.seed == 0
 
 
@@ -31,9 +26,8 @@ def test_desk_preset_shrinks_epochs_only():
     assert desk.cnn.epochs == 5
     assert desk.lstm.epochs == 10
     # everything else untouched
-    assert desk.cnn.batch == base.cnn.batch
     assert desk.cnn.lr0 == base.cnn.lr0
-    assert desk.lstm.batch == base.lstm.batch
+    assert desk.lstm.lr0 == base.lstm.lr0
     assert desk.seed == 4
     # base is immutable and unchanged
     assert base.cnn.epochs == 50
@@ -41,44 +35,57 @@ def test_desk_preset_shrinks_epochs_only():
 
 def test_validation_rejects_bad_values():
     with pytest.raises(ConfigError):
-        PipelineConfig(protocol="P5")
-    with pytest.raises(ConfigError):
         PipelineConfig(k=0)
     with pytest.raises(ConfigError):
         PipelineConfig(matrix_mode="wavelet")
     with pytest.raises(ConfigError):
-        PipelineConfig(hop_ms=200.0, window_ms=100.0)  # hop > window
+        StageConfig(epochs=0, lr0=1e-3)
     with pytest.raises(ConfigError):
-        PipelineConfig(dropout=1.0)
+        StageConfig(epochs=1, lr0=0.0)
     with pytest.raises(ConfigError):
-        StageConfig(epochs=0, batch=64, lr0=1e-3)
-    with pytest.raises(ConfigError):
-        StageConfig(epochs=1, batch=64, lr0=0.0)
-    with pytest.raises(ConfigError):
-        StageConfig(epochs=1, batch=64, lr0=float("nan"))
+        StageConfig(epochs=1, lr0=float("nan"))
 
 
 def test_dict_round_trip():
-    cfg = PipelineConfig(protocol="P4", k=58, seed=9)
+    cfg = PipelineConfig(matrix_mode="temporal", k=58, seed=9)
     again = config_from_dict(cfg.to_dict())
     assert again == cfg
     # fields in declaration order, stages as nested mappings
-    assert list(cfg.to_dict()) == [
-        "protocol", "matrix_mode", "window_ms", "hop_ms", "k", "cnn", "lstm",
-        "dropout", "leaky_slope", "seed",
-    ]
-    assert cfg.to_dict()["cnn"] == {"epochs": 50, "batch": 128, "lr0": 1e-4}
+    assert list(cfg.to_dict()) == ["matrix_mode", "k", "cnn", "lstm", "seed"]
+    assert cfg.to_dict()["cnn"] == {"epochs": 50, "lr0": 1e-4}
 
 
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknow|unexpected|unknown"):
-        config_from_dict({"protocol": "P1", "windw_ms": 100.0})
+        config_from_dict({"k": 18, "sed": 1})
     with pytest.raises(ConfigError):
-        config_from_dict({"cnn": {"epochs": 5, "batchs": 64}})
+        config_from_dict({"cnn": {"epochs": 5, "lr": 1e-4}})
+
+
+# Keys for values the recipe fixes (the protocol comes from the sessions,
+# window/hop from dsp, dropout and leaky slope from nn, batch sizes from
+# training): a file that sets one is refused, not half-applied.
+@pytest.mark.parametrize(
+    "yaml_text, where, key",
+    [
+        ("protocol: P4\n", "", "protocol"),
+        ("window_ms: 200\n", "", "window_ms"),
+        ("hop_ms: 25\n", "", "hop_ms"),
+        ("dropout: 0.5\n", "", "dropout"),
+        ("leaky_slope: 0.2\n", "", "leaky_slope"),
+        ("cnn:\n  batch: 64\n", "cnn ", "batch"),
+        ("lstm:\n  batch: 32\n", "lstm ", "batch"),
+    ],
+)
+def test_removed_keys_are_refused(tmp_path, yaml_text, where, key):
+    path = tmp_path / "old.yaml"
+    path.write_text(yaml_text)
+    with pytest.raises(ConfigError, match=rf"unknown {where}config keys: \['{key}'\]"):
+        load_config(path)
 
 
 def test_config_from_dict_coerces_types():
-    cfg = config_from_dict({"k": "18", "cnn": {"epochs": "5", "batch": 128, "lr0": "1e-4"}})
+    cfg = config_from_dict({"k": "18", "cnn": {"epochs": "5", "lr0": "1e-4"}})
     assert cfg.k == 18
     assert cfg.cnn.epochs == 5
     assert cfg.cnn.lr0 == pytest.approx(1e-4)
@@ -89,15 +96,14 @@ def test_config_from_dict_coerces_types():
 def test_load_config_yaml(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text(
-        "protocol: P4\nk: 58\nmatrix_mode: temporal\n"
-        "cnn:\n  epochs: 5\n  batch: 64\n  lr0: 0.0001\n"
+        "k: 58\nmatrix_mode: temporal\n"
+        "cnn:\n  epochs: 5\n  lr0: 0.0002\n"
     )
     cfg = load_config(path)
-    assert cfg.protocol == "P4"
     assert cfg.k == 58
     assert cfg.matrix_mode == "temporal"
     assert cfg.cnn.epochs == 5
-    assert cfg.cnn.batch == 64
+    assert cfg.cnn.lr0 == 2e-4
     # unspecified sections keep their defaults
     assert cfg.lstm.epochs == 100
 
@@ -114,14 +120,13 @@ def test_load_config_invalid_yaml(tmp_path):
         load_config(path)
 
 
-def test_merge_overrides_dotted_paths():
+def test_merge_overrides_flat_keys():
     cfg = PipelineConfig()
-    out = merge_overrides(cfg, {"cnn.epochs": 5, "seed": 3, "k": None})
-    assert out.cnn.epochs == 5
+    out = merge_overrides(cfg, {"seed": 3, "k": None})
     assert out.seed == 3
     assert out.k == cfg.k  # None means "not supplied"
     with pytest.raises(ConfigError):
-        merge_overrides(cfg, {"gru.epochs": 5})
+        merge_overrides(cfg, {"cnn.epochs": 5})
 
 
 def test_stage_config_is_frozen():

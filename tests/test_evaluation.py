@@ -204,10 +204,9 @@ def test_report_rejects_impossible_score():
 @pytest.fixture(scope="module")
 def quick_config():
     return PipelineConfig(
-        protocol="P1",
         seed=11,
-        cnn=StageConfig(epochs=1, batch=128, lr0=1e-4),
-        lstm=StageConfig(epochs=2, batch=64, lr0=1e-3),
+        cnn=StageConfig(epochs=1, lr0=1e-4),
+        lstm=StageConfig(epochs=2, lr0=1e-3),
     )
 
 

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -292,6 +293,8 @@ BAD_HEADERS = {
     "text-k": _set("k", "abc"),
     "zero-k": _set("k", 0),
     "negative-in-channels": _set("in_channels", -6),
+    "other-in-channels": _set("in_channels", 7),
+    "other-n-outputs": _set("n_outputs", 2),
     "short-input-len": _set("input_len", 8),
     "nan-leaky-slope": _set("leaky_slope", float("nan")),
     "empty-norm-stats": _set("norm_stats", {}),
@@ -311,6 +314,24 @@ def test_malformed_header_names_field(saved_model, tmp_path, case):
     with pytest.raises(CorruptCheckpointError) as exc_info:
         load_model(bad)
     assert exc_info.value.field == field
+
+
+def test_oversized_header_fails_before_allocating(saved_model, tmp_path):
+    """input_len 3000 asks for a ~95k-row fc1; the header must be checked
+    against the stored arrays before the CNN is built at that size."""
+    _, path = saved_model
+    bad = tmp_path / "wide.ckpt"
+    _, rebuild = _set("input_len", 3000)
+    bad.write_bytes(_replace_header(path.read_bytes(), rebuild))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptCheckpointError) as exc_info:
+            load_model(bad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert exc_info.value.field == "input_len"
 
 
 def test_truncated_blob_rejected(saved_model, tmp_path):

@@ -1,8 +1,10 @@
-"""The README's shell examples name only commands and options the CLI has.
+"""The README's examples name only commands, options and config keys the
+program has.
 
 Every ``emgkin ...`` line in a bash block of the README is resolved against
 the click command tree: the subcommand must exist, and every ``--option``
-on the line must be one of that command's options.
+on the line must be one of that command's options. Every yaml block must
+load as a pipeline config.
 """
 
 import re
@@ -10,8 +12,10 @@ import shlex
 from pathlib import Path
 
 import click
+import yaml
 
 from emgkin.cli import main
+from emgkin.config import config_from_dict
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -45,3 +49,10 @@ def test_readme_commands_resolve():
     assert commands, "README has no emgkin command in a bash block"
     problems = [f"{line}: {p}" for line in commands for p in _problems(line)]
     assert not problems, "\n".join(problems)
+
+
+def test_readme_yaml_blocks_load_as_config():
+    blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(), flags=re.S)
+    assert blocks, "README has no yaml block"
+    for block in blocks:
+        config_from_dict(yaml.safe_load(block))

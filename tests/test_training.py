@@ -7,7 +7,8 @@ import pytest
 
 from emgkin import dsp
 from emgkin.config import PipelineConfig, StageConfig
-from emgkin.errors import DivergenceError, InsufficientDataError
+from emgkin.errors import DataError, DivergenceError, InsufficientDataError
+from emgkin.synth import SynthConfig, generate
 from emgkin.training import (
     LabelScaler,
     extract_dataset_features,
@@ -17,16 +18,13 @@ from emgkin.training import (
     train_cnn,
     train_hybrid,
     train_lstm,
-    window_geometry,
 )
 
 
 def test_window_geometry_at_reference_rates():
-    cfg = PipelineConfig()
-    assert window_geometry(cfg, 1024.0) == (102, 51)
-    assert window_geometry(cfg, 2048.0) == (205, 102)
-    wide = PipelineConfig(window_ms=200.0, hop_ms=100.0)
-    assert window_geometry(wide, 1024.0) == (205, 102)
+    assert dsp.window_geometry(1024.0) == (dsp.WINDOW_SAMPLES, dsp.HOP_SAMPLES)
+    assert dsp.window_geometry(1024.0) == (102, 51)
+    assert dsp.window_geometry(2048.0) == (205, 102)
 
 
 def test_label_scaler_round_trip():
@@ -58,7 +56,7 @@ def test_preprocess_training_scales_matrix_labels_only(tiny_session, tiny_config
 
 def test_train_cnn_runs_and_reports_losses(tiny_session, tiny_config):
     _, _, _, x, y = preprocess_training(tiny_session, tiny_config)
-    stage = StageConfig(epochs=2, batch=128, lr0=1e-4)
+    stage = StageConfig(epochs=2, lr0=1e-4)
     model, history = train_cnn(x, y, stage, seed=1)
     assert len(history) == 2
     assert all(np.isfinite(h) for h in history)
@@ -69,7 +67,7 @@ def test_train_cnn_runs_and_reports_losses(tiny_session, tiny_config):
 
 def test_train_cnn_deterministic_per_seed(tiny_session, tiny_config):
     _, _, _, x, y = preprocess_training(tiny_session, tiny_config)
-    stage = StageConfig(epochs=1, batch=128, lr0=1e-4)
+    stage = StageConfig(epochs=1, lr0=1e-4)
     m1, h1 = train_cnn(x, y, stage, seed=3)
     m2, h2 = train_cnn(x, y, stage, seed=3)
     m3, _ = train_cnn(x, y, stage, seed=4)
@@ -86,7 +84,7 @@ def test_train_cnn_deterministic_per_seed(tiny_session, tiny_config):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_train_cnn_diverges_loudly(tiny_session, tiny_config):
     _, _, _, x, y = preprocess_training(tiny_session, tiny_config)
-    stage = StageConfig(epochs=3, batch=128, lr0=1e12)
+    stage = StageConfig(epochs=3, lr0=1e12)
     with pytest.raises(DivergenceError):
         train_cnn(x, y, stage, seed=0)
 
@@ -102,10 +100,9 @@ def test_train_hybrid_end_to_end(tiny_session, tiny_config):
 
 def test_hybrid_loss_decreases_with_more_epochs(tiny_session):
     cfg = PipelineConfig(
-        protocol="P1",
         seed=2,
-        cnn=StageConfig(epochs=3, batch=128, lr0=1e-4),
-        lstm=StageConfig(epochs=8, batch=64, lr0=1e-3),
+        cnn=StageConfig(epochs=3, lr0=1e-4),
+        lstm=StageConfig(epochs=8, lr0=1e-3),
     )
     run = train_hybrid(tiny_session, cfg)
     assert run.lstm_loss[-1] < run.lstm_loss[0]
@@ -115,14 +112,7 @@ def test_stage_two_does_not_touch_cnn(tiny_session, tiny_config):
     """The CNN state after hybrid training equals a standalone stage-1 run."""
     run = train_hybrid(tiny_session, tiny_config)
     _, _, _, x, y = preprocess_training(tiny_session, tiny_config)
-    solo, _ = train_cnn(
-        x,
-        y,
-        tiny_config.cnn,
-        seed=tiny_config.seed,
-        leaky_slope=tiny_config.leaky_slope,
-        dropout=tiny_config.dropout,
-    )
+    solo, _ = train_cnn(x, y, tiny_config.cnn, seed=tiny_config.seed)
     for k, v in solo.state_arrays().items():
         np.testing.assert_array_equal(v, run.model.cnn.state_arrays()[k])
 
@@ -166,6 +156,16 @@ def test_predict_needs_k_windows(tiny_session, tiny_config):
     )
     with pytest.raises(InsufficientDataError):
         predict(run.model, short)  # only 6 windows < k=18
+
+
+def test_predict_refuses_recording_at_other_rate(tiny_session, tiny_config):
+    """A 1024 Hz model would window a 2048 Hz recording into 50 ms windows;
+    it must refuse instead, naming both geometries and the rate."""
+    run = train_hybrid(tiny_session, tiny_config)
+    fast = generate(SynthConfig(protocol="P1", duration_s=10.0, seed=5, fs_emg=2048.0))
+    for score in (predict, predict_cnn_only):
+        with pytest.raises(DataError, match=r"2048 Hz.*205/102.*102/51"):
+            score(run.model, fast)
 
 
 def test_prediction_ignores_target_channel(tiny_session, tiny_config):
