@@ -1,7 +1,7 @@
 """emgkin: sEMG-to-wrist-angle regression with a from-scratch CNN-LSTM.
 
 The pipeline: Butterworth/notch preprocessing -> min-max scaling ->
-102-sample windows -> spectral (or temporal) input matrices -> CNN deep
+100 ms windows -> spectral (or temporal) input matrices -> CNN deep
 features (manual backprop) -> LSTM sequence regression (manual BPTT) ->
 variance-ratio R² evaluation on intra-/inter-session splits, with a
 kernel-ridge baseline and a deterministic synthetic data generator.

@@ -2,8 +2,9 @@
 
 Every command echoes an ``effective-config:`` banner (one JSON line with all
 resolved values) so any run can be reproduced from its log. Exit codes:
-0 success, 1 runtime failure (e.g. divergence or a recording at a sample
-rate the model was not trained for), 2 usage/config/data error.
+0 success, 1 runtime failure (e.g. divergence or a corrupt checkpoint),
+2 usage, config or input error (``ConfigError``, ``LoadError``, ``DataError``:
+e.g. a recording at a rate the model was not trained for).
 ``train``, ``eval`` and ``sweep`` take the protocol from the sessions under
 ``--data``; the ``train`` and ``sweep`` banners print it as ``protocol``
 beside the ``config`` mapping. The sessions also set the split
@@ -33,7 +34,7 @@ from .config import (
     merge_overrides,
 )
 from .dsp import SemgRecording
-from .errors import ConfigError, EmgkinError, LoadError
+from .errors import ConfigError, DataError, EmgkinError, LoadError
 
 PROTOCOLS = ("P1", "P2", "P3", "P4")
 
@@ -43,7 +44,7 @@ def _handle_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ConfigError, LoadError) as exc:
+        except (ConfigError, DataError, LoadError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except EmgkinError as exc:

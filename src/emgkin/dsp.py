@@ -6,18 +6,19 @@ Butterworth high-pass at ``HIGHPASS_HZ`` = 20 Hz, a low-pass at
 ``NOTCH_BANDWIDTH_HZ`` = 2 Hz wide (Q = 25; the paper gives no width), all
 applied causally in a single forward pass. Filtered channels are min-max
 scaled with statistics fitted on the training partition only, segmented into
-``WINDOW_MS`` = 100 ms windows with a ``HOP_MS`` = 50 ms hop
-(``window_geometry(fs)`` in samples; ``WINDOW_SAMPLES``/``HOP_SAMPLES`` =
-102/51 at the paper's 1024 Hz), and each window becomes a temporal matrix
-(raw samples) or a spectral one (one-sided FFT magnitudes, zero-padded to
-``N_FFT`` = 200 points so L = 101). ``DEFAULT_FS_EMG`` = 1024 Hz,
-``DEFAULT_FS_ANG`` = 100 Hz and ``N_CHANNELS`` = 6 are the paper's recording
-setup and what a session without ``meta.json`` is read as.
+``WINDOW_MS`` = 100 ms windows with a ``HOP_MS`` = 50 ms hop, and each
+window becomes a temporal matrix (raw samples) or a spectral one (one-sided
+FFT magnitudes, zero-padded to ``N_FFT`` = 200 points so L = 101). The
+recording's own rate sets the window in samples: ``segment_windows(rec)``
+uses ``window_geometry(rec.fs_emg)``, and ``WINDOW_SAMPLES``/``HOP_SAMPLES``
+= 102/51 are only its values at the paper's 1024 Hz. ``DEFAULT_FS_EMG`` =
+1024 Hz, ``DEFAULT_FS_ANG`` = 100 Hz and ``N_CHANNELS`` = 6 are the paper's
+recording setup and what a session without ``meta.json`` is read as.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -76,7 +77,6 @@ class SemgRecording:
     session_id: str = "s0"
     fs_emg: float = DEFAULT_FS_EMG
     fs_ang: float = DEFAULT_FS_ANG
-    dof_names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.emg = np.asarray(self.emg, dtype=np.float64)
@@ -85,8 +85,6 @@ class SemgRecording:
         self.t_ang = np.asarray(self.t_ang, dtype=np.float64)
         if self.protocol not in PROTOCOL_DOFS:
             raise DataError(f"unknown protocol {self.protocol!r}")
-        if not self.dof_names:
-            self.dof_names = list(PROTOCOL_DOFS[self.protocol])
         if self.emg.ndim != 2 or self.angles.ndim != 2:
             raise DimensionError("emg and angles must be 2-D arrays")
         if self.angles.shape[1] != len(PROTOCOL_DOFS[self.protocol]):
@@ -105,6 +103,11 @@ class SemgRecording:
         for name, t in (("t_emg", self.t_emg), ("t_ang", self.t_ang)):
             if len(t) > 1 and np.any(np.diff(t) <= 0):
                 raise DataError(f"{name} must be strictly increasing")
+
+    @property
+    def dof_names(self) -> list[str]:
+        """The angle columns' names, in order: ``PROTOCOL_DOFS[protocol]``."""
+        return list(PROTOCOL_DOFS[self.protocol])
 
     @property
     def n_channels(self) -> int:
@@ -181,19 +184,17 @@ def window_geometry(fs: float) -> tuple[int, int]:
     return int(round(WINDOW_MS * fs / 1000.0)), int(round(HOP_MS * fs / 1000.0))
 
 
-def segment_windows(
-    rec: SemgRecording,
-    window_samples: int = WINDOW_SAMPLES,
-    hop_samples: int = HOP_SAMPLES,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def segment_windows(rec: SemgRecording) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slice the recording into overlapping windows with causally aligned labels.
 
     Returns (windows [M x window x N], labels [M x D], end_times [M]) with
+    (window, hop) = ``window_geometry(rec.fs_emg)`` and
     M = floor((T - window) / hop) + 1. ``windows`` is a read-only view into
     ``rec.emg``. Each label is the angle trace linearly interpolated at the
     window's end time, so a window only ever sees a target from its own
     past-and-present samples.
     """
+    window_samples, hop_samples = window_geometry(rec.fs_emg)
     n = len(rec.emg)
     if window_samples > n:
         raise InsufficientDataError(

@@ -13,7 +13,7 @@ at raw-sample boundaries floor(i*T/4) — folds 1-3 train, fold 4 tests — and
 each partition is filtered/segmented independently so no window straddles
 the boundary and no test sample leaks into preprocessing statistics. A pair
 of sessions is scored inter-session: train on the whole first, test on the
-whole second.
+whole second, and the two must share one EMG rate.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from . import dsp, features, krr, training
 from .config import PipelineConfig
 from .dsp import SemgRecording
-from .errors import ConfigError, InsufficientDataError, UndefinedMetricError
+from .errors import ConfigError, DataError, InsufficientDataError, UndefinedMetricError
 from .training import HybridModel, PredictionTrajectory
 
 DEFAULT_K_SWEEP = (8, 18, 58, 98)
@@ -57,6 +57,7 @@ def partition(
 
     One recording (or a sequence of one) is quartered by ``split_session``;
     a pair trains on the whole first session and tests on the whole second.
+    A pair recorded at two EMG rates raises DataError.
     """
     sessions = [data] if isinstance(data, SemgRecording) else list(data)
     if len(sessions) == 1:
@@ -64,6 +65,12 @@ def partition(
         return train, test, f"intra:{train.session_id}:folds123/fold4"
     if len(sessions) == 2:
         train, test = sessions
+        if train.fs_emg != test.fs_emg:
+            raise DataError(
+                f"session {train.session_id} is at {train.fs_emg:g} Hz but "
+                f"{test.session_id} is at {test.fs_emg:g} Hz; an inter-session "
+                "pair must share one EMG rate"
+            )
         return train, test, f"inter:{train.session_id}->{test.session_id}"
     raise ConfigError(
         "evaluation takes one session (intra) or two (inter), "
@@ -218,17 +225,17 @@ def _krr_report(
     model: HybridModel,
     split: str,
 ) -> EvaluationReport:
-    """Handcrafted features + PCA-20 + tuned RBF kernel ridge regression,
-    windowed in samples exactly as the hybrid was."""
+    """Handcrafted features + PCA-20 + tuned RBF kernel ridge regression on
+    windows cut at the sessions' shared rate; ``input_len`` is their length
+    in samples, and ``model`` only supplies the report's k and matrix mode."""
     start = time.perf_counter()
     filtered_train = dsp.apply_filter_chain(train_raw)
     stats = dsp.fit_normalizer(filtered_train)
-    window, hop = model.window_samples, model.hop_samples
     train_windows, y_train, _ = dsp.segment_windows(
-        dsp.apply_normalizer(stats, filtered_train), window, hop
+        dsp.apply_normalizer(stats, filtered_train)
     )
     test_windows, y_test, test_times = dsp.segment_windows(
-        dsp.apply_normalizer(stats, dsp.apply_filter_chain(test_raw)), window, hop
+        dsp.apply_normalizer(stats, dsp.apply_filter_chain(test_raw))
     )
     train_features = features.extract_feature_matrix(train_windows)
     basis = features.fit_pca(train_features)
@@ -250,7 +257,7 @@ def _krr_report(
         test_raw=test_raw,
         split=split,
         runtime_s=time.perf_counter() - start,
-        input_len=window,
+        input_len=train_windows.shape[1],
     )
 
 

@@ -13,6 +13,13 @@ The header JSON describes the architecture (shapes, k, matrix mode, output
 count, preprocessing stats) and lists every array name+shape in order; the
 blob is their float32 values concatenated row-major. All writes go through
 a temp file + rename so interrupted runs never leave partial files.
+
+The v1 layout also records values the recipe fixes: the header's
+``leaky_slope`` and ``dropout`` (``nn.DEFAULT_LEAKY_SLOPE``/``DEFAULT_DROPOUT``)
+and the LSTM's zero initial state as the arrays ``lstm.h0`` and ``lstm.c0``.
+``save_model`` writes them from the constants and zeros; ``load_model``
+refuses a checkpoint whose values differ, since the model it would build
+could not honour them.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from .errors import (
 from .evaluation import EvaluationReport
 from .lstm import PARAM_NAMES as LSTM_PARAM_NAMES
 from .lstm import LstmParams
-from .nn import CONV_CHANNELS, CnnModel, MaxPool1d
+from .nn import CONV_CHANNELS, DEFAULT_DROPOUT, DEFAULT_LEAKY_SLOPE, CnnModel, MaxPool1d
 from .training import HybridModel, LabelScaler
 
 MAGIC = b"EMGK"
@@ -248,9 +255,14 @@ def list_session_dirs(directory: str | Path) -> list[Path]:
 # checkpoints
 
 
+# The LSTM's zero initial state, stored after its parameters in the v1 layout.
+_LSTM_INITIAL_STATE = ("h0", "c0")
+
+
 def _model_arrays(model: HybridModel) -> list[tuple[str, np.ndarray]]:
     arrays = [(f"cnn.{n}", a) for n, a in model.cnn.state_arrays().items()]
-    arrays += [(f"lstm.{n}", a) for n, a in model.lstm.state_arrays().items()]
+    arrays += [(f"lstm.{n}", a) for n, a in model.lstm.parameters().items()]
+    arrays += [(f"lstm.{n}", np.zeros(model.lstm.hidden)) for n in _LSTM_INITIAL_STATE]
     return arrays
 
 
@@ -267,8 +279,8 @@ def save_model(model: HybridModel, path: str | Path) -> Path:
         "hop_samples": model.hop_samples,
         "input_len": model.cnn.input_len,
         "in_channels": model.cnn.in_channels,
-        "leaky_slope": model.cnn.leaky_slope,
-        "dropout": model.cnn.dropout_rate,
+        "leaky_slope": DEFAULT_LEAKY_SLOPE,
+        "dropout": DEFAULT_DROPOUT,
         "norm_stats": {
             "mins": model.norm_stats.mins.tolist(),
             "maxs": model.norm_stats.maxs.tolist(),
@@ -298,12 +310,6 @@ def _positive_int(value) -> int:
     if type(value) is not int or value < 1:
         raise ValueError("want a positive integer")
     return value
-
-
-def _finite(value) -> float:
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError("want a finite number")
-    return float(value)
 
 
 def _float_lists(raw: dict, names: tuple[str, str], length: int) -> list[np.ndarray]:
@@ -402,14 +408,14 @@ def load_model(path: str | Path) -> HybridModel:
                 key, f"{header[key]} needs cnn.{array} with {size} along axis "
                 f"{axis}, stored shape {stored.shape}"
             )
+    for key, constant in (("leaky_slope", DEFAULT_LEAKY_SLOPE), ("dropout", DEFAULT_DROPOUT)):
+        if _header_field(header, key) != constant:
+            raise CorruptCheckpointError(
+                key, f"got {header[key]!r:.80}, the recipe fixes {constant}"
+            )
     try:
         cnn = CnnModel(
-            input_len=input_len,
-            in_channels=in_channels,
-            n_outputs=n_outputs,
-            seed=0,
-            leaky_slope=_header_field(header, "leaky_slope", _finite),
-            dropout_rate=_header_field(header, "dropout", _finite),
+            input_len=input_len, in_channels=in_channels, n_outputs=n_outputs, seed=0
         )
     except DimensionError as exc:
         raise CorruptCheckpointError("input_len", str(exc)) from None
@@ -418,9 +424,14 @@ def load_model(path: str | Path) -> HybridModel:
     except (KeyError, ValueError) as exc:
         raise CorruptCheckpointError("arrays", f"cnn state: {exc}") from exc
     try:
-        lstm = LstmParams(**{n: states["lstm"][n] for n in (*LSTM_PARAM_NAMES, "h0", "c0")})
+        lstm = LstmParams(**{n: states["lstm"][n] for n in LSTM_PARAM_NAMES})
+        initial = [states["lstm"][n] for n in _LSTM_INITIAL_STATE]
     except KeyError as exc:
         raise CorruptCheckpointError("arrays", f"lstm state missing {exc}") from exc
+    if any(a.shape != (lstm.hidden,) or np.any(a != 0.0) for a in initial):
+        raise CorruptCheckpointError(
+            "arrays", f"lstm.h0 and lstm.c0 must be {lstm.hidden} zeros"
+        )
 
     stats = _header_field(
         header,

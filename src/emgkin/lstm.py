@@ -10,24 +10,25 @@ Gate updates at step j, with z = [h_{j-1}, f_j] (hidden state first):
     h_j = o * tanh(c_j)
     y_j = W_y h_j + b_y
 
-Only the last output y_k is read out (and supervised); the initial state is
-fixed at zero and never trained. Training applies 30% inverted dropout to
-h_k before the readout. Backpropagation through time is hand-written and
+Only the last output y_k is read out (and supervised). Every sequence starts
+from a zero initial state (h_0 = c_0 = 0), which is neither stored nor
+trained. Training applies ``nn.DEFAULT_DROPOUT`` (30%) inverted dropout to
+h_k before the readout. The feature width defaults to the CNN's
+``nn.FEATURE_DIM``. Backpropagation through time is hand-written and
 finite-difference checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import nn
 from .errors import DimensionError, InsufficientDataError
 
 HIDDEN_UNITS = 50
-FEATURE_DIM = 20
-DEFAULT_TIMESTEPS = 18
 
 PARAM_NAMES = ("W_i", "W_m", "W_o", "W_c", "b_i", "b_m", "b_o", "b_c", "W_y", "b_y")
 
@@ -44,15 +45,6 @@ class LstmParams:
     b_c: np.ndarray
     W_y: np.ndarray  # [D x H]
     b_y: np.ndarray  # [D]
-    h0: np.ndarray = field(default=None)  # fixed at zero, not trained
-    c0: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        hidden = self.W_i.shape[0]
-        if self.h0 is None:
-            self.h0 = np.zeros(hidden, dtype=self.W_i.dtype)
-        if self.c0 is None:
-            self.c0 = np.zeros(hidden, dtype=self.W_i.dtype)
 
     @property
     def hidden(self) -> int:
@@ -69,12 +61,6 @@ class LstmParams:
     def parameters(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        state = self.parameters()
-        state["h0"] = self.h0
-        state["c0"] = self.c0
-        return state
-
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic sigmoid 1 / (1 + exp(-x)), overflow-safe in both branches.
@@ -89,7 +75,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def init_lstm_params(
-    feature_dim: int = FEATURE_DIM,
+    feature_dim: int = nn.FEATURE_DIM,
     hidden: int = HIDDEN_UNITS,
     n_outputs: int = 1,
     seed: int = 0,
@@ -132,12 +118,11 @@ def lstm_forward_batch(
     seqs: np.ndarray,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
-    dropout_rate: float = 0.3,
 ) -> tuple[np.ndarray, LstmCache]:
     """Roll the LSTM over a batch of sequences [B x k x F]; returns (y_k, cache).
 
-    State resets to (h0, c0) at every sequence start: evaluation order over
-    sequences cannot matter.
+    Every sequence starts from the zero state, so evaluation order over
+    sequences cannot matter. Train mode drops ``nn.DEFAULT_DROPOUT`` of h_k.
     """
     seqs = np.asarray(seqs)
     if seqs.ndim != 3:
@@ -149,8 +134,8 @@ def lstm_forward_batch(
         raise DimensionError(
             f"LSTM expects feature dim {params.feature_dim}, got {feat}"
         )
-    h = np.broadcast_to(params.h0, (batch, params.hidden)).copy()
-    c = np.broadcast_to(params.c0, (batch, params.hidden)).copy()
+    h = np.zeros((batch, params.hidden), dtype=params.W_i.dtype)
+    c = np.zeros((batch, params.hidden), dtype=params.W_i.dtype)
     steps = []
     for j in range(k):
         z = np.concatenate([h, seqs[:, j, :]], axis=1)
@@ -165,10 +150,10 @@ def lstm_forward_batch(
         c = c_new
     mask = None
     h_out = h
-    if mode == "train" and dropout_rate > 0.0:
+    if mode == "train":
         if rng is None:
             raise ValueError("train-mode dropout requires an rng")
-        keep = 1.0 - dropout_rate
+        keep = 1.0 - nn.DEFAULT_DROPOUT
         mask = (rng.random(h.shape) < keep).astype(h.dtype) / keep
         h_out = h * mask
     y = h_out @ params.W_y.T + params.b_y
@@ -180,8 +165,8 @@ def lstm_backward(
 ) -> dict[str, np.ndarray]:
     """BPTT for a batch: gradient of the readout loss w.r.t. every parameter.
 
-    ``dy`` is the upstream gradient on y_k, shape [B x D]. (h0, c0) receive
-    no gradient by contract.
+    ``dy`` is the upstream gradient on y_k, shape [B x D]. The zero initial
+    state is a constant and receives no gradient.
     """
     if cache is None:
         raise ValueError("lstm_backward requires the cache from a forward pass")
@@ -215,7 +200,7 @@ def lstm_backward(
     return grads
 
 
-def build_sequences(features: np.ndarray, k: int = DEFAULT_TIMESTEPS) -> np.ndarray:
+def build_sequences(features: np.ndarray, k: int) -> np.ndarray:
     """All stride-1 runs of k consecutive features, as a read-only view
     [S x k x F] with S = M - k + 1; row i is ``features[i : i + k]``."""
     features = np.asarray(features)
@@ -226,7 +211,7 @@ def build_sequences(features: np.ndarray, k: int = DEFAULT_TIMESTEPS) -> np.ndar
 
 
 def stack_sequences(
-    features: np.ndarray, labels: np.ndarray, k: int = DEFAULT_TIMESTEPS
+    features: np.ndarray, labels: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(X [S x k x F], Y [S x D]): every k-run of features, each targeting the
     label of its last window."""

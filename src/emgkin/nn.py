@@ -12,12 +12,15 @@ The CNN is four conv blocks (conv k3/pad1/stride1 -> batch norm -> leaky
 ReLU -> max pool 3/stride1 -> dropout) with channel plan in->16->16->32->32
 (``CONV_CHANNELS``), then two FC blocks (``FC_SIZES``: 100 then 20 units,
 each fc -> batch norm -> leaky ReLU -> dropout), then a linear regression
-head. The 20-unit block's output is the ``FEATURE_DIM`` = 20 deep feature
-handed to the sequence regressor. These, the pool size ``MaxPool1d.SIZE`` =
-3, the leaky slope ``DEFAULT_LEAKY_SLOPE`` = 0.1 and the dropout rate
-``DEFAULT_DROPOUT`` = 0.3 are the reproduced architecture's. Batch norm's
-``BN_MOMENTUM`` = 0.1 (running-stat update weight) and ``BN_EPS`` = 1e-5
-(variance guard) are the customary values; the paper gives neither.
+head. The last FC block's output is the ``FEATURE_DIM`` = ``FC_SIZES[-1]``
+= 20 deep feature handed to the sequence regressor. These, the pool size
+``MaxPool1d.SIZE`` = 3, the leaky slope ``DEFAULT_LEAKY_SLOPE`` = 0.1 and the
+dropout rate ``DEFAULT_DROPOUT`` = 0.3 are the reproduced architecture's.
+``CnnModel`` builds every layer from these constants and takes none of them
+as an argument; only the layer classes take a slope or rate, so a test can
+build one layer on its own. Batch norm's ``BN_MOMENTUM`` = 0.1 (running-stat
+update weight) and ``BN_EPS`` = 1e-5 (variance guard) are the customary
+values; the paper gives neither.
 
 Dtypes in training: parameters, caches and optimizer state are float32, but
 the backward passes of this CNN and of the LSTM run in float64. The targets
@@ -37,7 +40,7 @@ from .errors import DegenerateBatchError, DimensionError
 
 CONV_CHANNELS = (16, 16, 32, 32)
 FC_SIZES = (100, 20)
-FEATURE_DIM = 20
+FEATURE_DIM = FC_SIZES[-1]
 DEFAULT_LEAKY_SLOPE = 0.1
 DEFAULT_DROPOUT = 0.3
 BN_MOMENTUM = 0.1
@@ -305,15 +308,11 @@ class CnnModel:
         in_channels: int,
         n_outputs: int,
         seed: int = 0,
-        leaky_slope: float = DEFAULT_LEAKY_SLOPE,
-        dropout_rate: float = DEFAULT_DROPOUT,
         dtype=np.float32,
     ):
         self.input_len = input_len
         self.in_channels = in_channels
         self.n_outputs = n_outputs
-        self.leaky_slope = leaky_slope
-        self.dropout_rate = dropout_rate
         self.dtype = np.dtype(dtype)
         self.rng = np.random.default_rng(seed)
 
@@ -321,11 +320,11 @@ class CnnModel:
         prev_ch = in_channels
         for i, out_ch in enumerate(CONV_CHANNELS, start=1):
             self._feature_layers += [
-                (f"conv{i}", Conv1d(prev_ch, out_ch, self.rng, leaky_slope, dtype)),
+                (f"conv{i}", Conv1d(prev_ch, out_ch, self.rng, DEFAULT_LEAKY_SLOPE, dtype)),
                 (f"bn{i}", BatchNorm(out_ch, dtype)),
-                (f"act{i}", LeakyRelu(leaky_slope)),
+                (f"act{i}", LeakyRelu(DEFAULT_LEAKY_SLOPE)),
                 (f"pool{i}", MaxPool1d()),
-                (f"drop{i}", Dropout(dropout_rate, self.rng)),
+                (f"drop{i}", Dropout(DEFAULT_DROPOUT, self.rng)),
             ]
             prev_ch = out_ch
         length = self.block_lengths()[-1]
@@ -336,10 +335,10 @@ class CnnModel:
         prev = self.flat_dim
         for i, width in enumerate(FC_SIZES, start=1):
             self._feature_layers += [
-                (f"fc{i}", Dense(prev, width, self.rng, dtype, slope=leaky_slope)),
+                (f"fc{i}", Dense(prev, width, self.rng, dtype, slope=DEFAULT_LEAKY_SLOPE)),
                 (f"fcbn{i}", BatchNorm(width, dtype)),
-                (f"fcact{i}", LeakyRelu(leaky_slope)),
-                (f"fcdrop{i}", Dropout(dropout_rate, self.rng)),
+                (f"fcact{i}", LeakyRelu(DEFAULT_LEAKY_SLOPE)),
+                (f"fcdrop{i}", Dropout(DEFAULT_DROPOUT, self.rng)),
             ]
             prev = width
         self.head = Dense(FEATURE_DIM, n_outputs, self.rng, dtype)

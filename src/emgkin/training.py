@@ -203,9 +203,7 @@ def train_lstm(
         epoch_losses = []
         for batch_index, start in enumerate(range(0, n, LSTM_BATCH)):
             idx = order[start : start + LSTM_BATCH]
-            pred, cache = lstm_forward_batch(
-                params, x[idx], mode="train", rng=rng, dropout_rate=nn.DEFAULT_DROPOUT
-            )
+            pred, cache = lstm_forward_batch(params, x[idx], mode="train", rng=rng)
             loss, dpred = mse_loss(pred, y[idx])
             if not np.isfinite(loss):
                 raise DivergenceError(epoch, batch_index, loss)
@@ -228,8 +226,7 @@ def preprocess_training(
     filtered = dsp.apply_filter_chain(rec)
     stats = dsp.fit_normalizer(filtered)
     normed = dsp.apply_normalizer(stats, filtered)
-    window, hop = dsp.window_geometry(rec.fs_emg)
-    windows, labels, _ = dsp.segment_windows(normed, window, hop)
+    windows, labels, _ = dsp.segment_windows(normed)
     scaler = LabelScaler.fit(labels)
     x, y = dsp.stack_matrices(windows, scaler.transform(labels), config.matrix_mode)
     return stats, scaler, windows, x, y
@@ -305,9 +302,7 @@ def _prepare_windows(
         )
     filtered = dsp.apply_filter_chain(rec)
     normed = dsp.apply_normalizer(model.norm_stats, filtered)
-    windows, labels, end_times = dsp.segment_windows(
-        normed, model.window_samples, model.hop_samples
-    )
+    windows, labels, end_times = dsp.segment_windows(normed)
     x, labels = dsp.stack_matrices(windows, labels, model.matrix_mode)
     return x, labels, end_times
 

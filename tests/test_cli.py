@@ -6,7 +6,9 @@ import shutil
 import pytest
 from click.testing import CliRunner
 
+from emgkin import cli
 from emgkin.cli import main
+from emgkin.errors import ConfigError, DataError, DivergenceError, LoadError
 from emgkin.io import load_model, save_session
 from emgkin.synth import SynthConfig, generate
 
@@ -227,10 +229,33 @@ def test_eval_refuses_session_at_other_rate(trained, tmp_path):
         ["eval", "--model", str(out), "--data", str(fast),
          "--report", str(report_path)]
     )
-    assert result.exit_code != 0
+    assert result.exit_code == 2
     assert "2048 Hz" in _all_output(result)
     assert not report_path.exists()
     assert not (tmp_path / "fast.trajectory.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ConfigError("bad key"), 2),
+        (LoadError("bad file"), 2),
+        (DataError("bad rate"), 2),
+        (DivergenceError(0, 0, float("nan")), 1),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_error_class_sets_exit_code(monkeypatch, tmp_path, error, code):
+    """Config, load and data errors are input problems (2); a divergence is a
+    runtime failure (1)."""
+
+    def fail(data_dir):
+        raise error
+
+    monkeypatch.setattr(cli, "_load_sessions", fail)
+    result = _invoke(["train", "--data", str(tmp_path), "--out", str(tmp_path / "m.ckpt")])
+    assert result.exit_code == code
+    assert f"error: {error}" in _all_output(result)
 
 
 def test_eval_corrupt_checkpoint_exits_1(workspace, tmp_path):

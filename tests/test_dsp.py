@@ -30,14 +30,16 @@ def chain_gain_db(freq_hz: float) -> float:
     return -np.inf if mag == 0.0 else 20.0 * np.log10(mag)
 
 
-def make_recording(emg: np.ndarray, protocol: str = "P1") -> dsp.SemgRecording:
+def make_recording(
+    emg: np.ndarray, protocol: str = "P1", fs: float = FS
+) -> dsp.SemgRecording:
     n = len(emg)
-    t_emg = np.arange(n) / FS
-    n_ang = int(n / FS * 100.0)
+    t_emg = np.arange(n) / fs
+    n_ang = int(n / fs * 100.0)
     t_ang = np.arange(n_ang) / 100.0
     n_dof = len(dsp.PROTOCOL_DOFS[protocol])
     angles = np.zeros((n_ang, n_dof))
-    return dsp.SemgRecording(emg, t_emg, angles, t_ang, protocol)
+    return dsp.SemgRecording(emg, t_emg, angles, t_ang, protocol, fs_emg=fs)
 
 
 # --- frequency response -----------------------------------------------------
@@ -223,27 +225,34 @@ def test_window_label_interpolated_at_end_time():
 
 
 def test_too_short_recording_raises():
+    # 80 samples at 1024 Hz are shorter than one 102-sample window
     with pytest.raises(InsufficientDataError):
-        dsp.segment_windows(make_recording(np.zeros((80, 6))), window_samples=102)
+        dsp.segment_windows(make_recording(np.zeros((80, 6))))
 
 
 def test_custom_geometry_respected():
-    emg = np.random.default_rng(6).normal(size=(1000, 6))
-    windows, labels, _ = dsp.segment_windows(
-        make_recording(emg), window_samples=200, hop_samples=100
-    )
-    assert len(windows) == len(labels) == (1000 - 200) // 100 + 1
-    assert windows[0].shape == (200, 6)
+    """The recording's own rate sets the window and hop in samples."""
+    emg = np.random.default_rng(6).normal(size=(2100, 6))
+    for fs, window, hop in ((2000.0, 200, 100), (2048.0, 205, 102)):
+        windows, labels, _ = dsp.segment_windows(make_recording(emg, fs=fs))
+        assert len(windows) == len(labels) == (2100 - window) // hop + 1
+        assert windows[0].shape == (window, 6)
+        np.testing.assert_array_equal(windows[1], emg[hop : hop + window])
 
 
-@pytest.mark.parametrize("window, hop", [(dsp.WINDOW_SAMPLES, dsp.HOP_SAMPLES), (200, 100)])
+# (window, hop) -> the rate that windows at that geometry
+GEOMETRY_RATES = {(dsp.WINDOW_SAMPLES, dsp.HOP_SAMPLES): 1024.0, (200, 100): 2000.0}
+
+
+@pytest.mark.parametrize("window, hop", sorted(GEOMETRY_RATES))
 def test_array_path_matches_per_window_loop(window, hop):
     """Windows, labels, end times and both matrix modes equal, bit for bit,
     a per-window loop: slice, scalar interpolation, one FFT per window."""
-    rec = generate(SynthConfig(protocol="P4", duration_s=10.0, seed=2))
+    fs = GEOMETRY_RATES[window, hop]
+    rec = generate(SynthConfig(protocol="P4", duration_s=10.0, seed=2, fs_emg=fs))
     filtered = dsp.apply_filter_chain(rec)
     rec = dsp.apply_normalizer(dsp.fit_normalizer(filtered), filtered)
-    windows, labels, end_times = dsp.segment_windows(rec, window, hop)
+    windows, labels, end_times = dsp.segment_windows(rec)
     starts = range(0, len(rec.emg) - window + 1, hop)
     assert len(windows) == len(starts)
     for i, start in enumerate(starts):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emgkin import dsp
+from emgkin import dsp, training
 from emgkin.config import PipelineConfig, StageConfig
-from emgkin.errors import ConfigError, UndefinedMetricError
+from emgkin.errors import ConfigError, DataError, UndefinedMetricError
 from emgkin.evaluation import (
     EvaluationReport,
     compare_matrix_modes,
@@ -218,6 +218,31 @@ def quick_session():
 @pytest.fixture(scope="module")
 def quick_reports(quick_config, quick_session):
     return run_evaluation(quick_config, quick_session, baselines=True)
+
+
+def test_pair_at_two_rates_is_refused_up_front(quick_config, monkeypatch):
+    """A 2048/1024 Hz pair is refused by ``partition``, naming both rates:
+    before the KRR baseline could window the 2048 Hz session at the model's
+    1024 Hz geometry, and before ``run_evaluation`` trains anything."""
+    slow = generate(SynthConfig(protocol="P1", duration_s=10.0, seed=4))
+    fast = dataclasses.replace(
+        generate(SynthConfig(protocol="P1", duration_s=10.0, seed=4, fs_emg=2048.0)),
+        session_id="fast",
+    )
+    model = train_hybrid(slow, quick_config).model
+    pair = [fast, slow]
+    rates = r"fast is at 2048 Hz.*s0 is at 1024 Hz"
+    with pytest.raises(DataError, match=rates):
+        partition(pair)
+    with pytest.raises(DataError, match=rates):
+        evaluate_model(model, pair, baselines=True)
+
+    def no_training(*args, **kwargs):
+        pytest.fail("run_evaluation trained before refusing the pair")
+
+    monkeypatch.setattr(training, "train_hybrid", no_training)
+    with pytest.raises(DataError, match=rates):
+        run_evaluation(quick_config, pair)
 
 
 def test_run_evaluation_emits_all_models(quick_reports):

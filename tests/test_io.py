@@ -1,6 +1,7 @@
 """Session CSV layout, binary checkpoints, and report/export writers."""
 
 import json
+import math
 import struct
 import tracemalloc
 import warnings
@@ -28,7 +29,7 @@ from emgkin.io import (
     write_trajectory,
 )
 from emgkin.synth import SynthConfig, generate
-from emgkin.training import predict
+from emgkin.training import predict, train_hybrid
 
 
 # --------------------------------------------------------------------------
@@ -249,9 +250,9 @@ def test_checkpoint_round_trip_bit_identical(saved_model, tiny_session):
         np.testing.assert_array_equal(
             loaded.cnn.state_arrays()[name], arr, err_msg=name
         )
-    for name, arr in model.lstm.state_arrays().items():
+    for name, arr in model.lstm.parameters().items():
         np.testing.assert_array_equal(
-            loaded.lstm.state_arrays()[name], arr, err_msg=name
+            loaded.lstm.parameters()[name], arr, err_msg=name
         )
     assert loaded.k == model.k
     assert loaded.matrix_mode == model.matrix_mode
@@ -297,6 +298,8 @@ BAD_HEADERS = {
     "other-n-outputs": _set("n_outputs", 2),
     "short-input-len": _set("input_len", 8),
     "nan-leaky-slope": _set("leaky_slope", float("nan")),
+    "other-leaky-slope": _set("leaky_slope", 0.2),
+    "other-dropout": _set("dropout", 0.9),
     "empty-norm-stats": _set("norm_stats", {}),
     "short-norm-stats": _set("norm_stats", {"mins": [0.0], "maxs": [1.0]}),
     "text-label-scaler": _set("label_scaler", "x"),
@@ -314,6 +317,58 @@ def test_malformed_header_names_field(saved_model, tmp_path, case):
     with pytest.raises(CorruptCheckpointError) as exc_info:
         load_model(bad)
     assert exc_info.value.field == field
+
+
+def _edit_array(raw: bytes, name: str, edit) -> bytes:
+    """The checkpoint with array ``name`` replaced by edit(array), or left
+    out where that returns None; the header's array list follows."""
+    (header_len,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + header_len])
+    blob = raw[12 + header_len :]
+    entries, parts, offset = [], [], 0
+    for entry in header["arrays"]:
+        count = math.prod(entry["shape"])
+        array = np.frombuffer(blob, "<f4", count, offset).reshape(entry["shape"])
+        offset += 4 * count
+        if entry["name"] == name:
+            array = edit(array)
+            if array is None:
+                continue
+        entries.append({"name": entry["name"], "shape": list(array.shape)})
+        parts.append(np.asarray(array, "<f4").tobytes())
+    encoded = json.dumps({**header, "arrays": entries}).encode("utf-8")
+    return raw[:8] + struct.pack("<I", len(encoded)) + encoded + b"".join(parts)
+
+
+BAD_INITIAL_STATES = {
+    "nonzero-h0": ("lstm.h0", lambda a: a + 0.5),
+    "nonzero-c0": ("lstm.c0", lambda a: a - 0.5),
+    "short-h0": ("lstm.h0", lambda a: a[:-1]),
+    "missing-c0": ("lstm.c0", lambda a: None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INITIAL_STATES))
+def test_lstm_initial_state_must_be_zeros(saved_model, tmp_path, case):
+    """Every sequence starts from zeros, so a stored h0/c0 that is missing,
+    of another length or non-zero cannot be honoured and is refused."""
+    name, edit = BAD_INITIAL_STATES[case]
+    _, path = saved_model
+    bad = tmp_path / "state.ckpt"
+    bad.write_bytes(_edit_array(path.read_bytes(), name, edit))
+    with pytest.raises(CorruptCheckpointError) as exc_info:
+        load_model(bad)
+    assert exc_info.value.field == "arrays"
+
+
+@pytest.mark.parametrize("protocol", ["P1", "P4"])
+def test_resave_is_byte_identical(tiny_config, tmp_path, protocol):
+    """save_model(load_model(p)) writes exactly the bytes of p: the v1 header
+    and the initial state that io writes from the recipe stay frozen."""
+    rec = generate(SynthConfig(protocol=protocol, duration_s=20.0, seed=5))
+    first = save_model(train_hybrid(rec, tiny_config).model, tmp_path / "first.ckpt")
+    again = save_model(load_model(first), tmp_path / "again.ckpt")
+    assert again.read_bytes() == first.read_bytes()
 
 
 def test_oversized_header_fails_before_allocating(saved_model, tmp_path):

@@ -168,7 +168,7 @@ def synthetic_p1_features(seed):
     rec = synth.generate(synth.SynthConfig(protocol="P1", duration_s=20.0, seed=seed))
     filtered = dsp.apply_filter_chain(rec)
     normed = dsp.apply_normalizer(dsp.fit_normalizer(filtered), filtered)
-    windows, labels, _ = dsp.segment_windows(normed, dsp.WINDOW_SAMPLES, dsp.HOP_SAMPLES)
+    windows, labels, _ = dsp.segment_windows(normed)
     feats = features.extract_feature_matrix(windows)
     return features.fit_pca(feats).project(feats), labels
 

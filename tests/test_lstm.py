@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from emgkin import lstm
+from emgkin import lstm, nn
 from emgkin.lstm import (
     LstmParams,
     build_sequences,
@@ -34,9 +34,9 @@ def small_params(seed=0, feature_dim=3, hidden=4, n_outputs=2) -> LstmParams:
 
 def reference_forward(p: LstmParams, seq: np.ndarray) -> np.ndarray:
     """Plain-loop reading of the update equations, kept independent of the
-    vectorized implementation under test."""
-    h = p.h0.copy()
-    c = p.c0.copy()
+    vectorized implementation under test; the state starts at zero."""
+    h = np.zeros(p.hidden)
+    c = np.zeros(p.hidden)
     for f in seq:
         z = np.concatenate([h, f])
         i = sigmoid(p.W_i @ z + p.b_i)
@@ -69,13 +69,16 @@ def test_single_sequence_forward_matches_batch():
 
 
 def test_initial_state_is_zero_and_untouched():
+    """A one-step sequence sees h_0 = c_0 = 0: its output is a closed form of
+    the input alone, and a second pass reproduces it."""
     p = small_params(seed=6)
-    np.testing.assert_array_equal(p.h0, 0.0)
-    np.testing.assert_array_equal(p.c0, 0.0)
-    rng = np.random.default_rng(7)
-    lstm_forward_batch(p, rng.standard_normal((2, 3, 3)))
-    np.testing.assert_array_equal(p.h0, 0.0)
-    np.testing.assert_array_equal(p.c0, 0.0)
+    f = np.random.default_rng(7).standard_normal((2, 1, 3))
+    z = np.concatenate([np.zeros((2, p.hidden)), f[:, 0]], axis=1)
+    c = sigmoid(z @ p.W_i.T + p.b_i) * np.tanh(z @ p.W_c.T + p.b_c)
+    h = sigmoid(z @ p.W_o.T + p.b_o) * np.tanh(c)
+    y, _ = lstm_forward_batch(p, f)
+    np.testing.assert_allclose(y, h @ p.W_y.T + p.b_y, atol=1e-12)
+    np.testing.assert_array_equal(lstm_forward_batch(p, f)[0], y)
 
 
 def test_bptt_matches_finite_differences():
@@ -163,12 +166,12 @@ def test_train_mode_dropout_requires_rng_and_differs_from_eval():
     p = small_params(seed=15)
     seqs = np.random.default_rng(16).standard_normal((8, 4, 3))
     y_eval, _ = lstm_forward_batch(p, seqs)
-    y_train, _ = lstm_forward_batch(
-        p, seqs, mode="train", rng=np.random.default_rng(17), dropout_rate=0.5
-    )
+    y_train, cache = lstm_forward_batch(p, seqs, mode="train", rng=np.random.default_rng(17))
     assert not np.allclose(y_eval, y_train)
+    # inverted dropout at the recipe's rate: kept units scale by 1/(1 - rate)
+    assert set(np.unique(cache.dropout_mask)) == {0.0, 1.0 / (1.0 - nn.DEFAULT_DROPOUT)}
     with pytest.raises(ValueError):
-        lstm_forward_batch(p, seqs, mode="train", rng=None, dropout_rate=0.5)
+        lstm_forward_batch(p, seqs, mode="train", rng=None)
 
 
 def test_build_sequences_counts_and_alignment():

@@ -186,21 +186,24 @@ def test_mse_loss_value_and_gradient():
 def test_full_model_parameter_gradients_sampled():
     """End-to-end backprop through the whole stack vs finite differences.
 
-    Dropout is disabled so the train-mode forward is deterministic; 20
+    Every forward first restores the model's generator, so each pass draws
+    the same dropout masks and the train-mode forward is deterministic; 20
     randomly chosen entries of every parameter tensor are checked.
     """
-    model = nn.CnnModel(
-        input_len=12, in_channels=3, n_outputs=2, seed=3, dropout_rate=0.0,
-        dtype=np.float64,
-    )
+    model = nn.CnnModel(input_len=12, in_channels=3, n_outputs=2, seed=3, dtype=np.float64)
     rng = np.random.default_rng(18)
     x = rng.standard_normal((4, 12, 3))
     target = rng.standard_normal((4, 2))
+    dropout_state = model.rng.bit_generator.state
+
+    def train_forward() -> np.ndarray:
+        model.rng.bit_generator.state = dropout_state
+        return model.forward(x, "train")
 
     def loss_fn() -> float:
-        return nn.mse_loss(model.forward(x, "train"), target)[0]
+        return nn.mse_loss(train_forward(), target)[0]
 
-    pred = model.forward(x, "train")
+    pred = train_forward()
     _, dpred = nn.mse_loss(pred, target)
     model.backward(dpred)
     grads = model.gradients()
@@ -227,10 +230,7 @@ def test_full_model_parameter_gradients_sampled():
 
 
 def test_full_model_gradients_all_finite_and_live():
-    model = nn.CnnModel(
-        input_len=10, in_channels=2, n_outputs=1, seed=4, dropout_rate=0.0,
-        dtype=np.float64,
-    )
+    model = nn.CnnModel(input_len=10, in_channels=2, n_outputs=1, seed=4, dtype=np.float64)
     rng = np.random.default_rng(19)
     x = rng.standard_normal((2, 10, 2))
     target = rng.standard_normal((2, 1))
