@@ -13,7 +13,7 @@ at raw-sample boundaries floor(i*T/4) — folds 1-3 train, fold 4 tests — and
 each partition is filtered/segmented independently so no window straddles
 the boundary and no test sample leaks into preprocessing statistics. A pair
 of sessions is scored inter-session: train on the whole first, test on the
-whole second, and the two must share one EMG rate.
+whole second, and the two must share one protocol and one EMG rate.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def partition(
 
     One recording (or a sequence of one) is quartered by ``split_session``;
     a pair trains on the whole first session and tests on the whole second.
-    A pair recorded at two EMG rates raises DataError.
+    A pair of two protocols or two EMG rates raises DataError.
     """
     sessions = [data] if isinstance(data, SemgRecording) else list(data)
     if len(sessions) == 1:
@@ -65,6 +65,12 @@ def partition(
         return train, test, f"intra:{train.session_id}:folds123/fold4"
     if len(sessions) == 2:
         train, test = sessions
+        if train.protocol != test.protocol:
+            raise DataError(
+                f"session {train.session_id} is protocol {train.protocol} but "
+                f"{test.session_id} is protocol {test.protocol}; an inter-session "
+                "pair must share one protocol"
+            )
         if train.fs_emg != test.fs_emg:
             raise DataError(
                 f"session {train.session_id} is at {train.fs_emg:g} Hz but "
@@ -246,7 +252,7 @@ def _krr_report(
     y_pred = krr.predict(fitted, x_test)
     traj = PredictionTrajectory(
         timestamps=test_times,
-        predictions=np.atleast_2d(y_pred),
+        predictions=y_pred,
         truths=y_test,
         dof_names=list(train_raw.dof_names),
     )

@@ -2,7 +2,10 @@
 
 These feed the classical-ML baseline and the 2-D feature scatter export.
 All statistics are population statistics, so rms^2 == var + mean^2 holds
-exactly per channel.
+exactly per channel. ``extract_feature_matrix`` works on all windows at
+once, with one Levinson-Durbin recursion batched over every (window,
+channel) row; a row whose recursion is singular (a constant or silent
+channel) gets zero AR coefficients, and no flag records it.
 
 ``AR_ORDER`` = 4 gives each channel ``FEATURES_PER_CHANNEL`` = 3 + 4 = 7
 values. ``PCA_COMPONENTS`` = 20 matches the CNN's deep feature
@@ -26,68 +29,61 @@ PCA_COMPONENTS = 20
 _DEGENERATE_TOL = 1e-12
 
 
-@dataclass
-class HandcraftedVector:
-    """Per-channel [mav, rms, var, a1..a4] concatenated over channels."""
-
-    values: np.ndarray  # [7 * N]
-    degenerate: np.ndarray  # [N] bool, True where the AR solve was singular
-
-
-def _levinson_durbin(r: np.ndarray, order: int) -> tuple[np.ndarray, bool]:
-    """Solve the Yule-Walker system for AR coefficients.
-
-    Convention: x_t = sum_i a_i x_{t-i} + e_t, so the returned coefficients
-    carry a plus sign. Returns (coeffs, degenerate); a singular recursion
-    (zero prediction error, e.g. constant input) yields zeros and True.
-    """
-    a = np.zeros(order)
-    err = r[0]
-    if err <= _DEGENERATE_TOL:
-        return a, True
-    for i in range(1, order + 1):
-        acc = r[i] - np.dot(a[: i - 1], r[i - 1 : 0 : -1])
-        if err <= _DEGENERATE_TOL:
-            return np.zeros(order), True
-        k = acc / err
-        a_new = a.copy()
-        a_new[i - 1] = k
-        a_new[: i - 1] = a[: i - 1] - k * a[i - 2 :: -1][: i - 1]
-        a = a_new
-        err *= 1.0 - k * k
-    return a, False
-
-
-def _biased_autocovariance(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """Biased (divide-by-T) autocovariance of the mean-removed signal."""
-    x = x - x.mean()
-    n = len(x)
-    return np.array([np.dot(x[: n - k], x[k:]) / n for k in range(max_lag + 1)])
-
-
-def extract_features(window: np.ndarray) -> HandcraftedVector:
-    """Compute the hand-crafted vector for one [window_samples x N] window."""
-    window = np.asarray(window, dtype=np.float64)
-    n_channels = window.shape[1]
-    out = np.empty(n_channels * FEATURES_PER_CHANNEL)
-    degenerate = np.zeros(n_channels, dtype=bool)
-    for ch in range(n_channels):
-        x = window[:, ch]
-        mav = np.mean(np.abs(x))
-        var = np.var(x)
-        rms = np.sqrt(np.mean(x * x))
-        r = _biased_autocovariance(x, AR_ORDER)
-        ar, bad = _levinson_durbin(r, AR_ORDER)
-        degenerate[ch] = bad
-        base = ch * FEATURES_PER_CHANNEL
-        out[base : base + 3] = (mav, rms, var)
-        out[base + 3 : base + 3 + AR_ORDER] = ar
-    return HandcraftedVector(values=out, degenerate=degenerate)
-
-
 def extract_feature_matrix(windows: np.ndarray) -> np.ndarray:
-    """Hand-crafted vectors of windows [M x window x N], stacked into [M x 7N]."""
-    return np.stack([extract_features(w).values for w in windows])
+    """Hand-crafted vectors of windows [M x W x N] as one [M x 7N] matrix.
+
+    Every (window, channel) pair is one row of W samples; the statistics are
+    reductions along that axis, the biased autocovariance at lags
+    0..AR_ORDER is one dot product per lag over all rows, and one
+    Levinson-Durbin recursion runs on all rows at once. A row whose
+    prediction error reaches ``_DEGENERATE_TOL`` (a constant or silent
+    channel) gets zero AR coefficients.
+    """
+    windows = np.asarray(windows)
+    m, w, n = windows.shape
+    rows = np.array(windows.transpose(0, 2, 1), np.float64, order="C").reshape(m * n, w)
+    mav = np.mean(np.abs(rows), axis=1)
+    rms = np.sqrt(np.mean(rows * rows, axis=1))
+    rows -= rows.mean(axis=1, keepdims=True)
+    var = np.mean(rows * rows, axis=1)
+    r = np.stack(
+        [np.vecdot(rows[:, : w - k], rows[:, k:]) / w for k in range(AR_ORDER + 1)],
+        axis=1,
+    )
+    values = np.column_stack([mav, rms, var, _batched_levinson_durbin(r)])
+    return values.reshape(m, n * FEATURES_PER_CHANNEL)
+
+
+def extract_features(window: np.ndarray) -> np.ndarray:
+    """The [7N] hand-crafted vector of one [W x N] window."""
+    return extract_feature_matrix(np.asarray(window)[np.newaxis])[0]
+
+
+def _batched_levinson_durbin(r: np.ndarray) -> np.ndarray:
+    """AR coefficients [R x AR_ORDER] from autocovariances [R x (AR_ORDER + 1)].
+
+    Solves each row's Yule-Walker system with the convention
+    x_t = sum_i a_i x_{t-i} + e_t, so the coefficients carry a plus sign.
+    A row stays live until its prediction error reaches ``_DEGENERATE_TOL``
+    (a NaN error stays live and propagates); a row that reaches it at any
+    order gets all-zero coefficients.
+    """
+    a = np.zeros((r.shape[0], AR_ORDER))
+    err = r[:, 0].copy()
+    live = np.ones(r.shape[0], dtype=bool)
+    # Reversed lags in a contiguous copy: each step's r[i-1], ..., r[1] is a
+    # unit-stride slice, so np.vecdot runs BLAS ddot on every row.
+    r_rev = np.ascontiguousarray(r[:, ::-1])
+    for i in range(1, AR_ORDER + 1):
+        live &= ~(err <= _DEGENERATE_TOL)
+        prev = a[:, : i - 1]
+        acc = r[:, i] - np.vecdot(prev, r_rev[:, AR_ORDER - i + 1 : AR_ORDER])
+        k = np.divide(acc, err, out=np.zeros_like(acc), where=live)
+        a[:, : i - 1] = prev - k[:, None] * prev[:, ::-1]
+        a[:, i - 1] = k
+        err *= 1.0 - k * k
+    a[~live] = 0.0
+    return a
 
 
 @dataclass

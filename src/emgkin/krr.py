@@ -3,8 +3,10 @@
 Operates on the PCA-projected handcrafted feature vectors (20-dim). The
 dual problem (K + lambda I) alpha = Y is solved densely in float64; targets
 are centered so the model predicts the mean far away from all support
-points. Hyperparameters come from 5-fold inner cross-validation on fixed
-log grids.
+points. ``fit`` takes samples [M x F] and targets [M x D], ``predict``
+queries [Q x F]. ``tune`` picks (gamma, lambda) by ``INNER_FOLDS`` = 5-fold
+contiguous inner cross-validation over the fixed log grids ``GAMMA_GRID``
+(1e-3 to 10) and ``LAMBDA_GRID`` (1e-6 to 1), five points each.
 
 ``fit`` solves the system by LU. Cross-validation in ``tune`` builds one
 kernel over all samples per gamma, slices each fold's train and test blocks
@@ -74,9 +76,7 @@ def _lu_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def fit(x: np.ndarray, y: np.ndarray, gamma: float, ridge: float) -> KrrModel:
     """Solve (K + ridge*I) alpha = Y - mean(Y) over the training set."""
     x = np.asarray(x, dtype=np.float64)
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    if y.shape[0] == 1 and x.shape[0] != 1:
-        y = y.T
+    y = np.asarray(y, dtype=np.float64)
     if x.shape[0] < 2:
         raise InsufficientDataError(f"KRR needs at least 2 samples, got {x.shape[0]}")
     if gamma <= 0:
@@ -93,13 +93,8 @@ def fit(x: np.ndarray, y: np.ndarray, gamma: float, ridge: float) -> KrrModel:
 
 
 def predict(model: KrrModel, x: np.ndarray) -> np.ndarray:
-    """mean + sum_i alpha_i k(x_i, x); accepts [F] or [Q x F]."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[np.newaxis]
-    out = model.target_mean + rbf_kernel(x, model.support, model.gamma) @ model.coefficients
-    return out[0] if single else out
+    """mean + sum_i alpha_i k(x_i, x) for queries [Q x F]; returns [Q x D]."""
+    return model.target_mean + rbf_kernel(x, model.support, model.gamma) @ model.coefficients
 
 
 def _fold_slices(n: int, folds: int) -> list[slice]:
@@ -115,32 +110,22 @@ def _mean_r2(truth: np.ndarray, pred: np.ndarray) -> float:
     return float(np.mean(1.0 - np.var(truth - pred, axis=0) / var))
 
 
-def tune(
-    x: np.ndarray,
-    y: np.ndarray,
-    gamma_grid: tuple[float, ...] = GAMMA_GRID,
-    lambda_grid: tuple[float, ...] = LAMBDA_GRID,
-    folds: int = INNER_FOLDS,
-) -> tuple[float, float]:
-    """Pick (gamma, ridge) maximizing mean inner-CV R^2 on contiguous folds.
+def tune(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Pick (gamma, ridge) from ``GAMMA_GRID`` x ``LAMBDA_GRID`` maximizing
+    mean R^2 over ``INNER_FOLDS`` contiguous inner-CV folds.
 
     Ties resolve to the smaller gamma, then the larger ridge (the smoother,
     more regularized model).
     """
     x = np.asarray(x, dtype=np.float64)
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    if y.shape[0] == 1 and x.shape[0] != 1:
-        y = y.T
-    if x.shape[0] < 2 * folds:
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape[0] < 2 * INNER_FOLDS:
         raise InsufficientDataError(
-            f"tuning needs >= {2 * folds} samples for {folds}-fold CV, got {x.shape[0]}"
+            f"tuning needs >= {2 * INNER_FOLDS} samples for {INNER_FOLDS}-fold CV, "
+            f"got {x.shape[0]}"
         )
-    if min(gamma_grid) <= 0:
-        raise SolverError(f"gamma must be > 0, got {min(gamma_grid)}")
-    if min(lambda_grid) < 0:
-        raise SolverError(f"ridge must be >= 0, got {min(lambda_grid)}")
     splits = []
-    for fold in _fold_slices(x.shape[0], folds):
+    for fold in _fold_slices(x.shape[0], INNER_FOLDS):
         mask = np.ones(x.shape[0], dtype=bool)
         mask[fold] = False
         y_train = y[mask]
@@ -148,14 +133,14 @@ def tune(
         splits.append((fold, np.ix_(mask, mask), mask, y_train - mean, mean))
     sq = _sq_distances(x, x)
     best = None
-    for gamma in gamma_grid:
+    for gamma in GAMMA_GRID:
         kernel = np.exp(-gamma * sq)
-        scores_by_ridge = [[] for _ in lambda_grid]
+        scores_by_ridge = [[] for _ in LAMBDA_GRID]
         for fold, train_block, mask, centered, mean in splits:
             k_train = kernel[train_block]
             k_test = kernel[fold][:, mask]
             eye = np.eye(k_train.shape[0])
-            for scores, ridge in zip(scores_by_ridge, lambda_grid):
+            for scores, ridge in zip(scores_by_ridge, LAMBDA_GRID):
                 system = k_train + ridge * eye
                 try:
                     factor = scipy.linalg.cho_factor(system, check_finite=False)
@@ -163,7 +148,7 @@ def tune(
                 except np.linalg.LinAlgError:
                     coef = _lu_solve(system, centered)
                 scores.append(_mean_r2(y[fold], mean + k_test @ coef))
-        for ridge, scores in zip(lambda_grid, scores_by_ridge):
+        for ridge, scores in zip(LAMBDA_GRID, scores_by_ridge):
             score = float(np.mean(scores))
             # Grid order already visits smaller gamma first and larger ridge
             # last, so strict improvement keeps the tie-break rule: accept

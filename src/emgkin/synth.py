@@ -1,29 +1,36 @@
 """Deterministic synthetic sEMG/angle session generator.
 
 Stands in for the private human-subject recordings. Wrist angles follow
-sinusoidal contractions (default 0.1 Hz, one cycle per 10 s); each sEMG
-channel is amplitude-modulated band-limited noise:
+sinusoidal contractions at ``CONTRACTION_HZ`` = 0.1 Hz (one cycle per 10 s)
+with per-DoF amplitudes ``DEFAULT_AMPLITUDE_DEG``, sampled at
+``dsp.DEFAULT_FS_ANG`` = 100 Hz; each sEMG channel is amplitude-modulated
+band-limited noise:
 
     emg_n(t) = [ sum_d G[n,d] * act_{n,d}(t) ] * w_n(t) + mains + noise
 
-where act is the rectified angle envelope |theta_d|/A_d split into
-agonist/antagonist half-waves (three flexor channels per DoF take the
-positive half, the opposite three the negative half) and w_n is seeded
-20-450 Hz band-limited noise with unit RMS. A 50 Hz mains line at -20 dB
-exercises the notch filter, and broadband noise sets the overall SNR.
+where G is ``default_gain(protocol)``, act is the rectified angle envelope
+|theta_d|/A_d split into agonist/antagonist half-waves (three flexor
+channels per DoF take the positive half, the opposite three the negative
+half) and w_n is seeded 20-450 Hz band-limited noise with unit RMS. A
+50 Hz mains line at -20 dB exercises the notch filter, and broadband noise
+sets the overall SNR.
 
 The crosstalk level mixes each channel's opposite half-wave back in:
 act = assigned + crosstalk * opposite. At 0 channels are silent for half of
 every cycle (hard antagonist split); at 1 both halves contribute equally and
-directional information vanishes. The default 0.65 keeps the smoothed
-rectified channel strongly correlated with the full envelope while leaving
-the flexor/extexor asymmetry (and thus the angle sign) recoverable.
+directional information vanishes. ``DEFAULT_CROSSTALK`` = 0.65 keeps the
+smoothed rectified channel strongly correlated with the full envelope while
+leaving the flexor/extexor asymmetry (and thus the angle sign) recoverable.
+
+``SynthConfig`` holds only what callers vary: protocol, duration, SNR,
+seed, session id and EMG rate. Session B of ``generate_session_pair``
+multiplies G by a seeded jitter within +-``GAIN_JITTER``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
@@ -40,6 +47,7 @@ from .dsp import (
 )
 from .errors import ConfigError
 
+CONTRACTION_HZ = 0.1
 DEFAULT_AMPLITUDE_DEG = {"fe": 40.0, "ps": 30.0, "ru": 25.0}
 # Per-DoF drive strength; pronation-supination weakest so it degrades first.
 DOF_BASE_GAIN = {"fe": 1.0, "ps": 0.5, "ru": 0.8}
@@ -79,15 +87,10 @@ def _is_flexor(channel: int, dof_name: str) -> bool:
 class SynthConfig:
     protocol: str = "P1"
     duration_s: float = 180.0
-    contraction_hz: float = 0.1
-    amplitude_deg: dict[str, float] = field(default_factory=dict)
-    gain: np.ndarray | None = None  # [N x D], defaults via default_gain()
-    crosstalk: float = DEFAULT_CROSSTALK
     snr_db: float = 20.0
     seed: int = 0
     session_id: str = "s0"
     fs_emg: float = DEFAULT_FS_EMG
-    fs_ang: float = DEFAULT_FS_ANG
 
     def __post_init__(self):
         if self.protocol not in PROTOCOL_DOFS:
@@ -95,34 +98,8 @@ class SynthConfig:
                 f"unknown protocol {self.protocol!r}; expected one of "
                 f"{sorted(PROTOCOL_DOFS)}"
             )
-        if not 0.0 < self.contraction_hz < 1.0:
-            raise ConfigError(
-                f"contraction_hz must lie in (0, 1), got {self.contraction_hz}"
-            )
         if self.duration_s <= 0:
             raise ConfigError(f"duration_s must be positive, got {self.duration_s}")
-        if not 0.0 <= self.crosstalk <= 1.0:
-            raise ConfigError(f"crosstalk must lie in [0, 1], got {self.crosstalk}")
-        dofs = PROTOCOL_DOFS[self.protocol]
-        merged = dict(DEFAULT_AMPLITUDE_DEG)
-        merged.update(self.amplitude_deg)
-        unknown = set(self.amplitude_deg) - set(DEFAULT_AMPLITUDE_DEG)
-        if unknown:
-            raise ConfigError(f"amplitude_deg for unknown DoFs: {sorted(unknown)}")
-        self.amplitude_deg = {name: float(merged[name]) for name in dofs}
-        if any(a <= 0 for a in self.amplitude_deg.values()):
-            raise ConfigError("amplitude_deg entries must be positive")
-        if self.gain is None:
-            self.gain = default_gain(self.protocol)
-        else:
-            self.gain = np.asarray(self.gain, dtype=float)
-        if self.gain.shape != (N_CHANNELS, len(dofs)):
-            raise ConfigError(
-                f"gain must have shape ({N_CHANNELS}, {len(dofs)}) for "
-                f"{self.protocol}, got {self.gain.shape}"
-            )
-        if np.any(self.gain < 0):
-            raise ConfigError("gain entries must be >= 0")
 
     @property
     def dof_names(self) -> list[str]:
@@ -138,8 +115,8 @@ def _angles_at(config: SynthConfig, t: np.ndarray) -> np.ndarray:
     """theta_d(t) = A_d sin(2 pi f t + phi_d), one column per active DoF."""
     phases = config.phases()
     cols = [
-        config.amplitude_deg[name]
-        * np.sin(2.0 * np.pi * config.contraction_hz * t + phases[name])
+        DEFAULT_AMPLITUDE_DEG[name]
+        * np.sin(2.0 * np.pi * CONTRACTION_HZ * t + phases[name])
         for name in config.dof_names
     ]
     return np.stack(cols, axis=1)
@@ -158,39 +135,44 @@ def _band_limited_noise(
     return carrier / rms
 
 
-def _channel_activations(config: SynthConfig, t: np.ndarray) -> np.ndarray:
+def _channel_activations(
+    config: SynthConfig, gain: np.ndarray, t: np.ndarray
+) -> np.ndarray:
     """[T x N] noise-free drive: gain-weighted half-wave envelopes + crosstalk."""
     angles = _angles_at(config, t)
     drive = np.zeros((t.shape[0], N_CHANNELS))
     for d, name in enumerate(config.dof_names):
-        env = angles[:, d] / config.amplitude_deg[name]
+        env = angles[:, d] / DEFAULT_AMPLITUDE_DEG[name]
         pos = np.maximum(env, 0.0)
         neg = np.maximum(-env, 0.0)
         for n in range(N_CHANNELS):
             assigned, opposite = (pos, neg) if _is_flexor(n, name) else (neg, pos)
-            drive[:, n] += config.gain[n, d] * (
-                assigned + config.crosstalk * opposite
-            )
+            drive[:, n] += gain[n, d] * (assigned + DEFAULT_CROSSTALK * opposite)
     return drive
 
 
 def generate(config: SynthConfig) -> SemgRecording:
     """Produce one seeded session; bit-identical for identical configs."""
+    return _generate(config, default_gain(config.protocol))
+
+
+def _generate(config: SynthConfig, gain: np.ndarray) -> SemgRecording:
+    """One seeded session with the [N x D] channel ``gain``."""
     rng = np.random.default_rng(config.seed)
     n_emg = int(round(config.duration_s * config.fs_emg))
-    n_ang = int(round(config.duration_s * config.fs_ang))
+    n_ang = int(round(config.duration_s * DEFAULT_FS_ANG))
     t_emg = np.arange(n_emg) / config.fs_emg
-    t_ang = np.arange(n_ang) / config.fs_ang
+    t_ang = np.arange(n_ang) / DEFAULT_FS_ANG
 
-    drive = _channel_activations(config, t_emg)
+    drive = _channel_activations(config, gain, t_emg)
     carrier = _band_limited_noise(rng, n_emg, N_CHANNELS, config.fs_emg)
     emg = drive * carrier
 
     signal_rms = np.sqrt(np.mean(emg**2, axis=0))
     if np.any(signal_rms <= 0):
         raise ConfigError(
-            "degenerate config: at least one channel carries no signal "
-            "(check the gain matrix)"
+            "degenerate config: at least one channel carries no signal in "
+            f"{config.duration_s:g} s"
         )
     mains_rms = signal_rms * 10.0 ** (MAINS_DB / 20.0)
     mains = np.sqrt(2.0) * np.sin(2.0 * np.pi * NOTCH_HZ * t_emg)
@@ -206,7 +188,7 @@ def generate(config: SynthConfig) -> SemgRecording:
         protocol=config.protocol,
         session_id=config.session_id,
         fs_emg=config.fs_emg,
-        fs_ang=config.fs_ang,
+        fs_ang=DEFAULT_FS_ANG,
     )
 
 
@@ -218,13 +200,13 @@ def generate_session_pair(
     B's gain matrix gets multiplicative jitter in [1-20%, 1+20%] emulating
     electrode shift between days; its noise streams use an independent seed.
     """
-    session_a = generate(config)
+    gain = default_gain(config.protocol)
+    session_a = _generate(config, gain)
     jitter_rng = np.random.default_rng(config.seed + SESSION_SEED_OFFSET)
-    jitter = 1.0 + GAIN_JITTER * jitter_rng.uniform(-1.0, 1.0, config.gain.shape)
+    jitter = 1.0 + GAIN_JITTER * jitter_rng.uniform(-1.0, 1.0, gain.shape)
     config_b = dataclasses.replace(
         config,
-        gain=config.gain * jitter,
         seed=config.seed + SESSION_SEED_OFFSET,
         session_id=f"{config.session_id}_b",
     )
-    return session_a, generate(config_b)
+    return session_a, _generate(config_b, gain * jitter)

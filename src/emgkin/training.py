@@ -290,9 +290,15 @@ def _prepare_windows(
     """Apply the model's stored preprocessing to a raw recording.
 
     Returns (x [M x L x N], labels [M x D] in degrees, end_times [M]).
-    Raises DataError if the recording's rate gives other window and hop
-    lengths than the model's.
+    Raises DataError if the recording's protocol has other DoFs than the
+    model's, or its rate gives other window and hop lengths.
     """
+    if rec.dof_names != model.dof_names:
+        raise DataError(
+            f"recording {rec.session_id} is protocol {rec.protocol} (DoFs "
+            f"{', '.join(rec.dof_names)}), but the model was trained on DoFs "
+            f"{', '.join(model.dof_names)}"
+        )
     geometry = dsp.window_geometry(rec.fs_emg)
     if geometry != (model.window_samples, model.hop_samples):
         raise DataError(

@@ -235,6 +235,23 @@ def test_eval_refuses_session_at_other_rate(trained, tmp_path):
     assert not (tmp_path / "fast.trajectory.csv").exists()
 
 
+def test_eval_refuses_session_of_other_protocol(trained, tmp_path):
+    """The checkpoint predicts fe; a P2 session (ps) is refused before any
+    report is written."""
+    out, _ = trained
+    other = tmp_path / "p2"
+    save_session(generate(SynthConfig(protocol="P2", duration_s=20.0, seed=5)), other)
+    report_path = tmp_path / "p2.json"
+    result = _invoke(
+        ["eval", "--model", str(out), "--data", str(other),
+         "--report", str(report_path), "--baselines"]
+    )
+    assert result.exit_code == 2
+    assert "protocol P2" in _all_output(result)
+    assert not report_path.exists()
+    assert not (tmp_path / "p2.trajectory.csv").exists()
+
+
 @pytest.mark.parametrize(
     "error, code",
     [

@@ -220,7 +220,43 @@ def quick_reports(quick_config, quick_session):
     return run_evaluation(quick_config, quick_session, baselines=True)
 
 
-def test_pair_at_two_rates_is_refused_up_front(quick_config, monkeypatch):
+@pytest.fixture(scope="module")
+def p1_model(quick_config):
+    """A 1-epoch P1 model trained on a 10 s, 1024 Hz session."""
+    return train_hybrid(
+        generate(SynthConfig(protocol="P1", duration_s=10.0, seed=4)), quick_config
+    ).model
+
+
+def test_pair_of_two_protocols_is_refused_up_front(quick_config, monkeypatch):
+    """A P1/P2 pair is refused by ``partition``, naming both protocols,
+    before ``run_evaluation`` trains anything."""
+    p1 = generate(SynthConfig(protocol="P1", duration_s=10.0, seed=4))
+    p2 = dataclasses.replace(
+        generate(SynthConfig(protocol="P2", duration_s=10.0, seed=4)), session_id="p2"
+    )
+    protocols = r"s0 is protocol P1.*p2 is protocol P2"
+    with pytest.raises(DataError, match=protocols):
+        partition([p1, p2])
+
+    def no_training(*args, **kwargs):
+        pytest.fail("run_evaluation trained before refusing the pair")
+
+    monkeypatch.setattr(training, "train_hybrid", no_training)
+    with pytest.raises(DataError, match=protocols):
+        run_evaluation(quick_config, [p1, p2])
+
+
+@pytest.mark.parametrize("protocol", ["P2", "P4"])
+def test_model_refuses_session_of_another_protocol(p1_model, protocol):
+    """A P1 model neither scores its fe head against P2's ps angles nor runs
+    a P4 session's whole inference before failing on the DoF count."""
+    rec = generate(SynthConfig(protocol=protocol, duration_s=20.0, seed=5))
+    with pytest.raises(DataError, match=f"protocol {protocol}.*trained on DoFs fe"):
+        evaluate_model(p1_model, rec, baselines=True)
+
+
+def test_pair_at_two_rates_is_refused_up_front(quick_config, p1_model, monkeypatch):
     """A 2048/1024 Hz pair is refused by ``partition``, naming both rates:
     before the KRR baseline could window the 2048 Hz session at the model's
     1024 Hz geometry, and before ``run_evaluation`` trains anything."""
@@ -229,13 +265,12 @@ def test_pair_at_two_rates_is_refused_up_front(quick_config, monkeypatch):
         generate(SynthConfig(protocol="P1", duration_s=10.0, seed=4, fs_emg=2048.0)),
         session_id="fast",
     )
-    model = train_hybrid(slow, quick_config).model
     pair = [fast, slow]
     rates = r"fast is at 2048 Hz.*s0 is at 1024 Hz"
     with pytest.raises(DataError, match=rates):
         partition(pair)
     with pytest.raises(DataError, match=rates):
-        evaluate_model(model, pair, baselines=True)
+        evaluate_model(p1_model, pair, baselines=True)
 
     def no_training(*args, **kwargs):
         pytest.fail("run_evaluation trained before refusing the pair")

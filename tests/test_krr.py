@@ -79,21 +79,6 @@ def test_training_permutation_invariance():
     np.testing.assert_allclose(a, b, atol=1e-8)
 
 
-def test_one_dim_targets_accepted():
-    x, y = toy_data(10, seed=10)
-    model = krr.fit(x, y[:, 0], gamma=0.5, ridge=1e-3)
-    pred = krr.predict(model, x)
-    assert pred.shape == (10, 1)
-
-
-def test_single_query_vector():
-    x, y = toy_data(10, seed=11)
-    model = krr.fit(x, y, gamma=0.5, ridge=1e-3)
-    single = krr.predict(model, x[0])
-    batch = krr.predict(model, x[:1])
-    np.testing.assert_allclose(single, batch[0], atol=1e-12)
-
-
 def test_fit_validation():
     x, y = toy_data(10)
     with pytest.raises(InsufficientDataError):
@@ -142,12 +127,12 @@ def test_tune_recovers_signal_on_learnable_data():
     assert 1.0 - ss_res / np.var(y) > 0.8
 
 
-def reference_tune(x, y, gamma_grid=krr.GAMMA_GRID, lambda_grid=krr.LAMBDA_GRID):
+def reference_tune(x, y):
     """The fit/predict loop tune replaced: one LU fit per (gamma, ridge, fold)."""
     slices = krr._fold_slices(x.shape[0], krr.INNER_FOLDS)
     best = None
-    for gamma in gamma_grid:
-        for ridge in lambda_grid:
+    for gamma in krr.GAMMA_GRID:
+        for ridge in krr.LAMBDA_GRID:
             scores = []
             for fold in slices:
                 mask = np.ones(x.shape[0], dtype=bool)
@@ -203,16 +188,19 @@ def test_tune_falls_back_to_lu_when_cholesky_fails(monkeypatch):
         lu_calls.append(a.shape)
         return solve(a, b)
 
+    monkeypatch.setattr(krr, "GAMMA_GRID", (0.1,))
+    monkeypatch.setattr(krr, "LAMBDA_GRID", (0.0, 1e-2))
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    chosen = krr.tune(x, y, gamma_grid=(0.1,), lambda_grid=(0.0, 1e-2))
+    chosen = krr.tune(x, y)
     assert lu_calls, "no system fell back to LU"
-    assert chosen == reference_tune(x, y, gamma_grid=(0.1,), lambda_grid=(0.0, 1e-2))
+    assert chosen == reference_tune(x, y)
 
 
-def test_tune_singular_system_raises_solver_error():
+def test_tune_singular_system_raises_solver_error(monkeypatch):
     rng = np.random.default_rng(27)
     x = rng.standard_normal((20, 3))
     y = rng.standard_normal((20, 1))
     x[12] = x[3]  # exactly singular kernel at ridge 0, for Cholesky and LU
+    monkeypatch.setattr(krr, "LAMBDA_GRID", (0.0,))
     with pytest.raises(SolverError, match="ridge"):
-        krr.tune(x, y, lambda_grid=(0.0,))
+        krr.tune(x, y)
