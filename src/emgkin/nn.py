@@ -22,6 +22,16 @@ build one layer on its own. Batch norm's ``BN_MOMENTUM`` = 0.1 (running-stat
 update weight) and ``BN_EPS`` = 1e-5 (variance guard) are the customary
 values; the paper gives neither.
 
+Eval mode runs the four conv blocks and the flatten over ``EVAL_CHUNK`` =
+256 windows at a time, into one [M x flat_dim] buffer, so the im2col buffers
+grow with the chunk, not with the recording. Every row of the conv GEMMs
+kept its bytes at chunk sizes from 1 to 512 (OpenBLAS 0.3.31), and the
+tests compare the chunked output with one whole-batch pass byte for byte.
+The FC blocks then run once over the whole buffer, because fc2's
+[M x 100] @ [100 x 20] product changed bytes with M at every M tried from 1
+to 390, so chunking it would change the outputs. Train mode runs every
+layer over the whole batch, as batch norm's batch statistics need.
+
 Dtypes in training: parameters, caches and optimizer state are float32, but
 the backward passes of this CNN and of the LSTM run in float64. The targets
 are float64 (``training.LabelScaler`` returns them so), ``mse_loss``
@@ -45,6 +55,7 @@ DEFAULT_LEAKY_SLOPE = 0.1
 DEFAULT_DROPOUT = 0.3
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
+EVAL_CHUNK = 256
 
 Mode = Literal["train", "eval"]
 
@@ -91,13 +102,19 @@ class Conv1d:
         out += self.b
         return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def param_backward(self, dout: np.ndarray) -> None:
+        """Set ``dW`` and ``db`` only: the backward pass of a layer whose
+        input needs no gradient, such as the network's first layer."""
         cols = _train_cache(self._cols)
-        batch, length, _ = dout.shape
         out_ch, in_ch, _ = self.W.shape
         d_wmat = cols.reshape(-1, in_ch * 3).T @ dout.reshape(-1, out_ch)
         self.dW = d_wmat.reshape(in_ch, 3, out_ch).transpose(2, 0, 1)
         self.db = dout.sum(axis=(0, 1))
+
+    def backward(self, dout: np.ndarray) -> np.ndarray:
+        self.param_backward(dout)
+        batch, length, _ = dout.shape
+        out_ch, in_ch, _ = self.W.shape
         w_mat = self.W.transpose(1, 2, 0).reshape(in_ch * 3, out_ch)
         dcols = (dout @ w_mat.T).reshape(batch, length, in_ch, 3)
         dpadded = np.zeros((batch, length + 2, in_ch), dtype=dout.dtype)
@@ -332,6 +349,7 @@ class CnnModel:
             raise DimensionError(f"input length {input_len} leaves nothing after the pools")
         self.flat_dim = length * prev_ch
         self._feature_layers.append(("flatten", Flatten()))
+        self._n_trunk = len(self._feature_layers)
         prev = self.flat_dim
         for i, width in enumerate(FC_SIZES, start=1):
             self._feature_layers += [
@@ -358,10 +376,20 @@ class CnnModel:
             )
 
     def _features(self, x: np.ndarray, mode: Mode) -> np.ndarray:
-        out = x
-        for _, layer in self._feature_layers:
-            out = layer.forward(out, mode)
-        return out
+        if mode == "train":
+            return self._run(self._feature_layers, x, mode)
+        trunk = self._feature_layers[: self._n_trunk]
+        flat = np.empty((len(x), self.flat_dim), dtype=np.result_type(x, self.dtype))
+        for start in range(0, len(x), EVAL_CHUNK):
+            stop = start + EVAL_CHUNK
+            flat[start:stop] = self._run(trunk, x[start:stop], mode)
+        return self._run(self._feature_layers[self._n_trunk :], flat, mode)
+
+    @staticmethod
+    def _run(layers, x: np.ndarray, mode: Mode) -> np.ndarray:
+        for _, layer in layers:
+            x = layer.forward(x, mode)
+        return x
 
     def forward(self, x: np.ndarray, mode: Mode = "eval") -> np.ndarray:
         self._check_input(x)
@@ -373,10 +401,16 @@ class CnnModel:
         return self._features(x, "eval")
 
     def backward(self, dpred: np.ndarray) -> None:
-        """Backpropagate a gradient on predictions through every layer."""
+        """Backpropagate a gradient on predictions through every layer.
+
+        conv1 computes its parameter gradients only: nothing reads the
+        gradient of the network input.
+        """
         grad = self.head.backward(dpred)
-        for _, layer in reversed(self._feature_layers):
+        (_, conv1), *rest = self._feature_layers
+        for _, layer in reversed(rest):
             grad = layer.backward(grad)
+        conv1.param_backward(grad)
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Trainable arrays in declared (checkpoint) order."""

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from emgkin import dsp, features, krr, synth
 from emgkin.errors import InsufficientDataError, SolverError
@@ -147,10 +148,10 @@ def reference_tune(x, y):
     return float(best[1]), float(best[2])
 
 
-def synthetic_p1_features(seed):
-    """PCA-20 handcrafted features of a 20 s synthetic P1 session, as the
-    KRR baseline builds them."""
-    rec = synth.generate(synth.SynthConfig(protocol="P1", duration_s=20.0, seed=seed))
+def synthetic_features(seed, protocol="P1"):
+    """PCA-20 handcrafted features of a 20 s synthetic session, as the KRR
+    baseline builds them."""
+    rec = synth.generate(synth.SynthConfig(protocol=protocol, duration_s=20.0, seed=seed))
     filtered = dsp.apply_filter_chain(rec)
     normed = dsp.apply_normalizer(dsp.fit_normalizer(filtered), filtered)
     windows, labels, _ = dsp.segment_windows(normed)
@@ -169,8 +170,44 @@ def test_tune_selects_what_the_fit_predict_loop_selects(source):
         x = rng.uniform(-2, 2, (120, 3))
         y = np.sin(2 * x[:, :1]) + 0.1 * rng.standard_normal((120, 1))
     else:
-        x, y = synthetic_p1_features(int(seed))
+        x, y = synthetic_features(int(seed))
     assert krr.tune(x, y) == reference_tune(x, y)
+
+
+def reference_cv_scores(x, y):
+    """The CV grid loop of tune without the kernel floor."""
+    slices = krr._fold_slices(x.shape[0], krr.INNER_FOLDS)
+    sq = krr._sq_distances(x, x)
+    grid = np.empty((len(krr.GAMMA_GRID), len(krr.LAMBDA_GRID)))
+    for i, gamma in enumerate(krr.GAMMA_GRID):
+        kernel = np.exp(-gamma * sq)
+        for j, ridge in enumerate(krr.LAMBDA_GRID):
+            scores = []
+            for fold in slices:
+                mask = np.ones(x.shape[0], dtype=bool)
+                mask[fold] = False
+                mean = y[mask].mean(axis=0)
+                k_train = kernel[np.ix_(mask, mask)]
+                system = k_train + ridge * np.eye(k_train.shape[0])
+                factor = scipy.linalg.cho_factor(system, check_finite=False)
+                coef = scipy.linalg.cho_solve(factor, y[mask] - mean, check_finite=False)
+                pred = mean + kernel[fold][:, mask] @ coef
+                scores.append(krr._mean_r2(y[fold], pred))
+            grid[i, j] = np.mean(scores)
+    return grid
+
+
+@pytest.mark.parametrize("protocol", ["P1", "P4"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_kernel_floor_keeps_every_cv_score(protocol, seed):
+    """Flushing kernel entries below KERNEL_FLOOR changes no score's bytes,
+    though most of the gamma = 10 kernel lies below it."""
+    x, y = synthetic_features(seed, protocol)
+    flushed = np.exp(-max(krr.GAMMA_GRID) * krr._sq_distances(x, x)) < krr.KERNEL_FLOOR
+    assert flushed.mean() > 0.5
+    grid = krr._cv_scores(x, y)
+    assert grid.shape == (len(krr.GAMMA_GRID), len(krr.LAMBDA_GRID))
+    assert grid.tobytes() == reference_cv_scores(x, y).tobytes()
 
 
 def test_tune_falls_back_to_lu_when_cholesky_fails(monkeypatch):

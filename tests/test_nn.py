@@ -8,8 +8,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from emgkin import nn
+from emgkin import dsp, nn
 
 EPS = 1e-6
 TOL = 1e-4
@@ -449,3 +451,83 @@ def test_model_backward_after_eval_forward_raises():
     pred = model.forward(x, "eval")
     with pytest.raises(RuntimeError, match="train-mode forward"):
         model.backward(np.ones_like(pred))
+
+
+def test_model_backward_keeps_every_parameter_gradient():
+    """conv1 skips its input gradient; every parameter gradient keeps the
+    bytes of a backward that runs every layer's full backward."""
+    model = nn.CnnModel(input_len=101, in_channels=6, n_outputs=2, seed=11)
+    rng = np.random.default_rng(30)
+    x = rng.standard_normal((64, 101, 6)).astype(np.float32)
+    _, dpred = nn.mse_loss(model.forward(x, "train"), rng.standard_normal((64, 2)))
+    grad = model.head.backward(dpred)
+    for _, layer in reversed(model._feature_layers):
+        grad = layer.backward(grad)
+    full = {name: g.copy() for name, g in model.gradients().items()}
+    model.backward(dpred)
+    for name, g in model.gradients().items():
+        assert g.dtype == full[name].dtype and g.tobytes() == full[name].tobytes(), name
+
+
+def whole_batch_features(model, x):
+    """Every feature layer over the whole batch at once, in eval mode."""
+    out = x
+    for _, layer in model._feature_layers:
+        out = layer.forward(out, "eval")
+    return out
+
+
+# Input length of each matrix mode at 1024 Hz: rfft bins, window samples.
+MODE_LENGTHS = {"spectral": dsp.N_FFT // 2 + 1, "temporal": dsp.WINDOW_SAMPLES}
+
+
+def eval_model(input_len):
+    """A model whose batch norms hold running statistics other than 0 and 1."""
+    model = nn.CnnModel(input_len=input_len, in_channels=6, n_outputs=3, seed=12)
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        model.forward(rng.standard_normal((16, input_len, 6)).astype(np.float32), "train")
+    return model
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    windows=st.integers(1, 3 * nn.EVAL_CHUNK + 7),
+    mode=st.sampled_from(sorted(MODE_LENGTHS)),
+)
+@example(windows=1, mode="spectral")
+@example(windows=nn.EVAL_CHUNK - 1, mode="spectral")
+@example(windows=nn.EVAL_CHUNK + 1, mode="temporal")
+@example(windows=2 * nn.EVAL_CHUNK, mode="temporal")
+@example(windows=3 * nn.EVAL_CHUNK + 7, mode="spectral")
+def test_chunked_eval_matches_whole_batch_bytes(windows, mode):
+    model = eval_model(MODE_LENGTHS[mode])
+    x = np.random.default_rng(windows).standard_normal((windows, MODE_LENGTHS[mode], 6))
+    x = np.abs(x).astype(np.float32)
+    ref = whole_batch_features(model, x)
+    feats = model.extract(x)
+    assert feats.dtype == ref.dtype and feats.tobytes() == ref.tobytes()
+    pred = model.forward(x, "eval")
+    ref_pred = model.head.forward(ref, "eval")
+    assert pred.dtype == ref_pred.dtype and pred.tobytes() == ref_pred.tobytes()
+
+
+def test_extract_peak_memory_is_one_chunk_over_the_flat_buffer():
+    """Eval mode runs the conv trunk EVAL_CHUNK windows at a time, so the
+    peak is the [M x flat_dim] buffer plus one chunk's largest conv: conv4's
+    im2col buffer, input and output."""
+    model = nn.CnnModel(input_len=101, in_channels=6, n_outputs=1, seed=13)
+    windows = 2000
+    x = np.random.default_rng(32).standard_normal((windows, 101, 6)).astype(np.float32)
+    flat_bytes = windows * model.flat_dim * 4
+    length, channels = model.block_lengths()[3], nn.CONV_CHANNELS[3]
+    chunk_bytes = nn.EVAL_CHUNK * length * channels * (3 + 1 + 1) * 4
+    slack = 2 << 20
+    tracemalloc.start()
+    try:
+        feats = model.extract(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert feats.shape == (windows, nn.FEATURE_DIM)
+    assert peak <= flat_bytes + chunk_bytes + slack, (peak, flat_bytes, chunk_bytes)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from emgkin import dsp
+from emgkin import dsp, nn
 from emgkin.config import PipelineConfig, StageConfig
 from emgkin.errors import DataError, DivergenceError, InsufficientDataError
 from emgkin.synth import SynthConfig, generate
@@ -179,3 +179,26 @@ def test_prediction_ignores_target_channel(tiny_session, tiny_config):
     dirty = predict(run.model, corrupted)
     np.testing.assert_array_equal(clean.predictions, dirty.predictions)
     assert not np.array_equal(clean.truths, dirty.truths)
+
+
+def test_predict_on_a_long_recording_matches_whole_batch(
+    tiny_session, tiny_config, p1_session, monkeypatch
+):
+    """More windows than several eval chunks: predict and predict_cnn_only
+    equal a run whose CNN takes every window in one batch, byte for byte."""
+    model = train_hybrid(tiny_session, tiny_config).model
+    n_windows = (len(p1_session.emg) - 102) // 51 + 1
+    assert n_windows > 1000 > 3 * nn.EVAL_CHUNK
+    chunked = predict(model, p1_session), predict_cnn_only(model, p1_session)
+
+    def whole_batch(x, mode):
+        for _, layer in model.cnn._feature_layers:
+            x = layer.forward(x, mode)
+        return x
+
+    monkeypatch.setattr(model.cnn, "_features", whole_batch)
+    reference = predict(model, p1_session), predict_cnn_only(model, p1_session)
+    for traj, ref in zip(chunked, reference):
+        assert traj.predictions.tobytes() == ref.predictions.tobytes()
+        assert traj.predictions.dtype == ref.predictions.dtype
+        np.testing.assert_array_equal(traj.timestamps, ref.timestamps)
