@@ -14,6 +14,8 @@ uses ``window_geometry(rec.fs_emg)``, and ``WINDOW_SAMPLES``/``HOP_SAMPLES``
 = 102/51 are only its values at the paper's 1024 Hz. ``DEFAULT_FS_EMG`` =
 1024 Hz, ``DEFAULT_FS_ANG`` = 100 Hz and ``N_CHANNELS`` = 6 are the paper's
 recording setup and what a session without ``meta.json`` is read as.
+``condition`` runs filter -> scale -> window for one partition, and no other
+module composes those steps.
 """
 
 from __future__ import annotations
@@ -207,6 +209,19 @@ def segment_windows(rec: SemgRecording) -> tuple[np.ndarray, np.ndarray, np.ndar
         axis=1,
     )
     return windows.swapaxes(1, 2), labels, end_times
+
+
+def condition(
+    rec: SemgRecording, stats: NormalizationStats | None = None
+) -> tuple[NormalizationStats, np.ndarray, np.ndarray, np.ndarray]:
+    """(stats, windows, labels, end_times): filter, min-max scale and window
+    one partition. With ``stats`` None the min/max are fitted on ``rec`` (a
+    training partition); given stats are applied and returned as they are,
+    so a test partition's windows may leave [0, 1]."""
+    filtered = apply_filter_chain(rec)
+    if stats is None:
+        stats = fit_normalizer(filtered)
+    return (stats, *segment_windows(apply_normalizer(stats, filtered)))
 
 
 def build_matrices(windows: np.ndarray, mode: MatrixMode) -> np.ndarray:

@@ -13,7 +13,8 @@ at raw-sample boundaries floor(i*T/4) — folds 1-3 train, fold 4 tests — and
 each partition is filtered/segmented independently so no window straddles
 the boundary and no test sample leaks into preprocessing statistics. A pair
 of sessions is scored inter-session: train on the whole first, test on the
-whole second, and the two must share one protocol and one EMG rate.
+whole second, and the two must share one protocol and one EMG rate. Every
+partition is conditioned (filter, scale, window) by ``dsp.condition``.
 """
 
 from __future__ import annotations
@@ -121,10 +122,11 @@ class EvaluationReport:
 
     ``runtime_s`` is wall time, and what it covers depends on the model and
     the driver: cnn-lstm from ``run_evaluation`` counts training plus
-    inference, from ``evaluate_model`` inference only; cnn counts inference
-    only; krr counts its own filtering, features, tuning, fit and predict;
-    a ``sweep_timesteps`` report counts the shared stage 1 plus that k's
-    stage 2 and inference.
+    inference, from ``evaluate_model`` inference only; the cnn-lstm and cnn
+    reports from ``evaluate_model`` both carry the wall time of their one
+    shared inference pass (``training.predict_heads``); krr counts its own
+    filtering, features, tuning, fit and predict; a ``sweep_timesteps``
+    report counts the shared stage 1 plus that k's stage 2 and inference.
     """
 
     model: str  # cnn-lstm | cnn | krr
@@ -145,6 +147,9 @@ class EvaluationReport:
         self.predictions = np.asarray(self.predictions, dtype=np.float64)
         if self.truths.shape != self.predictions.shape:
             raise UndefinedMetricError("true/predicted trajectories differ in shape")
+        rows = (len(self.timestamps), len(self.dof))
+        if (self.predictions.size or rows[0]) and self.predictions.shape != rows:
+            raise UndefinedMetricError(f"trajectory {self.predictions.shape} for {rows} (t, DoF)")
         for entry in self.dof:
             if entry["r2"] > 1.0 + 1e-12:
                 raise UndefinedMetricError(f"r2 > 1 in report: {entry}")
@@ -235,14 +240,8 @@ def _krr_report(
     windows cut at the sessions' shared rate; ``input_len`` is their length
     in samples, and ``model`` only supplies the report's k and matrix mode."""
     start = time.perf_counter()
-    filtered_train = dsp.apply_filter_chain(train_raw)
-    stats = dsp.fit_normalizer(filtered_train)
-    train_windows, y_train, _ = dsp.segment_windows(
-        dsp.apply_normalizer(stats, filtered_train)
-    )
-    test_windows, y_test, test_times = dsp.segment_windows(
-        dsp.apply_normalizer(stats, dsp.apply_filter_chain(test_raw))
-    )
+    stats, train_windows, y_train, _ = dsp.condition(train_raw)
+    _, test_windows, y_test, test_times = dsp.condition(test_raw, stats)
     train_features = features.extract_feature_matrix(train_windows)
     basis = features.fit_pca(train_features)
     x_train = basis.project(train_features)
@@ -299,32 +298,22 @@ def evaluate_model(
     """
     train_raw, test_raw, split = partition(data)
     start = time.perf_counter()
-    traj = training.predict(model, test_raw)
+    trajs = training.predict_heads(model, test_raw)
+    runtime_s = time.perf_counter() - start
+    names = ("cnn-lstm", "cnn") if baselines else ("cnn-lstm",)
     reports = [
         _traj_report(
             traj,
-            name="cnn-lstm",
+            name=name,
             model=model,
             test_raw=test_raw,
             split=split,
-            runtime_s=time.perf_counter() - start,
+            runtime_s=runtime_s,
             input_len=model.cnn.input_len,
         )
+        for name, traj in zip(names, trajs)
     ]
     if baselines:
-        start = time.perf_counter()
-        cnn_traj = training.predict_cnn_only(model, test_raw)
-        reports.append(
-            _traj_report(
-                cnn_traj,
-                name="cnn",
-                model=model,
-                test_raw=test_raw,
-                split=split,
-                runtime_s=time.perf_counter() - start,
-                input_len=model.cnn.input_len,
-            )
-        )
         reports.append(_krr_report(train_raw, test_raw, model, split))
     return reports
 

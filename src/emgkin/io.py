@@ -476,8 +476,16 @@ def write_report(report: EvaluationReport, path: str | Path) -> Path:
 
 
 def read_report(path: str | Path) -> EvaluationReport:
+    """One report as ``write_report`` writes it; LoadError names a missing
+    field, or refuses the array of reports that ``eval --baselines`` writes."""
     with open(path) as fh:
-        return EvaluationReport.from_dict(json.load(fh))
+        raw = json.load(fh)
+    if isinstance(raw, list):
+        raise LoadError(f"{path}: holds an array of {len(raw)} reports, not one")
+    try:
+        return EvaluationReport.from_dict(raw)
+    except KeyError as exc:
+        raise LoadError(f"{path}: report field {exc.args[0]!r} is missing") from None
 
 
 def write_trajectory(report: EvaluationReport, path: str | Path) -> Path:

@@ -8,8 +8,11 @@ overlapping k-length sequences, and trains the LSTM with ADAM (batches of
 the paper's recipe. Both stages drop the learning rate by 90% every 10
 epochs and record one mean loss per epoch.
 
-Prediction refuses a recording whose sampling rate gives other window and
-hop lengths (``dsp.window_geometry``) than the model was trained with.
+Training and prediction condition a recording through ``dsp.condition``,
+prediction with the training stats stored in the model. ``predict_heads``
+scores the hybrid and the CNN head from one CNN pass, and refuses a
+recording whose rate gives other window and hop lengths
+(``dsp.window_geometry``) than the model was trained with.
 
 All shuffling and dropout draw from generators derived from the run seed,
 so a (seed, config, dataset) triple reproduces bit-identical models in
@@ -223,10 +226,7 @@ def preprocess_training(
     the scaled samples, ``x`` [M x L x N] their input matrices and ``y``
     [M x D] the labels standardized for the optimizers (see LabelScaler).
     """
-    filtered = dsp.apply_filter_chain(rec)
-    stats = dsp.fit_normalizer(filtered)
-    normed = dsp.apply_normalizer(stats, filtered)
-    windows, labels, _ = dsp.segment_windows(normed)
+    stats, windows, labels, _ = dsp.condition(rec)
     scaler = LabelScaler.fit(labels)
     x, y = dsp.stack_matrices(windows, scaler.transform(labels), config.matrix_mode)
     return stats, scaler, windows, x, y
@@ -284,15 +284,15 @@ def train_hybrid(rec: SemgRecording, config: PipelineConfig) -> TrainingRun:
     )
 
 
-def _prepare_windows(
+def predict_heads(
     model: HybridModel, rec: SemgRecording
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Apply the model's stored preprocessing to a raw recording.
+) -> tuple[PredictionTrajectory, PredictionTrajectory]:
+    """(hybrid, CNN head) trajectories from one conditioning and one CNN pass.
 
-    Returns (x [M x L x N], labels [M x D] in degrees, end_times [M]).
+    The LSTM gives one y_k per k-window sequence, stamped with its last
+    window's end time; the CNN head one y per window from the same features.
     Raises DataError if the recording's protocol has other DoFs than the
-    model's, or its rate gives other window and hop lengths.
-    """
+    model's, or its rate gives other window and hop lengths."""
     if rec.dof_names != model.dof_names:
         raise DataError(
             f"recording {rec.session_id} is protocol {rec.protocol} (DoFs "
@@ -306,39 +306,25 @@ def _prepare_windows(
             f"samples (window/hop), but the model was trained on "
             f"{model.window_samples}/{model.hop_samples}"
         )
-    filtered = dsp.apply_filter_chain(rec)
-    normed = dsp.apply_normalizer(model.norm_stats, filtered)
-    windows, labels, end_times = dsp.segment_windows(normed)
+    _, windows, labels, end_times = dsp.condition(rec, model.norm_stats)
     x, labels = dsp.stack_matrices(windows, labels, model.matrix_mode)
-    return x, labels, end_times
-
-
-def predict(model: HybridModel, rec: SemgRecording) -> PredictionTrajectory:
-    """Full-pipeline inference on a raw recording.
-
-    Preprocessing reuses the training-partition normalization stats stored
-    in the model; one y_k comes out per k-window sequence, stamped with the
-    end time of its last window.
-    """
-    x, labels, end_times = _prepare_windows(model, rec)
+    del windows  # a view that holds the whole scaled recording alive
     features = extract_dataset_features(model.cnn, x)
     seqs, y_true = stack_sequences(features, labels, model.k)
     y_pred, _ = lstm_forward_batch(model.lstm, seqs, mode="eval")
-    return PredictionTrajectory(
-        timestamps=end_times[model.k - 1 :],
-        predictions=model.label_scaler.inverse(y_pred),
-        truths=y_true,
-        dof_names=list(model.dof_names),
+    y_cnn = model.cnn.head.forward(features, "eval")
+    inverse, names = model.label_scaler.inverse, model.dof_names
+    return (
+        PredictionTrajectory(end_times[model.k - 1 :], inverse(y_pred), y_true, list(names)),
+        PredictionTrajectory(end_times, inverse(y_cnn), labels, list(names)),
     )
+
+
+def predict(model: HybridModel, rec: SemgRecording) -> PredictionTrajectory:
+    """The hybrid's trajectory from ``predict_heads``."""
+    return predict_heads(model, rec)[0]
 
 
 def predict_cnn_only(model: HybridModel, rec: SemgRecording) -> PredictionTrajectory:
-    """Stage-1-only inference: the CNN regression head, one y per window."""
-    x, y_true, end_times = _prepare_windows(model, rec)
-    y_pred = model.cnn.forward(x, mode="eval")
-    return PredictionTrajectory(
-        timestamps=end_times,
-        predictions=model.label_scaler.inverse(y_pred),
-        truths=y_true,
-        dof_names=list(model.dof_names),
-    )
+    """Stage-1-only inference: the CNN head's trajectory from ``predict_heads``."""
+    return predict_heads(model, rec)[1]

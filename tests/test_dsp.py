@@ -5,7 +5,9 @@ function of the designed biquad cascade, independently of the time-domain
 implementation that the pipeline actually runs.
 """
 
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +191,60 @@ def test_constant_channel_rejected():
     emg[:, 4] = 0.25
     with pytest.raises(DegenerateChannelError):
         dsp.fit_normalizer(make_recording(emg))
+
+
+# --- conditioning (filter -> scale -> window) -------------------------------
+
+
+def test_condition_fits_on_a_training_partition_like_the_explicit_chain():
+    rec = generate(SynthConfig(protocol="P4", duration_s=10.0, seed=2))
+    filtered = dsp.apply_filter_chain(rec)
+    stats = dsp.fit_normalizer(filtered)
+    expected = dsp.segment_windows(dsp.apply_normalizer(stats, filtered))
+    got_stats, *got = dsp.condition(rec)
+    assert got_stats.mins.tobytes() == stats.mins.tobytes()
+    assert got_stats.maxs.tobytes() == stats.maxs.tobytes()
+    for array, reference in zip(got, expected, strict=True):
+        assert array.shape == reference.shape
+        assert array.tobytes() == reference.tobytes()
+    assert got[0].min() >= 0.0 and got[0].max() <= 1.0
+
+
+def test_condition_applies_given_stats_without_refitting():
+    """A test partition is scaled by the training stats, which come back as
+    they went in, so its windows may leave [0, 1]."""
+    train = generate(SynthConfig(protocol="P1", duration_s=10.0, seed=3))
+    stats, *_ = dsp.condition(train)
+    test = generate(SynthConfig(protocol="P1", duration_s=5.0, seed=4))
+    test = replace(test, emg=3.0 * test.emg)
+    same, *got = dsp.condition(test, stats)
+    assert same is stats
+    assert got[0].min() < 0.0 or got[0].max() > 1.0
+    expected = dsp.segment_windows(
+        dsp.apply_normalizer(stats, dsp.apply_filter_chain(test))
+    )
+    for array, reference in zip(got, expected, strict=True):
+        assert array.tobytes() == reference.tobytes()
+
+
+def test_only_dsp_composes_the_conditioning_chain():
+    """Every other package module conditions a partition through
+    ``dsp.condition``: none calls or imports the filter and scaling steps."""
+    steps = {"apply_filter_chain", "fit_normalizer", "apply_normalizer"}
+    offenders = []
+    for path in sorted(Path(dsp.__file__).parent.glob("*.py")):
+        if path.name == "dsp.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                names = [getattr(func, "attr", getattr(func, "id", None))]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {n}" for n in names if n in steps]
+    assert offenders == []
 
 
 # --- segmentation -----------------------------------------------------------

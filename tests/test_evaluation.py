@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emgkin import dsp, training
+from emgkin import dsp, nn, training
 from emgkin.config import PipelineConfig, StageConfig
 from emgkin.errors import ConfigError, DataError, UndefinedMetricError
 from emgkin.evaluation import (
@@ -198,6 +198,16 @@ def test_report_rejects_impossible_score():
         )
 
 
+def test_report_refuses_timestamps_that_miss_the_trajectory_rows():
+    """Three timestamps for one row would make ``io.write_trajectory`` index
+    past the trajectory; the report refuses it up front."""
+    raw = small_report().to_dict()
+    raw["trajectory"]["true"] = raw["trajectory"]["true"][:1]
+    raw["trajectory"]["pred"] = raw["trajectory"]["pred"][:1]
+    with pytest.raises(UndefinedMetricError, match=r"\(1, 1\) for \(3, 1\)"):
+        EvaluationReport.from_dict(raw)
+
+
 # --- drivers on a small session ------------------------------------------------
 
 
@@ -343,3 +353,35 @@ def test_intra_scores_match_direct_training(quick_config, quick_session, quick_r
         got, expected = got.to_dict(), expected.to_dict()
         del got["runtime_s"], expected["runtime_s"]
         assert got == expected
+
+
+def test_both_heads_share_one_conditioning_and_one_cnn_pass(
+    p1_model, quick_session, monkeypatch
+):
+    """With baselines, the test partition is filtered once for both heads
+    and once for KRR, the training partition once for KRR, and the eval-mode
+    CNN runs once. The two head reports equal ``predict`` and
+    ``predict_cnn_only`` byte for byte."""
+    calls = {"filter": 0, "eval_cnn": 0}
+    filter_chain, cnn_features = dsp.apply_filter_chain, nn.CnnModel._features
+
+    def counted_filter(rec):
+        calls["filter"] += 1
+        return filter_chain(rec)
+
+    def counted_features(self, x, mode):
+        calls["eval_cnn"] += mode == "eval"
+        return cnn_features(self, x, mode)
+
+    monkeypatch.setattr(dsp, "apply_filter_chain", counted_filter)
+    monkeypatch.setattr(nn.CnnModel, "_features", counted_features)
+    hybrid, cnn, _ = evaluate_model(p1_model, quick_session, baselines=True)
+    assert calls == {"filter": 3, "eval_cnn": 1}
+    monkeypatch.undo()
+
+    _, test = split_session(quick_session)
+    for report, score in ((hybrid, training.predict), (cnn, training.predict_cnn_only)):
+        traj = score(p1_model, test)
+        for field in ("timestamps", "truths", "predictions"):
+            assert getattr(report, field).tobytes() == getattr(traj, field).tobytes()
+    assert hybrid.runtime_s == cnn.runtime_s

@@ -512,6 +512,23 @@ def test_report_file_round_trip(tmp_path):
     np.testing.assert_allclose(loaded.truths, report.truths, atol=1e-15)
 
 
+def test_read_report_names_a_missing_field(tmp_path):
+    raw = _toy_report().to_dict()
+    del raw["matrix_mode"]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(LoadError, match="'matrix_mode' is missing"):
+        read_report(path)
+
+
+def test_read_report_refuses_an_array_of_reports(tmp_path):
+    """``eval --baselines`` writes its reports as one JSON array."""
+    path = tmp_path / "reports.json"
+    path.write_text(json.dumps([_toy_report().to_dict()] * 3))
+    with pytest.raises(LoadError, match="array of 3 reports"):
+        read_report(path)
+
+
 def test_trajectory_csv_layout(tmp_path):
     report = _toy_report()
     path = write_trajectory(report, tmp_path / "traj.csv")
