@@ -15,11 +15,15 @@ blob is their float32 values concatenated row-major. All writes go through
 a temp file + rename so interrupted runs never leave partial files.
 
 The v1 layout also records values the recipe fixes: the header's
-``leaky_slope`` and ``dropout`` (``nn.DEFAULT_LEAKY_SLOPE``/``DEFAULT_DROPOUT``)
-and the LSTM's zero initial state as the arrays ``lstm.h0`` and ``lstm.c0``.
-``save_model`` writes them from the constants and zeros; ``load_model``
-refuses a checkpoint whose values differ, since the model it would build
-could not honour them.
+``leaky_slope`` and ``dropout`` (``nn.DEFAULT_LEAKY_SLOPE``/``DEFAULT_DROPOUT``),
+the LSTM's ``lstm.HIDDEN_UNITS`` (50) units, and its zero initial state as
+the arrays ``lstm.h0`` and ``lstm.c0``. ``load_model`` checks the header's
+``in_channels``, ``n_outputs`` and ``input_len`` against the table's shapes
+and the blob's length against the table, then builds the model those sizes
+and the recipe describe. The table must equal the one ``save_model`` writes
+for that model, name for name and shape for shape; the blob is copied into
+the model's own arrays, and ``lstm.h0``/``lstm.c0`` must be zeros. Every
+refusal is a CorruptCheckpointError naming the field at fault.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import os
 import struct
 import tempfile
 import warnings
+from itertools import zip_longest
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -41,12 +46,12 @@ from .errors import (
     CorruptCheckpointError,
     DegenerateChannelError,
     DimensionError,
+    InsufficientDataError,
     LoadError,
     UnsupportedVersionError,
 )
 from .evaluation import EvaluationReport
-from .lstm import PARAM_NAMES as LSTM_PARAM_NAMES
-from .lstm import LstmParams
+from .lstm import LstmParams, init_lstm_params
 from .nn import CONV_CHANNELS, DEFAULT_DROPOUT, DEFAULT_LEAKY_SLOPE, CnnModel, MaxPool1d
 from .training import HybridModel, LabelScaler
 
@@ -259,16 +264,18 @@ def list_session_dirs(directory: str | Path) -> list[Path]:
 _LSTM_INITIAL_STATE = ("h0", "c0")
 
 
-def _model_arrays(model: HybridModel) -> list[tuple[str, np.ndarray]]:
-    arrays = [(f"cnn.{n}", a) for n, a in model.cnn.state_arrays().items()]
-    arrays += [(f"lstm.{n}", a) for n, a in model.lstm.parameters().items()]
-    arrays += [(f"lstm.{n}", np.zeros(model.lstm.hidden)) for n in _LSTM_INITIAL_STATE]
+def _model_arrays(cnn: CnnModel, lstm: LstmParams) -> list[tuple[str, np.ndarray]]:
+    """Every array of the v1 blob, in blob order; the CNN's and the LSTM's
+    are the models' own, so ``load_model`` fills them in place."""
+    arrays = [(f"cnn.{n}", a) for n, a in cnn.state_arrays().items()]
+    arrays += [(f"lstm.{n}", a) for n, a in lstm.parameters().items()]
+    arrays += [(f"lstm.{n}", np.zeros(lstm.hidden)) for n in _LSTM_INITIAL_STATE]
     return arrays
 
 
 def save_model(model: HybridModel, path: str | Path) -> Path:
     path = Path(path)
-    arrays = _model_arrays(model)
+    arrays = _model_arrays(model.cnn, model.lstm)
     header = {
         "model_kind": MODEL_KIND,
         "k": model.k,
@@ -338,7 +345,7 @@ def _header_field(header: dict, key: str, convert=None):
         raise CorruptCheckpointError(key, "missing from header") from None
     try:
         return value if convert is None else convert(value)
-    except (TypeError, ValueError, KeyError, DegenerateChannelError) as exc:
+    except (TypeError, ValueError, KeyError, DegenerateChannelError, InsufficientDataError) as exc:
         raise CorruptCheckpointError(key, f"{exc!r}; got {value!r:.80}") from None
 
 
@@ -369,69 +376,54 @@ def load_model(path: str | Path) -> HybridModel:
             "model_kind", f"got {header['model_kind']!r}, want {MODEL_KIND!r}"
         )
 
-    blob = raw[12 + header_len :]
-    states: dict[str, dict[str, np.ndarray]] = {"cnn": {}, "lstm": {}}
-    offset = 0
-    for name, shape in _header_field(header, "arrays", _array_entries):
-        count = math.prod(shape)
-        nbytes = 4 * count
-        if offset + nbytes > len(blob):
-            raise CorruptCheckpointError("blob", f"truncated inside {name}")
-        part, _, short = name.partition(".")
-        states.setdefault(part, {})[short] = (
-            np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-            .reshape(shape)
-            .copy()
-        )
-        offset += nbytes
-    if offset != len(blob):
-        raise CorruptCheckpointError(
-            "blob", f"{len(blob) - offset} trailing bytes after declared arrays"
-        )
-
+    table = _header_field(header, "arrays", _array_entries)
+    shapes = dict(table)
     in_channels = _header_field(header, "in_channels", _positive_int)
     n_outputs = _header_field(header, "n_outputs", _positive_int)
     input_len = _header_field(header, "input_len", _positive_int)
-    # The header sizes must fit the stored arrays before they size the CNN
+    # The header sizes must fit the table's shapes before they size the CNN
     # built below; otherwise a corrupt header alone decides what it allocates.
     pooled_len = input_len - len(CONV_CHANNELS) * (MaxPool1d.SIZE - 1)
-    for key, array, axis, size in (
-        ("in_channels", "conv1.W", 1, in_channels),
-        ("n_outputs", "head.W", 1, n_outputs),
-        ("input_len", "fc1.W", 0, pooled_len * CONV_CHANNELS[-1]),
+    for key, name, axis, size in (
+        ("in_channels", "cnn.conv1.W", 1, in_channels),
+        ("n_outputs", "cnn.head.W", 1, n_outputs),
+        ("input_len", "cnn.fc1.W", 0, pooled_len * CONV_CHANNELS[-1]),
     ):
-        stored = states["cnn"].get(array)
-        if stored is None:
-            raise CorruptCheckpointError("arrays", f"cnn state missing {array!r}")
-        if stored.ndim <= axis or stored.shape[axis] != size:
+        shape = shapes.get(name)
+        if shape is None:
+            raise CorruptCheckpointError("arrays", f"no {name!r} in the table")
+        if len(shape) <= axis or shape[axis] != size:
             raise CorruptCheckpointError(
-                key, f"{header[key]} needs cnn.{array} with {size} along axis "
-                f"{axis}, stored shape {stored.shape}"
+                key, f"{header[key]} needs {name} with {size} along axis "
+                f"{axis}, stored shape {shape}"
             )
     for key, constant in (("leaky_slope", DEFAULT_LEAKY_SLOPE), ("dropout", DEFAULT_DROPOUT)):
         if _header_field(header, key) != constant:
             raise CorruptCheckpointError(
                 key, f"got {header[key]!r:.80}, the recipe fixes {constant}"
             )
+    # Checked before the build: fc1's rows must then be in the file, so the
+    # file's own length bounds what the build allocates.
+    blob = raw[12 + header_len :]
+    nbytes = 4 * sum(math.prod(shape) for _, shape in table)
+    if len(blob) != nbytes:
+        fault = "truncated" if len(blob) < nbytes else "trailing bytes"
+        raise CorruptCheckpointError("blob", f"{fault}: {len(blob)} bytes, table {nbytes}")
     try:
-        cnn = CnnModel(
-            input_len=input_len, in_channels=in_channels, n_outputs=n_outputs, seed=0
-        )
+        cnn = CnnModel(input_len, in_channels, n_outputs)
     except DimensionError as exc:
         raise CorruptCheckpointError("input_len", str(exc)) from None
-    try:
-        cnn.load_state_arrays(states["cnn"])
-    except (KeyError, ValueError) as exc:
-        raise CorruptCheckpointError("arrays", f"cnn state: {exc}") from exc
-    try:
-        lstm = LstmParams(**{n: states["lstm"][n] for n in LSTM_PARAM_NAMES})
-        initial = [states["lstm"][n] for n in _LSTM_INITIAL_STATE]
-    except KeyError as exc:
-        raise CorruptCheckpointError("arrays", f"lstm state missing {exc}") from exc
-    if any(a.shape != (lstm.hidden,) or np.any(a != 0.0) for a in initial):
-        raise CorruptCheckpointError(
-            "arrays", f"lstm.h0 and lstm.c0 must be {lstm.hidden} zeros"
-        )
+    lstm = init_lstm_params(n_outputs=n_outputs)
+    arrays = _model_arrays(cnn, lstm)
+    expected = [(name, array.shape) for name, array in arrays]
+    if table != expected:
+        got, want = next(pair for pair in zip_longest(table, expected) if pair[0] != pair[1])
+        raise CorruptCheckpointError("arrays", f"table entry {got}, save_model writes {want}")
+    ends = np.cumsum([array.size for _, array in arrays])[:-1]
+    for (_, array), values in zip(arrays, np.split(np.frombuffer(blob, "<f4"), ends)):
+        array[...] = values.reshape(array.shape)
+    if any(np.any(array) for _, array in arrays[-len(_LSTM_INITIAL_STATE) :]):
+        raise CorruptCheckpointError("arrays", "lstm.h0 and lstm.c0 must be zeros")
 
     stats = _header_field(
         header,
@@ -449,20 +441,17 @@ def load_model(path: str | Path) -> HybridModel:
     dof_names = _header_field(header, "dof_names", list)
     if len(dof_names) != n_outputs:
         raise CorruptCheckpointError("dof_names", f"{len(dof_names)} for {n_outputs} output(s)")
-    try:
-        return HybridModel(
-            cnn=cnn,
-            lstm=lstm,
-            norm_stats=stats,
-            label_scaler=scaler,
-            k=_header_field(header, "k", _positive_int),
-            matrix_mode=matrix_mode,
-            dof_names=dof_names,
-            window_samples=_header_field(header, "window_samples", _positive_int),
-            hop_samples=_header_field(header, "hop_samples", _positive_int),
-        )
-    except DimensionError as exc:
-        raise CorruptCheckpointError("arrays", str(exc)) from None
+    return HybridModel(
+        cnn=cnn,
+        lstm=lstm,
+        norm_stats=stats,
+        label_scaler=scaler,
+        k=_header_field(header, "k", _positive_int),
+        matrix_mode=matrix_mode,
+        dof_names=dof_names,
+        window_samples=_header_field(header, "window_samples", _positive_int),
+        hop_samples=_header_field(header, "hop_samples", _positive_int),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -476,16 +465,25 @@ def write_report(report: EvaluationReport, path: str | Path) -> Path:
 
 
 def read_report(path: str | Path) -> EvaluationReport:
-    """One report as ``write_report`` writes it; LoadError names a missing
-    field, or refuses the array of reports that ``eval --baselines`` writes."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    """One report as ``write_report`` writes it. LoadError names the file and
+    refuses invalid JSON, anything but an object (such as the array of
+    reports that ``eval --baselines`` writes), a trajectory that is not an
+    object, a missing field, or a field of the wrong type."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise LoadError(f"{path}: invalid JSON ({exc})") from None
     if isinstance(raw, list):
         raise LoadError(f"{path}: holds an array of {len(raw)} reports, not one")
+    if not isinstance(raw, dict) or not isinstance(raw.get("trajectory", {}), dict):
+        raise LoadError(f"{path}: want a report object with an object trajectory")
     try:
         return EvaluationReport.from_dict(raw)
     except KeyError as exc:
         raise LoadError(f"{path}: report field {exc.args[0]!r} is missing") from None
+    except (TypeError, ValueError) as exc:
+        raise LoadError(f"{path}: malformed report ({exc})") from None
 
 
 def write_trajectory(report: EvaluationReport, path: str | Path) -> Path:

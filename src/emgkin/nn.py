@@ -423,13 +423,6 @@ class CnnModel:
         """Everything a checkpoint must carry: parameters + running stats."""
         return {**self._arrays(0), **self._arrays(1)}
 
-    def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
-        for name, layer in self._array_layers():
-            trainable, stats = _LAYER_ARRAYS[type(layer)]
-            for attr in (*trainable, *stats):
-                shape = getattr(layer, attr).shape
-                setattr(layer, attr, state[f"{name}.{attr}"].reshape(shape).astype(self.dtype))
-
     def _arrays(self, column: int, prefix: str = "") -> dict[str, np.ndarray]:
         """``layer.<prefix><attr>`` keyed ``<layer name>.<attr>`` for the attrs
         in one ``_LAYER_ARRAYS`` column, in checkpoint order."""

@@ -64,15 +64,16 @@ class LabelScaler:
     mean: np.ndarray  # [D]
     std: np.ndarray  # [D], strictly positive
 
+    def __post_init__(self):
+        if np.any(self.std <= 0):
+            raise InsufficientDataError(
+                f"label std {self.std} is not positive: constant labels cannot be standardized"
+            )
+
     @classmethod
     def fit(cls, labels: np.ndarray) -> "LabelScaler":
         labels = np.asarray(labels, dtype=np.float64)
-        std = labels.std(axis=0)
-        if np.any(std <= 0):
-            raise InsufficientDataError(
-                "constant training labels: cannot standardize targets"
-            )
-        return cls(mean=labels.mean(axis=0), std=std)
+        return cls(mean=labels.mean(axis=0), std=labels.std(axis=0))
 
     def transform(self, labels: np.ndarray) -> np.ndarray:
         return (labels - self.mean) / self.std

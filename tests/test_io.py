@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emgkin.errors import (
     CorruptCheckpointError,
@@ -28,6 +30,7 @@ from emgkin.io import (
     write_report,
     write_trajectory,
 )
+from emgkin.nn import CONV_CHANNELS, MaxPool1d
 from emgkin.synth import SynthConfig, generate
 from emgkin.training import predict, train_hybrid
 
@@ -305,6 +308,10 @@ BAD_HEADERS = {
     "text-label-scaler": _set("label_scaler", "x"),
     "unknown-matrix-mode": _set("matrix_mode", "wavelet"),
     "three-dof-names": _set("dof_names", ["fe", "ps", "ru"]),
+    # LabelScaler.fit refuses constant labels; a zero std predicts a constant
+    # and a negative one flips every angle's sign.
+    "zero-label-std": _set("label_scaler", {"mean": [0.0], "std": [0.0]}),
+    "negative-label-std": _set("label_scaler", {"mean": [0.0], "std": [-3.0]}),
 }
 
 
@@ -321,7 +328,8 @@ def test_malformed_header_names_field(saved_model, tmp_path, case):
 
 def _edit_array(raw: bytes, name: str, edit) -> bytes:
     """The checkpoint with array ``name`` replaced by edit(array), or left
-    out where that returns None; the header's array list follows."""
+    out where that returns None; a ``name`` the checkpoint lacks is appended
+    as edit(None). The header's array list follows."""
     (header_len,) = struct.unpack("<I", raw[8:12])
     header = json.loads(raw[12 : 12 + header_len])
     blob = raw[12 + header_len :]
@@ -335,6 +343,10 @@ def _edit_array(raw: bytes, name: str, edit) -> bytes:
             if array is None:
                 continue
         entries.append({"name": entry["name"], "shape": list(array.shape)})
+        parts.append(np.asarray(array, "<f4").tobytes())
+    if name not in [entry["name"] for entry in header["arrays"]]:
+        array = edit(None)
+        entries.append({"name": name, "shape": list(array.shape)})
         parts.append(np.asarray(array, "<f4").tobytes())
     encoded = json.dumps({**header, "arrays": entries}).encode("utf-8")
     return raw[:8] + struct.pack("<I", len(encoded)) + encoded + b"".join(parts)
@@ -357,6 +369,27 @@ def test_lstm_initial_state_must_be_zeros(saved_model, tmp_path, case):
     bad = tmp_path / "state.ckpt"
     bad.write_bytes(_edit_array(path.read_bytes(), name, edit))
     with pytest.raises(CorruptCheckpointError) as exc_info:
+        load_model(bad)
+    assert exc_info.value.field == "arrays"
+
+
+# The table must be the one save_model writes for the header's sizes, so an
+# LSTM array of another shape, a missing one or one more array is refused.
+BAD_TABLES = {
+    "short-b_m": ("lstm.b_m", lambda a: a[:10]),
+    "narrow-W_i": ("lstm.W_i", lambda a: a[:, :-1]),
+    "missing-W_y": ("lstm.W_y", lambda a: None),
+    "extra-array": ("cnn.extra", lambda a: np.zeros(3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TABLES))
+def test_array_table_must_match_the_model(saved_model, tmp_path, case):
+    name, edit = BAD_TABLES[case]
+    _, path = saved_model
+    bad = tmp_path / "table.ckpt"
+    bad.write_bytes(_edit_array(path.read_bytes(), name, edit))
+    with pytest.raises(CorruptCheckpointError, match=name) as exc_info:
         load_model(bad)
     assert exc_info.value.field == "arrays"
 
@@ -387,6 +420,36 @@ def test_oversized_header_fails_before_allocating(saved_model, tmp_path):
         tracemalloc.stop()
     assert peak < 20 * 2**20
     assert exc_info.value.field == "input_len"
+
+
+def test_short_blob_fails_before_allocating(saved_model, tmp_path):
+    """An input_len of 10**6 with an fc1 shape to match passes the header
+    checks, but the blob lacks fc1's ~38 GB: it is refused before the CNN
+    is built at that size."""
+    _, path = saved_model
+    input_len = 10**6
+    rows = (input_len - len(CONV_CHANNELS) * (MaxPool1d.SIZE - 1)) * CONV_CHANNELS[-1]
+
+    def widen(header):
+        arrays = [
+            {**entry, "shape": [rows, *entry["shape"][1:]]}
+            if entry["name"] == "cnn.fc1.W"
+            else entry
+            for entry in header["arrays"]
+        ]
+        return {**header, "input_len": input_len, "arrays": arrays}
+
+    bad = tmp_path / "huge.ckpt"
+    bad.write_bytes(_replace_header(path.read_bytes(), widen))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptCheckpointError, match="truncated") as exc_info:
+            load_model(bad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert exc_info.value.field == "blob"
 
 
 def test_truncated_blob_rejected(saved_model, tmp_path):
@@ -476,6 +539,42 @@ def test_missing_file_rejected(tmp_path):
     assert exc_info.value.field == "file"
 
 
+@pytest.fixture(scope="module")
+def fuzz_target(saved_model, tmp_path_factory):
+    """The saved checkpoint's bytes, and one path each example overwrites."""
+    _, path = saved_model
+    return path.read_bytes(), tmp_path_factory.mktemp("fuzz") / "fuzzed.ckpt"
+
+
+def _loads_or_refuses(target, data: bytes) -> None:
+    target.write_bytes(data)
+    try:
+        load_model(target)
+    except CorruptCheckpointError:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(fraction=st.floats(0.0, 1.0))
+def test_any_truncation_loads_or_is_refused(fuzz_target, fraction):
+    raw, target = fuzz_target
+    _loads_or_refuses(target, raw[: int(fraction * len(raw))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_bit_flip_loads_or_is_refused(fuzz_target, data):
+    """Half the flips land in the prelude and header, which are 0.2 % of the
+    file but hold everything that decides what load_model builds."""
+    raw, target = fuzz_target
+    (header_len,) = struct.unpack("<I", raw[8:12])
+    end = st.sampled_from([12 + header_len, len(raw)])
+    bit = data.draw(end.flatmap(lambda stop: st.integers(0, 8 * stop - 1)))
+    flipped = bytearray(raw)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    _loads_or_refuses(target, bytes(flipped))
+
+
 # --------------------------------------------------------------------------
 # reports and exports
 
@@ -527,6 +626,23 @@ def test_read_report_refuses_an_array_of_reports(tmp_path):
     path.write_text(json.dumps([_toy_report().to_dict()] * 3))
     with pytest.raises(LoadError, match="array of 3 reports"):
         read_report(path)
+
+
+BAD_REPORTS = {
+    "truncated": '{"model": "cnn", "dof": [',
+    "scalar": "42",
+    "trajectory-not-an-object": json.dumps({**_toy_report().to_dict(), "trajectory": [1]}),
+    "dof-not-a-list": json.dumps({**_toy_report().to_dict(), "dof": 5}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REPORTS))
+def test_read_report_refuses_a_malformed_file(tmp_path, case):
+    path = tmp_path / "report.json"
+    path.write_text(BAD_REPORTS[case])
+    with pytest.raises(LoadError) as exc_info:
+        read_report(path)
+    assert str(path) in str(exc_info.value)
 
 
 def test_trajectory_csv_layout(tmp_path):
