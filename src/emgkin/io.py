@@ -14,16 +14,20 @@ count, preprocessing stats) and lists every array name+shape in order; the
 blob is their float32 values concatenated row-major. All writes go through
 a temp file + rename so interrupted runs never leave partial files.
 
-The v1 layout also records values the recipe fixes: the header's
-``leaky_slope`` and ``dropout`` (``nn.DEFAULT_LEAKY_SLOPE``/``DEFAULT_DROPOUT``),
-the LSTM's ``lstm.HIDDEN_UNITS`` (50) units, and its zero initial state as
-the arrays ``lstm.h0`` and ``lstm.c0``. ``load_model`` checks the header's
+The v1 table names the LSTM's gates one by one: ``lstm.W_i``...``lstm.b_c``
+(``_LSTM_V1_NAMES``) are row views of the fused ``W`` and ``b`` (see
+``lstm``), so loading fills the fused arrays in place. The v1 layout also
+records values the recipe fixes: the header's ``leaky_slope`` and
+``dropout`` (``nn.DEFAULT_LEAKY_SLOPE``/``DEFAULT_DROPOUT``), the LSTM's
+``lstm.HIDDEN_UNITS`` (50) units, and its zero initial state as the arrays
+``lstm.h0`` and ``lstm.c0``. ``load_model`` checks the header's
 ``in_channels``, ``n_outputs`` and ``input_len`` against the table's shapes
 and the blob's length against the table, then builds the model those sizes
 and the recipe describe. The table must equal the one ``save_model`` writes
 for that model, name for name and shape for shape; the blob is copied into
-the model's own arrays, and ``lstm.h0``/``lstm.c0`` must be zeros. Every
-refusal is a CorruptCheckpointError naming the field at fault.
+the model's own arrays, and ``lstm.h0``/``lstm.c0`` must be zeros.
+``dof_names`` must be one of ``dsp.PROTOCOL_DOFS``'s lists. Every refusal is
+a CorruptCheckpointError naming the field at fault.
 """
 
 from __future__ import annotations
@@ -260,15 +264,16 @@ def list_session_dirs(directory: str | Path) -> list[Path]:
 # checkpoints
 
 
-# The LSTM's zero initial state, stored after its parameters in the v1 layout.
+# The LSTM's v1 arrays (gate views of the fused W and b), then its zero state.
+_LSTM_V1_NAMES = ("W_i", "W_m", "W_o", "W_c", "b_i", "b_m", "b_o", "b_c", "W_y", "b_y")
 _LSTM_INITIAL_STATE = ("h0", "c0")
 
 
 def _model_arrays(cnn: CnnModel, lstm: LstmParams) -> list[tuple[str, np.ndarray]]:
-    """Every array of the v1 blob, in blob order; the CNN's and the LSTM's
-    are the models' own, so ``load_model`` fills them in place."""
+    """Every array of the v1 blob, in blob order: the models' own arrays or
+    views of them, so ``load_model`` fills them in place."""
     arrays = [(f"cnn.{n}", a) for n, a in cnn.state_arrays().items()]
-    arrays += [(f"lstm.{n}", a) for n, a in lstm.parameters().items()]
+    arrays += [(f"lstm.{n}", getattr(lstm, n)) for n in _LSTM_V1_NAMES]
     arrays += [(f"lstm.{n}", np.zeros(lstm.hidden)) for n in _LSTM_INITIAL_STATE]
     return arrays
 
@@ -438,9 +443,10 @@ def load_model(path: str | Path) -> HybridModel:
     matrix_mode = _header_field(header, "matrix_mode")
     if matrix_mode not in ("spectral", "temporal"):
         raise CorruptCheckpointError("matrix_mode", f"unknown mode {matrix_mode!r:.80}")
-    dof_names = _header_field(header, "dof_names", list)
-    if len(dof_names) != n_outputs:
-        raise CorruptCheckpointError("dof_names", f"{len(dof_names)} for {n_outputs} output(s)")
+    dof_names = _header_field(header, "dof_names")
+    if dof_names not in PROTOCOL_DOFS.values() or len(dof_names) != n_outputs:
+        raise CorruptCheckpointError(
+            "dof_names", f"got {dof_names!r:.80}, want a protocol's {n_outputs}")
     return HybridModel(
         cnn=cnn,
         lstm=lstm,

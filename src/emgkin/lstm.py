@@ -10,6 +10,11 @@ Gate updates at step j, with z = [h_{j-1}, f_j] (hidden state first):
     h_j = o * tanh(c_j)
     y_j = W_y h_j + b_y
 
+The four gates are stored fused: ``W`` [4H x (H+F)] and ``b`` [4H] hold the
+gate blocks in the order i, m, o, c, so each step runs one GEMM for all four
+(Appleyard et al., arXiv:1604.01946). ``W_i``...``W_c`` and ``b_i``...``b_c``
+are row views of those blocks; the v1 checkpoint table names them.
+
 Only the last output y_k is read out (and supervised). Every sequence starts
 from a zero initial state (h_0 = c_0 = 0), which is neither stored nor
 trained. Training applies ``nn.DEFAULT_DROPOUT`` (30%) inverted dropout to
@@ -30,29 +35,31 @@ from .errors import DimensionError, InsufficientDataError
 
 HIDDEN_UNITS = 50
 
-PARAM_NAMES = ("W_i", "W_m", "W_o", "W_c", "b_i", "b_m", "b_o", "b_c", "W_y", "b_y")
+PARAM_NAMES = ("W", "b", "W_y", "b_y")
 
 
 @dataclass
 class LstmParams:
-    W_i: np.ndarray  # [H x (H+F)]
-    W_m: np.ndarray
-    W_o: np.ndarray
-    W_c: np.ndarray
-    b_i: np.ndarray  # [H]
-    b_m: np.ndarray
-    b_o: np.ndarray
-    b_c: np.ndarray
+    W: np.ndarray  # [4H x (H+F)]: gate blocks i, m, o, c, viewed as W_i..W_c
+    b: np.ndarray  # [4H], viewed as b_i..b_c; update both in place, never rebind
     W_y: np.ndarray  # [D x H]
     b_y: np.ndarray  # [D]
 
+    def __post_init__(self):
+        hidden, width = self.W_y.shape[-1], self.W.shape[-1]
+        got = (self.W.shape, self.b.shape, self.b_y.shape, self.W_y.ndim)
+        if got != ((4 * hidden, width), (4 * hidden,), self.W_y.shape[:1], 2) or width <= hidden:
+            raise DimensionError(f"LSTM arrays {got[:3]} do not fit W_y {self.W_y.shape}")
+        self.W_i, self.W_m, self.W_o, self.W_c = np.split(self.W, 4)
+        self.b_i, self.b_m, self.b_o, self.b_c = np.split(self.b, 4)
+
     @property
     def hidden(self) -> int:
-        return self.W_i.shape[0]
+        return self.W_y.shape[1]
 
     @property
     def feature_dim(self) -> int:
-        return self.W_i.shape[1] - self.W_i.shape[0]
+        return self.W.shape[1] - self.hidden
 
     @property
     def n_outputs(self) -> int:
@@ -81,24 +88,14 @@ def init_lstm_params(
     seed: int = 0,
     dtype=np.float32,
 ) -> LstmParams:
-    """Uniform fan-in init; forget-gate bias starts at 1 to keep memory open."""
+    """Uniform fan-in init, gates i, m, o, c in one draw; forget bias 1 keeps memory open."""
     rng = np.random.default_rng(seed)
     z_dim = hidden + feature_dim
-
-    def gate_w():
-        limit = 1.0 / np.sqrt(z_dim)
-        return rng.uniform(-limit, limit, (hidden, z_dim)).astype(dtype)
-
+    limit = 1.0 / np.sqrt(z_dim)
     limit_y = 1.0 / np.sqrt(hidden)
     return LstmParams(
-        W_i=gate_w(),
-        W_m=gate_w(),
-        W_o=gate_w(),
-        W_c=gate_w(),
-        b_i=np.zeros(hidden, dtype=dtype),
-        b_m=np.ones(hidden, dtype=dtype),
-        b_o=np.zeros(hidden, dtype=dtype),
-        b_c=np.zeros(hidden, dtype=dtype),
+        W=rng.uniform(-limit, limit, (4 * hidden, z_dim)).astype(dtype),
+        b=np.repeat(np.array([0.0, 1.0, 0.0, 0.0], dtype=dtype), hidden),
         W_y=rng.uniform(-limit_y, limit_y, (n_outputs, hidden)).astype(dtype),
         b_y=np.zeros(n_outputs, dtype=dtype),
     )
@@ -108,7 +105,7 @@ def init_lstm_params(
 class LstmCache:
     """Forward-pass intermediates required by backpropagation through time."""
 
-    steps: list  # per step: (z, i, m, o, g, c_prev, tanh_c)
+    steps: list  # per step: (z, a, c_prev, tanh_c); a holds i, m, o, g in turn
     h_final: np.ndarray
     dropout_mask: np.ndarray | None
 
@@ -134,18 +131,19 @@ def lstm_forward_batch(
         raise DimensionError(
             f"LSTM expects feature dim {params.feature_dim}, got {feat}"
         )
-    h = np.zeros((batch, params.hidden), dtype=params.W_i.dtype)
-    c = np.zeros((batch, params.hidden), dtype=params.W_i.dtype)
+    h = c = np.zeros((batch, params.hidden), dtype=params.W.dtype)  # rebound, never written
     steps = []
     for j in range(k):
         z = np.concatenate([h, seqs[:, j, :]], axis=1)
-        i = sigmoid(z @ params.W_i.T + params.b_i)
-        m = sigmoid(z @ params.W_m.T + params.b_m)
-        o = sigmoid(z @ params.W_o.T + params.b_o)
-        g = np.tanh(z @ params.W_c.T + params.b_c)
+        # activated in place: a copy per activation raises inference's peak RSS
+        a = z @ params.W.T
+        a += params.b
+        i, m, o, g = np.split(a, 4, axis=1)
+        a[:, : 3 * params.hidden] = sigmoid(a[:, : 3 * params.hidden])
+        np.tanh(g, out=g)
         c_new = i * g + m * c
         tanh_c = np.tanh(c_new)
-        steps.append((z, i, m, o, g, c, tanh_c))
+        steps.append((z, a, c, tanh_c))
         h = o * tanh_c
         c = c_new
     mask = None
@@ -177,25 +175,20 @@ def lstm_backward(
     dh = dy @ params.W_y
     if cache.dropout_mask is not None:
         dh = dh * cache.dropout_mask
-    hidden = params.hidden
+    w_h = params.W[:, : params.hidden]  # the gates' weights on h_{j-1}
     dc = np.zeros_like(dh)
-    for z, i, m, o, g, c_prev, tanh_c in reversed(cache.steps):
+    for z, a, c_prev, tanh_c in reversed(cache.steps):
+        i, m, o, g = np.split(a, 4, axis=1)
         do = dh * tanh_c
         dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
         d_ai = (dc * g) * i * (1.0 - i)
         d_am = (dc * c_prev) * m * (1.0 - m)
         d_ao = do * o * (1.0 - o)
         d_ag = (dc * i) * (1.0 - g * g)
-        grads["W_i"] += d_ai.T @ z
-        grads["W_m"] += d_am.T @ z
-        grads["W_o"] += d_ao.T @ z
-        grads["W_c"] += d_ag.T @ z
-        grads["b_i"] += d_ai.sum(axis=0)
-        grads["b_m"] += d_am.sum(axis=0)
-        grads["b_o"] += d_ao.sum(axis=0)
-        grads["b_c"] += d_ag.sum(axis=0)
-        dz = d_ai @ params.W_i + d_am @ params.W_m + d_ao @ params.W_o + d_ag @ params.W_c
-        dh = dz[:, :hidden]
+        d_a = np.concatenate([d_ai, d_am, d_ao, d_ag], axis=1)
+        grads["W"] += d_a.T @ z
+        grads["b"] += d_a.sum(axis=0)
+        dh = d_a @ w_h
         dc = dc * m
     return grads
 

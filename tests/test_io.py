@@ -1,5 +1,6 @@
 """Session CSV layout, binary checkpoints, and report/export writers."""
 
+import dataclasses
 import json
 import math
 import struct
@@ -30,9 +31,10 @@ from emgkin.io import (
     write_report,
     write_trajectory,
 )
-from emgkin.nn import CONV_CHANNELS, MaxPool1d
+from emgkin.lstm import init_lstm_params
+from emgkin.nn import CONV_CHANNELS, CnnModel, MaxPool1d
 from emgkin.synth import SynthConfig, generate
-from emgkin.training import predict, train_hybrid
+from emgkin.training import LabelScaler, predict, train_hybrid
 
 
 # --------------------------------------------------------------------------
@@ -275,6 +277,20 @@ def test_checkpoint_round_trip_bit_identical(saved_model, tiny_session):
     np.testing.assert_array_equal(after.timestamps, before.timestamps)
 
 
+def test_load_fills_the_fused_lstm_through_its_gate_views(saved_model):
+    """The v1 table names the gate views; loading writes each into its rows
+    of the fused W and b, which start from another (untrained) init."""
+    model, path = saved_model
+    lstm = load_model(path).lstm
+    assert not np.array_equal(init_lstm_params(n_outputs=1).W, model.lstm.W)
+    h = lstm.hidden
+    for g, gate in enumerate("imoc"):
+        w, b = getattr(lstm, f"W_{gate}"), getattr(lstm, f"b_{gate}")
+        assert np.shares_memory(w, lstm.W) and np.shares_memory(b, lstm.b)
+        np.testing.assert_array_equal(w, model.lstm.W[g * h : (g + 1) * h])
+        np.testing.assert_array_equal(b, model.lstm.b[g * h : (g + 1) * h])
+
+
 def _replace_header(raw: bytes, rebuild) -> bytes:
     """The checkpoint with its JSON header replaced by rebuild(header)."""
     (header_len,) = struct.unpack("<I", raw[8:12])
@@ -308,6 +324,10 @@ BAD_HEADERS = {
     "text-label-scaler": _set("label_scaler", "x"),
     "unknown-matrix-mode": _set("matrix_mode", "wavelet"),
     "three-dof-names": _set("dof_names", ["fe", "ps", "ru"]),
+    # dof_names must be one protocol's list, as save_model writes it.
+    "text-dof-names": _set("dof_names", "f"),
+    "number-dof-names": _set("dof_names", [1]),
+    "unknown-dof-name": _set("dof_names", ["wrist"]),
     # LabelScaler.fit refuses constant labels; a zero std predicts a constant
     # and a negative one flips every angle's sign.
     "zero-label-std": _set("label_scaler", {"mean": [0.0], "std": [0.0]}),
@@ -324,6 +344,32 @@ def test_malformed_header_names_field(saved_model, tmp_path, case):
     with pytest.raises(CorruptCheckpointError) as exc_info:
         load_model(bad)
     assert exc_info.value.field == field
+
+
+@pytest.fixture(scope="module")
+def saved_p4_model(saved_model, tmp_path_factory):
+    """An untrained three-DoF twin of ``saved_model``, saved."""
+    model, _ = saved_model
+    twin = dataclasses.replace(
+        model,
+        cnn=CnnModel(model.cnn.input_len, model.cnn.in_channels, 3),
+        lstm=init_lstm_params(n_outputs=3),
+        label_scaler=LabelScaler(np.zeros(3), np.ones(3)),
+        dof_names=["fe", "ps", "ru"],
+    )
+    return save_model(twin, tmp_path_factory.mktemp("p4") / "model.ckpt")
+
+
+@pytest.mark.parametrize("dof_names", ["abc", [1, 2, 3], ["fe", "fe", "fe"]])
+def test_three_dof_names_must_be_p4s(saved_p4_model, tmp_path, dof_names):
+    """Three names that fit three outputs load only as P4's list."""
+    assert load_model(saved_p4_model).dof_names == ["fe", "ps", "ru"]
+    bad = tmp_path / "dofs.ckpt"
+    _, rebuild = _set("dof_names", dof_names)
+    bad.write_bytes(_replace_header(saved_p4_model.read_bytes(), rebuild))
+    with pytest.raises(CorruptCheckpointError) as exc_info:
+        load_model(bad)
+    assert exc_info.value.field == "dof_names"
 
 
 def _edit_array(raw: bytes, name: str, edit) -> bytes:

@@ -3,7 +3,7 @@ against central finite differences (small dimensions, 64-bit)."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emgkin import lstm, nn
@@ -126,8 +126,15 @@ def test_bptt_longer_sequence_k5_hidden6():
 
     _, cache = lstm_forward_batch(p, seqs)
     grads = lstm_backward(p, cache, r)
-    for name in ("W_i", "W_m", "W_c", "b_o", "W_y"):
-        param = p.parameters()[name]
+    h = p.hidden
+    blocks = {  # gate view: its rows of the fused gradient
+        "W_i": (p.W_i, grads["W"][:h]),
+        "W_m": (p.W_m, grads["W"][h : 2 * h]),
+        "W_c": (p.W_c, grads["W"][3 * h :]),
+        "b_o": (p.b_o, grads["b"][2 * h : 3 * h]),
+        "W_y": (p.W_y, grads["W_y"]),
+    }
+    for name, (param, grad) in blocks.items():
         flat = param.ravel()
         for i in range(0, flat.size, 3):  # stride through the larger tensors
             keep = flat[i]
@@ -137,7 +144,7 @@ def test_bptt_longer_sequence_k5_hidden6():
             lo = loss()
             flat[i] = keep
             num = (hi - lo) / (2 * EPS)
-            ana = grads[name].ravel()[i]
+            ana = grad.ravel()[i]
             err = abs(num - ana) / max(abs(num) + abs(ana), 1e-6)
             assert err < TOL, f"{name}[{i}]: {err:.3e}"
 
@@ -152,6 +159,74 @@ def test_init_shapes_and_forget_bias():
     for w in (p.W_i, p.W_m, p.W_o, p.W_c):
         assert np.all(np.abs(w) <= bound)
     assert np.all(np.abs(p.W_y) <= 1.0 / np.sqrt(50))
+
+
+def test_init_equals_four_per_gate_draws():
+    """One fused draw gives the bytes of the four per-gate draws i, m, o, c
+    and the readout draw after them, so a seed trains the same model."""
+    feature_dim, hidden, n_outputs, seed = 20, 50, 3, 12
+    rng = np.random.default_rng(seed)
+    z_dim = hidden + feature_dim
+    gates = [
+        rng.uniform(-1 / np.sqrt(z_dim), 1 / np.sqrt(z_dim), (hidden, z_dim)).astype(np.float32)
+        for _ in "imoc"
+    ]
+    w_y = rng.uniform(-1 / np.sqrt(hidden), 1 / np.sqrt(hidden), (n_outputs, hidden))
+    biases = [np.zeros(hidden), np.ones(hidden), np.zeros(hidden), np.zeros(hidden)]
+    p = init_lstm_params(feature_dim, hidden, n_outputs, seed)
+    assert p.W.tobytes() == np.concatenate(gates).tobytes()
+    assert p.b.tobytes() == np.concatenate(biases).astype(np.float32).tobytes()
+    assert p.W_y.tobytes() == w_y.astype(np.float32).tobytes()
+    assert p.b_y.tobytes() == np.zeros(n_outputs, np.float32).tobytes()
+
+
+def test_gate_views_share_the_fused_arrays():
+    p = init_lstm_params(feature_dim=3, hidden=4, n_outputs=2)
+    gates = (p.W_i, p.W_m, p.W_o, p.W_c)
+    biases = (p.b_i, p.b_m, p.b_o, p.b_c)
+    for g, (w, b) in enumerate(zip(gates, biases)):
+        assert w.shape == (4, 7) and b.shape == (4,)
+        assert np.shares_memory(w, p.W) and np.shares_memory(b, p.b)
+        w[...] = g
+        b[...] = -g
+    np.testing.assert_array_equal(p.W, np.repeat(np.arange(4.0), 4)[:, None] * np.ones(7))
+    np.testing.assert_array_equal(p.b, -np.repeat(np.arange(4.0), 4))
+    assert set(p.parameters()) == {"W", "b", "W_y", "b_y"}
+
+
+@pytest.mark.parametrize(
+    "field, shape",
+    [("W", (12, 7)), ("W", (16,)), ("W", (16, 4)), ("b", (12,)), ("b", (16, 1)), ("b_y", (3,))],
+)
+def test_params_of_the_wrong_shape_are_refused(field, shape):
+    """W must hold 4 gate blocks of H rows over H+F columns and b 4H values,
+    with H from the readout; a W of 3H rows is not an LSTM."""
+    from emgkin.errors import DimensionError
+
+    arrays = init_lstm_params(feature_dim=3, hidden=4, n_outputs=2).parameters()
+    arrays[field] = np.zeros(shape, np.float32)
+    with pytest.raises(DimensionError):
+        LstmParams(**arrays)
+
+
+@settings(max_examples=30, deadline=None)
+@given(batch=st.integers(1, 70), seed=st.integers(0, 2**16))
+@example(batch=1, seed=0)
+@example(batch=13, seed=1)  # the last batch at k = 58 on the P4 desk sweep
+@example(batch=64, seed=2)  # training.LSTM_BATCH
+def test_fused_forward_matches_per_gate_reference(batch, seed):
+    """At the recipe's float32 gate shapes (H = 50, F = 20) and every batch
+    size up to 70, where BLAS may pick another kernel for the fused GEMM than
+    for one gate's, the fused forward equals the per-gate loop to float32
+    rounding."""
+    p = init_lstm_params(n_outputs=3, seed=seed)
+    p.b_m[:] = 0.3
+    seqs = np.random.default_rng(seed).standard_normal((batch, 3, nn.FEATURE_DIM))
+    seqs = seqs.astype(np.float32)
+    y, _ = lstm_forward_batch(p, seqs)
+    assert y.dtype == np.float32
+    for b in range(batch):
+        np.testing.assert_allclose(y[b], reference_forward(p, seqs[b]), rtol=1e-5, atol=1e-6)
 
 
 def test_init_deterministic_per_seed():
