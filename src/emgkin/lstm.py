@@ -74,10 +74,17 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
     ``exp`` only ever sees -|x|; ``minimum(x, -x)`` rather than ``-abs(x)``
     keeps a NaN input's sign bit, as evaluating each branch on its own did.
+    With e = exp(-|x|), the value is 1 / (1 + e) where x >= 0 and
+    e / (1 + e) elsewhere. ``maximum(e, x >= 0)`` is that numerator without
+    a select: where x >= 0, e <= 1, so the maximum is exactly 1; elsewhere it
+    is max(e, 0) = e, as e >= 0; a NaN e passes through. One division then
+    serves both branches, with the bytes of the two-branch form.
     """
     x = np.asarray(x)
     e = np.exp(np.minimum(x, -x))
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.maximum(e, x >= 0)
+    e += 1.0
+    out /= e
     return out.astype(x.dtype if x.dtype.kind == "f" else np.float32, copy=False)
 
 

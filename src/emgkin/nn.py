@@ -32,6 +32,15 @@ The FC blocks then run once over the whole buffer, because fc2's
 to 390, so chunking it would change the outputs. Train mode runs every
 layer over the whole batch, as batch norm's batch statistics need.
 
+The element-wise layers make few full-size passes and temporaries. Batch
+norm works on an [N x C] view of its input (``x.reshape(-1, C)``, N = B*L
+for a conv map): one mean, a centred copy that gives the variance and is
+then scaled in place into x-hat, and a backward that keeps the textbook
+formula's order of operations in two full-size buffers. Leaky ReLU is
+``max(x, slope * x)``, and its backward scales the gradient by a factor that
+is exactly 1 or slope. Neither calls ``np.where``, and both keep the bytes
+of the select-based forms they replaced; the tests hold those as references.
+
 Dtypes in training: parameters, caches and optimizer state are float32, but
 the backward passes of this CNN and of the LSTM run in float64. The targets
 are float64 (``training.LabelScaler`` returns them so), ``mse_loss``
@@ -141,14 +150,16 @@ class BatchNorm:
         self._cache = None
 
     def forward(self, x: np.ndarray, mode: Mode) -> np.ndarray:
-        axes = tuple(range(x.ndim - 1))
+        shape = x.shape
+        x = x.reshape(-1, shape[-1])
         if mode == "train":
-            if x.shape[0] == 1:
+            if shape[0] == 1:
                 raise DegenerateBatchError(
                     "batch of 1 has undefined train-mode batch statistics"
                 )
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            mean = x.mean(axis=0)
+            xhat = x - mean
+            var = (xhat * xhat).sum(axis=0) / len(x)
             self.running_mean = (
                 (1.0 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
             ).astype(self.running_mean.dtype)
@@ -156,38 +167,70 @@ class BatchNorm:
                 (1.0 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
             ).astype(self.running_var.dtype)
         else:
-            mean = self.running_mean
+            xhat = x - self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x - mean) * inv_std
-        self._cache = (xhat, inv_std, axes) if mode == "train" else None
-        return self.gamma * xhat + self.beta
+        xhat *= inv_std
+        self._cache = (xhat, inv_std) if mode == "train" else None
+        # eval mode keeps no x-hat, so the output takes its buffer
+        out = self.gamma * xhat if mode == "train" else np.multiply(xhat, self.gamma, out=xhat)
+        out += self.beta
+        return out.reshape(shape)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        xhat, inv_std, axes = _train_cache(self._cache)
-        self.dgamma = (dout * xhat).sum(axis=axes)
-        self.dbeta = dout.sum(axis=axes)
+        xhat, inv_std = _train_cache(self._cache)
+        shape = dout.shape
+        dout = dout.reshape(xhat.shape)
+        # An np.int64, not a Python int: it makes inv_std / m and m * dxhat
+        # float64, and so keeps the gradient's bytes.
+        m = np.int64(len(dout))
+        buf = dout * xhat
+        self.dgamma = buf.sum(axis=0)
+        self.dbeta = dout.sum(axis=0)
         dxhat = dout * self.gamma
-        m = np.prod([dout.shape[a] for a in axes])
-        return (
-            inv_std
-            / m
-            * (m * dxhat - dxhat.sum(axis=axes) - xhat * (dxhat * xhat).sum(axis=axes))
-        )
+        np.multiply(dxhat, xhat, out=buf)
+        xhat_dot = buf.sum(axis=0)
+        np.multiply(xhat, xhat_dot, out=buf)
+        dxhat_sum = dxhat.sum(axis=0)
+        # inv_std / m * (m * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
+        # term by term in that order, in place in the float64 buffer
+        dx = dxhat.astype(np.result_type(dxhat, m), copy=False)
+        dx *= m
+        dx -= dxhat_sum
+        dx -= buf
+        dx *= inv_std / m
+        return dx.reshape(shape)
 
 
 class LeakyRelu:
+    """x where x >= 0, else slope * x, computed as max(x, slope * x).
+
+    For 0 <= slope <= 1 the two are the same value for every input: slope * x
+    is at most x above zero and at least x below it, ±0 and ±inf keep their
+    sign, and ``maximum`` returns a NaN input as it is. Other slopes are
+    refused.
+    """
+
     def __init__(self, slope=DEFAULT_LEAKY_SLOPE):
+        if not 0.0 <= slope <= 1.0:
+            raise ValueError(f"leaky slope must lie in [0, 1], got {slope}")
         self.slope = slope
         self._positive = None
 
     def forward(self, x: np.ndarray, mode: Mode) -> np.ndarray:
-        positive = x >= 0
-        self._positive = positive if mode == "train" else None
-        return np.where(positive, x, self.slope * x)
+        self._positive = x >= 0 if mode == "train" else None
+        out = self.slope * x
+        return np.maximum(x, out, out=out)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        return np.where(_train_cache(self._positive), dout, self.slope * dout)
+        positive = _train_cache(self._positive)
+        # The factor is exactly 1 or slope, in dout's dtype: fl(1 - s) is
+        # within half an ulp of 1 - s, so fl(fl(1 - s) + s) rounds to 1.
+        slope = dout.dtype.type(self.slope)
+        factor = positive * (1 - slope)
+        factor += slope
+        factor *= dout
+        return factor
 
 
 class MaxPool1d:

@@ -531,3 +531,163 @@ def test_extract_peak_memory_is_one_chunk_over_the_flat_buffer():
         tracemalloc.stop()
     assert feats.shape == (windows, nn.FEATURE_DIM)
     assert peak <= flat_bytes + chunk_bytes + slack, (peak, flat_bytes, chunk_bytes)
+
+
+class ReferenceBatchNorm(nn.BatchNorm):
+    """The batch norm this layer replaced: reductions over every axis but the
+    last, ``x.var`` for the variance, and one expression per output."""
+
+    def forward(self, x, mode):
+        axes = tuple(range(x.ndim - 1))
+        if mode == "train":
+            mean = x.mean(axis=axes)
+            var = x.var(axis=axes)
+            self.running_mean = (
+                (1.0 - nn.BN_MOMENTUM) * self.running_mean + nn.BN_MOMENTUM * mean
+            ).astype(self.running_mean.dtype)
+            self.running_var = (
+                (1.0 - nn.BN_MOMENTUM) * self.running_var + nn.BN_MOMENTUM * var
+            ).astype(self.running_var.dtype)
+        else:
+            mean = self.running_mean
+            var = self.running_var
+        inv_std = 1.0 / np.sqrt(var + nn.BN_EPS)
+        xhat = (x - mean) * inv_std
+        self._cache = (xhat, inv_std, axes) if mode == "train" else None
+        return self.gamma * xhat + self.beta
+
+    def backward(self, dout):
+        xhat, inv_std, axes = self._cache
+        self.dgamma = (dout * xhat).sum(axis=axes)
+        self.dbeta = dout.sum(axis=axes)
+        dxhat = dout * self.gamma
+        m = np.prod([dout.shape[a] for a in axes])
+        return (
+            inv_std
+            / m
+            * (m * dxhat - dxhat.sum(axis=axes) - xhat * (dxhat * xhat).sum(axis=axes))
+        )
+
+
+def reference_leaky_forward(x, slope):
+    """The leaky ReLU this layer replaced: a select on x >= 0."""
+    positive = x >= 0
+    return np.where(positive, x, slope * x), positive
+
+
+def reference_leaky_backward(positive, dout, slope):
+    return np.where(positive, dout, slope * dout)
+
+
+# Element-wise layer inputs in training: the conv outputs of
+# REAL_CONV_SHAPES as [B x L x C], then fc1's and fc2's outputs.
+ELEMENTWISE_SHAPES = [(b, length, out_ch) for b, _, out_ch, length in REAL_CONV_SHAPES] + [
+    (128, 100),
+    (128, 20),
+]
+# (layer and input dtype, upstream gradient dtype): training's float32
+# layers under a float64 loss gradient, and a float64 layer.
+LAYER_GRAD_DTYPES = [(np.float32, np.float64), (np.float64, np.float64)]
+
+
+def zeros_and_ties(rng, shape, dtype):
+    """Values with many ±0 entries and repeats, from a few levels."""
+    levels = np.array([-0.0, 0.0, 0.5, -1.25, 3.0])
+    x = rng.choice(levels, shape) * rng.choice([1.0, 1.0, 2.0], shape)
+    return np.where(rng.random(shape) < 0.5, x, rng.standard_normal(shape)).astype(dtype)
+
+
+def assert_same_bytes(got, ref, name):
+    assert got.dtype == ref.dtype and got.shape == ref.shape, name
+    assert got.tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("dtypes", LAYER_GRAD_DTYPES, ids=["f32-layer-f64-grad", "f64"])
+@pytest.mark.parametrize("shape", ELEMENTWISE_SHAPES)
+def test_batchnorm_matches_reference_bytes(shape, dtypes):
+    dtype, grad_dtype = dtypes
+    rng = np.random.default_rng(40)
+    channels = shape[-1]
+    layer, ref = nn.BatchNorm(channels, dtype), ReferenceBatchNorm(channels, dtype)
+    for attr in ("gamma", "beta", "running_mean"):
+        value = rng.standard_normal(channels).astype(dtype)
+        setattr(layer, attr, value.copy())
+        setattr(ref, attr, value.copy())
+    layer.running_var = ref.running_var = rng.uniform(0.5, 2.0, channels).astype(dtype)
+    x = zeros_and_ties(rng, shape, dtype)
+    dout = zeros_and_ties(rng, shape, grad_dtype)
+
+    assert_same_bytes(layer.forward(x, "eval"), ref.forward(x, "eval"), "eval out")
+    assert_same_bytes(layer.forward(x, "train"), ref.forward(x, "train"), "train out")
+    for name in ("running_mean", "running_var"):
+        assert_same_bytes(getattr(layer, name), getattr(ref, name), name)
+    assert_same_bytes(layer.backward(dout), ref.backward(dout), "dx")
+    for name in ("dgamma", "dbeta"):
+        assert_same_bytes(getattr(layer, name), getattr(ref, name), name)
+
+
+@pytest.mark.parametrize("slope", [0.1, 0.3, 0.01])
+@pytest.mark.parametrize("dtypes", LAYER_GRAD_DTYPES, ids=["f32-layer-f64-grad", "f64"])
+@pytest.mark.parametrize("shape", ELEMENTWISE_SHAPES)
+def test_leaky_relu_matches_where_reference_bytes(shape, dtypes, slope):
+    dtype, grad_dtype = dtypes
+    rng = np.random.default_rng(41)
+    specials = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-45, -1e-45])
+    x = zeros_and_ties(rng, shape, dtype)
+    x.ravel()[: len(specials)] = specials
+    dout = zeros_and_ties(rng, shape, grad_dtype)
+    dout.ravel()[-len(specials) :] = specials
+    layer = nn.LeakyRelu(slope)
+    ref_out, positive = reference_leaky_forward(x, slope)
+    assert_same_bytes(layer.forward(x, "eval"), ref_out, "eval out")
+    assert_same_bytes(layer.forward(x, "train"), ref_out, "train out")
+    assert_same_bytes(layer.backward(dout), reference_leaky_backward(positive, dout, slope), "dx")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    slope=st.floats(0.0, 1.0),
+    dtype=st.sampled_from([np.float32, np.float64]),
+)
+@example(slope=0.0, dtype=np.float32)
+@example(slope=1.0, dtype=np.float64)
+@example(slope=2.0**-30, dtype=np.float32)
+def test_leaky_relu_backward_factor_is_exact_for_any_slope(slope, dtype):
+    x = np.array([-2.0, -0.0, 0.0, 1.0, np.nan, -np.inf], dtype=dtype)
+    dout = np.random.default_rng(42).standard_normal(x.shape).astype(dtype)
+    layer = nn.LeakyRelu(slope)
+    with np.errstate(invalid="ignore"):  # slope 0 times -inf
+        ref_out, positive = reference_leaky_forward(x, slope)
+        assert_same_bytes(layer.forward(x, "train"), ref_out, "out")
+    assert_same_bytes(layer.backward(dout), reference_leaky_backward(positive, dout, slope), "dx")
+
+
+@pytest.mark.parametrize("slope", [-0.1, 1.5, np.nan])
+def test_leaky_relu_refuses_a_slope_outside_unit_interval(slope):
+    with pytest.raises(ValueError, match="slope"):
+        nn.LeakyRelu(slope)
+
+
+def test_elementwise_layers_peak_memory():
+    """Batch norm's backward holds two full-size float64 buffers, one of them
+    the returned gradient; the eval forwards of batch norm and leaky ReLU
+    hold only their output."""
+    shape = (128, 97, 32)
+    rng = np.random.default_rng(43)
+    x = rng.standard_normal(shape).astype(np.float32)
+    dout = rng.standard_normal(shape)
+    slack = 256 << 10
+    bn, act = nn.BatchNorm(shape[-1], np.float32), nn.LeakyRelu()
+    bn.forward(x, "train")
+    for name, run, budget in [
+        ("bn backward", lambda: bn.backward(dout), 2 * dout.nbytes),
+        ("bn eval", lambda: bn.forward(x, "eval"), x.nbytes),
+        ("leaky eval", lambda: act.forward(x, "eval"), x.nbytes),
+    ]:
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget + slack, (name, peak, budget)
