@@ -41,12 +41,14 @@ formula's order of operations in two full-size buffers. Leaky ReLU is
 is exactly 1 or slope. Neither calls ``np.where``, and both keep the bytes
 of the select-based forms they replaced; the tests hold those as references.
 
-Dtypes in training: parameters, caches and optimizer state are float32, but
-the backward passes of this CNN and of the LSTM run in float64. The targets
-are float64 (``training.LabelScaler`` returns them so), ``mse_loss``
-promotes the float32 predictions against them, and every gradient below the
-loss inherits float64. Each SGDM or Adam update reads the float64 gradient
-and is rounded into the float32 optimizer state and parameters.
+Dtypes in training: parameters, caches, optimizer state and gradients are
+all float32. ``training.LabelScaler`` returns float64 targets, and
+``train_cnn`` and ``train_lstm`` cast them once to the parameters' dtype
+where the optimizers read them, so ``mse_loss`` returns a float32 gradient
+and the backward passes of this CNN and of the LSTM run in float32 from the
+loss down to conv1 and through every BPTT step. Each layer's backward keeps
+the upstream gradient's dtype (batch norm holds its count in that dtype), so
+the finite-difference tests still run the same code in float64.
 """
 
 from __future__ import annotations
@@ -181,9 +183,10 @@ class BatchNorm:
         xhat, inv_std = _train_cache(self._cache)
         shape = dout.shape
         dout = dout.reshape(xhat.shape)
-        # An np.int64, not a Python int: it makes inv_std / m and m * dxhat
-        # float64, and so keeps the gradient's bytes.
-        m = np.int64(len(dout))
+        # The count in the gradient's dtype: a Python int would leave a
+        # float32 inv_std / m in float32 under a float64 gradient, and an
+        # integer scalar would turn a float32 gradient into float64.
+        m = dout.dtype.type(len(dout))
         buf = dout * xhat
         self.dgamma = buf.sum(axis=0)
         self.dbeta = dout.sum(axis=0)
@@ -193,8 +196,8 @@ class BatchNorm:
         np.multiply(xhat, xhat_dot, out=buf)
         dxhat_sum = dxhat.sum(axis=0)
         # inv_std / m * (m * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
-        # term by term in that order, in place in the float64 buffer
-        dx = dxhat.astype(np.result_type(dxhat, m), copy=False)
+        # term by term in that order, in place in dxhat's buffer
+        dx = dxhat
         dx *= m
         dx -= dxhat_sum
         dx -= buf

@@ -6,7 +6,8 @@ extracts 20-dim deep features from every window in segmentation order, forms
 overlapping k-length sequences, and trains the LSTM with ADAM (batches of
 ``LSTM_BATCH`` = 64, lr0 1e-3) on the last-step output. Both batch sizes are
 the paper's recipe. Both stages drop the learning rate by 90% every 10
-epochs and record one mean loss per epoch.
+epochs and record one mean loss per epoch. Both cast their float64 targets to
+the parameters' float32 before the epoch loop, so every gradient is float32.
 
 Training and prediction condition a recording through ``dsp.condition``,
 prediction with the training stats stored in the model. ``predict_heads``
@@ -58,7 +59,9 @@ class LabelScaler:
     map. Standardization does not make the published learning rates
     converge: at ``cnn.lr0`` 1e-4 the stage-1 loss on these targets stays
     at 1.4-1.75 (always predicting the mean scores 1.0) through the desk
-    recipe's five epochs (ROADMAP item 1).
+    recipe's five epochs (ROADMAP item 1). ``transform`` returns float64, so
+    ``inverse`` gives the labels back to float64 rounding; ``train_cnn`` and
+    ``train_lstm`` cast the targets to float32 themselves.
     """
 
     mean: np.ndarray  # [D]
@@ -161,6 +164,9 @@ def train_cnn(
         n_outputs=y.shape[1],
         seed=seed,
     )
+    # targets in the parameters' dtype, so the loss gradient and every
+    # gradient below it stay float32
+    y = y.astype(model.dtype, copy=False)
     optimizer = Sgdm(model.parameters(), stage.lr0)
     shuffle_rng = np.random.default_rng(seed + _SHUFFLE_OFFSET)
     history: list[float] = []
@@ -199,6 +205,7 @@ def train_lstm(
         n_outputs=y.shape[1],
         seed=seed + _LSTM_INIT_OFFSET,
     )
+    y = y.astype(params.W.dtype, copy=False)  # as in train_cnn
     optimizer = Adam(params.parameters(), stage.lr0)
     rng = np.random.default_rng(seed + _LSTM_SHUFFLE_OFFSET)
     history: list[float] = []

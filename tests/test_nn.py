@@ -362,23 +362,39 @@ def test_conv_forward_matches_pad_stack_reference_bytes(shape, dtype, mode):
     assert out.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("shape", REAL_CONV_SHAPES)
-def test_conv_backward_matches_einsum_reference(shape):
-    """float32 layer and float64 output gradient, as in stage-1 training. The
-    input gradient keeps its bytes; the weight gradient is one float64 GEMM
-    instead of the einsum, the same products summed in another order."""
+@pytest.mark.parametrize(
+    "shape, grad_dtype",
+    [pytest.param(s, np.float64, id=f"shape{i}") for i, s in enumerate(REAL_CONV_SHAPES)]
+    + [pytest.param(s, np.float32, id=f"shape{i}-f32-grad") for i, s in enumerate(REAL_CONV_SHAPES)],
+)
+def test_conv_backward_matches_einsum_reference(shape, grad_dtype):
+    """float32 layer under a float64 output gradient, and under a float32
+    one as in stage-1 training. The input gradient keeps its bytes; the
+    weight gradient is one GEMM in the gradient's dtype instead of the
+    einsum, the same products summed in another order."""
     batch, in_ch, out_ch, length = shape
     rng = np.random.default_rng(27)
     layer = nn.Conv1d(in_ch, out_ch, rng, 0.1, np.float32)
     x = rng.standard_normal((batch, length, in_ch)).astype(np.float32)
-    dout = rng.standard_normal((batch, length, out_ch))
+    dout = rng.standard_normal((batch, length, out_ch)).astype(grad_dtype)
     layer.forward(x, "train")
     dx = layer.backward(dout)
     _, cols = reference_conv_forward(layer, x)
     ref_dx, ref_dW = reference_conv_backward(layer, cols, dout)
     assert dx.dtype == ref_dx.dtype and dx.tobytes() == ref_dx.tobytes()
-    assert layer.dW.dtype == ref_dW.dtype == np.float64
-    assert np.max(np.abs(layer.dW - ref_dW)) <= 1e-12 * np.max(np.abs(ref_dW))
+    assert layer.dW.dtype == ref_dW.dtype == grad_dtype
+    if grad_dtype == np.float64:
+        assert np.max(np.abs(layer.dW - ref_dW)) <= 1e-12 * np.max(np.abs(ref_dW))
+    else:
+        # float32 rounding: against the exact (float64) sums, each entry
+        # within 16 ulps of float32 of the sum of its products' magnitudes
+        _, exact = reference_conv_backward(layer, cols.astype(np.float64), dout.astype(np.float64))
+        _, bound = reference_conv_backward(
+            layer, np.abs(cols.astype(np.float64)), np.abs(dout.astype(np.float64))
+        )
+        tol = 16 * np.finfo(np.float32).eps * bound
+        assert np.all(np.abs(layer.dW - exact) <= tol)
+        assert np.all(np.abs(ref_dW - exact) <= tol)
 
 
 def test_conv_eval_forward_peak_memory():
@@ -668,14 +684,15 @@ def test_leaky_relu_refuses_a_slope_outside_unit_interval(slope):
         nn.LeakyRelu(slope)
 
 
-def test_elementwise_layers_peak_memory():
-    """Batch norm's backward holds two full-size float64 buffers, one of them
-    the returned gradient; the eval forwards of batch norm and leaky ReLU
-    hold only their output."""
+@pytest.mark.parametrize("grad_dtype", [np.float64, np.float32])
+def test_elementwise_layers_peak_memory(grad_dtype):
+    """Batch norm's backward holds two full-size buffers in the gradient's
+    dtype, one of them the returned gradient; the eval forwards of batch norm
+    and leaky ReLU hold only their output."""
     shape = (128, 97, 32)
     rng = np.random.default_rng(43)
     x = rng.standard_normal(shape).astype(np.float32)
-    dout = rng.standard_normal(shape)
+    dout = rng.standard_normal(shape).astype(grad_dtype)
     slack = 256 << 10
     bn, act = nn.BatchNorm(shape[-1], np.float32), nn.LeakyRelu()
     bn.forward(x, "train")

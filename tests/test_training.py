@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from emgkin import dsp, nn
+from emgkin import dsp, nn, training
 from emgkin.config import PipelineConfig, StageConfig
 from emgkin.errors import DataError, DivergenceError, InsufficientDataError
 from emgkin.synth import SynthConfig, generate
@@ -78,6 +78,55 @@ def test_train_cnn_deterministic_per_seed(tiny_session, tiny_config):
         not np.array_equal(v, m3.state_arrays()[k])
         for k, v in m1.state_arrays().items()
     )
+
+
+def _spy(monkeypatch, name):
+    """Wrap ``training.<name>``; the returned list collects (args, result)
+    of every call."""
+    calls = []
+    real = getattr(training, name)
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(training, name, spy)
+    return calls
+
+
+def _float64_labelled(n, shape, n_outputs=2, seed=11):
+    """float32 inputs [n x *shape] and float64 targets, as LabelScaler
+    returns them."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, *shape)).astype(np.float32), rng.standard_normal(
+        (n, n_outputs)
+    )
+
+
+def test_train_cnn_gradients_take_the_parameters_dtype():
+    x, y = _float64_labelled(20, (12, 3))
+    model, _ = train_cnn(x, y, StageConfig(epochs=1, lr0=1e-4))
+    grads = model.gradients()
+    assert grads and all(g.dtype == model.dtype == np.float32 for g in grads.values())
+
+
+def test_train_lstm_gradients_take_the_parameters_dtype(monkeypatch):
+    calls = _spy(monkeypatch, "lstm_backward")
+    x, y = _float64_labelled(10, (4, nn.FEATURE_DIM))
+    params, _ = train_lstm(x, y, StageConfig(epochs=1, lr0=1e-3))
+    assert calls
+    for _, grads in calls:
+        assert all(g.dtype == params.W.dtype == np.float32 for g in grads.values())
+
+
+def test_loss_gradient_is_float32_against_the_cast_targets(monkeypatch):
+    calls = _spy(monkeypatch, "mse_loss")
+    train_cnn(*_float64_labelled(20, (12, 3)), StageConfig(epochs=1, lr0=1e-4))
+    train_lstm(*_float64_labelled(10, (4, nn.FEATURE_DIM)), StageConfig(epochs=1, lr0=1e-3))
+    assert len(calls) == 2
+    for (pred, target), (_, grad) in calls:
+        assert pred.dtype == target.dtype == grad.dtype == np.float32
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
