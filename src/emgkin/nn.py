@@ -1,9 +1,10 @@
 """Layers and the deep-feature CNN, with hand-written backward passes.
 
 No autodiff: a train-mode forward caches what the layer's backward pass
-needs, and every analytic gradient is checked against central finite
-differences in the test suite. An eval-mode forward caches nothing and clears
-what an earlier train-mode forward left, so inference holds no per-batch
+needs in the layer's ``_cache``, and every analytic gradient is checked
+against central finite differences in the test suite. An eval-mode forward
+caches nothing and clears what an earlier train-mode forward left (the
+model's eval pass clears every layer's), so inference holds no per-batch
 state and a backward pass needs a train-mode forward first; without one it
 raises. Data layout is channels-last: conv stages see [B x L x C], fully
 connected stages see [B x F].
@@ -22,15 +23,25 @@ build one layer on its own. Batch norm's ``BN_MOMENTUM`` = 0.1 (running-stat
 update weight) and ``BN_EPS`` = 1e-5 (variance guard) are the customary
 values; the paper gives neither.
 
+Eval-mode batch norm is a per-channel affine map, so the model's eval pass
+folds each one into the conv or dense GEMM before it (Jacob et al.,
+arXiv:1712.05877): per channel, scale = gamma / sqrt(running_var + BN_EPS),
+the weights become W * scale and the bias (b - running_mean) * scale + beta.
+The folds are computed at every eval pass from the current parameters, so
+none can go stale. A conv block is then im2col -> GEMM -> bias -> leaky
+ReLU -> pool; no batch norm or dropout runs. The fold reorders float32
+rounding only: in float64 it equals the layer-by-layer pass to about 1e-14.
+
 Eval mode runs the four conv blocks and the flatten over ``EVAL_CHUNK`` =
 256 windows at a time, into one [M x flat_dim] buffer, so the im2col buffers
-grow with the chunk, not with the recording. Every row of the conv GEMMs
-kept its bytes at chunk sizes from 1 to 512 (OpenBLAS 0.3.31), and the
-tests compare the chunked output with one whole-batch pass byte for byte.
-The FC blocks then run once over the whole buffer, because fc2's
-[M x 100] @ [100 x 20] product changed bytes with M at every M tried from 1
-to 390, so chunking it would change the outputs. Train mode runs every
-layer over the whole batch, as batch norm's batch statistics need.
+grow with the chunk, not with the recording. The conv GEMMs run per window
+([L x 3*Cin] @ [3*Cin x Cout]), so their bytes do not depend on the chunk,
+and the tests compare the chunked output with one whole-batch pass of the
+same code byte for byte. The FC blocks then run once over the whole buffer,
+because fc2's [M x 100] @ [100 x 20] product changed bytes with M at every
+M tried from 1 to 390, so chunking it would change the outputs. Train mode
+runs every layer over the whole batch, as batch norm's batch statistics
+need.
 
 The element-wise layers make few full-size passes and temporaries. Batch
 norm works on an [N x C] view of its input (``x.reshape(-1, C)``, N = B*L
@@ -92,31 +103,44 @@ class Conv1d:
         self.b = np.zeros(out_channels, dtype=dtype)
         self.dW = None
         self.db = None
-        self._cols = None
+        self._cache = None
 
-    def forward(self, x: np.ndarray, mode: Mode) -> np.ndarray:
+    @property
+    def w_mat(self) -> np.ndarray:
+        """W as the [3*Cin x Cout] matrix that multiplies an im2col row."""
+        out_ch, in_ch, _ = self.W.shape
+        return self.W.transpose(1, 2, 0).reshape(in_ch * 3, out_ch)
+
+    def forward(self, x: np.ndarray, mode: Mode, weights=None) -> np.ndarray:
+        """``weights``, a (w_mat, b) pair, stands in for the layer's own in
+        eval mode: ``CnnModel`` passes them with a batch norm folded in."""
         if x.shape[2] != self.W.shape[1]:
             raise DimensionError(
                 f"conv expects {self.W.shape[1]} input channels, got {x.shape[2]}"
             )
         batch, length, in_ch = x.shape
         # im2col straight from x: tap i of position l reads x[l + i - 1], and
-        # the zero fill stands in for the padding at both ends.
-        cols = np.zeros((batch, length, in_ch, 3), dtype=x.dtype)
+        # the two zeroed edge strips stand in for the padding at both ends.
+        cols = np.empty((batch, length, in_ch, 3), dtype=x.dtype)
+        cols[:, 0, :, 0] = 0
         cols[:, 1:, :, 0] = x[:, :-1, :]
         cols[:, :, :, 1] = x
         cols[:, :-1, :, 2] = x[:, 1:, :]
+        cols[:, -1, :, 2] = 0
         cols = cols.reshape(batch, length, in_ch * 3)
-        self._cols = cols if mode == "train" else None
-        w_mat = self.W.transpose(1, 2, 0).reshape(in_ch * 3, -1)
+        self._cache = cols if mode == "train" else None
+        # One GEMM per window. One 2-D GEMM over all windows gives the same
+        # bytes and made inference about 8 % faster, but OpenBLAS runs it on
+        # two threads, and every benchmark workload's peak RSS rose 2-10 MB.
+        w_mat, b = weights or (self.w_mat, self.b)
         out = cols @ w_mat
-        out += self.b
+        out += b
         return out
 
     def param_backward(self, dout: np.ndarray) -> None:
         """Set ``dW`` and ``db`` only: the backward pass of a layer whose
         input needs no gradient, such as the network's first layer."""
-        cols = _train_cache(self._cols)
+        cols = _train_cache(self._cache)
         out_ch, in_ch, _ = self.W.shape
         d_wmat = cols.reshape(-1, in_ch * 3).T @ dout.reshape(-1, out_ch)
         self.dW = d_wmat.reshape(in_ch, 3, out_ch).transpose(2, 0, 1)
@@ -124,10 +148,11 @@ class Conv1d:
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         self.param_backward(dout)
-        batch, length, _ = dout.shape
-        out_ch, in_ch, _ = self.W.shape
-        w_mat = self.W.transpose(1, 2, 0).reshape(in_ch * 3, out_ch)
-        dcols = (dout @ w_mat.T).reshape(batch, length, in_ch, 3)
+        batch, length, out_ch = dout.shape
+        in_ch = self.W.shape[1]
+        # per window, as in the forward; one flat GEMM would also change a
+        # float64 gradient's bytes at conv1's 18 im2col columns
+        dcols = (dout @ self.w_mat.T).reshape(batch, length, in_ch, 3)
         dpadded = np.zeros((batch, length + 2, in_ch), dtype=dout.dtype)
         for tap in range(3):
             dpadded[:, tap : tap + length, :] += dcols[:, :, :, tap]
@@ -218,15 +243,15 @@ class LeakyRelu:
         if not 0.0 <= slope <= 1.0:
             raise ValueError(f"leaky slope must lie in [0, 1], got {slope}")
         self.slope = slope
-        self._positive = None
+        self._cache = None
 
     def forward(self, x: np.ndarray, mode: Mode) -> np.ndarray:
-        self._positive = x >= 0 if mode == "train" else None
+        self._cache = x >= 0 if mode == "train" else None
         out = self.slope * x
         return np.maximum(x, out, out=out)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        positive = _train_cache(self._positive)
+        positive = _train_cache(self._cache)
         # The factor is exactly 1 or slope, in dout's dtype: fl(1 - s) is
         # within half an ulp of 1 - s, so fl(fl(1 - s) + s) rounds to 1.
         slope = dout.dtype.type(self.slope)
@@ -246,7 +271,7 @@ class MaxPool1d:
     SIZE = 3
 
     def __init__(self):
-        self._masks = None
+        self._cache = None
 
     def forward(self, x: np.ndarray, mode: Mode) -> np.ndarray:
         length = x.shape[1]
@@ -254,17 +279,21 @@ class MaxPool1d:
         if out_len < 1:
             raise DimensionError(f"pool input length {length} too short")
         a, b, c = (x[:, i : i + out_len, :] for i in range(self.SIZE))
-        out = np.maximum(np.maximum(a, b), c)
+        out = np.maximum(a, b)
         if mode == "train":
+            # a second array: in place, training's peak RSS rose by 1-2 MB,
+            # probably because the masks no longer reuse the first one's memory
+            out = np.maximum(out, c)
             m0 = a == out
             m1 = (b == out) & ~m0
-            self._masks = (m0, m1, ~(m0 | m1))
+            self._cache = (m0, m1, ~(m0 | m1))
         else:
-            self._masks = None
+            np.maximum(out, c, out=out)
+            self._cache = None
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        masks = _train_cache(self._masks)
+        masks = _train_cache(self._cache)
         batch, out_len, channels = dout.shape
         dx = np.zeros((batch, out_len + self.SIZE - 1, channels), dtype=dout.dtype)
         # Tap 2, then 1, then 0: an input position sums the windows that
@@ -282,20 +311,20 @@ class Dropout:
     def __init__(self, rate, rng):
         self.rate = rate
         self.rng = rng
-        self._mask = None
+        self._cache = None
 
     def forward(self, x: np.ndarray, mode: Mode) -> np.ndarray:
         if mode == "eval" or self.rate == 0.0:
-            self._mask = None
+            self._cache = None
             return x
         keep = 1.0 - self.rate
-        self._mask = (self.rng.random(x.shape) < keep).astype(x.dtype) / keep
-        return x * self._mask
+        self._cache = (self.rng.random(x.shape) < keep).astype(x.dtype) / keep
+        return x * self._cache
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        if self._cache is None:
             return dout
-        return dout * self._mask
+        return dout * self._cache
 
 
 class Dense:
@@ -308,32 +337,35 @@ class Dense:
         self.b = np.zeros(out_dim, dtype=dtype)
         self.dW = None
         self.db = None
-        self._x = None
+        self._cache = None
 
-    def forward(self, x: np.ndarray, mode: Mode) -> np.ndarray:
+    def forward(self, x: np.ndarray, mode: Mode, weights=None) -> np.ndarray:
+        """``weights``, a (W, b) pair, stands in for the layer's own in eval
+        mode, as in ``Conv1d.forward``."""
         if x.shape[1] != self.W.shape[0]:
             raise DimensionError(
                 f"dense expects {self.W.shape[0]} inputs, got {x.shape[1]}"
             )
-        self._x = x if mode == "train" else None
-        return x @ self.W + self.b
+        self._cache = x if mode == "train" else None
+        w, b = weights or (self.W, self.b)
+        return x @ w + b
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        self.dW = _train_cache(self._x).T @ dout
+        self.dW = _train_cache(self._cache).T @ dout
         self.db = dout.sum(axis=0)
         return dout @ self.W.T
 
 
 class Flatten:
     def __init__(self):
-        self._shape = None
+        self._cache = None
 
     def forward(self, x: np.ndarray, mode: Mode) -> np.ndarray:
-        self._shape = x.shape
+        self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        return dout.reshape(self._shape)
+        return dout.reshape(self._cache)
 
 
 # Per parameterized layer type: its trainable arrays (the gradient of ``p``
@@ -423,18 +455,43 @@ class CnnModel:
 
     def _features(self, x: np.ndarray, mode: Mode) -> np.ndarray:
         if mode == "train":
-            return self._run(self._feature_layers, x, mode)
+            for _, layer in self._feature_layers:
+                x = layer.forward(x, mode)
+            return x
+        # the eval pass below calls no batch norm or dropout, so it clears
+        # every layer's train-mode state here
+        for _, layer in self._feature_layers:
+            layer._cache = None
+        folds = self._folds()
         trunk = self._feature_layers[: self._n_trunk]
         flat = np.empty((len(x), self.flat_dim), dtype=np.result_type(x, self.dtype))
         for start in range(0, len(x), EVAL_CHUNK):
             stop = start + EVAL_CHUNK
-            flat[start:stop] = self._run(trunk, x[start:stop], mode)
-        return self._run(self._feature_layers[self._n_trunk :], flat, mode)
+            flat[start:stop] = self._run_eval(trunk, x[start:stop], folds)
+        return self._run_eval(self._feature_layers[self._n_trunk :], flat, folds)
+
+    def _folds(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Per conv and dense layer, the GEMM weights and bias that give the
+        eval-mode output of the batch norm after it: per channel,
+        scale = gamma / sqrt(running_var + BN_EPS), W * scale and
+        (b - running_mean) * scale + beta."""
+        folds = {}
+        for (name, layer), (_, bn) in zip(self._feature_layers, self._feature_layers[1:]):
+            if isinstance(bn, BatchNorm):
+                scale = bn.gamma / np.sqrt(bn.running_var + BN_EPS)
+                w_mat = layer.w_mat if isinstance(layer, Conv1d) else layer.W
+                folds[name] = (w_mat * scale, (layer.b - bn.running_mean) * scale + bn.beta)
+        return folds
 
     @staticmethod
-    def _run(layers, x: np.ndarray, mode: Mode) -> np.ndarray:
-        for _, layer in layers:
-            x = layer.forward(x, mode)
+    def _run_eval(layers, x: np.ndarray, folds) -> np.ndarray:
+        """``layers`` in eval mode, each conv and dense layer with its fold:
+        the batch norms are in the folds, and dropout is the identity."""
+        for name, layer in layers:
+            if name in folds:
+                x = layer.forward(x, "eval", folds[name])
+            elif not isinstance(layer, BatchNorm | Dropout):
+                x = layer.forward(x, "eval")
         return x
 
     def forward(self, x: np.ndarray, mode: Mode = "eval") -> np.ndarray:

@@ -5,6 +5,8 @@ structure; the asserted tolerance is 1e-4 relative on the worst entry.
 """
 
 import tracemalloc
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -486,7 +488,8 @@ def test_model_backward_keeps_every_parameter_gradient():
 
 
 def whole_batch_features(model, x):
-    """Every feature layer over the whole batch at once, in eval mode."""
+    """Every feature layer's own eval forward over the whole batch at once:
+    batch norm after the conv or dense GEMM, and dropout as the identity."""
     out = x
     for _, layer in model._feature_layers:
         out = layer.forward(out, "eval")
@@ -517,15 +520,85 @@ def eval_model(input_len):
 @example(windows=2 * nn.EVAL_CHUNK, mode="temporal")
 @example(windows=3 * nn.EVAL_CHUNK + 7, mode="spectral")
 def test_chunked_eval_matches_whole_batch_bytes(windows, mode):
+    """The chunked eval pass equals one pass of the same folded code over the
+    whole batch, byte for byte; test_folded_eval_matches_layer_by_layer
+    compares the fold with every layer's own eval forward."""
     model = eval_model(MODE_LENGTHS[mode])
     x = np.random.default_rng(windows).standard_normal((windows, MODE_LENGTHS[mode], 6))
     x = np.abs(x).astype(np.float32)
+    feats = model.extract(x)
+    pred = model.forward(x, "eval")
+    with mock.patch.object(nn, "EVAL_CHUNK", windows + 1):
+        ref = model.extract(x)
+        ref_pred = model.forward(x, "eval")
+    assert feats.dtype == ref.dtype and feats.tobytes() == ref.tobytes()
+    assert pred.dtype == ref_pred.dtype and pred.tobytes() == ref_pred.tobytes()
+
+
+def with_signed_batch_norms(model, seed):
+    """Give every batch norm of ``model`` gammas of both signs and magnitudes
+    other than 1, and betas other than 0."""
+    rng = np.random.default_rng(seed)
+    for _, layer in model._feature_layers:
+        if isinstance(layer, nn.BatchNorm):
+            size = layer.gamma.shape
+            sign = np.where(np.arange(size[0]) % 2 == 0, -1.0, 1.0)
+            layer.gamma = (sign * rng.uniform(0.5, 2.0, size)).astype(np.float32)
+            layer.beta = rng.normal(0.0, 0.5, size).astype(np.float32)
+    return model
+
+
+def float64_copy(model):
+    """``model`` with every stored array cast to float64."""
+    copy = nn.CnnModel(model.input_len, model.in_channels, model.n_outputs, dtype=np.float64)
+    layers = dict(copy._array_layers())
+    for key, value in model.state_arrays().items():
+        name, attr = key.split(".")
+        setattr(layers[name], attr, value.astype(np.float64))
+    return copy
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_LENGTHS))
+def test_folded_eval_matches_layer_by_layer(mode):
+    """Eval mode folds each batch norm into the GEMM before it. In float64
+    the fold equals every layer's own eval forward to 1e-10; in float32 it
+    moves rounding only, so its largest error against the float64 pass is at
+    most twice that of the float32 layer-by-layer pass."""
+    model = with_signed_batch_norms(eval_model(MODE_LENGTHS[mode]), seed=34)
+    exact = float64_copy(model)
+    x = np.random.default_rng(35).standard_normal((300, MODE_LENGTHS[mode], 6))
+    x = np.abs(x).astype(np.float32)
+    truth = whole_batch_features(exact, x)
+    np.testing.assert_allclose(exact.extract(x), truth, rtol=1e-10, atol=1e-10)
     ref = whole_batch_features(model, x)
     feats = model.extract(x)
-    assert feats.dtype == ref.dtype and feats.tobytes() == ref.tobytes()
-    pred = model.forward(x, "eval")
-    ref_pred = model.head.forward(ref, "eval")
-    assert pred.dtype == ref_pred.dtype and pred.tobytes() == ref_pred.tobytes()
+    assert feats.dtype == ref.dtype == np.float32
+    assert np.abs(feats - truth).max() <= 2 * np.abs(ref - truth).max()
+    truth_pred = exact.head.forward(truth, "eval")
+    pred, ref_pred = model.forward(x, "eval"), model.head.forward(ref, "eval")
+    assert np.abs(pred - truth_pred).max() <= 2 * np.abs(ref_pred - truth_pred).max()
+
+
+def test_eval_pass_calls_no_batch_norm_or_dropout(monkeypatch):
+    """The folds stand in for every batch norm in eval mode, and dropout is
+    skipped; train mode still runs both, six of each."""
+    calls = Counter()
+    for cls in (nn.BatchNorm, nn.Dropout):
+
+        def counted(self, x, mode, forward=cls.forward, name=cls.__name__):
+            calls[name, mode] += 1
+            return forward(self, x, mode)
+
+        monkeypatch.setattr(cls, "forward", counted)
+    model = eval_model(MODE_LENGTHS["spectral"])
+    x = np.random.default_rng(36).standard_normal((2 * nn.EVAL_CHUNK + 3, 101, 6))
+    x = x.astype(np.float32)
+    calls.clear()
+    model.extract(x)
+    model.forward(x, "eval")
+    assert calls == Counter()
+    model.forward(x[:16], "train")
+    assert calls == {("BatchNorm", "train"): 6, ("Dropout", "train"): 6}
 
 
 def test_extract_peak_memory_is_one_chunk_over_the_flat_buffer():

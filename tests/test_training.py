@@ -234,18 +234,12 @@ def test_predict_on_a_long_recording_matches_whole_batch(
     tiny_session, tiny_config, p1_session, monkeypatch
 ):
     """More windows than several eval chunks: predict and predict_cnn_only
-    equal a run whose CNN takes every window in one batch, byte for byte."""
+    equal a run whose CNN takes every window in one chunk, byte for byte."""
     model = train_hybrid(tiny_session, tiny_config).model
     n_windows = (len(p1_session.emg) - 102) // 51 + 1
     assert n_windows > 1000 > 3 * nn.EVAL_CHUNK
     chunked = predict(model, p1_session), predict_cnn_only(model, p1_session)
-
-    def whole_batch(x, mode):
-        for _, layer in model.cnn._feature_layers:
-            x = layer.forward(x, mode)
-        return x
-
-    monkeypatch.setattr(model.cnn, "_features", whole_batch)
+    monkeypatch.setattr(nn, "EVAL_CHUNK", n_windows + 1)
     reference = predict(model, p1_session), predict_cnn_only(model, p1_session)
     for traj, ref in zip(chunked, reference):
         assert traj.predictions.tobytes() == ref.predictions.tobytes()
