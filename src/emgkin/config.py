@@ -88,11 +88,17 @@ def _require_mapping(value: Any, where: str) -> dict:
 
 def _overridden(defaults, raw: dict[str, Any]) -> dict[str, Any]:
     """The fields of dataclass ``defaults``, each value in ``raw`` cast to its
-    default's type."""
+    default's type. No field is a flag, so a bool is refused rather than read
+    as 0 or 1, and an int field refuses a number with a fraction (or a NaN
+    or infinity) rather than truncate it; ``"18"`` still reads as 18."""
     values = {
         f.name: getattr(defaults, f.name) for f in dataclasses.fields(defaults)
     }
     for name, value in raw.items():
+        if isinstance(value, bool):
+            raise ValueError(f"{name} is not a flag, got {value}")
+        if type(values[name]) is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{name} must be an integer, got {value}")
         values[name] = type(values[name])(value)
     return values
 

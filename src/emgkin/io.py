@@ -9,25 +9,28 @@ Session format (one directory per session):
 
 Checkpoint layout (little-endian throughout):
     magic "EMGK" | version u32 | header length u32 | header JSON | blob
-The header JSON describes the architecture (shapes, k, matrix mode, output
-count, preprocessing stats) and lists every array name+shape in order; the
-blob is their float32 values concatenated row-major. All writes go through
-a temp file + rename so interrupted runs never leave partial files.
+The v2 header JSON holds what a run varies: ``k``, ``matrix_mode``,
+``dof_names``, ``n_outputs``, the EMG rate ``fs_emg`` (which sets the window
+and hop lengths), the CNN's ``input_len`` and ``in_channels``, the
+preprocessing ``norm_stats`` and ``label_scaler``, and the name and shape of
+every array in blob order: the CNN's ``cnn.*`` state, then the LSTM's
+``lstm.W``, ``lstm.b``, ``lstm.W_y`` and ``lstm.b_y`` as ``lstm`` holds them
+(fused gates). The blob is their float32 values concatenated row-major.
+What the recipe fixes is not stored: the leaky slope, the dropout rate, the
+LSTM's ``lstm.HIDDEN_UNITS`` (50) units and its zero initial state. All
+writes go through a temp file + rename so interrupted runs never leave
+partial files.
 
-The v1 table names the LSTM's gates one by one: ``lstm.W_i``...``lstm.b_c``
-(``_LSTM_V1_NAMES``) are row views of the fused ``W`` and ``b`` (see
-``lstm``), so loading fills the fused arrays in place. The v1 layout also
-records values the recipe fixes: the header's ``leaky_slope`` and
-``dropout`` (``nn.DEFAULT_LEAKY_SLOPE``/``DEFAULT_DROPOUT``), the LSTM's
-``lstm.HIDDEN_UNITS`` (50) units, and its zero initial state as the arrays
-``lstm.h0`` and ``lstm.c0``. ``load_model`` checks the header's
-``in_channels``, ``n_outputs`` and ``input_len`` against the table's shapes
-and the blob's length against the table, then builds the model those sizes
-and the recipe describe. The table must equal the one ``save_model`` writes
-for that model, name for name and shape for shape; the blob is copied into
-the model's own arrays, and ``lstm.h0``/``lstm.c0`` must be zeros.
-``dof_names`` must be one of ``dsp.PROTOCOL_DOFS``'s lists. Every refusal is
-a CorruptCheckpointError naming the field at fault.
+``load_model`` reads v2 only; any other version, v1 included, raises
+UnsupportedVersionError (field ``version``), and a model is retrained rather
+than converted. It checks the header's ``in_channels``, ``n_outputs`` and
+``input_len`` against the table's shapes and the blob's length against the
+table, then builds the model those sizes and the recipe describe. The table
+must equal the one ``save_model`` writes for that model, name for name and
+shape for shape; the blob is copied into the model's own arrays.
+``fs_emg`` must be a finite rate above the low-pass's Nyquist limit
+(2 * ``dsp.LOWPASS_HZ``), and ``dof_names`` one of ``dsp.PROTOCOL_DOFS``'s
+lists. Every refusal is a CorruptCheckpointError naming the field at fault.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .dsp import DEFAULT_FS_ANG, DEFAULT_FS_EMG, N_CHANNELS, PROTOCOL_DOFS
+from .dsp import DEFAULT_FS_ANG, DEFAULT_FS_EMG, LOWPASS_HZ, N_CHANNELS, PROTOCOL_DOFS
 from .dsp import NormalizationStats, SemgRecording
 from .errors import (
     CorruptCheckpointError,
@@ -56,11 +59,11 @@ from .errors import (
 )
 from .evaluation import EvaluationReport
 from .lstm import LstmParams, init_lstm_params
-from .nn import CONV_CHANNELS, DEFAULT_DROPOUT, DEFAULT_LEAKY_SLOPE, CnnModel, MaxPool1d
+from .nn import CONV_CHANNELS, CnnModel, MaxPool1d
 from .training import HybridModel, LabelScaler
 
 MAGIC = b"EMGK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 MODEL_KIND = "cnn-lstm-hybrid"
 ANGLE_COLUMNS = ("fe", "ps", "ru")
 EMG_FILE = "emg.csv"
@@ -264,18 +267,11 @@ def list_session_dirs(directory: str | Path) -> list[Path]:
 # checkpoints
 
 
-# The LSTM's v1 arrays (gate views of the fused W and b), then its zero state.
-_LSTM_V1_NAMES = ("W_i", "W_m", "W_o", "W_c", "b_i", "b_m", "b_o", "b_c", "W_y", "b_y")
-_LSTM_INITIAL_STATE = ("h0", "c0")
-
-
 def _model_arrays(cnn: CnnModel, lstm: LstmParams) -> list[tuple[str, np.ndarray]]:
-    """Every array of the v1 blob, in blob order: the models' own arrays or
+    """Every array of the blob, in blob order: the models' own arrays or
     views of them, so ``load_model`` fills them in place."""
     arrays = [(f"cnn.{n}", a) for n, a in cnn.state_arrays().items()]
-    arrays += [(f"lstm.{n}", getattr(lstm, n)) for n in _LSTM_V1_NAMES]
-    arrays += [(f"lstm.{n}", np.zeros(lstm.hidden)) for n in _LSTM_INITIAL_STATE]
-    return arrays
+    return arrays + [(f"lstm.{n}", a) for n, a in lstm.parameters().items()]
 
 
 def save_model(model: HybridModel, path: str | Path) -> Path:
@@ -287,12 +283,9 @@ def save_model(model: HybridModel, path: str | Path) -> Path:
         "matrix_mode": model.matrix_mode,
         "dof_names": list(model.dof_names),
         "n_outputs": model.n_outputs,
-        "window_samples": model.window_samples,
-        "hop_samples": model.hop_samples,
+        "fs_emg": float(model.fs_emg),
         "input_len": model.cnn.input_len,
         "in_channels": model.cnn.in_channels,
-        "leaky_slope": DEFAULT_LEAKY_SLOPE,
-        "dropout": DEFAULT_DROPOUT,
         "norm_stats": {
             "mins": model.norm_stats.mins.tolist(),
             "maxs": model.norm_stats.maxs.tolist(),
@@ -322,6 +315,12 @@ def _positive_int(value) -> int:
     if type(value) is not int or value < 1:
         raise ValueError("want a positive integer")
     return value
+
+
+def _emg_rate(value) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value) or not value > 2 * LOWPASS_HZ:
+        raise ValueError(f"want a finite rate above {2 * LOWPASS_HZ:g} Hz")
+    return float(value)
 
 
 def _float_lists(raw: dict, names: tuple[str, str], length: int) -> list[np.ndarray]:
@@ -402,11 +401,6 @@ def load_model(path: str | Path) -> HybridModel:
                 key, f"{header[key]} needs {name} with {size} along axis "
                 f"{axis}, stored shape {shape}"
             )
-    for key, constant in (("leaky_slope", DEFAULT_LEAKY_SLOPE), ("dropout", DEFAULT_DROPOUT)):
-        if _header_field(header, key) != constant:
-            raise CorruptCheckpointError(
-                key, f"got {header[key]!r:.80}, the recipe fixes {constant}"
-            )
     # Checked before the build: fc1's rows must then be in the file, so the
     # file's own length bounds what the build allocates.
     blob = raw[12 + header_len :]
@@ -427,8 +421,6 @@ def load_model(path: str | Path) -> HybridModel:
     ends = np.cumsum([array.size for _, array in arrays])[:-1]
     for (_, array), values in zip(arrays, np.split(np.frombuffer(blob, "<f4"), ends)):
         array[...] = values.reshape(array.shape)
-    if any(np.any(array) for _, array in arrays[-len(_LSTM_INITIAL_STATE) :]):
-        raise CorruptCheckpointError("arrays", "lstm.h0 and lstm.c0 must be zeros")
 
     stats = _header_field(
         header,
@@ -455,8 +447,7 @@ def load_model(path: str | Path) -> HybridModel:
         k=_header_field(header, "k", _positive_int),
         matrix_mode=matrix_mode,
         dof_names=dof_names,
-        window_samples=_header_field(header, "window_samples", _positive_int),
-        hop_samples=_header_field(header, "hop_samples", _positive_int),
+        fs_emg=_header_field(header, "fs_emg", _emg_rate),
     )
 
 

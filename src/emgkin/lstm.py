@@ -11,16 +11,14 @@ Gate updates at step j, with z = [h_{j-1}, f_j] (hidden state first):
     y_j = W_y h_j + b_y
 
 The four gates are stored fused: ``W`` [4H x (H+F)] and ``b`` [4H] hold the
-gate blocks in the order i, m, o, c, so each step runs one GEMM for all four
-(Appleyard et al., arXiv:1604.01946). ``W_i``...``W_c`` and ``b_i``...``b_c``
-are row views of those blocks; the v1 checkpoint table names them.
+row blocks W_i, W_m, W_o, W_c and b_i, b_m, b_o, b_c in that order, so each
+step runs one GEMM for all four (Appleyard et al., arXiv:1604.01946).
 
 Each step activates the gate block in place with one ``tanh`` over all 4H
 columns, using sigmoid(x) = (1 + tanh(x / 2)) / 2: the i, m and o columns
 are halved first, then mapped by * 0.5 + 0.5. In float32 this is within one
-ulp of 1 (1.2e-7) of ``sigmoid``, which the step no longer calls, and train
-and eval mode share it. BPTT is unchanged: the cache still holds the
-activated i, m, o and g.
+ulp of 1 (1.2e-7) of the logistic function, and train and eval mode share
+it. BPTT is unchanged: the cache holds the activated i, m, o and g.
 
 Only the last output y_k is read out (and supervised). Every sequence starts
 from a zero initial state (h_0 = c_0 = 0), which is neither stored nor
@@ -47,8 +45,8 @@ PARAM_NAMES = ("W", "b", "W_y", "b_y")
 
 @dataclass
 class LstmParams:
-    W: np.ndarray  # [4H x (H+F)]: gate blocks i, m, o, c, viewed as W_i..W_c
-    b: np.ndarray  # [4H], viewed as b_i..b_c; update both in place, never rebind
+    W: np.ndarray  # [4H x (H+F)]: gate blocks i, m, o, c
+    b: np.ndarray  # [4H]
     W_y: np.ndarray  # [D x H]
     b_y: np.ndarray  # [D]
 
@@ -57,8 +55,6 @@ class LstmParams:
         got = (self.W.shape, self.b.shape, self.b_y.shape, self.W_y.ndim)
         if got != ((4 * hidden, width), (4 * hidden,), self.W_y.shape[:1], 2) or width <= hidden:
             raise DimensionError(f"LSTM arrays {got[:3]} do not fit W_y {self.W_y.shape}")
-        self.W_i, self.W_m, self.W_o, self.W_c = np.split(self.W, 4)
-        self.b_i, self.b_m, self.b_o, self.b_c = np.split(self.b, 4)
 
     @property
     def hidden(self) -> int:
@@ -74,25 +70,6 @@ class LstmParams:
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid 1 / (1 + exp(-x)), overflow-safe in both branches.
-
-    ``exp`` only ever sees -|x|; ``minimum(x, -x)`` rather than ``-abs(x)``
-    keeps a NaN input's sign bit, as evaluating each branch on its own did.
-    With e = exp(-|x|), the value is 1 / (1 + e) where x >= 0 and
-    e / (1 + e) elsewhere. ``maximum(e, x >= 0)`` is that numerator without
-    a select: where x >= 0, e <= 1, so the maximum is exactly 1; elsewhere it
-    is max(e, 0) = e, as e >= 0; a NaN e passes through. One division then
-    serves both branches, with the bytes of the two-branch form.
-    """
-    x = np.asarray(x)
-    e = np.exp(np.minimum(x, -x))
-    out = np.maximum(e, x >= 0)
-    e += 1.0
-    out /= e
-    return out.astype(x.dtype if x.dtype.kind == "f" else np.float32, copy=False)
 
 
 def init_lstm_params(

@@ -10,10 +10,11 @@ epochs and record one mean loss per epoch. Both cast their float64 targets to
 the parameters' float32 before the epoch loop, so every gradient is float32.
 
 Training and prediction condition a recording through ``dsp.condition``,
-prediction with the training stats stored in the model. ``predict_heads``
+prediction with the training stats stored in the model. A model keeps the
+EMG rate it was trained at (``HybridModel.fs_emg``); its window and hop
+lengths follow from that rate (``dsp.window_geometry``). ``predict_heads``
 scores the hybrid and the CNN head from one CNN pass, and refuses a
-recording whose rate gives other window and hop lengths
-(``dsp.window_geometry``) than the model was trained with.
+recording at any other rate, even one that rounds to the same windows.
 
 All shuffling and dropout draw from generators derived from the run seed,
 so a (seed, config, dataset) triple reproduces bit-identical models in
@@ -96,8 +97,7 @@ class HybridModel:
     k: int
     matrix_mode: str
     dof_names: list[str]
-    window_samples: int
-    hop_samples: int
+    fs_emg: float  # Hz, the training recording's rate
 
     def __post_init__(self):
         if self.lstm.feature_dim != nn.FEATURE_DIM:
@@ -115,6 +115,14 @@ class HybridModel:
     def n_outputs(self) -> int:
         return self.lstm.n_outputs
 
+    @property
+    def window_samples(self) -> int:
+        return dsp.window_geometry(self.fs_emg)[0]
+
+    @property
+    def hop_samples(self) -> int:
+        return dsp.window_geometry(self.fs_emg)[1]
+
 
 @dataclass
 class PredictionTrajectory:
@@ -128,7 +136,8 @@ class PredictionTrajectory:
 
 @dataclass
 class TrainingRun:
-    config: PipelineConfig
+    """Both stages' per-epoch mean losses and the trained model."""
+
     cnn_loss: list[float]
     lstm_loss: list[float]
     model: HybridModel
@@ -268,7 +277,6 @@ def _train_lstm_stage(
     CNN's features and assemble the hybrid."""
     seqs, targets = stack_sequences(stage1.features, stage1.y, config.k)
     lstm, lstm_hist = train_lstm(seqs, targets, config.lstm, seed=config.seed)
-    window, hop = dsp.window_geometry(rec.fs_emg)
     model = HybridModel(
         cnn=stage1.cnn,
         lstm=lstm,
@@ -277,8 +285,7 @@ def _train_lstm_stage(
         k=config.k,
         matrix_mode=config.matrix_mode,
         dof_names=list(rec.dof_names),
-        window_samples=window,
-        hop_samples=hop,
+        fs_emg=rec.fs_emg,
     )
     return model, lstm_hist
 
@@ -287,9 +294,7 @@ def train_hybrid(rec: SemgRecording, config: PipelineConfig) -> TrainingRun:
     """Run both stages on one training recording."""
     stage1 = _train_cnn_stage(rec, config)
     model, lstm_hist = _train_lstm_stage(stage1, rec, config)
-    return TrainingRun(
-        config=config, cnn_loss=stage1.loss, lstm_loss=lstm_hist, model=model
-    )
+    return TrainingRun(cnn_loss=stage1.loss, lstm_loss=lstm_hist, model=model)
 
 
 def predict_heads(
@@ -300,18 +305,18 @@ def predict_heads(
     The LSTM gives one y_k per k-window sequence, stamped with its last
     window's end time; the CNN head one y per window from the same features.
     Raises DataError if the recording's protocol has other DoFs than the
-    model's, or its rate gives other window and hop lengths."""
+    model's, or its EMG rate is not the model's."""
     if rec.dof_names != model.dof_names:
         raise DataError(
             f"recording {rec.session_id} is protocol {rec.protocol} (DoFs "
             f"{', '.join(rec.dof_names)}), but the model was trained on DoFs "
             f"{', '.join(model.dof_names)}"
         )
-    geometry = dsp.window_geometry(rec.fs_emg)
-    if geometry != (model.window_samples, model.hop_samples):
+    if rec.fs_emg != model.fs_emg:
+        window, hop = dsp.window_geometry(rec.fs_emg)
         raise DataError(
-            f"recording at {rec.fs_emg:g} Hz windows as {geometry[0]}/{geometry[1]} "
-            f"samples (window/hop), but the model was trained on "
+            f"recording at {rec.fs_emg:g} Hz windows as {window}/{hop} samples "
+            f"(window/hop), but the model was trained at {model.fs_emg:g} Hz on "
             f"{model.window_samples}/{model.hop_samples}"
         )
     _, windows, labels, end_times = dsp.condition(rec, model.norm_stats)

@@ -197,7 +197,7 @@ def test_01_every_layer_gradient_matches_finite_differences():
     params = init_lstm_params(
         feature_dim=3, hidden=4, n_outputs=2, seed=9, dtype=np.float64
     )
-    params.b_m[:] = 0.3  # move the forget gate off its saturating init
+    params.b[4:8] = 0.3  # move the forget gate off its saturating init
     seqs = rng.normal(size=(3, 4, 3))
     dy = rng.normal(size=(3, 2))
     _, cache = lstm_forward_batch(params, seqs, mode="eval")

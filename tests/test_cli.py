@@ -235,6 +235,25 @@ def test_eval_refuses_session_at_other_rate(trained, tmp_path):
     assert not (tmp_path / "fast.trajectory.csv").exists()
 
 
+def test_eval_refuses_session_at_a_rate_with_the_same_windows(trained, tmp_path):
+    """A 1020 Hz session windows as 102/51 samples like the 1024 Hz
+    checkpoint's, and is still refused (exit 2) before any report is written."""
+    out, _ = trained
+    near = tmp_path / "near"
+    save_session(
+        generate(SynthConfig(protocol="P1", duration_s=20.0, seed=5, fs_emg=1020.0)),
+        near,
+    )
+    report_path = tmp_path / "near.json"
+    result = _invoke(
+        ["eval", "--model", str(out), "--data", str(near),
+         "--report", str(report_path)]
+    )
+    assert result.exit_code == 2
+    assert "1020 Hz" in _all_output(result)
+    assert not report_path.exists()
+
+
 def test_eval_refuses_session_of_other_protocol(trained, tmp_path):
     """The checkpoint predicts fe; a P2 session (ps) is refused before any
     report is written."""

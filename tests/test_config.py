@@ -91,6 +91,18 @@ def test_config_from_dict_coerces_types():
     assert cfg.cnn.lr0 == pytest.approx(1e-4)
     with pytest.raises(ConfigError):
         config_from_dict({"k": "eighteen"})
+    # no value is cast by truncation or read from a bool
+    for raw in (
+        {"k": 18.7},
+        {"k": True},
+        {"k": float("inf")},
+        {"seed": False},
+        {"cnn": {"epochs": 5.5}},
+        {"cnn": {"lr0": True}},
+        {"lstm": {"epochs": True}},
+    ):
+        with pytest.raises(ConfigError):
+            config_from_dict(raw)
 
 
 def test_load_config_yaml(tmp_path):

