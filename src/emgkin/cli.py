@@ -33,10 +33,8 @@ from .config import (
     load_config,
     merge_overrides,
 )
-from .dsp import SemgRecording
+from .dsp import MATRIX_MODES, PROTOCOL_DOFS, SemgRecording
 from .errors import ConfigError, DataError, EmgkinError, LoadError
-
-PROTOCOLS = ("P1", "P2", "P3", "P4")
 
 
 def _handle_errors(fn):
@@ -105,7 +103,7 @@ def synth_group():
 
 @synth_group.command("gen")
 @click.option(
-    "--protocol", type=click.Choice(PROTOCOLS), default="P1", show_default=True
+    "--protocol", type=click.Choice(tuple(PROTOCOL_DOFS)), default="P1", show_default=True
 )
 @click.option("--duration", type=float, default=60.0, show_default=True,
               help="Session length in seconds.")
@@ -147,8 +145,7 @@ def synth_gen(protocol, duration, seed, out_dir, pair, snr_db):
 @click.option("--desk", is_flag=True, help="Desk-scale epoch preset (CNN 5, LSTM 10).")
 @click.option("--seed", type=int, default=None)
 @click.option("--k", type=int, default=None)
-@click.option("--matrix-mode", type=click.Choice(["spectral", "temporal"]),
-              default=None)
+@click.option("--matrix-mode", type=click.Choice(MATRIX_MODES), default=None)
 @_handle_errors
 def train_cmd(config_path, data_dir, out_path, desk, seed, k, matrix_mode):
     """Run both training stages; write checkpoint + loss-history CSV."""
@@ -258,7 +255,9 @@ def sweep_cmd(what, config_path, data_dir, out_dir, desk, seed):
 
 
 def _summary_csv(names: list[str], reports) -> str:
-    lines = ["variant,k,matrix_mode,input_len,runtime_s,r2_mean,r2_fe,r2_ps,r2_ru"]
+    dofs = PROTOCOL_DOFS["P4"]
+    lines = ["variant,k,matrix_mode,input_len,runtime_s,r2_mean,"
+             + ",".join(f"r2_{dof}" for dof in dofs)]
     for name, report in zip(names, reports):
         by_dof = {e["name"]: e["r2"] for e in report.dof}
         mean = sum(by_dof.values()) / len(by_dof)
@@ -270,10 +269,7 @@ def _summary_csv(names: list[str], reports) -> str:
             f"{report.runtime_s:.3f}",
             f"{mean:.6f}",
         ]
-        cells += [
-            f"{by_dof[dof]:.6f}" if dof in by_dof else ""
-            for dof in ("fe", "ps", "ru")
-        ]
+        cells += [f"{by_dof[dof]:.6f}" if dof in by_dof else "" for dof in dofs]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

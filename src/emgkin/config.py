@@ -3,7 +3,7 @@
 The config file is YAML and holds only what a run may vary. Keys and
 defaults:
 
-    matrix_mode: spectral        # spectral | temporal
+    matrix_mode: spectral        # one of dsp.MATRIX_MODES: spectral | temporal
     k: 18
     cnn:  {epochs: 50,  lr0: 0.0001}
     lstm: {epochs: 100, lr0: 0.001}
@@ -29,9 +29,8 @@ from typing import Any
 
 import yaml
 
+from .dsp import MATRIX_MODES
 from .errors import ConfigError
-
-MATRIX_MODES = ("spectral", "temporal")
 
 
 @dataclass(frozen=True)

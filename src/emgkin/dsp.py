@@ -15,14 +15,14 @@ uses ``window_geometry(rec.fs_emg)``, and ``WINDOW_SAMPLES``/``HOP_SAMPLES``
 1024 Hz, ``DEFAULT_FS_ANG`` = 100 Hz and ``N_CHANNELS`` = 6 are the paper's
 recording setup and what a session without ``meta.json`` is read as.
 ``condition`` runs filter -> scale -> window for one partition, and no other
-module composes those steps.
+module composes those steps. Every module reads the design's vocabularies
+from here: ``PROTOCOL_DOFS`` (the wrist DoFs each protocol P1-P4 moves; P4's
+list is all three, in column order) and ``MATRIX_MODES``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Literal
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal
@@ -58,7 +58,7 @@ PROTOCOL_DOFS = {
     "P4": ["fe", "ps", "ru"],
 }
 
-MatrixMode = Literal["temporal", "spectral"]
+MATRIX_MODES = ("spectral", "temporal")
 
 
 @dataclass
@@ -224,7 +224,7 @@ def condition(
     return (stats, *segment_windows(apply_normalizer(stats, filtered)))
 
 
-def build_matrices(windows: np.ndarray, mode: MatrixMode) -> np.ndarray:
+def build_matrices(windows: np.ndarray, mode: str) -> np.ndarray:
     """Turn windows [M x window x N] into float32 input matrices [M x L x N].
 
     Spectral mode zero-pads each channel to N_FFT and keeps the one-sided
@@ -240,13 +240,13 @@ def build_matrices(windows: np.ndarray, mode: MatrixMode) -> np.ndarray:
     return mats.astype(np.float32)
 
 
-def build_matrix(window: np.ndarray, mode: MatrixMode) -> np.ndarray:
+def build_matrix(window: np.ndarray, mode: str) -> np.ndarray:
     """One window [window x N] as a 1 x L x N input matrix."""
     return build_matrices(window[np.newaxis], mode)
 
 
 def stack_matrices(
-    windows: np.ndarray, labels: np.ndarray, mode: MatrixMode
+    windows: np.ndarray, labels: np.ndarray, mode: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """(X [M x L x N], Y [M x D]): the input matrices with their labels."""
     if len(windows) == 0:

@@ -20,7 +20,7 @@ partition is conditioned (filter, scale, window) by ``dsp.condition``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -136,10 +136,10 @@ class EvaluationReport:
     k: int
     matrix_mode: str
     runtime_s: float
-    input_len: int = 0
-    timestamps: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    truths: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    predictions: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    input_len: int
+    timestamps: np.ndarray
+    truths: np.ndarray
+    predictions: np.ndarray
 
     def __post_init__(self):
         self.timestamps = np.asarray(self.timestamps, dtype=np.float64)
@@ -148,7 +148,7 @@ class EvaluationReport:
         if self.truths.shape != self.predictions.shape:
             raise UndefinedMetricError("true/predicted trajectories differ in shape")
         rows = (len(self.timestamps), len(self.dof))
-        if (self.predictions.size or rows[0]) and self.predictions.shape != rows:
+        if self.predictions.shape != rows:
             raise UndefinedMetricError(f"trajectory {self.predictions.shape} for {rows} (t, DoF)")
         for entry in self.dof:
             if entry["r2"] > 1.0 + 1e-12:
@@ -179,7 +179,7 @@ class EvaluationReport:
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "EvaluationReport":
-        traj = raw.get("trajectory", {})
+        traj = raw["trajectory"]
         return cls(
             model=raw["model"],
             protocol=raw["protocol"],
@@ -188,10 +188,10 @@ class EvaluationReport:
             k=raw["k"],
             matrix_mode=raw["matrix_mode"],
             runtime_s=raw["runtime_s"],
-            input_len=raw.get("input_len", 0),
-            timestamps=np.array(traj.get("t", []), dtype=np.float64),
-            truths=np.array(traj.get("true", []), dtype=np.float64),
-            predictions=np.array(traj.get("pred", []), dtype=np.float64),
+            input_len=raw["input_len"],
+            timestamps=np.array(traj["t"], dtype=np.float64),
+            truths=np.array(traj["true"], dtype=np.float64),
+            predictions=np.array(traj["pred"], dtype=np.float64),
         )
 
 
@@ -374,4 +374,4 @@ def compare_matrix_modes(
         mode_config = replace(config, matrix_mode=mode)
         return run_evaluation(mode_config, data, baselines=False)[0]
 
-    return _fan_out(run_mode, ["spectral", "temporal"], max_workers)
+    return _fan_out(run_mode, list(dsp.MATRIX_MODES), max_workers)

@@ -1,11 +1,17 @@
 """Persistence: session CSVs, binary model checkpoints, JSON reports.
 
 Session format (one directory per session):
-    emg.csv     header ``t,ch1,...,ch6`` — seconds, volts-normalized
-    angles.csv  header ``t,fe,ps,ru``    — seconds, degrees; inactive DoF
-                columns are written as zeros for P1-P3
+    emg.csv     header ``EMG_HEADER`` (``t,ch1,...,ch6``) — seconds,
+                volts-normalized; ``save_session`` refuses a recording of
+                any channel count but ``dsp.N_CHANNELS`` with DataError
+    angles.csv  header ``ANGLES_HEADER`` (``t,fe,ps,ru``, P4's DoFs) —
+                seconds, degrees; inactive DoF columns are zeros for P1-P3
     meta.json   optional {protocol, session_id, fs_emg, fs_ang}; when absent
                 the protocol is inferred from which angle columns are nonzero
+
+One writer, ``_write_csv``, writes every data CSV (session, trajectory,
+loss and feature-scatter files): a float as ``%.17g`` (float32 included; a
+float64 reads back exactly), any other cell as ``str``.
 
 Checkpoint layout (little-endian throughout):
     magic "EMGK" | version u32 | header length u32 | header JSON | blob
@@ -47,10 +53,11 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .dsp import DEFAULT_FS_ANG, DEFAULT_FS_EMG, LOWPASS_HZ, N_CHANNELS, PROTOCOL_DOFS
-from .dsp import NormalizationStats, SemgRecording
+from .dsp import DEFAULT_FS_ANG, DEFAULT_FS_EMG, LOWPASS_HZ, MATRIX_MODES, N_CHANNELS
+from .dsp import PROTOCOL_DOFS, NormalizationStats, SemgRecording
 from .errors import (
     CorruptCheckpointError,
+    DataError,
     DegenerateChannelError,
     DimensionError,
     InsufficientDataError,
@@ -65,9 +72,11 @@ from .training import HybridModel, LabelScaler
 MAGIC = b"EMGK"
 CHECKPOINT_VERSION = 2
 MODEL_KIND = "cnn-lstm-hybrid"
-ANGLE_COLUMNS = ("fe", "ps", "ru")
+ANGLE_COLUMNS = tuple(PROTOCOL_DOFS["P4"])
 EMG_FILE = "emg.csv"
 ANGLES_FILE = "angles.csv"
+EMG_HEADER = "t," + ",".join(f"ch{i + 1}" for i in range(N_CHANNELS))
+ANGLES_HEADER = "t," + ",".join(ANGLE_COLUMNS)
 META_FILE = "meta.json"
 _FLOAT_FMT = "%.17g"
 _RATE_TOLERANCE = 0.01
@@ -101,25 +110,14 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 def save_session(rec: SemgRecording, directory: str | Path) -> Path:
     """Write emg.csv / angles.csv / meta.json for one recording."""
+    if rec.n_channels != N_CHANNELS:
+        raise DataError(f"{rec.n_channels} EMG channels; {EMG_FILE} holds {N_CHANNELS}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-
-    emg_rows = np.column_stack([rec.t_emg, rec.emg])
-    atomic_write_text(
-        directory / EMG_FILE,
-        _csv_text(
-            "t," + ",".join(f"ch{i + 1}" for i in range(rec.n_channels)), emg_rows
-        ),
-    )
-
-    full = np.zeros((rec.t_ang.shape[0], len(ANGLE_COLUMNS)))
-    for d, name in enumerate(rec.dof_names):
-        full[:, ANGLE_COLUMNS.index(name)] = rec.angles[:, d]
-    atomic_write_text(
-        directory / ANGLES_FILE,
-        _csv_text("t," + ",".join(ANGLE_COLUMNS), np.column_stack([rec.t_ang, full])),
-    )
-
+    _write_csv(directory / EMG_FILE, EMG_HEADER, [rec.t_emg, *rec.emg.T])
+    by_name = dict(zip(rec.dof_names, rec.angles.T))
+    angles = [by_name.get(name, np.zeros_like(rec.t_ang)) for name in ANGLE_COLUMNS]
+    _write_csv(directory / ANGLES_FILE, ANGLES_HEADER, [rec.t_ang, *angles])
     meta = {
         "protocol": rec.protocol,
         "session_id": rec.session_id,
@@ -130,10 +128,16 @@ def save_session(rec: SemgRecording, directory: str | Path) -> Path:
     return directory
 
 
-def _csv_text(header: str, rows: np.ndarray) -> str:
-    lines = [header]
-    lines.extend(",".join(_FLOAT_FMT % v for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _write_csv(path: str | Path, header: str, columns: Sequence) -> Path:
+    """Write ``header`` and one line per row of ``columns``, equal-length
+    sequences: a float column (float32 included) as ``%.17g``, any other
+    with ``str``. Each row is one ``%`` over its cells, taken from the
+    arrays a row at a time, so the table is never held as Python objects."""
+    columns = [np.asarray(column) for column in columns]
+    row = ",".join(_FLOAT_FMT if c.dtype.kind == "f" else "%s" for c in columns)
+    cells = zip(*columns, strict=True)
+    atomic_write_text(path, "\n".join([header, *(row % line for line in cells)]) + "\n")
+    return Path(path)
 
 
 def _read_csv(path: Path, expected_header: str) -> np.ndarray:
@@ -194,7 +198,7 @@ def _infer_protocol(full_angles: np.ndarray) -> str:
         for i, name in enumerate(ANGLE_COLUMNS)
         if np.any(full_angles[:, i] != 0.0)
     )
-    table = {("fe",): "P1", ("ps",): "P2", ("ru",): "P3", ANGLE_COLUMNS: "P4"}
+    table = {tuple(dofs): protocol for protocol, dofs in PROTOCOL_DOFS.items()}
     if active not in table:
         raise LoadError(
             f"cannot infer protocol from active angle columns {active}; "
@@ -214,9 +218,8 @@ def _meta_rate(meta: dict[str, Any], key: str, default: float) -> float:
 def load_session(directory: str | Path) -> SemgRecording:
     """Load and validate one session directory."""
     directory = Path(directory)
-    emg_header = "t," + ",".join(f"ch{i + 1}" for i in range(N_CHANNELS))
-    emg_data = _read_csv(directory / EMG_FILE, emg_header)
-    ang_data = _read_csv(directory / ANGLES_FILE, "t," + ",".join(ANGLE_COLUMNS))
+    emg_data = _read_csv(directory / EMG_FILE, EMG_HEADER)
+    ang_data = _read_csv(directory / ANGLES_FILE, ANGLES_HEADER)
 
     meta_path = directory / META_FILE
     meta: dict[str, Any] = {}
@@ -433,7 +436,7 @@ def load_model(path: str | Path) -> HybridModel:
         lambda v: LabelScaler(*_float_lists(v, ("mean", "std"), n_outputs)),
     )
     matrix_mode = _header_field(header, "matrix_mode")
-    if matrix_mode not in ("spectral", "temporal"):
+    if matrix_mode not in MATRIX_MODES:
         raise CorruptCheckpointError("matrix_mode", f"unknown mode {matrix_mode!r:.80}")
     dof_names = _header_field(header, "dof_names")
     if dof_names not in PROTOCOL_DOFS.values() or len(dof_names) != n_outputs:
@@ -473,8 +476,6 @@ def read_report(path: str | Path) -> EvaluationReport:
         raise LoadError(f"{path}: invalid JSON ({exc})") from None
     if isinstance(raw, list):
         raise LoadError(f"{path}: holds an array of {len(raw)} reports, not one")
-    if not isinstance(raw, dict) or not isinstance(raw.get("trajectory", {}), dict):
-        raise LoadError(f"{path}: want a report object with an object trajectory")
     try:
         return EvaluationReport.from_dict(raw)
     except KeyError as exc:
@@ -485,32 +486,23 @@ def read_report(path: str | Path) -> EvaluationReport:
 
 def write_trajectory(report: EvaluationReport, path: str | Path) -> Path:
     """Long-format CSV ``t,true,pred,dof`` — one row per timestamp per DoF."""
-    path = Path(path)
-    lines = ["t,true,pred,dof"]
     names = [entry["name"] for entry in report.dof]
-    for i, t in enumerate(report.timestamps):
-        for d, name in enumerate(names):
-            lines.append(
-                f"{_FLOAT_FMT % t},{_FLOAT_FMT % report.truths[i, d]},"
-                f"{_FLOAT_FMT % report.predictions[i, d]},{name}"
-            )
-    atomic_write_text(path, "\n".join(lines) + "\n")
-    return path
+    columns = [
+        np.repeat(report.timestamps, len(names)),
+        report.truths.ravel(),
+        report.predictions.ravel(),
+        names * len(report.timestamps),
+    ]
+    return _write_csv(path, "t,true,pred,dof", columns)
 
 
 def write_losses(
     path: str | Path, cnn_loss: Sequence[float], lstm_loss: Sequence[float]
 ) -> Path:
     """Per-epoch training-loss CSV ``stage,epoch,loss`` for both stages."""
-    path = Path(path)
-    lines = ["stage,epoch,loss"]
-    for stage, history in (("cnn", cnn_loss), ("lstm", lstm_loss)):
-        lines.extend(
-            f"{stage},{epoch},{_FLOAT_FMT % loss}"
-            for epoch, loss in enumerate(history)
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
-    return path
+    stages = ["cnn"] * len(cnn_loss) + ["lstm"] * len(lstm_loss)
+    epochs = [*range(len(cnn_loss)), *range(len(lstm_loss))]
+    return _write_csv(path, "stage,epoch,loss", [stages, epochs, [*cnn_loss, *lstm_loss]])
 
 
 def export_feature_scatter(
@@ -522,20 +514,26 @@ def export_feature_scatter(
 ) -> Path:
     """CSV ``x,y,angle,dof,feature_kind`` for external scatter plotting.
 
-    One row per (sample, DoF): the 2-D feature projection tagged with that
-    DoF's angle so color maps can be built per DoF.
+    One row per (sample, DoF): the [M x 2] feature projection tagged with
+    that DoF's angle so color maps can be built per DoF. ``angles`` is
+    [M x D] for the D ``dof_names``, or [M] for one DoF; DimensionError
+    refuses any other shape.
     """
     if feature_kind not in ("deep", "handcrafted"):
         raise ValueError(f"feature_kind must be deep|handcrafted, got {feature_kind}")
     projected = np.asarray(projected)
-    angles = np.atleast_2d(np.asarray(angles))
-    path = Path(path)
-    lines = ["x,y,angle,dof,feature_kind"]
-    for i in range(projected.shape[0]):
-        for d, name in enumerate(dof_names):
-            lines.append(
-                f"{_FLOAT_FMT % projected[i, 0]},{_FLOAT_FMT % projected[i, 1]},"
-                f"{_FLOAT_FMT % angles[i, d]},{name},{feature_kind}"
-            )
-    atomic_write_text(path, "\n".join(lines) + "\n")
-    return path
+    angles = np.asarray(angles)
+    table = angles.reshape(-1, 1) if angles.ndim == 1 else angles
+    n_points, n_dof = len(projected), len(dof_names)
+    if projected.ndim != 2 or projected.shape[1] != 2 or table.shape != (n_points, n_dof):
+        raise DimensionError(
+            f"angles {angles.shape} and projected {projected.shape}; want "
+            f"[M x {n_dof}] angles for {n_dof} DoF(s) and [M x 2] points"
+        )
+    columns = [
+        *np.repeat(projected, n_dof, axis=0).T,
+        table.ravel(),
+        list(dof_names) * n_points,
+        [feature_kind] * table.size,
+    ]
+    return _write_csv(path, "x,y,angle,dof,feature_kind", columns)

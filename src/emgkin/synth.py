@@ -69,18 +69,14 @@ def default_gain(protocol: str) -> np.ndarray:
     gain = np.zeros((N_CHANNELS, len(dofs)))
     for d, name in enumerate(dofs):
         for n in range(N_CHANNELS):
-            offset = (n - _dof_index(name)) % N_CHANNELS
+            offset = (n - PROTOCOL_DOFS["P4"].index(name)) % N_CHANNELS
             gain[n, d] = DOF_BASE_GAIN[name] * CHANNEL_WEIGHTS[offset % 3]
     return gain
 
 
-def _dof_index(name: str) -> int:
-    return {"fe": 0, "ps": 1, "ru": 2}[name]
-
-
 def _is_flexor(channel: int, dof_name: str) -> bool:
     """Channels (d, d+1, d+2) mod 6 are the flexor group for DoF d."""
-    return (channel - _dof_index(dof_name)) % N_CHANNELS < 3
+    return (channel - PROTOCOL_DOFS["P4"].index(dof_name)) % N_CHANNELS < 3
 
 
 @dataclass

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import struct
 import tracemalloc
 import warnings
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 from emgkin import dsp
 from emgkin.errors import (
     CorruptCheckpointError,
+    DataError,
+    DimensionError,
     LoadError,
     UnsupportedVersionError,
 )
@@ -99,6 +102,17 @@ def test_wrong_channel_count_rejected(tiny_session, tmp_path):
     path.write_text("\n".join([lines[0]] + body) + "\n")
     with pytest.raises(LoadError, match="expected 7 columns, got 8"):
         load_session(tmp_path)
+
+
+@pytest.mark.parametrize("n_channels", [5, 8])
+def test_save_refuses_a_recording_of_another_channel_count(tiny_session, tmp_path, n_channels):
+    """emg.csv holds ``dsp.N_CHANNELS`` channels, the count ``load_session``
+    reads; a recording of any other count is refused before a file is written."""
+    emg = np.tile(tiny_session.emg[:, :1], (1, n_channels))
+    rec = dataclasses.replace(tiny_session, emg=emg)
+    with pytest.raises(DataError, match=f"{n_channels} EMG channels"):
+        save_session(rec, tmp_path / "s0")
+    assert not (tmp_path / "s0").exists()
 
 
 def test_ragged_row_rejected(tiny_session, tmp_path):
@@ -633,12 +647,15 @@ def test_report_file_round_trip(tmp_path):
 
 
 def test_read_report_names_a_missing_field(tmp_path):
-    raw = _toy_report().to_dict()
-    del raw["matrix_mode"]
-    path = tmp_path / "report.json"
-    path.write_text(json.dumps(raw))
-    with pytest.raises(LoadError, match="'matrix_mode' is missing"):
-        read_report(path)
+    """Every field is required: no trajectory and no ``input_len`` are
+    refused, not read as empty arrays and 0."""
+    for field in ("matrix_mode", "trajectory", "input_len"):
+        raw = _toy_report().to_dict()
+        del raw[field]
+        path = tmp_path / f"no-{field}.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(LoadError, match=f"'{field}' is missing"):
+            read_report(path)
 
 
 def test_read_report_refuses_an_array_of_reports(tmp_path):
@@ -692,6 +709,12 @@ def test_losses_csv_layout(tmp_path):
         "cnn,1,0.5",
         "lstm,0,0.25",
     ]
+    # A float32 loss is written as the %.17g of its exact value, as a float64 is.
+    path = write_losses(tmp_path / "losses32.csv", [np.float32(0.1)], [0.1])
+    assert path.read_text().splitlines()[1:] == [
+        "cnn,0,0.10000000149011612",
+        "lstm,0,0.10000000000000001",
+    ]
 
 
 def test_feature_scatter_layout_and_validation(tmp_path):
@@ -706,10 +729,39 @@ def test_feature_scatter_layout_and_validation(tmp_path):
     assert lines[1] == "0,1,10,fe,deep"
     assert lines[2] == "0,1,-5,ps,deep"
 
+    # Float32 angles are written as the %.17g of their exact value.
+    angles32 = np.array([[0.1], [0.2], [0.3]], np.float32)
+    path = export_feature_scatter(tmp_path / "f32.csv", projected, angles32, ["fe"], "deep")
+    assert path.read_text().splitlines()[1:] == [
+        "0,1,0.10000000149011612,fe,deep",
+        "2,3,0.20000000298023224,fe,deep",
+        "4,5,0.30000001192092896,fe,deep",
+    ]
+    # One DoF's labels come as a vector [M]: one angle column.
+    path = export_feature_scatter(
+        tmp_path / "one.csv", projected, np.array([10.0, 20.0, 30.0]), ["ru"], "handcrafted"
+    )
+    assert path.read_text().splitlines()[1:] == [
+        "0,1,10,ru,handcrafted",
+        "2,3,20,ru,handcrafted",
+        "4,5,30,ru,handcrafted",
+    ]
+
     with pytest.raises(ValueError, match="deep|handcrafted"):
         export_feature_scatter(
             tmp_path / "bad.csv", projected, angles, ["fe", "ps"], "other"
         )
+    for bad_points, bad_angles in [
+        (projected, angles[:2]),  # fewer angle rows than points
+        (projected, np.vstack([angles, angles[:1]])),  # an extra row
+        (projected, np.column_stack([angles, angles[:, :1]])),  # an extra column
+        (projected, angles[:, 0]),  # one column for two DoFs
+        (np.ones((3, 3)), angles),  # points that are not 2-D
+    ]:
+        both = f"angles {bad_angles.shape} and projected {bad_points.shape}"
+        with pytest.raises(DimensionError, match=re.escape(both)):
+            export_feature_scatter(tmp_path / "bad.csv", bad_points, bad_angles, ["fe", "ps"], "deep")
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_atomic_write_text(tmp_path):
