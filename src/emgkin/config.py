@@ -77,53 +77,41 @@ def desk_preset(base: PipelineConfig | None = None) -> PipelineConfig:
     )
 
 
-def _require_mapping(value: Any, where: str) -> dict:
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a mapping, got {type(value).__name__}")
-    return value
+def _cast(default: Any, value: Any, name: str) -> Any:
+    """``value`` as ``default``'s type. No field is a flag, so a bool is
+    refused rather than read as 0 or 1, and an int field refuses a number with
+    a fraction (or a NaN or infinity) rather than truncate it; ``"18"`` still
+    reads as 18."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} is not a flag, got {value}")
+    if type(default) is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return type(default)(value)
 
 
-def _overridden(defaults, raw: dict[str, Any]) -> dict[str, Any]:
-    """The fields of dataclass ``defaults``, each value in ``raw`` cast to its
-    default's type. No field is a flag, so a bool is refused rather than read
-    as 0 or 1, and an int field refuses a number with a fraction (or a NaN
-    or infinity) rather than truncate it; ``"18"`` still reads as 18."""
-    values = {
-        f.name: getattr(defaults, f.name) for f in dataclasses.fields(defaults)
-    }
+def _build(defaults, raw: Any, where: str):
+    """A copy of dataclass ``defaults`` with the fields that mapping ``raw``
+    (None reads as empty) sets. Every level is read by the same rule: a
+    nested dataclass field from its own mapping, which errors name by
+    ``where`` (the top level's is ""), and any other field by ``_cast``."""
+    raw = {} if raw is None else raw
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where or 'config'} must be a mapping, got {type(raw).__name__}")
+    fields = {f.name: getattr(defaults, f.name) for f in dataclasses.fields(defaults)}
+    unknown = set(raw) - set(fields)
+    if unknown:
+        where = f"{where} " if where else ""
+        raise ConfigError(f"unknown {where}config keys: {sorted(unknown)}")
     for name, value in raw.items():
-        if isinstance(value, bool):
-            raise ValueError(f"{name} is not a flag, got {value}")
-        if type(values[name]) is int and isinstance(value, float) and not value.is_integer():
-            raise ValueError(f"{name} must be an integer, got {value}")
-        values[name] = type(values[name])(value)
-    return values
+        read = _build if dataclasses.is_dataclass(fields[name]) else _cast
+        fields[name] = read(fields[name], value, name)
+    return dataclasses.replace(defaults, **fields)
 
 
 def config_from_dict(raw: dict[str, Any]) -> PipelineConfig:
     """Build a validated PipelineConfig from a (possibly partial) mapping."""
-    raw = dict(_require_mapping(raw, "config"))
-    unknown = set(raw) - {f.name for f in dataclasses.fields(PipelineConfig)}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    defaults = PipelineConfig()
-    stage_keys = {f.name for f in dataclasses.fields(StageConfig)}
     try:
-        stages = {
-            name: _require_mapping(raw.pop(name, {}), name) for name in ("cnn", "lstm")
-        }
-        for stage_name, stage_raw in stages.items():
-            extra = set(stage_raw) - stage_keys
-            if extra:
-                raise ConfigError(
-                    f"unknown {stage_name} config keys: {sorted(extra)}"
-                )
-        for name, stage_raw in stages.items():
-            stage_defaults = getattr(defaults, name)
-            stages[name] = StageConfig(**_overridden(stage_defaults, stage_raw))
-        return PipelineConfig(**{**_overridden(defaults, raw), **stages})
+        return _build(PipelineConfig(), raw, "")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
 

@@ -17,7 +17,8 @@ recording setup and what a session without ``meta.json`` is read as.
 ``condition`` runs filter -> scale -> window for one partition, and no other
 module composes those steps. Every module reads the design's vocabularies
 from here: ``PROTOCOL_DOFS`` (the wrist DoFs each protocol P1-P4 moves; P4's
-list is all three, in column order) and ``MATRIX_MODES``.
+list is all three, in column order) and ``MATRIX_MODES``, each mode's matrix
+length L at a given rate coming from ``matrix_length``.
 """
 
 from __future__ import annotations
@@ -222,6 +223,13 @@ def condition(
     if stats is None:
         stats = fit_normalizer(filtered)
     return (stats, *segment_windows(apply_normalizer(stats, filtered)))
+
+
+def matrix_length(mode: str, fs: float) -> int:
+    """L of ``build_matrices``'s output in ``mode`` for windows at rate ``fs``."""
+    if mode not in MATRIX_MODES:
+        raise DataError(f"unknown matrix mode {mode!r}")
+    return N_FFT // 2 + 1 if mode == "spectral" else window_geometry(fs)[0]
 
 
 def build_matrices(windows: np.ndarray, mode: str) -> np.ndarray:

@@ -35,8 +35,10 @@ table, then builds the model those sizes and the recipe describe. The table
 must equal the one ``save_model`` writes for that model, name for name and
 shape for shape; the blob is copied into the model's own arrays.
 ``fs_emg`` must be a finite rate above the low-pass's Nyquist limit
-(2 * ``dsp.LOWPASS_HZ``), and ``dof_names`` one of ``dsp.PROTOCOL_DOFS``'s
-lists. Every refusal is a CorruptCheckpointError naming the field at fault.
+(2 * ``dsp.LOWPASS_HZ``), ``input_len`` the ``dsp.matrix_length`` of the
+header's ``matrix_mode`` at that rate, and ``dof_names`` one of
+``dsp.PROTOCOL_DOFS``'s lists. Every refusal is a CorruptCheckpointError
+naming the field at fault.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .dsp import DEFAULT_FS_ANG, DEFAULT_FS_EMG, LOWPASS_HZ, MATRIX_MODES, N_CHANNELS
-from .dsp import PROTOCOL_DOFS, NormalizationStats, SemgRecording
+from .dsp import PROTOCOL_DOFS, NormalizationStats, SemgRecording, matrix_length
 from .errors import (
     CorruptCheckpointError,
     DataError,
@@ -411,10 +413,15 @@ def load_model(path: str | Path) -> HybridModel:
     if len(blob) != nbytes:
         fault = "truncated" if len(blob) < nbytes else "trailing bytes"
         raise CorruptCheckpointError("blob", f"{fault}: {len(blob)} bytes, table {nbytes}")
-    try:
-        cnn = CnnModel(input_len, in_channels, n_outputs)
-    except DimensionError as exc:
-        raise CorruptCheckpointError("input_len", str(exc)) from None
+    matrix_mode = _header_field(header, "matrix_mode")
+    if matrix_mode not in MATRIX_MODES:
+        raise CorruptCheckpointError("matrix_mode", f"unknown mode {matrix_mode!r:.80}")
+    fs_emg = _header_field(header, "fs_emg", _emg_rate)
+    want_len = matrix_length(matrix_mode, fs_emg)  # what predict will feed the CNN
+    if input_len != want_len:
+        raise CorruptCheckpointError(
+            "input_len", f"{input_len}, but {matrix_mode} at {fs_emg:g} Hz gives {want_len}")
+    cnn = CnnModel(input_len, in_channels, n_outputs)
     lstm = init_lstm_params(n_outputs=n_outputs)
     arrays = _model_arrays(cnn, lstm)
     expected = [(name, array.shape) for name, array in arrays]
@@ -435,9 +442,6 @@ def load_model(path: str | Path) -> HybridModel:
         "label_scaler",
         lambda v: LabelScaler(*_float_lists(v, ("mean", "std"), n_outputs)),
     )
-    matrix_mode = _header_field(header, "matrix_mode")
-    if matrix_mode not in MATRIX_MODES:
-        raise CorruptCheckpointError("matrix_mode", f"unknown mode {matrix_mode!r:.80}")
     dof_names = _header_field(header, "dof_names")
     if dof_names not in PROTOCOL_DOFS.values() or len(dof_names) != n_outputs:
         raise CorruptCheckpointError(
@@ -450,7 +454,7 @@ def load_model(path: str | Path) -> HybridModel:
         k=_header_field(header, "k", _positive_int),
         matrix_mode=matrix_mode,
         dof_names=dof_names,
-        fs_emg=_header_field(header, "fs_emg", _emg_rate),
+        fs_emg=fs_emg,
     )
 
 

@@ -8,19 +8,18 @@ queries [Q x F]. ``tune`` picks (gamma, lambda) by ``INNER_FOLDS`` = 5-fold
 contiguous inner cross-validation over the fixed log grids ``GAMMA_GRID``
 (1e-3 to 10) and ``LAMBDA_GRID`` (1e-6 to 1), five points each.
 
-``fit`` solves the system by LU. Cross-validation in ``tune`` builds one
-kernel over all samples per gamma, slices each fold's train and test blocks
-from it, and solves each (gamma, lambda, fold) system by Cholesky, falling
-back to LU where the factorization fails (a numerically singular system at
-a tiny lambda). Before the solves it sets kernel entries below
-``KERNEL_FLOOR`` = 1e-50 to 0. At gamma = 10 many entries are tiny, and the
-Cholesky of such a system forms subnormal products of small but normal
-entries, which run many times slower than normal arithmetic; flushing only
-the input's subnormals does not help. With the floor at 1e-50 every CV
-score kept its bytes on the synthetic P1 and P4 features tried, and the
-gamma = 10 Cholesky ran about as fast as the other gammas'. ``fit`` and
-``predict`` do not flush. The CV scores can therefore differ from fit/predict
-ones in the last bits; the tests check that the selected grid point does not.
+Every solve, in ``fit`` and in each cross-validation fold, goes through
+``_solve``: it adds lambda on the diagonal of a copy of the kernel, factors
+the system by Cholesky, and falls back to LU where the factorization fails
+(a numerically singular system at a tiny lambda). Before any solve, kernel
+entries below ``KERNEL_FLOOR`` = 1e-50 are set to 0. At gamma = 10 many
+entries are tiny, and the Cholesky of such a system forms subnormal products
+of small but normal entries, which run many times slower than normal
+arithmetic; flushing only the input's subnormals does not help. With the
+floor at 1e-50 every CV score kept its bytes on the synthetic P1 and P4
+features tried, and the gamma = 10 Cholesky ran about as fast as the other
+gammas'. Cross-validation in ``tune`` builds one floored kernel over all
+samples per gamma and slices each fold's train and test blocks from it.
 """
 
 from __future__ import annotations
@@ -71,7 +70,21 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * _sq_distances(a, b))
 
 
-def _lu_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _floored(kernel: np.ndarray) -> np.ndarray:
+    """``kernel`` with its entries below ``KERNEL_FLOOR`` set to 0, in place."""
+    kernel[kernel < KERNEL_FLOOR] = 0.0
+    return kernel
+
+
+def _solve(kernel: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarray:
+    """alpha with (kernel + ridge*I) alpha = rhs: Cholesky, else LU."""
+    system = kernel.copy()
+    system.flat[:: system.shape[0] + 1] += ridge
+    try:
+        factor = scipy.linalg.cho_factor(system, check_finite=False)
+        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    except np.linalg.LinAlgError:
+        pass
     try:
         return np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
@@ -92,9 +105,7 @@ def fit(x: np.ndarray, y: np.ndarray, gamma: float, ridge: float) -> KrrModel:
     if ridge < 0:
         raise SolverError(f"ridge must be >= 0, got {ridge}")
     mean = y.mean(axis=0)
-    kernel = rbf_kernel(x, x, gamma)
-    system = kernel + ridge * np.eye(x.shape[0])
-    coef = _lu_solve(system, y - mean)
+    coef = _solve(_floored(rbf_kernel(x, x, gamma)), ridge, y - mean)
     return KrrModel(
         support=x, coefficients=coef, gamma=gamma, ridge=ridge, target_mean=mean
     )
@@ -133,20 +144,13 @@ def _cv_scores(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     sq = _sq_distances(x, x)
     grid = np.empty((len(GAMMA_GRID), len(LAMBDA_GRID)))
     for row, gamma in zip(grid, GAMMA_GRID):
-        kernel = np.exp(-gamma * sq)
-        kernel[kernel < KERNEL_FLOOR] = 0.0
+        kernel = _floored(np.exp(-gamma * sq))
         scores_by_ridge = [[] for _ in LAMBDA_GRID]
         for fold, train_block, mask, centered, mean in splits:
             k_train = kernel[train_block]
             k_test = kernel[fold][:, mask]
-            eye = np.eye(k_train.shape[0])
             for scores, ridge in zip(scores_by_ridge, LAMBDA_GRID):
-                system = k_train + ridge * eye
-                try:
-                    factor = scipy.linalg.cho_factor(system, check_finite=False)
-                    coef = scipy.linalg.cho_solve(factor, centered, check_finite=False)
-                except np.linalg.LinAlgError:
-                    coef = _lu_solve(system, centered)
+                coef = _solve(k_train, ridge, centered)
                 scores.append(_mean_r2(y[fold], mean + k_test @ coef))
         row[:] = [np.mean(scores) for scores in scores_by_ridge]
     return grid
@@ -157,7 +161,8 @@ def tune(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     mean R^2 over ``INNER_FOLDS`` contiguous inner-CV folds.
 
     Ties resolve to the smaller gamma, then the larger ridge (the smoother,
-    more regularized model).
+    more regularized model). A NaN score ranks as -inf, below every finite
+    score, and SolverError is raised where every score is NaN.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -166,14 +171,9 @@ def tune(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
             f"tuning needs >= {2 * INNER_FOLDS} samples for {INNER_FOLDS}-fold CV, "
             f"got {x.shape[0]}"
         )
-    best = None
-    for gamma, row in zip(GAMMA_GRID, _cv_scores(x, y)):
-        for ridge, score in zip(LAMBDA_GRID, row):
-            # Grid order already visits smaller gamma first and larger ridge
-            # last, so strict improvement keeps the tie-break rule: accept
-            # equal scores only for larger ridge at the same gamma.
-            if best is None or score > best[0] or (
-                score == best[0] and gamma == best[1] and ridge > best[2]
-            ):
-                best = (score, gamma, ridge)
-    return float(best[1]), float(best[2])
+    # the first maximum (NaN read as -inf) over ascending gamma, descending ridge
+    scores = _cv_scores(x, y)[:, ::-1]
+    if np.isnan(scores).all():
+        raise SolverError("every inner-CV score is NaN")
+    row, col = np.unravel_index(np.nanargmax(scores), scores.shape)
+    return float(GAMMA_GRID[row]), float(LAMBDA_GRID[-1 - col])

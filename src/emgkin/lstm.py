@@ -22,10 +22,11 @@ it. BPTT is unchanged: the cache holds the activated i, m, o and g.
 
 Only the last output y_k is read out (and supervised). Every sequence starts
 from a zero initial state (h_0 = c_0 = 0), which is neither stored nor
-trained. Training applies ``nn.DEFAULT_DROPOUT`` (30%) inverted dropout to
-h_k before the readout. The feature width defaults to the CNN's
-``nn.FEATURE_DIM``. Backpropagation through time is hand-written and
-finite-difference checked.
+trained. h_k reaches the readout through an ``nn.Dropout`` at
+``nn.DEFAULT_DROPOUT`` (30%), which drops in train mode only; after an
+eval-mode forward it is the identity in BPTT too. The feature width
+defaults to the CNN's ``nn.FEATURE_DIM``. Backpropagation through time is
+hand-written and finite-difference checked.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ class LstmCache:
     """Forward-pass intermediates required by backpropagation through time."""
 
     steps: list  # per step: (z, a, c_prev, tanh_c); a holds i, m, o, g in turn
-    h_final: np.ndarray
-    dropout_mask: np.ndarray | None
+    h_final: np.ndarray  # h_k after dropout, as the readout saw it
+    dropout: nn.Dropout
 
 
 def lstm_forward_batch(
@@ -141,16 +142,12 @@ def lstm_forward_batch(
         steps.append((z, a, c, tanh_c))
         h = o * tanh_c
         c = c_new
-    mask = None
-    h_out = h
-    if mode == "train":
-        if rng is None:
-            raise ValueError("train-mode dropout requires an rng")
-        keep = 1.0 - nn.DEFAULT_DROPOUT
-        mask = (rng.random(h.shape) < keep).astype(h.dtype) / keep
-        h_out = h * mask
-    y = h_out @ params.W_y.T + params.b_y
-    return y, LstmCache(steps=steps, h_final=h_out, dropout_mask=mask)
+    if mode == "train" and rng is None:
+        raise ValueError("train-mode dropout requires an rng")
+    dropout = nn.Dropout(nn.DEFAULT_DROPOUT, rng)
+    h = dropout.forward(h, mode)
+    y = h @ params.W_y.T + params.b_y
+    return y, LstmCache(steps=steps, h_final=h, dropout=dropout)
 
 
 def lstm_backward(
@@ -167,9 +164,7 @@ def lstm_backward(
     grads = {name: np.zeros_like(arr) for name, arr in params.parameters().items()}
     grads["W_y"] = dy.T @ cache.h_final
     grads["b_y"] = dy.sum(axis=0)
-    dh = dy @ params.W_y
-    if cache.dropout_mask is not None:
-        dh = dh * cache.dropout_mask
+    dh = cache.dropout.backward(dy @ params.W_y)
     w_h = params.W[:, : params.hidden]  # the gates' weights on h_{j-1}
     dc = np.zeros_like(dh)
     for z, a, c_prev, tanh_c in reversed(cache.steps):

@@ -5,9 +5,10 @@ needs in the layer's ``_cache``, and every analytic gradient is checked
 against central finite differences in the test suite. An eval-mode forward
 caches nothing and clears what an earlier train-mode forward left (the
 model's eval pass clears every layer's), so inference holds no per-batch
-state and a backward pass needs a train-mode forward first; without one it
-raises. Data layout is channels-last: conv stages see [B x L x C], fully
-connected stages see [B x F].
+state. A backward pass needs a train-mode forward first, or it raises
+RuntimeError; only ``Dropout``'s is the identity after an eval-mode forward,
+as the LSTM's eval-mode BPTT needs. Data layout is channels-last: conv
+stages see [B x L x C], fully connected stages see [B x F].
 
 The CNN is four conv blocks (conv k3/pad1/stride1 -> batch norm -> leaky
 ReLU -> max pool 3/stride1 -> dropout) with channel plan in->16->16->32->32
@@ -314,7 +315,7 @@ class Dropout:
         self._cache = None
 
     def forward(self, x: np.ndarray, mode: Mode) -> np.ndarray:
-        if mode == "eval" or self.rate == 0.0:
+        if mode != "train" or self.rate == 0.0:
             self._cache = None
             return x
         keep = 1.0 - self.rate

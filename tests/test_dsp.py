@@ -363,6 +363,18 @@ def test_temporal_matrix_passes_samples_through():
     np.testing.assert_allclose(mat[0], w, rtol=1e-6)
 
 
+@pytest.mark.parametrize("fs", [1014.0, dsp.DEFAULT_FS_EMG, 2048.0])
+@pytest.mark.parametrize("mode", dsp.MATRIX_MODES)
+def test_matrix_length_is_what_build_matrices_makes(mode, fs):
+    windows = np.zeros((2, dsp.window_geometry(fs)[0], dsp.N_CHANNELS))
+    assert dsp.build_matrices(windows, mode).shape[1] == dsp.matrix_length(mode, fs)
+
+
+def test_matrix_length_refuses_an_unknown_mode():
+    with pytest.raises(DataError):
+        dsp.matrix_length("wavelet", dsp.DEFAULT_FS_EMG)
+
+
 def test_stack_matrices_shapes_and_labels():
     emg = np.random.default_rng(7).normal(size=(2048, 6))
     rec = make_recording(emg)

@@ -329,6 +329,16 @@ BAD_HEADERS = {
     "short-norm-stats": _set("norm_stats", {"mins": [0.0], "maxs": [1.0]}),
     "text-label-scaler": _set("label_scaler", "x"),
     "unknown-matrix-mode": _set("matrix_mode", "wavelet"),
+    # input_len must be the length of the header's matrix mode at its rate:
+    # a 101-bin spectral model read as 1024 Hz temporal (102 samples) or as
+    # 2048 Hz temporal (205 samples).
+    "temporal-matrix-mode": (
+        "input_len", lambda header: {**header, "matrix_mode": "temporal"}
+    ),
+    "temporal-at-2048-hz": (
+        "input_len",
+        lambda header: {**header, "matrix_mode": "temporal", "fs_emg": 2048.0},
+    ),
     "three-dof-names": _set("dof_names", ["fe", "ps", "ru"]),
     # dof_names must be one protocol's list, as save_model writes it.
     "text-dof-names": _set("dof_names", "f"),
@@ -350,6 +360,20 @@ def test_malformed_header_names_field(saved_model, tmp_path, case):
     with pytest.raises(CorruptCheckpointError) as exc_info:
         load_model(bad)
     assert exc_info.value.field == field
+
+
+def test_header_whose_mode_and_rate_fit_input_len_loads(saved_model, tmp_path):
+    """The rate, not the relabelling, decides: 101 samples are the temporal
+    window at 1014 Hz, so that header fits the spectral model's arrays."""
+    _, path = saved_model
+    relabelled = tmp_path / "temporal.ckpt"
+    relabelled.write_bytes(_replace_header(
+        path.read_bytes(),
+        lambda header: {**header, "matrix_mode": "temporal", "fs_emg": 1014.0},
+    ))
+    assert dsp.matrix_length("temporal", 1014.0) == 101
+    loaded = load_model(relabelled)
+    assert (loaded.matrix_mode, loaded.fs_emg) == ("temporal", 1014.0)
 
 
 @pytest.fixture(scope="module")

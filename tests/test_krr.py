@@ -241,3 +241,33 @@ def test_tune_singular_system_raises_solver_error(monkeypatch):
     monkeypatch.setattr(krr, "LAMBDA_GRID", (0.0,))
     with pytest.raises(SolverError, match="ridge"):
         krr.tune(x, y)
+
+
+def _tune_on_grid(monkeypatch, grid):
+    """tune's choice when every CV score is given by ``grid``."""
+    grid = np.asarray(grid, dtype=np.float64)
+    assert grid.shape == (len(krr.GAMMA_GRID), len(krr.LAMBDA_GRID))
+    monkeypatch.setattr(krr, "_cv_scores", lambda x, y: grid.copy())
+    x, y = toy_data(20)
+    return krr.tune(x, y)
+
+
+def test_tune_never_picks_a_nan_score(monkeypatch):
+    grid = np.zeros((len(krr.GAMMA_GRID), len(krr.LAMBDA_GRID)))
+    grid[0, 0] = np.nan
+    grid[3, 2] = 0.9  # gamma 1, ridge 1e-3
+    assert _tune_on_grid(monkeypatch, grid) == (krr.GAMMA_GRID[3], krr.LAMBDA_GRID[2])
+    with pytest.raises(SolverError, match="NaN"):
+        _tune_on_grid(monkeypatch, np.full_like(grid, np.nan))
+
+
+def test_tune_tie_picks_the_smaller_gamma(monkeypatch):
+    grid = np.zeros((len(krr.GAMMA_GRID), len(krr.LAMBDA_GRID)))
+    grid[3, 0] = grid[1, 4] = 0.7
+    assert _tune_on_grid(monkeypatch, grid) == (krr.GAMMA_GRID[1], krr.LAMBDA_GRID[4])
+
+
+def test_tune_tie_at_one_gamma_picks_the_larger_ridge(monkeypatch):
+    grid = np.zeros((len(krr.GAMMA_GRID), len(krr.LAMBDA_GRID)))
+    grid[2, 0] = grid[2, 3] = 0.7
+    assert _tune_on_grid(monkeypatch, grid) == (krr.GAMMA_GRID[2], krr.LAMBDA_GRID[3])

@@ -236,9 +236,19 @@ def test_train_mode_dropout_requires_rng_and_differs_from_eval():
     y_train, cache = lstm_forward_batch(p, seqs, mode="train", rng=np.random.default_rng(17))
     assert not np.allclose(y_eval, y_train)
     # inverted dropout at the recipe's rate: kept units scale by 1/(1 - rate)
-    assert set(np.unique(cache.dropout_mask)) == {0.0, 1.0 / (1.0 - nn.DEFAULT_DROPOUT)}
+    assert set(np.unique(cache.dropout._cache)) == {0.0, 1.0 / (1.0 - nn.DEFAULT_DROPOUT)}
     with pytest.raises(ValueError):
         lstm_forward_batch(p, seqs, mode="train", rng=None)
+
+
+def test_only_train_mode_drops_out():
+    """Like every CNN layer, the LSTM's dropout reads any mode but "train"
+    as eval, whatever rng it is given."""
+    p = small_params(seed=15)
+    seqs = np.random.default_rng(16).standard_normal((8, 4, 3))
+    y_eval, _ = lstm_forward_batch(p, seqs)
+    y_other, _ = lstm_forward_batch(p, seqs, mode="Eval", rng=np.random.default_rng(17))
+    np.testing.assert_array_equal(y_other, y_eval)
 
 
 def test_build_sequences_counts_and_alignment():
