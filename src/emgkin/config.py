@@ -43,8 +43,8 @@ class StageConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.lr0 > 0:  # NaN fails too
-            raise ConfigError(f"lr0 must be > 0, got {self.lr0}")
+        if not 0 < self.lr0 < float("inf"):  # NaN fails too
+            raise ConfigError(f"lr0 must be > 0 and finite, got {self.lr0}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,8 @@ class PipelineConfig:
             )
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)

@@ -195,51 +195,12 @@ class EvaluationReport:
         )
 
 
-def _dof_scores(traj: PredictionTrajectory) -> list[dict[str, Any]]:
-    return [
-        {
-            "name": name,
-            "r2": r_squared(traj.truths[:, d], traj.predictions[:, d]),
-        }
-        for d, name in enumerate(traj.dof_names)
-    ]
-
-
-def _traj_report(
-    traj: PredictionTrajectory,
-    *,
-    name: str,
-    model: HybridModel,
-    test_raw: SemgRecording,
-    split: str,
-    runtime_s: float,
-    input_len: int,
-) -> EvaluationReport:
-    return EvaluationReport(
-        model=name,
-        protocol=test_raw.protocol,
-        split=split,
-        dof=_dof_scores(traj),
-        k=model.k,
-        matrix_mode=model.matrix_mode,
-        runtime_s=runtime_s,
-        input_len=input_len,
-        timestamps=traj.timestamps,
-        truths=traj.truths,
-        predictions=traj.predictions,
-    )
-
-
-def _krr_report(
-    train_raw: SemgRecording,
-    test_raw: SemgRecording,
-    model: HybridModel,
-    split: str,
-) -> EvaluationReport:
+def _krr_trajectory(
+    train_raw: SemgRecording, test_raw: SemgRecording
+) -> tuple[PredictionTrajectory, int]:
     """Handcrafted features + PCA-20 + tuned RBF kernel ridge regression on
-    windows cut at the sessions' shared rate; ``input_len`` is their length
-    in samples, and ``model`` only supplies the report's k and matrix mode."""
-    start = time.perf_counter()
+    windows cut at the sessions' shared rate: the test trajectory, and the
+    window length in samples."""
     stats, train_windows, y_train, _ = dsp.condition(train_raw)
     _, test_windows, y_test, test_times = dsp.condition(test_raw, stats)
     train_features = features.extract_feature_matrix(train_windows)
@@ -248,22 +209,10 @@ def _krr_report(
     x_test = basis.project(features.extract_feature_matrix(test_windows))
     gamma, ridge = krr.tune(x_train, y_train)
     fitted = krr.fit(x_train, y_train, gamma, ridge)
-    y_pred = krr.predict(fitted, x_test)
     traj = PredictionTrajectory(
-        timestamps=test_times,
-        predictions=y_pred,
-        truths=y_test,
-        dof_names=list(train_raw.dof_names),
+        test_times, krr.predict(fitted, x_test), y_test, list(train_raw.dof_names)
     )
-    return _traj_report(
-        traj,
-        name="krr",
-        model=model,
-        test_raw=test_raw,
-        split=split,
-        runtime_s=time.perf_counter() - start,
-        input_len=train_windows.shape[1],
-    )
+    return traj, train_windows.shape[1]
 
 
 def run_evaluation(
@@ -294,28 +243,40 @@ def evaluate_model(
     """Score an already-trained hybrid on ``partition(data)``'s test set.
 
     The training set is only touched when ``baselines`` is set (the KRR
-    baseline must fit on it); the hybrid itself is not retrained.
+    baseline must fit on it); the hybrid itself is not retrained. Every
+    report is built here, by one construction: each DoF scored by
+    ``r_squared``, and the protocol, split, k and matrix mode shared, so the
+    KRR report carries the hybrid's k and matrix mode.
     """
     train_raw, test_raw, split = partition(data)
     start = time.perf_counter()
-    trajs = training.predict_heads(model, test_raw)
-    runtime_s = time.perf_counter() - start
-    names = ("cnn-lstm", "cnn") if baselines else ("cnn-lstm",)
-    reports = [
-        _traj_report(
-            traj,
-            name=name,
-            model=model,
-            test_raw=test_raw,
-            split=split,
-            runtime_s=runtime_s,
-            input_len=model.cnn.input_len,
-        )
-        for name, traj in zip(names, trajs)
-    ]
+    hybrid, cnn = training.predict_heads(model, test_raw)
+    heads_s = time.perf_counter() - start
+    scored = [("cnn-lstm", hybrid, heads_s, model.cnn.input_len)]
     if baselines:
-        reports.append(_krr_report(train_raw, test_raw, model, split))
-    return reports
+        start = time.perf_counter()
+        krr_traj, window = _krr_trajectory(train_raw, test_raw)
+        scored.append(("cnn", cnn, heads_s, model.cnn.input_len))
+        scored.append(("krr", krr_traj, time.perf_counter() - start, window))
+    shared = dict(
+        protocol=test_raw.protocol, split=split, k=model.k, matrix_mode=model.matrix_mode
+    )
+    return [
+        EvaluationReport(
+            model=name,
+            dof=[
+                {"name": dof, "r2": r_squared(traj.truths[:, d], traj.predictions[:, d])}
+                for d, dof in enumerate(traj.dof_names)
+            ],
+            runtime_s=runtime_s,
+            input_len=input_len,
+            timestamps=traj.timestamps,
+            truths=traj.truths,
+            predictions=traj.predictions,
+            **shared,
+        )
+        for name, traj, runtime_s, input_len in scored
+    ]
 
 
 def sweep_timesteps(

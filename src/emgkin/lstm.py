@@ -123,6 +123,8 @@ def lstm_forward_batch(
         raise DimensionError(
             f"LSTM expects feature dim {params.feature_dim}, got {feat}"
         )
+    if mode == "train" and rng is None:
+        raise ValueError("train-mode dropout requires an rng")
     h = c = np.zeros((batch, params.hidden), dtype=params.W.dtype)  # rebound, never written
     steps = []
     for j in range(k):
@@ -142,8 +144,6 @@ def lstm_forward_batch(
         steps.append((z, a, c, tanh_c))
         h = o * tanh_c
         c = c_new
-    if mode == "train" and rng is None:
-        raise ValueError("train-mode dropout requires an rng")
     dropout = nn.Dropout(nn.DEFAULT_DROPOUT, rng)
     h = dropout.forward(h, mode)
     y = h @ params.W_y.T + params.b_y

@@ -362,11 +362,11 @@ class Flatten:
         self._cache = None
 
     def forward(self, x: np.ndarray, mode: Mode) -> np.ndarray:
-        self._cache = x.shape
+        self._cache = x.shape if mode == "train" else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        return dout.reshape(self._cache)
+        return dout.reshape(_train_cache(self._cache))
 
 
 # Per parameterized layer type: its trainable arrays (the gradient of ``p``

@@ -94,8 +94,14 @@ class SynthConfig:
                 f"unknown protocol {self.protocol!r}; expected one of "
                 f"{sorted(PROTOCOL_DOFS)}"
             )
-        if self.duration_s <= 0:
-            raise ConfigError(f"duration_s must be positive, got {self.duration_s}")
+        if not 0 < self.duration_s < np.inf:  # NaN fails too
+            raise ConfigError(
+                f"duration_s must be positive and finite, got {self.duration_s}"
+            )
+        if not self.snr_db > -np.inf:  # +inf is a noiseless session
+            raise ConfigError(f"snr_db must be a number or +inf, got {self.snr_db}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def dof_names(self) -> list[str]:

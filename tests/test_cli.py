@@ -3,13 +3,14 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from emgkin import cli
 from emgkin.cli import main
 from emgkin.errors import ConfigError, DataError, DivergenceError, LoadError
-from emgkin.io import load_model, save_session
+from emgkin.io import load_model, load_session, save_session
 from emgkin.synth import SynthConfig, generate
 
 
@@ -359,6 +360,43 @@ def test_threads_env_must_be_positive_integer(workspace, tmp_path):
     result = _invoke(args, env={"EMGKIN_THREADS": "0"})
     assert result.exit_code == 2
     assert "must be >= 1" in _all_output(result)
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["synth", "gen", "--duration", "nan"], "duration_s"),
+        (["synth", "gen", "--duration", "inf"], "duration_s"),
+        (["synth", "gen", "--seed", "-1"], "seed"),
+        (["synth", "gen", "--snr-db", "nan"], "snr_db"),
+        (["synth", "gen", "--snr-db", "-inf"], "snr_db"),
+        (["train", "--seed", "-1"], "seed"),
+        (["train", "--config", "inf.yaml"], "lr0"),
+    ],
+)
+def test_settings_that_crash_or_write_unreadable_sessions_exit_2(
+    workspace, tmp_path, args, name
+):
+    """Each exited 1 with a traceback, or 0 with an ``emg.csv`` that
+    ``load_session`` refuses; now a ConfigError names the setting."""
+    (tmp_path / "inf.yaml").write_text("cnn:\n  lr0: .inf\n")
+    args = [str(tmp_path / a) if a.endswith(".yaml") else a for a in args]
+    if args[0] == "train":
+        args += ["--data", str(workspace / "solo"), "--out", str(tmp_path / "m.ckpt")]
+    else:
+        args += ["--out", str(tmp_path / "s")]
+    result = _invoke(args)
+    assert result.exit_code == 2, result.output
+    assert f"error: {name} must be" in _all_output(result)
+    assert not (tmp_path / "s").exists() and not (tmp_path / "m.ckpt").exists()
+
+
+def test_infinite_snr_writes_a_session_that_loads(tmp_path):
+    result = _invoke(
+        ["synth", "gen", "--duration", "2", "--snr-db", "inf", "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 0, result.output
+    assert np.isfinite(load_session(tmp_path).emg).all()
 
 
 def test_unknown_protocol_choice_rejected(tmp_path):

@@ -46,6 +46,21 @@ def test_validation_rejects_bad_values():
         StageConfig(epochs=1, lr0=float("nan"))
 
 
+@pytest.mark.parametrize(
+    "raw, name",
+    [
+        ({"seed": -1}, "seed"),
+        ({"cnn": {"lr0": float("inf")}}, "lr0"),
+        ({"lstm": {"lr0": float("inf")}}, "lr0"),
+    ],
+)
+def test_refuses_a_negative_seed_and_an_infinite_rate(raw, name):
+    """numpy refuses a negative seed, and an infinite lr0 diverges on the
+    first step; both are refused before training, naming the setting."""
+    with pytest.raises(ConfigError, match=f"{name} must be"):
+        config_from_dict(raw)
+
+
 def test_dict_round_trip():
     cfg = PipelineConfig(matrix_mode="temporal", k=58, seed=9)
     again = config_from_dict(cfg.to_dict())

@@ -355,6 +355,23 @@ def test_intra_scores_match_direct_training(quick_config, quick_session, quick_r
         assert got == expected
 
 
+def test_three_reports_share_split_protocol_and_model_settings(p1_model, quick_session):
+    """Every report of ``evaluate_model`` carries one protocol and one split,
+    and the hybrid's k and matrix mode; the heads' input_len is the CNN's
+    matrix length, KRR's its window in samples, and KRR scores the CNN head's
+    windows."""
+    reports = evaluate_model(p1_model, quick_session, baselines=True)
+    assert [r.model for r in reports] == ["cnn-lstm", "cnn", "krr"]
+    _, _, split = partition(quick_session)
+    for report in reports:
+        assert (report.protocol, report.split) == (quick_session.protocol, split)
+        assert (report.k, report.matrix_mode) == (p1_model.k, p1_model.matrix_mode)
+    hybrid, cnn, krr_report = reports
+    assert hybrid.input_len == cnn.input_len == p1_model.cnn.input_len
+    assert krr_report.input_len == dsp.window_geometry(quick_session.fs_emg)[0] == 102
+    np.testing.assert_array_equal(krr_report.timestamps, cnn.timestamps)
+
+
 def test_both_heads_share_one_conditioning_and_one_cnn_pass(
     p1_model, quick_session, monkeypatch
 ):

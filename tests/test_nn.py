@@ -449,8 +449,9 @@ def test_eval_forward_leaves_no_batch_state():
         (lambda: nn.LeakyRelu(), (2, 8, 3)),
         (lambda: nn.MaxPool1d(), (2, 8, 3)),
         (lambda: nn.Dense(5, 4, np.random.default_rng(2), np.float64), (3, 5)),
+        (lambda: nn.Flatten(), (2, 8, 3)),
     ],
-    ids=["conv", "batchnorm", "leaky_relu", "maxpool", "dense"],
+    ids=["conv", "batchnorm", "leaky_relu", "maxpool", "dense", "flatten"],
 )
 def test_backward_after_eval_forward_raises(make, shape):
     layer = make()

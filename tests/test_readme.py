@@ -4,9 +4,12 @@ program has.
 Every ``emgkin ...`` line in a bash block of the README is resolved against
 the click command tree: the subcommand must exist, and every ``--option``
 on the line must be one of that command's options. Every yaml block must
-load as a pipeline config.
+load as a pipeline config. Every name a python block imports from emgkin
+must be an attribute of its module; the blocks are parsed, not run.
 """
 
+import ast
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -56,3 +59,21 @@ def test_readme_yaml_blocks_load_as_config():
     assert blocks, "README has no yaml block"
     for block in blocks:
         config_from_dict(yaml.safe_load(block))
+
+
+def test_readme_python_imports_resolve():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    imports = [
+        (node.module, alias.name)
+        for block in blocks
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "emgkin"
+        for alias in node.names
+    ]
+    assert imports, "README has no emgkin import in a python block"
+    missing = [
+        f"{module}.{name}"
+        for module, name in imports
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert not missing, f"README imports names that do not exist: {missing}"

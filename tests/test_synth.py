@@ -175,3 +175,21 @@ def test_config_validation():
         SynthConfig(protocol="P7")
     with pytest.raises(ConfigError):
         SynthConfig(duration_s=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("duration_s", float("nan")),
+        ("duration_s", float("inf")),
+        ("snr_db", float("nan")),
+        ("snr_db", float("-inf")),
+        ("seed", -1),
+    ],
+)
+def test_config_refuses_settings_that_crash_or_write_unreadable_sessions(field, value):
+    """A NaN or infinite duration crashes the generator, a NaN or -inf SNR
+    writes non-finite sEMG that ``load_session`` refuses, and numpy refuses
+    a negative seed; each is refused up front, naming the setting."""
+    with pytest.raises(ConfigError, match=field):
+        SynthConfig(**{field: value})
