@@ -14,6 +14,9 @@ uses ``window_geometry(rec.fs_emg)``, and ``WINDOW_SAMPLES``/``HOP_SAMPLES``
 = 102/51 are only its values at the paper's 1024 Hz. ``DEFAULT_FS_EMG`` =
 1024 Hz, ``DEFAULT_FS_ANG`` = 100 Hz and ``N_CHANNELS`` = 6 are the paper's
 recording setup and what a session without ``meta.json`` is read as.
+The rate rule is this module's: ``valid_emg_rate`` tests an EMG rate, and
+every ``SemgRecording``, read from files or not, checks each declared rate
+against its timestamps within ``RATE_TOLERANCE`` = 1 %.
 ``condition`` runs filter -> scale -> window for one partition, and no other
 module composes those steps. Every module reads the design's vocabularies
 from here: ``PROTOCOL_DOFS`` (the wrist DoFs each protocol P1-P4 moves; P4's
@@ -23,6 +26,7 @@ length L at a given rate coming from ``matrix_length``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,6 +43,7 @@ from .errors import (
 DEFAULT_FS_EMG = 1024.0
 DEFAULT_FS_ANG = 100.0
 N_CHANNELS = 6
+RATE_TOLERANCE = 0.01  # declared rate against (T - 1) / (t[-1] - t[0])
 
 HIGHPASS_HZ = 20.0
 LOWPASS_HZ = 450.0
@@ -60,6 +65,11 @@ PROTOCOL_DOFS = {
 }
 
 MATRIX_MODES = ("spectral", "temporal")
+
+
+def valid_emg_rate(fs: float) -> bool:
+    """Finite and above 2 * LOWPASS_HZ, the low-pass's Nyquist limit (NaN fails)."""
+    return math.isfinite(fs) and fs > 2 * LOWPASS_HZ
 
 
 @dataclass
@@ -96,16 +106,21 @@ class SemgRecording:
                 f"{len(PROTOCOL_DOFS[self.protocol])} DoF column(s), "
                 f"got {self.angles.shape[1]}"
             )
-        if not self.fs_emg > 2 * LOWPASS_HZ:
-            raise DataError(
-                f"fs_emg={self.fs_emg} violates Nyquist for the "
-                f"{LOWPASS_HZ} Hz low-pass"
-            )
+        if not valid_emg_rate(self.fs_emg):
+            raise DataError(f"fs_emg={self.fs_emg} is not finite or violates Nyquist "
+                            f"for the {LOWPASS_HZ} Hz low-pass")
         if len(self.t_emg) != len(self.emg) or len(self.t_ang) != len(self.angles):
             raise DimensionError("timestamp vectors must match sample counts")
-        for name, t in (("t_emg", self.t_emg), ("t_ang", self.t_ang)):
-            if len(t) > 1 and np.any(np.diff(t) <= 0):
+        for name, rate in (("t_emg", "fs_emg"), ("t_ang", "fs_ang")):
+            t, fs = getattr(self, name), getattr(self, rate)
+            if len(t) < 2:
+                continue
+            if np.any(np.diff(t) <= 0):
                 raise DataError(f"{name} must be strictly increasing")
+            estimated = (len(t) - 1) / (t[-1] - t[0])
+            if not (math.isfinite(fs) and abs(estimated - fs) <= RATE_TOLERANCE * fs):
+                raise DataError(f"{name} gives {estimated:.2f} Hz, which deviates more "
+                                f"than {RATE_TOLERANCE:.0%} from {rate}={fs:g} Hz")
 
     @property
     def dof_names(self) -> list[str]:
@@ -119,10 +134,6 @@ class SemgRecording:
     @property
     def n_dof(self) -> int:
         return self.angles.shape[1]
-
-    @property
-    def duration_s(self) -> float:
-        return float(self.t_emg[-1] - self.t_emg[0]) if len(self.t_emg) else 0.0
 
 
 @dataclass(frozen=True)
@@ -144,10 +155,10 @@ class NormalizationStats:
 
 def standard_chain(fs: float) -> list[np.ndarray]:
     """The fixed high-pass -> low-pass -> notch cascade at rate ``fs`` as SOS
-    arrays. Raises FilterDesignError unless ``fs`` > 2 * LOWPASS_HZ (a NaN
-    rate fails) and every pole lies strictly inside the unit circle."""
-    if not fs > 2 * LOWPASS_HZ:
-        raise FilterDesignError(f"fs={fs} Hz puts the low-pass at or beyond Nyquist")
+    arrays. Raises FilterDesignError unless ``valid_emg_rate(fs)`` and every
+    pole lies strictly inside the unit circle."""
+    if not valid_emg_rate(fs):
+        raise FilterDesignError(f"fs={fs} Hz is not finite or violates Nyquist for the low-pass")
     b, a = signal.iirnotch(NOTCH_HZ, NOTCH_HZ / NOTCH_BANDWIDTH_HZ, fs=fs)
     chain = [
         signal.butter(BUTTER_ORDER, HIGHPASS_HZ, btype="highpass", fs=fs, output="sos"),

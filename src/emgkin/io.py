@@ -9,6 +9,10 @@ Session format (one directory per session):
     meta.json   optional {protocol, session_id, fs_emg, fs_ang}; when absent
                 the protocol is inferred from which angle columns are nonzero
 
+``load_session`` checks the files, not the rates: the ``dsp.SemgRecording``
+it builds applies ``dsp``'s rate rule, and its DataError becomes a LoadError
+naming the session.
+
 One writer, ``_write_csv``, writes every data CSV (session, trajectory,
 loss and feature-scatter files): a float as ``%.17g`` (float32 included; a
 float64 reads back exactly), any other cell as ``str``.
@@ -34,11 +38,10 @@ than converted. It checks the header's ``in_channels``, ``n_outputs`` and
 table, then builds the model those sizes and the recipe describe. The table
 must equal the one ``save_model`` writes for that model, name for name and
 shape for shape; the blob is copied into the model's own arrays.
-``fs_emg`` must be a finite rate above the low-pass's Nyquist limit
-(2 * ``dsp.LOWPASS_HZ``), ``input_len`` the ``dsp.matrix_length`` of the
-header's ``matrix_mode`` at that rate, and ``dof_names`` one of
-``dsp.PROTOCOL_DOFS``'s lists. Every refusal is a CorruptCheckpointError
-naming the field at fault.
+``fs_emg`` must be a number that ``dsp.valid_emg_rate`` accepts,
+``input_len`` the ``dsp.matrix_length`` of the header's ``matrix_mode`` at
+that rate, and ``dof_names`` one of ``dsp.PROTOCOL_DOFS``'s lists. Every
+refusal is a CorruptCheckpointError naming the field at fault.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ import numpy as np
 
 from .dsp import DEFAULT_FS_ANG, DEFAULT_FS_EMG, LOWPASS_HZ, MATRIX_MODES, N_CHANNELS
 from .dsp import PROTOCOL_DOFS, NormalizationStats, SemgRecording, matrix_length
+from .dsp import valid_emg_rate
 from .errors import (
     CorruptCheckpointError,
     DataError,
@@ -81,7 +85,6 @@ EMG_HEADER = "t," + ",".join(f"ch{i + 1}" for i in range(N_CHANNELS))
 ANGLES_HEADER = "t," + ",".join(ANGLE_COLUMNS)
 META_FILE = "meta.json"
 _FLOAT_FMT = "%.17g"
-_RATE_TOLERANCE = 0.01
 
 
 # --------------------------------------------------------------------------
@@ -162,6 +165,8 @@ def _read_csv(path: Path, expected_header: str) -> np.ndarray:
             raise LoadError(f"{path.name}: malformed row ({exc})") from exc
     if data.size == 0:
         raise LoadError(f"{path.name}: no data rows")
+    if len(data) < 2:
+        raise LoadError(f"{path.name}: need at least 2 samples to check rate")
     n_cols = expected_header.count(",") + 1
     if data.shape[1] != n_cols:
         raise LoadError(
@@ -181,17 +186,6 @@ def _read_csv(path: Path, expected_header: str) -> np.ndarray:
             f"{non_mono[0] + 2}"
         )
     return data
-
-
-def _check_rate(path_name: str, t: np.ndarray, declared: float) -> None:
-    if t.shape[0] < 2:
-        raise LoadError(f"{path_name}: need at least 2 samples to check rate")
-    estimated = (t.shape[0] - 1) / (t[-1] - t[0])
-    if abs(estimated - declared) > _RATE_TOLERANCE * declared:
-        raise LoadError(
-            f"{path_name}: sampling rate {estimated:.2f} Hz deviates more than "
-            f"{_RATE_TOLERANCE:.0%} from declared {declared:g} Hz"
-        )
 
 
 def _infer_protocol(full_angles: np.ndarray) -> str:
@@ -235,25 +229,23 @@ def load_session(directory: str | Path) -> SemgRecording:
     protocol = meta.get("protocol") or _infer_protocol(ang_data[:, 1:])
     if not isinstance(protocol, str) or protocol not in PROTOCOL_DOFS:
         raise LoadError(f"meta.json: unknown protocol {protocol!r}")
-    fs_emg = _meta_rate(meta, "fs_emg", DEFAULT_FS_EMG)
-    fs_ang = _meta_rate(meta, "fs_ang", DEFAULT_FS_ANG)
-    _check_rate(EMG_FILE, emg_data[:, 0], fs_emg)
-    _check_rate(ANGLES_FILE, ang_data[:, 0], fs_ang)
-
     dof_names = PROTOCOL_DOFS[protocol]
     angles = np.column_stack(
         [ang_data[:, 1 + ANGLE_COLUMNS.index(name)] for name in dof_names]
     )
-    return SemgRecording(
-        emg=emg_data[:, 1:],
-        t_emg=emg_data[:, 0],
-        angles=angles,
-        t_ang=ang_data[:, 0],
-        protocol=protocol,
-        session_id=str(meta.get("session_id", directory.name)),
-        fs_emg=fs_emg,
-        fs_ang=fs_ang,
-    )
+    try:
+        return SemgRecording(
+            emg=emg_data[:, 1:],
+            t_emg=emg_data[:, 0],
+            angles=angles,
+            t_ang=ang_data[:, 0],
+            protocol=protocol,
+            session_id=str(meta.get("session_id", directory.name)),
+            fs_emg=_meta_rate(meta, "fs_emg", DEFAULT_FS_EMG),
+            fs_ang=_meta_rate(meta, "fs_ang", DEFAULT_FS_ANG),
+        )
+    except DataError as exc:
+        raise LoadError(f"session {directory}: {exc}") from exc
 
 
 def list_session_dirs(directory: str | Path) -> list[Path]:
@@ -323,7 +315,7 @@ def _positive_int(value) -> int:
 
 
 def _emg_rate(value) -> float:
-    if type(value) not in (int, float) or not math.isfinite(value) or not value > 2 * LOWPASS_HZ:
+    if type(value) not in (int, float) or not valid_emg_rate(value):
         raise ValueError(f"want a finite rate above {2 * LOWPASS_HZ:g} Hz")
     return float(value)
 

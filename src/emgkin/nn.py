@@ -138,19 +138,13 @@ class Conv1d:
         out += b
         return out
 
-    def param_backward(self, dout: np.ndarray) -> None:
-        """Set ``dW`` and ``db`` only: the backward pass of a layer whose
-        input needs no gradient, such as the network's first layer."""
+    def backward(self, dout: np.ndarray) -> np.ndarray:
         cols = _train_cache(self._cache)
-        out_ch, in_ch, _ = self.W.shape
+        batch, length, out_ch = dout.shape
+        in_ch = self.W.shape[1]
         d_wmat = cols.reshape(-1, in_ch * 3).T @ dout.reshape(-1, out_ch)
         self.dW = d_wmat.reshape(in_ch, 3, out_ch).transpose(2, 0, 1)
         self.db = dout.sum(axis=(0, 1))
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        self.param_backward(dout)
-        batch, length, out_ch = dout.shape
-        in_ch = self.W.shape[1]
         # per window, as in the forward; one flat GEMM would also change a
         # float64 gradient's bytes at conv1's 18 im2col columns
         dcols = (dout @ self.w_mat.T).reshape(batch, length, in_ch, 3)
@@ -505,16 +499,12 @@ class CnnModel:
         return self._features(x, "eval")
 
     def backward(self, dpred: np.ndarray) -> None:
-        """Backpropagate a gradient on predictions through every layer.
-
-        conv1 computes its parameter gradients only: nothing reads the
-        gradient of the network input.
-        """
-        grad = self.head.backward(dpred)
-        (_, conv1), *rest = self._feature_layers
-        for _, layer in reversed(rest):
+        """Backpropagate a gradient on predictions through the head and every
+        feature layer, conv1 included, each by its own ``backward``; the
+        gradient of the network input that conv1 returns is dropped."""
+        grad = dpred
+        for _, layer in reversed([*self._feature_layers, ("head", self.head)]):
             grad = layer.backward(grad)
-        conv1.param_backward(grad)
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Trainable arrays in declared (checkpoint) order."""

@@ -23,8 +23,9 @@ smoothed rectified channel strongly correlated with the full envelope while
 leaving the flexor/extexor asymmetry (and thus the angle sign) recoverable.
 
 ``SynthConfig`` holds only what callers vary: protocol, duration, SNR,
-seed, session id and EMG rate. Session B of ``generate_session_pair``
-multiplies G by a seeded jitter within +-``GAIN_JITTER``.
+seed, session id and EMG rate, the last refused unless
+``dsp.valid_emg_rate``. Session B of ``generate_session_pair`` multiplies G
+by a seeded jitter within +-``GAIN_JITTER``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .dsp import (
     NOTCH_HZ,
     PROTOCOL_DOFS,
     SemgRecording,
+    valid_emg_rate,
 )
 from .errors import ConfigError
 
@@ -102,6 +104,9 @@ class SynthConfig:
             raise ConfigError(f"snr_db must be a number or +inf, got {self.snr_db}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not valid_emg_rate(self.fs_emg):
+            raise ConfigError(f"fs_emg must be finite and above {2 * LOWPASS_HZ:g} Hz, "
+                              f"got {self.fs_emg}")
 
     @property
     def dof_names(self) -> list[str]:

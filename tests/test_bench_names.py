@@ -4,8 +4,10 @@
 tracer (a traced function or method, with an optional ``.train``/``.eval``
 mode) or in the shape counters, and raises KeyError for a name that matches
 neither. Renaming or deleting a traced function breaks the benchmark that
-way. Here the tracer is installed without running a workload, so the check
-costs nothing but the import.
+way. A count metric resolves whenever its base is a ``counts.COUNTERS`` key,
+and reads 0 if no traced function has that name, so every key must name a
+traced function too. Here the tracer is installed without running a
+workload, so the checks cost nothing but the import.
 """
 
 import json
@@ -36,3 +38,5 @@ def test_every_per_layer_name_resolves(monkeypatch):
     finally:
         tracer.uninstall()
     assert set(metrics) == {spec["name"] for spec in specs}
+    # a counter keyed by a renamed or deleted function would read 0
+    assert set(COUNTERS) <= tracer.span_names, set(COUNTERS) - tracer.span_names

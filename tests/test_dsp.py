@@ -82,11 +82,14 @@ def test_notch_is_narrow():
 
 
 def test_design_rejects_cutoff_beyond_nyquist():
-    # 800 Hz puts the 450 Hz low-pass beyond Nyquist; NaN compares false.
+    # 800 Hz puts the 450 Hz low-pass beyond Nyquist; NaN compares false,
+    # and an infinite rate is no rate to design at.
     with pytest.raises(FilterDesignError):
         dsp.standard_chain(800.0)
     with pytest.raises(FilterDesignError):
         dsp.standard_chain(float("nan"))
+    with pytest.raises(FilterDesignError):
+        dsp.standard_chain(float("inf"))
 
 
 def reference_chain(fs: float) -> list[np.ndarray]:
@@ -117,11 +120,21 @@ def test_standard_chain_matches_per_stage_reference_bytes(fs):
         assert sos.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("fs_emg", [float("nan"), 900.0])
+@pytest.mark.parametrize("fs_emg", [float("nan"), 900.0, float("inf")])
 def test_recording_rejects_rate_at_or_below_nyquist(fs_emg):
     rec = make_recording(np.zeros((2048, 6)))
     with pytest.raises(DataError, match="Nyquist"):
         replace(rec, fs_emg=fs_emg)
+
+
+@pytest.mark.parametrize("field", ["fs_emg", "fs_ang"])
+def test_recording_rejects_timestamps_that_contradict_its_rate(field):
+    """A rate twice what the timestamps give would cut 200 ms windows where
+    the recipe asks for 100 ms; every recording refuses it, not only one
+    read from files."""
+    rec = generate(SynthConfig(protocol="P1", duration_s=2.0, seed=1))
+    with pytest.raises(DataError, match="deviates"):
+        replace(rec, **{field: 2 * getattr(rec, field)})
 
 
 def test_designed_sections_are_stable():

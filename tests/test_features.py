@@ -249,9 +249,27 @@ def test_pca_needs_enough_vectors():
 
 
 def test_project_2d_preserves_pairwise_distances_of_planar_data():
+    """[M x 2] data, bare or embedded among zero columns, is only centred
+    and rotated."""
     pts = RNG.normal(size=(50, 2))
     embedded = np.concatenate([pts, np.zeros((50, 40))], axis=1)
-    flat = features.project_2d(embedded)
     d_orig = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
-    d_proj = np.linalg.norm(flat[:, None] - flat[None], axis=-1)
-    np.testing.assert_allclose(d_proj, d_orig, atol=1e-9)
+    for data in (pts, embedded):
+        flat = features.project_2d(data)
+        assert flat.shape == (50, 2)
+        d_proj = np.linalg.norm(flat[:, None] - flat[None], axis=-1)
+        np.testing.assert_allclose(d_proj, d_orig, atol=1e-9)
+
+
+def test_project_2d_pads_one_column_with_zeros():
+    x = RNG.normal(size=(30, 1))
+    flat = features.project_2d(x)
+    assert flat.shape == (30, 2)
+    np.testing.assert_array_equal(flat[:, 1], 0.0)
+    np.testing.assert_allclose(np.abs(flat[:, 0]), np.abs(x[:, 0] - x.mean()), atol=1e-12)
+
+
+@pytest.mark.parametrize("n_vectors", [0, 1])
+def test_project_2d_needs_two_vectors(n_vectors):
+    with pytest.raises(InsufficientDataError, match="at least 2"):
+        features.project_2d(np.ones((n_vectors, 5)))

@@ -181,6 +181,27 @@ def test_header_only_csv_has_no_data_rows(tiny_session, tmp_path):
             load_session(tmp_path)
 
 
+@pytest.mark.parametrize("name", ["emg.csv", "angles.csv"])
+def test_one_row_csv_rejected(tiny_session, tmp_path, name):
+    """One row gives no rate to check against meta.json's."""
+    save_session(tiny_session, tmp_path)
+    path = tmp_path / name
+    path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n")
+    with pytest.raises(LoadError, match=name):
+        load_session(tmp_path)
+
+
+def test_rate_refusal_names_the_session(tiny_session, tmp_path):
+    """The recording's own rate check refuses an angle rate its timestamps
+    contradict, and the load names the session it read."""
+    session = save_session(tiny_session, tmp_path / "s7")
+    meta = json.loads((session / "meta.json").read_text())
+    meta["fs_ang"] = 50.0
+    (session / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(LoadError, match=r"s7.*deviates.*fs_ang"):
+        load_session(session)
+
+
 def test_rate_mismatch_rejected(tiny_session, tmp_path):
     save_session(tiny_session, tmp_path)
     meta_path = tmp_path / "meta.json"

@@ -473,8 +473,9 @@ def test_model_backward_after_eval_forward_raises():
 
 
 def test_model_backward_keeps_every_parameter_gradient():
-    """conv1 skips its input gradient; every parameter gradient keeps the
-    bytes of a backward that runs every layer's full backward."""
+    """``CnnModel.backward`` runs every layer's own backward, conv1's
+    included; every parameter gradient keeps the bytes of that walk done
+    by hand, layer by layer."""
     model = nn.CnnModel(input_len=101, in_channels=6, n_outputs=2, seed=11)
     rng = np.random.default_rng(30)
     x = rng.standard_normal((64, 101, 6)).astype(np.float32)

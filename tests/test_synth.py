@@ -185,11 +185,18 @@ def test_config_validation():
         ("snr_db", float("nan")),
         ("snr_db", float("-inf")),
         ("seed", -1),
+        ("fs_emg", float("nan")),
+        ("fs_emg", 0.0),
+        ("fs_emg", -1024.0),
+        ("fs_emg", 500.0),
+        ("fs_emg", float("inf")),
     ],
 )
 def test_config_refuses_settings_that_crash_or_write_unreadable_sessions(field, value):
     """A NaN or infinite duration crashes the generator, a NaN or -inf SNR
-    writes non-finite sEMG that ``load_session`` refuses, and numpy refuses
-    a negative seed; each is refused up front, naming the setting."""
+    writes non-finite sEMG that ``load_session`` refuses, numpy refuses a
+    negative seed, and an EMG rate the filter chain cannot run at
+    (``dsp.valid_emg_rate``) fails in numpy or scipy; each is refused up
+    front, naming the setting."""
     with pytest.raises(ConfigError, match=field):
         SynthConfig(**{field: value})
