@@ -56,6 +56,7 @@ HOP_MS = 50.0
 WINDOW_SAMPLES = 102  # round(100 ms * 1024 Hz)
 HOP_SAMPLES = 51
 N_FFT = 200  # one-sided spectrum has N_FFT/2 + 1 = 101 bins
+FFT_BLOCK = 256  # windows per rfft call in build_matrices
 
 PROTOCOL_DOFS = {
     "P1": ["fe"],
@@ -248,15 +249,21 @@ def build_matrices(windows: np.ndarray, mode: str) -> np.ndarray:
 
     Spectral mode zero-pads each channel to N_FFT and keeps the one-sided
     FFT magnitude (L = N_FFT/2 + 1 = 101 bins); temporal mode passes samples
-    through unchanged (L = window length).
+    through unchanged (L = window length). Spectral mode transforms
+    ``FFT_BLOCK`` windows at a time into the float32 output, so its
+    complex128 and float64 temporaries are one block's, not the recording's;
+    each 1-D transform is independent, so the bytes are those of one call
+    over every window.
     """
-    if mode == "spectral":
-        mats = np.abs(np.fft.rfft(windows, n=N_FFT, axis=1))
-    elif mode == "temporal":
-        mats = windows
-    else:
+    if mode == "temporal":
+        return windows.astype(np.float32)
+    if mode != "spectral":
         raise DataError(f"unknown matrix mode {mode!r}")
-    return mats.astype(np.float32)
+    mats = np.empty((len(windows), N_FFT // 2 + 1, windows.shape[2]), dtype=np.float32)
+    for start in range(0, len(windows), FFT_BLOCK):
+        stop = start + FFT_BLOCK
+        mats[start:stop] = np.abs(np.fft.rfft(windows[start:stop], n=N_FFT, axis=1))
+    return mats
 
 
 def build_matrix(window: np.ndarray, mode: str) -> np.ndarray:

@@ -27,6 +27,13 @@ trained. h_k reaches the readout through an ``nn.Dropout`` at
 eval-mode forward it is the identity in BPTT too. The feature width
 defaults to the CNN's ``nn.FEATURE_DIM``. Backpropagation through time is
 hand-written and finite-difference checked.
+
+The forward keeps each step's (z, a, c_{j-1}, tanh c_j) for BPTT, in eval
+mode too, since the gradient checks run BPTT after an eval-mode forward.
+Inference has no backward, so ``training.predict_heads`` passes
+``keep_cache=False``: the same step body runs, y_k keeps its bytes, and the
+forward holds one step's arrays instead of k of them (the k-step cache is
+164 MB at 6,005 sequences and k = 18).
 """
 
 from __future__ import annotations
@@ -107,11 +114,15 @@ def lstm_forward_batch(
     seqs: np.ndarray,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, LstmCache]:
+    keep_cache: bool = True,
+) -> tuple[np.ndarray, LstmCache | None]:
     """Roll the LSTM over a batch of sequences [B x k x F]; returns (y_k, cache).
 
     Every sequence starts from the zero state, so evaluation order over
     sequences cannot matter. Train mode drops ``nn.DEFAULT_DROPOUT`` of h_k.
+    Either mode keeps the BPTT cache by default; with ``keep_cache=False``
+    each step's arrays are freed as the next one runs, y_k keeps its bytes,
+    and the cache returned is None, which ``lstm_backward`` refuses.
     """
     seqs = np.asarray(seqs)
     if seqs.ndim != 3:
@@ -141,13 +152,14 @@ def lstm_forward_batch(
         i, m, o, g = np.split(a, 4, axis=1)
         c_new = i * g + m * c
         tanh_c = np.tanh(c_new)
-        steps.append((z, a, c, tanh_c))
+        if keep_cache:
+            steps.append((z, a, c, tanh_c))
         h = o * tanh_c
         c = c_new
     dropout = nn.Dropout(nn.DEFAULT_DROPOUT, rng)
     h = dropout.forward(h, mode)
     y = h @ params.W_y.T + params.b_y
-    return y, LstmCache(steps=steps, h_final=h, dropout=dropout)
+    return y, LstmCache(steps=steps, h_final=h, dropout=dropout) if keep_cache else None
 
 
 def lstm_backward(

@@ -33,16 +33,22 @@ none can go stale. A conv block is then im2col -> GEMM -> bias -> leaky
 ReLU -> pool; no batch norm or dropout runs. The fold reorders float32
 rounding only: in float64 it equals the layer-by-layer pass to about 1e-14.
 
-Eval mode runs the four conv blocks and the flatten over ``EVAL_CHUNK`` =
-256 windows at a time, into one [M x flat_dim] buffer, so the im2col buffers
-grow with the chunk, not with the recording. The conv GEMMs run per window
-([L x 3*Cin] @ [3*Cin x Cout]), so their bytes do not depend on the chunk,
-and the tests compare the chunked output with one whole-batch pass of the
-same code byte for byte. The FC blocks then run once over the whole buffer,
-because fc2's [M x 100] @ [100 x 20] product changed bytes with M at every
-M tried from 1 to 390, so chunking it would change the outputs. Train mode
-runs every layer over the whole batch, as batch norm's batch statistics
-need.
+Eval mode runs the four conv blocks, the flatten and the first FC block
+(fc1 with its fold, leaky ReLU and the dropout identity) over chunks of
+about ``EVAL_CHUNK`` = 256 windows, into one [M x 100] buffer, so the
+im2col and flat buffers grow with the chunk, not with the recording. The
+conv GEMMs run per window ([L x 3*Cin] @ [3*Cin x Cout]), so their bytes do
+not depend on the chunk. fc1's GEMM against its [flat_dim x 100] weights
+kept each row's bytes at every batch of rows tried except 1, 2 and 3, where
+OpenBLAS takes another kernel, so the chunks are balanced: max(1,
+round(M / EVAL_CHUNK)) chunks whose sizes differ by at most one row, so
+none is under EVAL_CHUNK // 2 rows unless it is the whole batch; plain
+256-row steps left a 1-row last chunk at M = 257. The tests compare the
+chunked output with one whole-batch pass of the same code byte for byte.
+fc2 and the head then run once over the whole buffer, because fc2's
+[M x 100] @ [100 x 20] product changed bytes with M at every M tried from 1
+to 390, so chunking it would change the outputs. Train mode runs every
+layer over the whole batch, as batch norm's batch statistics need.
 
 The element-wise layers make few full-size passes and temporaries. Batch
 norm works on an [N x C] view of its input (``x.reshape(-1, C)``, N = B*L
@@ -422,7 +428,6 @@ class CnnModel:
             raise DimensionError(f"input length {input_len} leaves nothing after the pools")
         self.flat_dim = length * prev_ch
         self._feature_layers.append(("flatten", Flatten()))
-        self._n_trunk = len(self._feature_layers)
         prev = self.flat_dim
         for i, width in enumerate(FC_SIZES, start=1):
             self._feature_layers += [
@@ -431,6 +436,8 @@ class CnnModel:
                 (f"fcact{i}", LeakyRelu(DEFAULT_LEAKY_SLOPE)),
                 (f"fcdrop{i}", Dropout(DEFAULT_DROPOUT, self.rng)),
             ]
+            if i == 1:  # the eval pass chunks every layer up to here
+                self._n_chunked = len(self._feature_layers)
             prev = width
         self.head = Dense(FEATURE_DIM, n_outputs, self.rng, dtype)
 
@@ -458,12 +465,16 @@ class CnnModel:
         for _, layer in self._feature_layers:
             layer._cache = None
         folds = self._folds()
-        trunk = self._feature_layers[: self._n_trunk]
-        flat = np.empty((len(x), self.flat_dim), dtype=np.result_type(x, self.dtype))
-        for start in range(0, len(x), EVAL_CHUNK):
-            stop = start + EVAL_CHUNK
-            flat[start:stop] = self._run_eval(trunk, x[start:stop], folds)
-        return self._run_eval(self._feature_layers[self._n_trunk :], flat, folds)
+        chunked = self._feature_layers[: self._n_chunked]
+        fc1_out = np.empty((len(x), FC_SIZES[0]), dtype=np.result_type(x, self.dtype))
+        # balanced chunks, none under EVAL_CHUNK // 2 rows unless it is the
+        # whole batch: a GEMM of 1-3 rows changes fc1's bytes; an empty
+        # batch runs none, as flatten cannot reshape an empty chunk
+        n_chunks = max(1, round(len(x) / EVAL_CHUNK)) if len(x) else 0
+        bounds = np.linspace(0, len(x), n_chunks + 1, dtype=int)
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            fc1_out[start:stop] = self._run_eval(chunked, x[start:stop], folds)
+        return self._run_eval(self._feature_layers[self._n_chunked :], fc1_out, folds)
 
     def _folds(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Per conv and dense layer, the GEMM weights and bias that give the

@@ -305,7 +305,12 @@ def predict_heads(
     The LSTM gives one y_k per k-window sequence, stamped with its last
     window's end time; the CNN head one y per window from the same features.
     Raises DataError if the recording's protocol has other DoFs than the
-    model's, or its EMG rate is not the model's."""
+    model's, or its EMG rate is not the model's.
+
+    Memory is the recording plus one chunk: the spectra are built
+    ``dsp.FFT_BLOCK`` windows at a time, the CNN runs through fc1 one eval
+    chunk at a time into an [M x 100] buffer, and the LSTM forward keeps no
+    BPTT cache. Each of these gives the bytes of one whole-batch pass."""
     if rec.dof_names != model.dof_names:
         raise DataError(
             f"recording {rec.session_id} is protocol {rec.protocol} (DoFs "
@@ -324,7 +329,7 @@ def predict_heads(
     del windows  # a view that holds the whole scaled recording alive
     features = extract_dataset_features(model.cnn, x)
     seqs, y_true = stack_sequences(features, labels, model.k)
-    y_pred, _ = lstm_forward_batch(model.lstm, seqs, mode="eval")
+    y_pred, _ = lstm_forward_batch(model.lstm, seqs, mode="eval", keep_cache=False)
     y_cnn = model.cnn.head.forward(features, "eval")
     inverse, names = model.label_scaler.inverse, model.dof_names
     return (

@@ -6,11 +6,13 @@ implementation that the pipeline actually runs.
 """
 
 import ast
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal
 
 from emgkin import dsp
@@ -381,6 +383,49 @@ def test_temporal_matrix_passes_samples_through():
 def test_matrix_length_is_what_build_matrices_makes(mode, fs):
     windows = np.zeros((2, dsp.window_geometry(fs)[0], dsp.N_CHANNELS))
     assert dsp.build_matrices(windows, mode).shape[1] == dsp.matrix_length(mode, fs)
+
+
+def strided_windows(m: int, seed: int) -> np.ndarray:
+    """m windows [m x 102 x 6] as ``segment_windows`` makes them: a read-only
+    strided view into a float64 recording, 51 samples apart."""
+    emg = np.random.default_rng(seed).standard_normal(((m - 1) * 51 + 102, 6))
+    return sliding_window_view(emg, 102, axis=0)[::51].swapaxes(1, 2)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [1, dsp.FFT_BLOCK - 1, dsp.FFT_BLOCK, dsp.FFT_BLOCK + 1, 3 * dsp.FFT_BLOCK + 7],
+)
+def test_blocked_spectra_match_one_transform_over_every_window(m):
+    """Spectral mode, block by block, equals one rfft over all windows cast
+    to float32, byte for byte; temporal mode is the float32 cast."""
+    windows = strided_windows(m, seed=m)
+    spectral = dsp.build_matrices(windows, "spectral")
+    ref = np.abs(np.fft.rfft(windows, n=dsp.N_FFT, axis=1)).astype(np.float32)
+    assert spectral.dtype == ref.dtype and spectral.shape == ref.shape
+    assert spectral.tobytes() == ref.tobytes()
+    temporal = dsp.build_matrices(windows, "temporal")
+    assert temporal.dtype == np.float32
+    assert temporal.tobytes() == windows.astype(np.float32).tobytes()
+
+
+def test_spectral_peak_memory_is_the_output_plus_one_block():
+    """About 6,000 windows (a 300 s recording): the call allocates its
+    float32 output and one block's complex128 spectrum and float64
+    magnitude, not the whole recording's (87 MB for 14.5 MB of output when
+    one rfft took every window)."""
+    windows = strided_windows(6000, seed=5)
+    bins, channels = dsp.N_FFT // 2 + 1, windows.shape[2]
+    out_bytes = len(windows) * bins * channels * 4
+    block_bytes = dsp.FFT_BLOCK * bins * channels * (16 + 8)
+    tracemalloc.start()
+    try:
+        mats = dsp.build_matrices(windows, "spectral")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mats.nbytes == out_bytes
+    assert peak <= out_bytes + block_bytes + (1 << 20), (peak, out_bytes, block_bytes)
 
 
 def test_matrix_length_refuses_an_unknown_mode():

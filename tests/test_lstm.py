@@ -221,6 +221,26 @@ def test_fused_forward_matches_per_gate_reference(batch, seed):
         np.testing.assert_allclose(y[b], reference_forward(p, seqs[b]), rtol=1e-5, atol=1e-6)
 
 
+@settings(max_examples=30, deadline=None)
+@given(batch=st.integers(1, 70), seed=st.integers(0, 2**16))
+@example(batch=1, seed=0)
+@example(batch=64, seed=2)  # training.LSTM_BATCH
+@example(batch=1159, seed=3)  # a 60 s recording's sequences at k = 18
+def test_cache_free_forward_keeps_the_eval_bytes(batch, seed):
+    """At the recipe's float32 shapes, the forward without a BPTT cache gives
+    the cached eval forward's y byte for byte, and its None cache is refused
+    by BPTT."""
+    p = init_lstm_params(n_outputs=3, seed=seed)
+    seqs = np.random.default_rng(seed).standard_normal((batch, 18, nn.FEATURE_DIM))
+    seqs = seqs.astype(np.float32)
+    y, cache = lstm_forward_batch(p, seqs, mode="eval")
+    y_free, no_cache = lstm_forward_batch(p, seqs, mode="eval", keep_cache=False)
+    assert len(cache.steps) == 18 and no_cache is None
+    assert y_free.dtype == y.dtype and y_free.tobytes() == y.tobytes()
+    with pytest.raises(ValueError, match="requires the cache"):
+        lstm_backward(p, no_cache, np.ones_like(y))
+
+
 def test_init_deterministic_per_seed():
     a = init_lstm_params(seed=13)
     b = init_lstm_params(seed=13)

@@ -1,6 +1,7 @@
 """Two-stage training pipeline on small synthetic sessions."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from emgkin.training import (
     extract_dataset_features,
     predict,
     predict_cnn_only,
+    predict_heads,
     preprocess_training,
     train_cnn,
     train_hybrid,
@@ -257,3 +259,23 @@ def test_predict_on_a_long_recording_matches_whole_batch(
         assert traj.predictions.tobytes() == ref.predictions.tobytes()
         assert traj.predictions.dtype == ref.predictions.dtype
         np.testing.assert_array_equal(traj.timestamps, ref.timestamps)
+
+
+def test_predict_heads_memory_is_bounded_by_the_recording(
+    tiny_session, tiny_config, p1_session
+):
+    """Inference holds the recording's filtered and scaled copies, its input
+    matrices and one chunk: no BPTT cache, no spectrum of every window and
+    no [M x flat_dim] buffer. On the 60 s recording (1,176 windows) the call
+    peaked 33.7 MB above its start while it held all three."""
+    model = train_hybrid(tiny_session, tiny_config).model
+    bound = 8 * p1_session.emg.nbytes
+    tracemalloc.start()
+    try:
+        hybrid, cnn = predict_heads(model, p1_session)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cnn.predictions) == (len(p1_session.emg) - 102) // 51 + 1
+    assert len(hybrid.predictions) == len(cnn.predictions) - model.k + 1
+    assert peak <= bound, (peak, bound)
