@@ -18,7 +18,11 @@ The rate rule is this module's: ``valid_emg_rate`` tests an EMG rate, and
 every ``SemgRecording``, read from files or not, checks each declared rate
 against its timestamps within ``RATE_TOLERANCE`` = 1 %.
 ``condition`` runs filter -> scale -> window for one partition, and no other
-module composes those steps. Every module reads the design's vocabularies
+module composes those steps. It holds one copy of the recording beyond its
+input: the chain runs ``FILTER_BLOCK`` samples at a time into one output,
+each stage carrying its state through ``sosfilt``'s ``zi``, and that
+filtered copy is min-max scaled in place; the bytes are those of one
+whole-recording pass per step. Every module reads the design's vocabularies
 from here: ``PROTOCOL_DOFS`` (the wrist DoFs each protocol P1-P4 moves; P4's
 list is all three, in column order) and ``MATRIX_MODES``, each mode's matrix
 length L at a given rate coming from ``matrix_length``.
@@ -57,6 +61,7 @@ WINDOW_SAMPLES = 102  # round(100 ms * 1024 Hz)
 HOP_SAMPLES = 51
 N_FFT = 200  # one-sided spectrum has N_FFT/2 + 1 = 101 bins
 FFT_BLOCK = 256  # windows per rfft call in build_matrices
+FILTER_BLOCK = 16_384  # samples per sosfilt call in apply_filter_chain
 
 PROTOCOL_DOFS = {
     "P1": ["fe"],
@@ -80,7 +85,9 @@ class SemgRecording:
     ``emg`` is [T_e x N] at ``fs_emg``; ``angles`` is [T_a x D] in degrees at
     ``fs_ang`` where D is the number of active DoFs for ``protocol`` (1 for
     P1-P3, 3 for P4). Timestamps are absolute seconds and survive splitting,
-    so label interpolation stays consistent across partitions.
+    so label interpolation stays consistent across partitions. Each timestamp
+    vector must strictly increase; a refusal names the first sample that
+    does not, 1-based as a session CSV counts its data rows.
     """
 
     emg: np.ndarray
@@ -116,8 +123,10 @@ class SemgRecording:
             t, fs = getattr(self, name), getattr(self, rate)
             if len(t) < 2:
                 continue
-            if np.any(np.diff(t) <= 0):
-                raise DataError(f"{name} must be strictly increasing")
+            stalls = np.flatnonzero(t[1:] <= t[:-1])
+            if stalls.size:
+                raise DataError(f"{name} not strictly increasing at data row "
+                                f"{stalls[0] + 2}")
             estimated = (len(t) - 1) / (t[-1] - t[0])
             if not (math.isfinite(fs) and abs(estimated - fs) <= RATE_TOLERANCE * fs):
                 raise DataError(f"{name} gives {estimated:.2f} Hz, which deviates more "
@@ -174,12 +183,25 @@ def standard_chain(fs: float) -> list[np.ndarray]:
 
 
 def apply_filter_chain(rec: SemgRecording) -> SemgRecording:
-    """Run the standard chain causally (single forward pass) over all channels."""
+    """Run the standard chain causally (single forward pass) over all channels.
+
+    The chain runs ``FILTER_BLOCK`` samples at a time, each stage carrying
+    its state from block to block through ``sosfilt``'s ``zi``, into one
+    channel-major output (the layout one ``sosfilt`` call returns). Every
+    sample sees the arithmetic of one call per stage over the whole
+    recording, so the bytes are the same, and the temporaries are one
+    block's, not the recording's."""
     if not np.all(np.isfinite(rec.emg)):
         raise DataError("recording contains non-finite samples")
-    filtered = rec.emg
-    for sos in standard_chain(rec.fs_emg):
-        filtered = signal.sosfilt(sos, filtered, axis=0)
+    chain = standard_chain(rec.fs_emg)
+    n_samples, n_channels = rec.emg.shape
+    filtered = np.empty((n_channels, n_samples)).T
+    states = [np.zeros((len(sos), 2, n_channels)) for sos in chain]
+    for start in range(0, n_samples, FILTER_BLOCK):
+        block = filtered[start : start + FILTER_BLOCK]
+        block[...] = rec.emg[start : start + FILTER_BLOCK]
+        for i, sos in enumerate(chain):
+            block[...], states[i] = signal.sosfilt(sos, block, axis=0, zi=states[i])
     return replace(rec, emg=filtered)
 
 
@@ -188,10 +210,18 @@ def fit_normalizer(train: SemgRecording) -> NormalizationStats:
     return NormalizationStats(train.emg.min(axis=0), train.emg.max(axis=0))
 
 
+def _scale_in_place(stats: NormalizationStats, emg: np.ndarray) -> np.ndarray:
+    """(x - min) / (max - min) per channel, written over ``emg``."""
+    emg -= stats.mins
+    emg /= stats.maxs - stats.mins
+    return emg
+
+
 def apply_normalizer(stats: NormalizationStats, rec: SemgRecording) -> SemgRecording:
-    """Map each channel through (x - min) / (max - min); test data may leave [0, 1]."""
-    scaled = (rec.emg - stats.mins) / (stats.maxs - stats.mins)
-    return replace(rec, emg=scaled)
+    """Map each channel through (x - min) / (max - min); test data may leave [0, 1].
+
+    The recording is left as it is: the scaling runs over one copy."""
+    return replace(rec, emg=_scale_in_place(stats, rec.emg.copy(order="K")))
 
 
 def window_geometry(fs: float) -> tuple[int, int]:
@@ -230,11 +260,14 @@ def condition(
     """(stats, windows, labels, end_times): filter, min-max scale and window
     one partition. With ``stats`` None the min/max are fitted on ``rec`` (a
     training partition); given stats are applied and returned as they are,
-    so a test partition's windows may leave [0, 1]."""
+    so a test partition's windows may leave [0, 1]. The filtered copy is
+    scaled in place, so the call holds one copy of the recording beyond
+    ``rec``, and the windows are views into it."""
     filtered = apply_filter_chain(rec)
     if stats is None:
         stats = fit_normalizer(filtered)
-    return (stats, *segment_windows(apply_normalizer(stats, filtered)))
+    _scale_in_place(stats, filtered.emg)  # the filtered copy is condition's own
+    return (stats, *segment_windows(filtered))
 
 
 def matrix_length(mode: str, fs: float) -> int:

@@ -9,9 +9,10 @@ Session format (one directory per session):
     meta.json   optional {protocol, session_id, fs_emg, fs_ang}; when absent
                 the protocol is inferred from which angle columns are nonzero
 
-``load_session`` checks the files, not the rates: the ``dsp.SemgRecording``
-it builds applies ``dsp``'s rate rule, and its DataError becomes a LoadError
-naming the session.
+``load_session`` checks the files, not the timestamps: the
+``dsp.SemgRecording`` it builds applies ``dsp``'s rules (strictly increasing
+timestamps, named by data row, and the rate rule), and its DataError becomes
+a LoadError naming the session.
 
 One writer, ``_write_csv``, writes every data CSV (session, trajectory,
 loss and feature-scatter files): a float as ``%.17g`` (float32 included; a
@@ -177,13 +178,6 @@ def _read_csv(path: Path, expected_header: str) -> np.ndarray:
         row, col = bad[0]
         raise LoadError(
             f"{path.name}: non-finite cell at data row {row + 1}, column {col + 1}"
-        )
-    t = data[:, 0]
-    non_mono = np.nonzero(np.diff(t) <= 0)[0]
-    if non_mono.size:
-        raise LoadError(
-            f"{path.name}: timestamps not strictly increasing at data row "
-            f"{non_mono[0] + 2}"
         )
     return data
 

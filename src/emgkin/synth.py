@@ -22,10 +22,18 @@ directional information vanishes. ``DEFAULT_CROSSTALK`` = 0.65 keeps the
 smoothed rectified channel strongly correlated with the full envelope while
 leaving the flexor/extexor asymmetry (and thus the angle sign) recoverable.
 
+The sEMG is built in place, with the bytes of one whole-array expression
+per step: the carrier is divided by its RMS in place, the drive is
+multiplied by it, mains is added one channel at a time and the noise
+``NOISE_BLOCK`` rows at a time (row blocks drawn in turn from one
+``Generator`` are one draw's stream). At most three recording-sized arrays
+are alive at once: the drive, the white noise and its filtered copy.
+
 ``SynthConfig`` holds only what callers vary: protocol, duration, SNR,
-seed, session id and EMG rate, the last refused unless
-``dsp.valid_emg_rate``. Session B of ``generate_session_pair`` multiplies G
-by a seeded jitter within +-``GAIN_JITTER``.
+seed, session id and EMG rate. It refuses a rate unless
+``dsp.valid_emg_rate``, and a duration that gives fewer than 2 angle or EMG
+samples. Session B of ``generate_session_pair`` multiplies G by a seeded
+jitter within +-``GAIN_JITTER``.
 """
 
 from __future__ import annotations
@@ -61,6 +69,7 @@ MAINS_DB = -20.0
 P4_PHASES = {"fe": 0.0, "ps": 2.0 * np.pi / 3.0, "ru": 4.0 * np.pi / 3.0}
 SESSION_SEED_OFFSET = 9973
 GAIN_JITTER = 0.2
+NOISE_BLOCK = 16_384  # rows per noise draw in _generate
 
 
 def default_gain(protocol: str) -> np.ndarray:
@@ -107,10 +116,19 @@ class SynthConfig:
         if not valid_emg_rate(self.fs_emg):
             raise ConfigError(f"fs_emg must be finite and above {2 * LOWPASS_HZ:g} Hz, "
                               f"got {self.fs_emg}")
+        n_emg, n_ang = self._sample_counts()
+        if min(n_emg, n_ang) < 2:  # a recording needs two of each to check its rates
+            raise ConfigError(f"duration_s must be long enough for 2 angle and 2 EMG samples, "
+                              f"got {self.duration_s:g} s ({n_ang} angle and {n_emg} EMG)")
 
     @property
     def dof_names(self) -> list[str]:
         return list(PROTOCOL_DOFS[self.protocol])
+
+    def _sample_counts(self) -> tuple[int, int]:
+        """(EMG, angle) samples in ``duration_s`` at ``fs_emg`` and DEFAULT_FS_ANG."""
+        return (int(round(self.duration_s * self.fs_emg)),
+                int(round(self.duration_s * DEFAULT_FS_ANG)))
 
     def phases(self) -> dict[str, float]:
         if self.protocol == "P4":
@@ -133,13 +151,12 @@ def _band_limited_noise(
     rng: np.random.Generator, n_samples: int, n_channels: int, fs: float
 ) -> np.ndarray:
     """Unit-RMS noise carriers confined to the 20-450 Hz sEMG band."""
-    white = rng.standard_normal((n_samples, n_channels))
     sos = signal.butter(
         3, [HIGHPASS_HZ, LOWPASS_HZ], btype="bandpass", fs=fs, output="sos"
     )
-    carrier = signal.sosfilt(sos, white, axis=0)
-    rms = np.sqrt(np.mean(carrier**2, axis=0))
-    return carrier / rms
+    carrier = signal.sosfilt(sos, rng.standard_normal((n_samples, n_channels)), axis=0)
+    carrier /= np.sqrt(np.mean(carrier**2, axis=0))
+    return carrier
 
 
 def _channel_activations(
@@ -166,14 +183,12 @@ def generate(config: SynthConfig) -> SemgRecording:
 def _generate(config: SynthConfig, gain: np.ndarray) -> SemgRecording:
     """One seeded session with the [N x D] channel ``gain``."""
     rng = np.random.default_rng(config.seed)
-    n_emg = int(round(config.duration_s * config.fs_emg))
-    n_ang = int(round(config.duration_s * DEFAULT_FS_ANG))
+    n_emg, n_ang = config._sample_counts()
     t_emg = np.arange(n_emg) / config.fs_emg
     t_ang = np.arange(n_ang) / DEFAULT_FS_ANG
 
-    drive = _channel_activations(config, gain, t_emg)
-    carrier = _band_limited_noise(rng, n_emg, N_CHANNELS, config.fs_emg)
-    emg = drive * carrier
+    emg = _channel_activations(config, gain, t_emg)
+    emg *= _band_limited_noise(rng, n_emg, N_CHANNELS, config.fs_emg)
 
     signal_rms = np.sqrt(np.mean(emg**2, axis=0))
     if np.any(signal_rms <= 0):
@@ -183,9 +198,12 @@ def _generate(config: SynthConfig, gain: np.ndarray) -> SemgRecording:
         )
     mains_rms = signal_rms * 10.0 ** (MAINS_DB / 20.0)
     mains = np.sqrt(2.0) * np.sin(2.0 * np.pi * NOTCH_HZ * t_emg)
-    emg = emg + mains[:, np.newaxis] * mains_rms
+    for n in range(N_CHANNELS):
+        emg[:, n] += mains * mains_rms[n]
     noise_rms = signal_rms * 10.0 ** (-config.snr_db / 20.0)
-    emg = emg + rng.standard_normal(emg.shape) * noise_rms
+    for start in range(0, n_emg, NOISE_BLOCK):
+        rows = emg[start : start + NOISE_BLOCK]
+        rows += rng.standard_normal(rows.shape) * noise_rms
 
     return SemgRecording(
         emg=emg,

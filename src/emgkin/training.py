@@ -307,10 +307,12 @@ def predict_heads(
     Raises DataError if the recording's protocol has other DoFs than the
     model's, or its EMG rate is not the model's.
 
-    Memory is the recording plus one chunk: the spectra are built
-    ``dsp.FFT_BLOCK`` windows at a time, the CNN runs through fc1 one eval
-    chunk at a time into an [M x 100] buffer, and the LSTM forward keeps no
-    BPTT cache. Each of these gives the bytes of one whole-batch pass."""
+    Memory is one copy of the recording, its input matrices and one block
+    or chunk: ``dsp.condition`` filters block by block and scales that copy
+    in place, the spectra are built ``dsp.FFT_BLOCK`` windows at a time, the
+    copy is freed before the CNN runs through fc1 one eval chunk at a time
+    into an [M x 100] buffer, and the LSTM forward keeps no BPTT cache.
+    Each of these gives the bytes of one whole-batch pass."""
     if rec.dof_names != model.dof_names:
         raise DataError(
             f"recording {rec.session_id} is protocol {rec.protocol} (DoFs "

@@ -2,10 +2,13 @@
 
 The expensive resources (synthetic sessions, trained desk-scale models) are
 session-scoped so the end-to-end tests and the acceptance suite reuse one
-training run instead of repeating it.
+training run instead of repeating it. ``traced_peak`` is the one way a test
+measures what a call allocates.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import pytest
 
@@ -13,6 +16,17 @@ from emgkin.config import PipelineConfig, StageConfig, desk_preset
 from emgkin.evaluation import run_evaluation
 from emgkin.synth import SynthConfig, generate, generate_session_pair
 from emgkin.training import train_hybrid
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes ``tracemalloc`` traced during the call)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture(scope="session")

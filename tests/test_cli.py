@@ -372,6 +372,8 @@ def test_threads_env_must_be_positive_integer(workspace, tmp_path):
         (["synth", "gen", "--snr-db", "-inf"], "snr_db"),
         (["train", "--seed", "-1"], "seed"),
         (["train", "--config", "inf.yaml"], "lr0"),
+        (["synth", "gen", "--duration", "0.005"], "duration_s"),
+        (["synth", "gen", "--duration", "0.01"], "duration_s"),
     ],
 )
 def test_settings_that_crash_or_write_unreadable_sessions_exit_2(

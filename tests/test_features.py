@@ -1,4 +1,3 @@
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from emgkin import dsp, features, synth
 from emgkin.errors import InsufficientDataError
+from conftest import traced_peak
 
 RNG = np.random.default_rng(42)
 
@@ -118,12 +118,7 @@ def test_matrix_matches_reference_on_segmented_views(protocol):
 def test_feature_matrix_peak_memory():
     """Features of 902 windows of 102 x 6 allocate at most 3x the input."""
     windows = RNG.standard_normal((902, 102, 6))
-    tracemalloc.start()
-    try:
-        features.extract_feature_matrix(windows)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(features.extract_feature_matrix, windows)
     assert peak <= 3 * windows.nbytes, f"peak {peak / 1e6:.1f} MB"
 
 

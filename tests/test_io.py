@@ -5,7 +5,6 @@ import json
 import math
 import re
 import struct
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -40,6 +39,7 @@ from emgkin.lstm import init_lstm_params
 from emgkin.nn import CONV_CHANNELS, CnnModel, MaxPool1d
 from emgkin.synth import SynthConfig, generate
 from emgkin.training import LabelScaler, predict, train_hybrid
+from conftest import traced_peak
 
 
 # --------------------------------------------------------------------------
@@ -480,6 +480,13 @@ def test_resave_is_byte_identical(tiny_config, tmp_path, protocol):
     assert again.read_bytes() == first.read_bytes()
 
 
+def refuse_checkpoint(path, match=None):
+    """The CorruptCheckpointError ``load_model(path)`` raises, as pytest caught it."""
+    with pytest.raises(CorruptCheckpointError, match=match) as exc_info:
+        load_model(path)
+    return exc_info
+
+
 def test_oversized_header_fails_before_allocating(saved_model, tmp_path):
     """input_len 3000 asks for a ~95k-row fc1; the header must be checked
     against the stored arrays before the CNN is built at that size."""
@@ -487,13 +494,7 @@ def test_oversized_header_fails_before_allocating(saved_model, tmp_path):
     bad = tmp_path / "wide.ckpt"
     _, rebuild = _set("input_len", 3000)
     bad.write_bytes(_replace_header(path.read_bytes(), rebuild))
-    tracemalloc.start()
-    try:
-        with pytest.raises(CorruptCheckpointError) as exc_info:
-            load_model(bad)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    exc_info, peak = traced_peak(refuse_checkpoint, bad)
     assert peak < 20 * 2**20
     assert exc_info.value.field == "input_len"
 
@@ -517,13 +518,7 @@ def test_short_blob_fails_before_allocating(saved_model, tmp_path):
 
     bad = tmp_path / "huge.ckpt"
     bad.write_bytes(_replace_header(path.read_bytes(), widen))
-    tracemalloc.start()
-    try:
-        with pytest.raises(CorruptCheckpointError, match="truncated") as exc_info:
-            load_model(bad)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    exc_info, peak = traced_peak(refuse_checkpoint, bad, "truncated")
     assert peak < 20 * 2**20
     assert exc_info.value.field == "blob"
 

@@ -4,7 +4,6 @@ All checks run in 64-bit where central differences resolve ~1e-10 of
 structure; the asserted tolerance is 1e-4 relative on the worst entry.
 """
 
-import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -14,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emgkin import dsp, nn
+from conftest import traced_peak
 
 EPS = 1e-6
 TOL = 1e-4
@@ -408,12 +408,7 @@ def test_conv_eval_forward_peak_memory():
     cols_bytes = batch * length * in_ch * 3 * 4
     out_bytes = batch * length * out_ch * 4
     slack = 1 << 20
-    tracemalloc.start()
-    try:
-        out = layer.forward(x, "eval")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(layer.forward, x, "eval")
     assert out.nbytes == out_bytes
     assert peak <= cols_bytes + out_bytes + slack, (peak, cols_bytes, out_bytes)
 
@@ -619,12 +614,7 @@ def test_extract_peak_memory_is_one_chunk_over_the_fc1_buffer():
     length, channels = model.block_lengths()[3], nn.CONV_CHANNELS[3]
     chunk_bytes = nn.EVAL_CHUNK * length * channels * (3 + 1 + 1) * 4
     slack = 2 << 20
-    tracemalloc.start()
-    try:
-        feats = model.extract(x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    feats, peak = traced_peak(model.extract, x)
     assert feats.shape == (windows, nn.FEATURE_DIM)
     assert peak <= fc1_bytes + chunk_bytes + slack, (peak, fc1_bytes, chunk_bytes)
 
@@ -781,10 +771,5 @@ def test_elementwise_layers_peak_memory(grad_dtype):
         ("bn eval", lambda: bn.forward(x, "eval"), x.nbytes),
         ("leaky eval", lambda: act.forward(x, "eval"), x.nbytes),
     ]:
-        tracemalloc.start()
-        try:
-            run()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(run)
         assert peak <= budget + slack, (name, peak, budget)

@@ -5,9 +5,14 @@ config and the documented gain layout, then compare it against the smoothed
 rectified sEMG actually produced.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy import signal
 
+from emgkin import synth
+from emgkin.dsp import HIGHPASS_HZ, LOWPASS_HZ, N_CHANNELS, NOTCH_HZ
 from emgkin.errors import ConfigError
 from emgkin.synth import (
     CONTRACTION_HZ,
@@ -19,6 +24,7 @@ from emgkin.synth import (
     generate,
     generate_session_pair,
 )
+from conftest import traced_peak
 
 FS = 1024.0
 DOF_INDEX = {"fe": 0, "ps": 1, "ru": 2}
@@ -182,6 +188,8 @@ def test_config_validation():
     [
         ("duration_s", float("nan")),
         ("duration_s", float("inf")),
+        ("duration_s", 0.005),
+        ("duration_s", 0.01),
         ("snr_db", float("nan")),
         ("snr_db", float("-inf")),
         ("seed", -1),
@@ -193,10 +201,69 @@ def test_config_validation():
     ],
 )
 def test_config_refuses_settings_that_crash_or_write_unreadable_sessions(field, value):
-    """A NaN or infinite duration crashes the generator, a NaN or -inf SNR
+    """A NaN or infinite duration crashes the generator, one that gives
+    fewer than 2 angle samples writes a session ``load_session`` refuses
+    (0.005 s: no angle rows; 0.01 s: one), a NaN or -inf SNR
     writes non-finite sEMG that ``load_session`` refuses, numpy refuses a
     negative seed, and an EMG rate the filter chain cannot run at
     (``dsp.valid_emg_rate``) fails in numpy or scipy; each is refused up
     front, naming the setting."""
     with pytest.raises(ConfigError, match=field):
         SynthConfig(**{field: value})
+
+
+def reference_emg(config: SynthConfig, gain: np.ndarray) -> np.ndarray:
+    """The sEMG as whole-recording expressions, one new array per step: the
+    generator computed it this way before it worked in place."""
+    rng = np.random.default_rng(config.seed)
+    n_emg = int(round(config.duration_s * config.fs_emg))
+    t_emg = np.arange(n_emg) / config.fs_emg
+    drive = synth._channel_activations(config, gain, t_emg)
+    white = rng.standard_normal((n_emg, N_CHANNELS))
+    sos = signal.butter(
+        3, [HIGHPASS_HZ, LOWPASS_HZ], btype="bandpass", fs=config.fs_emg, output="sos"
+    )
+    carrier = signal.sosfilt(sos, white, axis=0)
+    carrier = carrier / np.sqrt(np.mean(carrier**2, axis=0))
+    emg = drive * carrier
+    signal_rms = np.sqrt(np.mean(emg**2, axis=0))
+    mains_rms = signal_rms * 10.0 ** (synth.MAINS_DB / 20.0)
+    mains = np.sqrt(2.0) * np.sin(2.0 * np.pi * NOTCH_HZ * t_emg)
+    emg = emg + mains[:, np.newaxis] * mains_rms
+    noise_rms = signal_rms * 10.0 ** (-config.snr_db / 20.0)
+    return emg + rng.standard_normal(emg.shape) * noise_rms
+
+
+GENERATOR_CASES = [
+    SynthConfig(protocol="P1", duration_s=7.3, seed=4),  # under one noise block
+    SynthConfig(protocol="P4", duration_s=16.0, seed=0),  # exactly one block
+    SynthConfig(protocol="P2", duration_s=40.0, seed=7),  # 2.5 blocks
+    SynthConfig(protocol="P3", duration_s=20.0, seed=2, snr_db=float("inf")),
+    SynthConfig(protocol="P1", duration_s=9.0, seed=5, fs_emg=2048.0),
+]
+
+
+@pytest.mark.parametrize("config", GENERATOR_CASES, ids=lambda c: f"{c.protocol}-{c.duration_s:g}s")
+def test_in_place_generator_keeps_the_whole_array_bytes(config):
+    rec = generate(config)
+    ref = reference_emg(config, default_gain(config.protocol))
+    assert rec.emg.shape == ref.shape
+    assert rec.emg.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("config", GENERATOR_CASES[:3], ids=lambda c: c.protocol)
+def test_session_pair_keeps_the_whole_array_bytes(config):
+    a, b = generate_session_pair(config)
+    gain = default_gain(config.protocol)
+    jitter_rng = np.random.default_rng(config.seed + synth.SESSION_SEED_OFFSET)
+    jitter = 1.0 + synth.GAIN_JITTER * jitter_rng.uniform(-1.0, 1.0, gain.shape)
+    config_b = dataclasses.replace(config, seed=config.seed + synth.SESSION_SEED_OFFSET)
+    assert a.emg.tobytes() == reference_emg(config, gain).tobytes()
+    assert b.emg.tobytes() == reference_emg(config_b, gain * jitter).tobytes()
+
+
+def test_generate_peak_memory_is_about_three_recordings():
+    """Drive, white noise and its filtered copy are the most alive at once;
+    one full-size array per step peaked at 5.4 recordings."""
+    rec, peak = traced_peak(generate, SynthConfig(protocol="P1", duration_s=60.0, seed=1))
+    assert peak <= 3.5 * rec.emg.nbytes, (peak, rec.emg.nbytes)

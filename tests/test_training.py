@@ -1,7 +1,6 @@
 """Two-stage training pipeline on small synthetic sessions."""
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from emgkin.training import (
     train_hybrid,
     train_lstm,
 )
+from conftest import traced_peak
 
 
 def test_window_geometry_at_reference_rates():
@@ -264,18 +264,23 @@ def test_predict_on_a_long_recording_matches_whole_batch(
 def test_predict_heads_memory_is_bounded_by_the_recording(
     tiny_session, tiny_config, p1_session
 ):
-    """Inference holds the recording's filtered and scaled copies, its input
-    matrices and one chunk: no BPTT cache, no spectrum of every window and
-    no [M x flat_dim] buffer. On the 60 s recording (1,176 windows) the call
-    peaked 33.7 MB above its start while it held all three."""
+    """Inference holds one filtered-and-scaled copy of the recording, its
+    input matrices and one chunk: no BPTT cache, no spectrum of every window,
+    no [M x flat_dim] buffer and no second or third copy of the recording.
+    On the 60 s recording (1,176 windows) the CNN's chunk sets the peak,
+    19.3 MB. On 300 s (6,005 windows) the scaled copy, the matrices and one
+    FFT block do: 33.6 MB, where conditioning's three copies of the
+    recording peaked at 44.2 MB."""
     model = train_hybrid(tiny_session, tiny_config).model
-    bound = 8 * p1_session.emg.nbytes
-    tracemalloc.start()
-    try:
-        hybrid, cnn = predict_heads(model, p1_session)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    bound = 7 * p1_session.emg.nbytes
+    (hybrid, cnn), peak = traced_peak(predict_heads, model, p1_session)
     assert len(cnn.predictions) == (len(p1_session.emg) - 102) // 51 + 1
     assert len(hybrid.predictions) == len(cnn.predictions) - model.k + 1
     assert peak <= bound, (peak, bound)
+
+    long = generate(SynthConfig(protocol="P1", duration_s=300.0, seed=1001))
+    bins, channels = dsp.N_FFT // 2 + 1, long.n_channels
+    matrices = (len(long.emg) - 102) // 51 + 1
+    bound = long.emg.nbytes + (matrices * 4 + dsp.FFT_BLOCK * (16 + 8)) * bins * channels
+    _, peak = traced_peak(predict_heads, model, long)
+    assert peak <= bound + (1 << 20), (peak, bound)
