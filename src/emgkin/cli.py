@@ -26,7 +26,7 @@ from pathlib import Path
 
 import click
 
-from . import evaluation, io, synth, training
+from . import __version__, evaluation, io, synth, training
 from .config import (
     PipelineConfig,
     desk_preset,
@@ -91,7 +91,7 @@ def _resolve_config(
 
 
 @click.group()
-@click.version_option("0.1.0", prog_name="emgkin")
+@click.version_option(__version__, prog_name="emgkin")
 def main():
     """sEMG-to-wrist-angle regression: CNN-LSTM hybrid pipeline."""
 
@@ -195,14 +195,7 @@ def eval_cmd(model_path, data_dir, report_path, baselines):
     )
     model = io.load_model(model_path)
     reports = evaluation.evaluate_model(model, sessions, baselines=baselines)
-    report_path = Path(report_path)
-    if len(reports) == 1:
-        io.write_report(reports[0], report_path)
-    else:
-        io.atomic_write_text(
-            report_path,
-            json.dumps([r.to_dict() for r in reports], indent=2) + "\n",
-        )
+    report_path = io.write_report(reports, report_path)
     traj_path = io.write_trajectory(
         reports[0], report_path.with_suffix(".trajectory.csv")
     )
@@ -243,35 +236,29 @@ def sweep_cmd(what, config_path, data_dir, out_dir, desk, seed):
     else:
         reports = evaluation.compare_matrix_modes(cfg, sessions, max_workers=workers)
         names = [r.matrix_mode for r in reports]
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, report in zip(names, reports):
         path = io.write_report(report, out_dir / f"{name}.json")
         click.echo(f"wrote {path}")
-    summary = _summary_csv(names, reports)
-    summary_path = out_dir / "summary.csv"
-    io.atomic_write_text(summary_path, summary)
+    summary_path = io.atomic_write_text(out_dir / "summary.csv", _summary_csv(names, reports))
     click.echo(f"wrote {summary_path}")
 
 
 def _summary_csv(names: list[str], reports) -> str:
+    """One row per variant: its settings, runtime and R² per P4 DoF (blank
+    for a DoF the protocol does not move), in ``io.csv_text``'s layout."""
     dofs = PROTOCOL_DOFS["P4"]
-    lines = ["variant,k,matrix_mode,input_len,runtime_s,r2_mean,"
-             + ",".join(f"r2_{dof}" for dof in dofs)]
-    for name, report in zip(names, reports):
-        by_dof = {e["name"]: e["r2"] for e in report.dof}
-        mean = sum(by_dof.values()) / len(by_dof)
-        cells = [
-            name,
-            str(report.k),
-            report.matrix_mode,
-            str(report.input_len),
-            f"{report.runtime_s:.3f}",
-            f"{mean:.6f}",
-        ]
-        cells += [f"{by_dof[dof]:.6f}" if dof in by_dof else "" for dof in dofs]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    scores = [{e["name"]: e["r2"] for e in report.dof} for report in reports]
+    columns = [
+        names,
+        [report.k for report in reports],
+        [report.matrix_mode for report in reports],
+        [report.input_len for report in reports],
+        [report.runtime_s for report in reports],
+        [sum(by_dof.values()) / len(by_dof) for by_dof in scores],
+        *([by_dof.get(dof, "") for by_dof in scores] for dof in dofs),
+    ]
+    header = "variant,k,matrix_mode,input_len,runtime_s,r2_mean,"
+    return io.csv_text(header + ",".join(f"r2_{dof}" for dof in dofs), columns)
 
 
 if __name__ == "__main__":

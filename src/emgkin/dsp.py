@@ -13,7 +13,8 @@ recording's own rate sets the window in samples: ``segment_windows(rec)``
 uses ``window_geometry(rec.fs_emg)``, and ``WINDOW_SAMPLES``/``HOP_SAMPLES``
 = 102/51 are only its values at the paper's 1024 Hz. ``DEFAULT_FS_EMG`` =
 1024 Hz, ``DEFAULT_FS_ANG`` = 100 Hz and ``N_CHANNELS`` = 6 are the paper's
-recording setup and what a session without ``meta.json`` is read as.
+recording setup and what a session without ``meta.json`` is read as;
+``channel_names`` is the one rule that names channels (``ch1`` ...).
 The rate rule is this module's: ``valid_emg_rate`` tests an EMG rate, and
 every ``SemgRecording``, read from files or not, checks each declared rate
 against its timestamps within ``RATE_TOLERANCE`` = 1 %.
@@ -146,6 +147,11 @@ class SemgRecording:
         return self.angles.shape[1]
 
 
+def channel_names(n_channels: int) -> list[str]:
+    """``ch1`` ... ``ch<n_channels>``: the EMG channels as emg.csv names them."""
+    return [f"ch{i + 1}" for i in range(n_channels)]
+
+
 @dataclass(frozen=True)
 class NormalizationStats:
     """Per-channel min/max fitted on the training partition only."""
@@ -156,11 +162,11 @@ class NormalizationStats:
     def __post_init__(self):
         object.__setattr__(self, "mins", np.asarray(self.mins, dtype=np.float64))
         object.__setattr__(self, "maxs", np.asarray(self.maxs, dtype=np.float64))
-        if np.any(self.maxs <= self.mins):
-            bad = np.where(self.maxs <= self.mins)[0]
-            raise DegenerateChannelError(
-                f"channel(s) {bad.tolist()} have max <= min; cannot min-max scale"
-            )
+        flat = self.maxs <= self.mins
+        if np.any(flat):
+            names = channel_names(flat.size)
+            bad = ", ".join(names[i] for i in np.flatnonzero(flat))
+            raise DegenerateChannelError(f"channel(s) {bad} have max <= min; cannot min-max scale")
 
 
 def standard_chain(fs: float) -> list[np.ndarray]:

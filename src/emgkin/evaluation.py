@@ -20,7 +20,7 @@ partition is conditioned (filter, scale, window) by ``dsp.condition``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -116,9 +116,17 @@ def split_session(rec: SemgRecording) -> tuple[SemgRecording, SemgRecording]:
     return train, test
 
 
+# The trajectory arrays' keys under the report file's "trajectory" object.
+_TRAJECTORY_KEYS = {"timestamps": "t", "truths": "true", "predictions": "pred"}
+
+
 @dataclass
 class EvaluationReport:
     """One model's scores and trajectory on one split.
+
+    The fields are the report file's keys, in order (``to_dict`` and
+    ``from_dict`` read ``dataclasses.fields``), the three arrays under
+    ``trajectory`` as ``_TRAJECTORY_KEYS`` names them.
 
     ``runtime_s`` is wall time, and what it covers depends on the model and
     the driver: cnn-lstm from ``run_evaluation`` counts training plus
@@ -161,38 +169,18 @@ class EvaluationReport:
         raise KeyError(name)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "model": self.model,
-            "protocol": self.protocol,
-            "split": self.split,
-            "dof": [dict(e) for e in self.dof],
-            "k": self.k,
-            "matrix_mode": self.matrix_mode,
-            "runtime_s": self.runtime_s,
-            "input_len": self.input_len,
-            "trajectory": {
-                "t": self.timestamps.tolist(),
-                "true": self.truths.tolist(),
-                "pred": self.predictions.tolist(),
-            },
-        }
+        raw = {f.name: getattr(self, f.name) for f in fields(self)}
+        raw["dof"] = [dict(e) for e in self.dof]
+        raw["trajectory"] = {key: raw.pop(name).tolist() for name, key in _TRAJECTORY_KEYS.items()}
+        return raw
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "EvaluationReport":
         traj = raw["trajectory"]
-        return cls(
-            model=raw["model"],
-            protocol=raw["protocol"],
-            split=raw["split"],
-            dof=[dict(e) for e in raw["dof"]],
-            k=raw["k"],
-            matrix_mode=raw["matrix_mode"],
-            runtime_s=raw["runtime_s"],
-            input_len=raw["input_len"],
-            timestamps=np.array(traj["t"], dtype=np.float64),
-            truths=np.array(traj["true"], dtype=np.float64),
-            predictions=np.array(traj["pred"], dtype=np.float64),
-        )
+        flat = {**raw, **{name: traj[key] for name, key in _TRAJECTORY_KEYS.items()}}
+        values = {f.name: flat[f.name] for f in fields(cls)}
+        values["dof"] = [dict(e) for e in values["dof"]]
+        return cls(**values)
 
 
 def _krr_trajectory(

@@ -1,5 +1,8 @@
 """Persistence: session CSVs, binary model checkpoints, JSON reports.
 
+This module owns every file layout the package writes: ``write_report``
+decides whether a report file is one JSON object or an array of them.
+
 Session format (one directory per session):
     emg.csv     header ``EMG_HEADER`` (``t,ch1,...,ch6``) — seconds,
                 volts-normalized; ``save_session`` refuses a recording of
@@ -14,9 +17,9 @@ Session format (one directory per session):
 timestamps, named by data row, and the rate rule), and its DataError becomes
 a LoadError naming the session.
 
-One writer, ``_write_csv``, writes every data CSV (session, trajectory,
-loss and feature-scatter files): a float as ``%.17g`` (float32 included; a
-float64 reads back exactly), any other cell as ``str``.
+One rule, ``csv_text``, lays out every data CSV (session, trajectory, loss,
+feature-scatter and the sweep's ``summary.csv``): a float as ``%.17g``
+(float32 included; a float64 reads back exactly), any other cell as ``str``.
 
 Checkpoint layout (little-endian throughout):
     magic "EMGK" | version u32 | header length u32 | header JSON | blob
@@ -61,7 +64,7 @@ import numpy as np
 
 from .dsp import DEFAULT_FS_ANG, DEFAULT_FS_EMG, LOWPASS_HZ, MATRIX_MODES, N_CHANNELS
 from .dsp import PROTOCOL_DOFS, NormalizationStats, SemgRecording, matrix_length
-from .dsp import valid_emg_rate
+from .dsp import channel_names, valid_emg_rate
 from .errors import (
     CorruptCheckpointError,
     DataError,
@@ -82,7 +85,7 @@ MODEL_KIND = "cnn-lstm-hybrid"
 ANGLE_COLUMNS = tuple(PROTOCOL_DOFS["P4"])
 EMG_FILE = "emg.csv"
 ANGLES_FILE = "angles.csv"
-EMG_HEADER = "t," + ",".join(f"ch{i + 1}" for i in range(N_CHANNELS))
+EMG_HEADER = "t," + ",".join(channel_names(N_CHANNELS))
 ANGLES_HEADER = "t," + ",".join(ANGLE_COLUMNS)
 META_FILE = "meta.json"
 _FLOAT_FMT = "%.17g"
@@ -106,8 +109,9 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
         raise
 
 
-def atomic_write_text(path: Path, text: str) -> None:
+def atomic_write_text(path: str | Path, text: str) -> Path:
     _atomic_write_bytes(path, text.encode("utf-8"))
+    return Path(path)
 
 
 # --------------------------------------------------------------------------
@@ -120,10 +124,10 @@ def save_session(rec: SemgRecording, directory: str | Path) -> Path:
         raise DataError(f"{rec.n_channels} EMG channels; {EMG_FILE} holds {N_CHANNELS}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    _write_csv(directory / EMG_FILE, EMG_HEADER, [rec.t_emg, *rec.emg.T])
+    atomic_write_text(directory / EMG_FILE, csv_text(EMG_HEADER, [rec.t_emg, *rec.emg.T]))
     by_name = dict(zip(rec.dof_names, rec.angles.T))
     angles = [by_name.get(name, np.zeros_like(rec.t_ang)) for name in ANGLE_COLUMNS]
-    _write_csv(directory / ANGLES_FILE, ANGLES_HEADER, [rec.t_ang, *angles])
+    atomic_write_text(directory / ANGLES_FILE, csv_text(ANGLES_HEADER, [rec.t_ang, *angles]))
     meta = {
         "protocol": rec.protocol,
         "session_id": rec.session_id,
@@ -134,16 +138,15 @@ def save_session(rec: SemgRecording, directory: str | Path) -> Path:
     return directory
 
 
-def _write_csv(path: str | Path, header: str, columns: Sequence) -> Path:
-    """Write ``header`` and one line per row of ``columns``, equal-length
+def csv_text(header: str, columns: Sequence) -> str:
+    """``header`` and one line per row of ``columns``, equal-length
     sequences: a float column (float32 included) as ``%.17g``, any other
     with ``str``. Each row is one ``%`` over its cells, taken from the
     arrays a row at a time, so the table is never held as Python objects."""
     columns = [np.asarray(column) for column in columns]
     row = ",".join(_FLOAT_FMT if c.dtype.kind == "f" else "%s" for c in columns)
     cells = zip(*columns, strict=True)
-    atomic_write_text(path, "\n".join([header, *(row % line for line in cells)]) + "\n")
-    return Path(path)
+    return "\n".join([header, *(row % line for line in cells)]) + "\n"
 
 
 def _read_csv(path: Path, expected_header: str) -> np.ndarray:
@@ -448,20 +451,29 @@ def load_model(path: str | Path) -> HybridModel:
 # reports / exports
 
 
-def write_report(report: EvaluationReport, path: str | Path) -> Path:
-    path = Path(path)
-    atomic_write_text(path, json.dumps(report.to_dict(), indent=2) + "\n")
-    return path
+def write_report(
+    reports: EvaluationReport | Sequence[EvaluationReport], path: str | Path
+) -> Path:
+    """Write one report as a JSON object, or several (``eval --baselines``'
+    cnn-lstm, cnn and krr) as an array of them, indented by 2, with a
+    trailing newline. A list of one is written as its one object."""
+    if isinstance(reports, EvaluationReport):
+        reports = [reports]
+    raw = [report.to_dict() for report in reports]
+    return atomic_write_text(path, json.dumps(raw[0] if len(raw) == 1 else raw, indent=2) + "\n")
 
 
 def read_report(path: str | Path) -> EvaluationReport:
     """One report as ``write_report`` writes it. LoadError names the file and
-    refuses invalid JSON, anything but an object (such as the array of
-    reports that ``eval --baselines`` writes), a trajectory that is not an
-    object, a missing field, or a field of the wrong type."""
+    refuses a path that cannot be opened (missing, a directory, unreadable),
+    invalid JSON, anything but an object (such as the array of reports that
+    ``eval --baselines`` writes), a trajectory that is not an object, a
+    missing field, or a field of the wrong type."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
+    except OSError as exc:
+        raise LoadError(f"{path}: cannot read report ({exc.strerror})") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise LoadError(f"{path}: invalid JSON ({exc})") from None
     if isinstance(raw, list):
@@ -483,7 +495,7 @@ def write_trajectory(report: EvaluationReport, path: str | Path) -> Path:
         report.predictions.ravel(),
         names * len(report.timestamps),
     ]
-    return _write_csv(path, "t,true,pred,dof", columns)
+    return atomic_write_text(path, csv_text("t,true,pred,dof", columns))
 
 
 def write_losses(
@@ -492,7 +504,8 @@ def write_losses(
     """Per-epoch training-loss CSV ``stage,epoch,loss`` for both stages."""
     stages = ["cnn"] * len(cnn_loss) + ["lstm"] * len(lstm_loss)
     epochs = [*range(len(cnn_loss)), *range(len(lstm_loss))]
-    return _write_csv(path, "stage,epoch,loss", [stages, epochs, [*cnn_loss, *lstm_loss]])
+    columns = [stages, epochs, [*cnn_loss, *lstm_loss]]
+    return atomic_write_text(path, csv_text("stage,epoch,loss", columns))
 
 
 def export_feature_scatter(
@@ -526,4 +539,4 @@ def export_feature_scatter(
         list(dof_names) * n_points,
         [feature_kind] * table.size,
     ]
-    return _write_csv(path, "x,y,angle,dof,feature_kind", columns)
+    return atomic_write_text(path, csv_text("x,y,angle,dof,feature_kind", columns))

@@ -1,16 +1,20 @@
 """End-to-end CLI coverage: synth gen / train / eval / sweep, exit codes."""
 
+import csv
 import json
+import re
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from emgkin import cli
+from emgkin import __version__, cli
 from emgkin.cli import main
 from emgkin.errors import ConfigError, DataError, DivergenceError, LoadError
-from emgkin.io import load_model, load_session, save_session
+from emgkin.evaluation import evaluate_model
+from emgkin.io import load_model, load_session, read_report, save_session
 from emgkin.synth import SynthConfig, generate
 
 
@@ -71,6 +75,7 @@ def test_version_flag():
     result = _invoke(["--version"])
     assert result.exit_code == 0
     assert "emgkin" in result.output
+    assert __version__ in result.output
 
 
 def test_synth_gen_is_deterministic(tmp_path):
@@ -170,6 +175,48 @@ def test_eval_baselines_writes_report_array(workspace, trained, tmp_path):
     assert [entry["model"] for entry in payload] == ["cnn-lstm", "cnn", "krr"]
     for name in ("cnn-lstm:", "cnn:", "krr:"):
         assert name in result.output
+
+
+def _mask_runtime(text: str) -> str:
+    return re.sub(r'"runtime_s": [^,\n]+', '"runtime_s": _', text)
+
+
+def test_eval_baselines_report_text_is_pinned(workspace, trained, tmp_path):
+    """The ``--baselines`` file is a 2-space-indented JSON array of the
+    cnn-lstm, cnn and krr reports, each object's keys in the report order,
+    with a trailing newline; only runtime_s varies from run to run."""
+    out, _ = trained
+    report_path = tmp_path / "report.json"
+    result = _invoke(
+        ["eval", "--model", str(out), "--data", str(workspace / "solo"),
+         "--report", str(report_path), "--baselines"]
+    )
+    assert result.exit_code == 0, result.output
+    reports = evaluate_model(
+        load_model(out), load_session(workspace / "solo"), baselines=True
+    )
+    expected = [
+        {
+            "model": r.model,
+            "protocol": r.protocol,
+            "split": r.split,
+            "dof": r.dof,
+            "k": r.k,
+            "matrix_mode": r.matrix_mode,
+            "runtime_s": r.runtime_s,
+            "input_len": r.input_len,
+            "trajectory": {
+                "t": r.timestamps.tolist(),
+                "true": r.truths.tolist(),
+                "pred": r.predictions.tolist(),
+            },
+        }
+        for r in reports
+    ]
+    assert [entry["model"] for entry in expected] == ["cnn-lstm", "cnn", "krr"]
+    assert _mask_runtime(report_path.read_text()) == _mask_runtime(
+        json.dumps(expected, indent=2) + "\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
@@ -347,6 +394,46 @@ def test_sweep_timesteps_outputs(workspace, tmp_path):
     assert lengths[8] - lengths[18] == 10
     assert lengths[18] - lengths[58] == 40
     assert lengths[58] - lengths[98] == 40
+
+
+def test_sweep_summary_carries_the_reports_exact_values(workspace, tmp_path):
+    """summary.csv's numbers read back to the report files' values exactly,
+    and a DoF the protocol does not move (ps, ru on P1) stays blank."""
+    out_dir = tmp_path / "modes"
+    result = _invoke(
+        ["sweep", "--what", "matrixmode", "--config",
+         str(workspace / "tiny.yaml"), "--data", str(workspace / "solo"),
+         "--out", str(out_dir)]
+    )
+    assert result.exit_code == 0, result.output
+    with open(out_dir / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["variant"] for row in rows] == ["spectral", "temporal"]
+    for row in rows:
+        report = read_report(out_dir / f"{row['variant']}.json")
+        r2 = [entry["r2"] for entry in report.dof]
+        assert int(row["k"]) == report.k
+        assert row["matrix_mode"] == report.matrix_mode
+        assert int(row["input_len"]) == report.input_len
+        assert float(row["runtime_s"]) == report.runtime_s
+        assert float(row["r2_mean"]) == sum(r2) / len(r2)
+        assert float(row["r2_fe"]) == report.r2_of("fe")
+        assert row["r2_ps"] == row["r2_ru"] == ""
+
+
+def test_train_names_a_flat_channel_by_its_csv_column(tmp_path):
+    """A session whose ch3 column is all zeros cannot be min-max scaled; the
+    error names the column as emg.csv does (exit code unchanged)."""
+    rec = generate(SynthConfig(protocol="P1", duration_s=10.0, seed=3))
+    emg = rec.emg.copy()
+    emg[:, 2] = 0.0
+    save_session(replace(rec, emg=emg), tmp_path / "flat")
+    result = _invoke(
+        ["train", "--desk", "--data", str(tmp_path / "flat"),
+         "--out", str(tmp_path / "m.ckpt")]
+    )
+    assert result.exit_code == 1
+    assert "error: channel(s) ch3 have max <= min" in _all_output(result)
 
 
 def test_threads_env_must_be_positive_integer(workspace, tmp_path):

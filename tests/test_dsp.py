@@ -14,7 +14,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal
 
-from emgkin import dsp
+from emgkin import dsp, io
 from emgkin.errors import (
     DataError,
     DegenerateChannelError,
@@ -256,6 +256,18 @@ def test_constant_channel_rejected():
     emg[:, 4] = 0.25
     with pytest.raises(DegenerateChannelError):
         dsp.fit_normalizer(make_recording(emg))
+
+
+def test_degenerate_channels_are_named_by_their_csv_column():
+    """The error names channels as emg.csv's header does (1-based ``ch<n>``),
+    for any channel count, not by 0-based index."""
+    assert dsp.channel_names(3) == ["ch1", "ch2", "ch3"]
+    assert io.EMG_HEADER == "t," + ",".join(dsp.channel_names(dsp.N_CHANNELS))
+    with pytest.raises(DegenerateChannelError, match=r"^channel\(s\) ch3 have max <= min"):
+        dsp.NormalizationStats(np.zeros(6), np.array([1.0, 1.0, 0.0, 1.0, 1.0, 1.0]))
+    mins = np.zeros(12)
+    with pytest.raises(DegenerateChannelError, match=r"channel\(s\) ch2, ch12 have"):
+        dsp.NormalizationStats(mins, np.where(np.isin(np.arange(12), [1, 11]), -1.0, 1.0))
 
 
 # --- conditioning (filter -> scale -> window) -------------------------------

@@ -686,6 +686,110 @@ def test_report_file_round_trip(tmp_path):
     np.testing.assert_allclose(loaded.truths, report.truths, atol=1e-15)
 
 
+REPORT_TEXT = """\
+{
+  "model": "cnn",
+  "protocol": "P4",
+  "split": "intra:s0:folds123/fold4",
+  "dof": [
+    {
+      "name": "fe",
+      "r2": 0.5
+    },
+    {
+      "name": "ps",
+      "r2": -0.25
+    }
+  ],
+  "k": 8,
+  "matrix_mode": "temporal",
+  "runtime_s": 0.125,
+  "input_len": 102,
+  "trajectory": {
+    "t": [
+      0.05,
+      0.1
+    ],
+    "true": [
+      [
+        1.0,
+        2.0
+      ],
+      [
+        3.0,
+        4.5
+      ]
+    ],
+    "pred": [
+      [
+        1.5,
+        2.0
+      ],
+      [
+        0.30000000000000004,
+        4.0
+      ]
+    ]
+  }
+}
+"""
+
+
+def _two_dof_report() -> EvaluationReport:
+    return EvaluationReport(
+        model="cnn",
+        protocol="P4",
+        split="intra:s0:folds123/fold4",
+        dof=[{"name": "fe", "r2": 0.5}, {"name": "ps", "r2": -0.25}],
+        k=8,
+        matrix_mode="temporal",
+        runtime_s=0.125,
+        input_len=102,
+        timestamps=np.array([0.05, 0.1]),
+        truths=np.array([[1.0, 2.0], [3.0, 4.5]]),
+        predictions=np.array([[1.5, 2.0], [0.1 + 0.2, 4.0]]),
+    )
+
+
+def test_report_file_text_is_pinned(tmp_path):
+    """Key order, 2-space indent, shortest round-trip float text and a
+    trailing newline: the report file's layout, character for character."""
+    path = write_report(_two_dof_report(), tmp_path / "report.json")
+    assert path.read_text() == REPORT_TEXT
+
+
+def test_report_round_trip_keeps_every_field(tmp_path):
+    """Every dataclass field survives the file exactly, so a field added to
+    EvaluationReport cannot be dropped by ``to_dict`` or ``from_dict``."""
+    report = _two_dof_report()
+    loaded = read_report(write_report(report, tmp_path / "report.json"))
+    for field in dataclasses.fields(EvaluationReport):
+        got, want = getattr(loaded, field.name), getattr(report, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == np.float64, field.name
+            np.testing.assert_array_equal(got, want, err_msg=field.name)
+        else:
+            assert got == want and type(got) is type(want), field.name
+
+
+def test_write_report_writes_several_reports_as_an_array(tmp_path):
+    """One report (alone or in a list of one) is a JSON object; several are
+    an array of those objects, in order."""
+    report = _two_dof_report()
+    single = write_report([report], tmp_path / "one.json")
+    assert single.read_text() == REPORT_TEXT
+    several = write_report([report, _toy_report()], tmp_path / "two.json")
+    objects = [json.loads(REPORT_TEXT), _toy_report().to_dict()]
+    assert several.read_text() == json.dumps(objects, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_read_report_names_an_unreadable_path(tmp_path, where):
+    path = tmp_path / "nowhere" / "r.json" if where == "missing" else tmp_path
+    with pytest.raises(LoadError, match=re.escape(str(path))):
+        read_report(path)
+
+
 def test_read_report_names_a_missing_field(tmp_path):
     """Every field is required: no trajectory and no ``input_len`` are
     refused, not read as empty arrays and 0."""
