@@ -4,7 +4,8 @@ Every command echoes an ``effective-config:`` banner (one JSON line with all
 resolved values) so any run can be reproduced from its log. Exit codes:
 0 success, 1 runtime failure (e.g. divergence or a corrupt checkpoint),
 2 usage, config or input error (``ConfigError``, ``LoadError``, ``DataError``:
-e.g. a recording at a rate the model was not trained for).
+e.g. a recording at a rate the model was not trained for; ``OutputPathError``:
+an output path that cannot be written, refused before any data is read).
 ``train``, ``eval`` and ``sweep`` take the protocol from the sessions under
 ``--data``; the ``train`` and ``sweep`` banners print it as ``protocol``
 beside the ``config`` mapping. The sessions also set the split
@@ -34,7 +35,7 @@ from .config import (
     merge_overrides,
 )
 from .dsp import MATRIX_MODES, PROTOCOL_DOFS, SemgRecording
-from .errors import ConfigError, DataError, EmgkinError, LoadError
+from .errors import ConfigError, DataError, EmgkinError, LoadError, OutputPathError
 
 
 def _handle_errors(fn):
@@ -42,7 +43,7 @@ def _handle_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ConfigError, DataError, LoadError) as exc:
+        except (ConfigError, DataError, LoadError, OutputPathError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except EmgkinError as exc:
@@ -124,6 +125,7 @@ def synth_gen(protocol, duration, seed, out_dir, pair, snr_db):
         pair=pair,
         snr_db=snr_db,
     )
+    io.check_output(out_dir, directory=True)
     config = synth.SynthConfig(
         protocol=protocol, duration_s=duration, seed=seed, snr_db=snr_db
     )
@@ -149,6 +151,8 @@ def synth_gen(protocol, duration, seed, out_dir, pair, snr_db):
 @_handle_errors
 def train_cmd(config_path, data_dir, out_path, desk, seed, k, matrix_mode):
     """Run both training stages; write checkpoint + loss-history CSV."""
+    io.check_output(out_path)
+    losses_path = io.check_output(Path(out_path).with_suffix(".losses.csv"))
     sessions = _load_sessions(data_dir)
     train_raw, _, split = evaluation.partition(sessions)
     cfg = _resolve_config(
@@ -164,9 +168,7 @@ def train_cmd(config_path, data_dir, out_path, desk, seed, k, matrix_mode):
     )
     run = training.train_hybrid(train_raw, cfg)
     io.save_model(run.model, out_path)
-    losses_path = io.write_losses(
-        Path(out_path).with_suffix(".losses.csv"), run.cnn_loss, run.lstm_loss
-    )
+    io.write_losses(losses_path, run.cnn_loss, run.lstm_loss)
     click.echo(f"final cnn loss {run.cnn_loss[-1]:.6g}")
     click.echo(f"final lstm loss {run.lstm_loss[-1]:.6g}")
     click.echo(f"wrote {out_path}")
@@ -183,6 +185,8 @@ def train_cmd(config_path, data_dir, out_path, desk, seed, k, matrix_mode):
 @_handle_errors
 def eval_cmd(model_path, data_dir, report_path, baselines):
     """Score a checkpoint on the held-out partition; write JSON + trajectory."""
+    io.check_output(report_path)
+    traj_path = io.check_output(Path(report_path).with_suffix(".trajectory.csv"))
     sessions = _load_sessions(data_dir)
     _, _, split = evaluation.partition(sessions)
     _banner(
@@ -195,10 +199,8 @@ def eval_cmd(model_path, data_dir, report_path, baselines):
     )
     model = io.load_model(model_path)
     reports = evaluation.evaluate_model(model, sessions, baselines=baselines)
-    report_path = io.write_report(reports, report_path)
-    traj_path = io.write_trajectory(
-        reports[0], report_path.with_suffix(".trajectory.csv")
-    )
+    io.write_report(reports, report_path)
+    io.write_trajectory(reports[0], traj_path)
     for report in reports:
         scores = ", ".join(f"{e['name']}={e['r2']:.4f}" for e in report.dof)
         click.echo(f"{report.model}: {scores}")
@@ -219,6 +221,7 @@ def eval_cmd(model_path, data_dir, report_path, baselines):
 def sweep_cmd(what, config_path, data_dir, out_dir, desk, seed):
     """Run the k sweep or the spectral/temporal comparison; write reports."""
     workers = _workers()
+    io.check_output(out_dir, directory=True)
     sessions = _load_sessions(data_dir)
     cfg = _resolve_config(config_path, desk, {"seed": seed})
     _banner(

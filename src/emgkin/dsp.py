@@ -18,20 +18,25 @@ recording setup and what a session without ``meta.json`` is read as;
 The rate rule is this module's: ``valid_emg_rate`` tests an EMG rate, and
 every ``SemgRecording``, read from files or not, checks each declared rate
 against its timestamps within ``RATE_TOLERANCE`` = 1 %.
-``condition`` runs filter -> scale -> window for one partition, and no other
-module composes those steps. It holds one copy of the recording beyond its
-input: the chain runs ``FILTER_BLOCK`` samples at a time into one output,
-each stage carrying its state through ``sosfilt``'s ``zi``, and that
-filtered copy is min-max scaled in place; the bytes are those of one
-whole-recording pass per step. Every module reads the design's vocabularies
-from here: ``PROTOCOL_DOFS`` (the wrist DoFs each protocol P1-P4 moves; P4's
-list is all three, in column order) and ``MATRIX_MODES``, each mode's matrix
-length L at a given rate coming from ``matrix_length``.
+``condition_blocks`` runs filter -> scale -> window over consecutive blocks
+of windows, and no other module composes those steps; ``condition`` is that
+pass over one block, for a training or test partition. Each block filters
+only its new samples, ``FILTER_BLOCK`` samples at a time, each stage
+carrying its state through ``sosfilt``'s ``zi`` (``_chain_runner``, the one
+filter loop), scales them in place and takes over, already scaled, the
+``window - hop`` samples it shares with the block before; the bytes are
+those of one whole-recording pass per step. ``condition`` thus holds one
+scaled copy of the recording beyond its input, and inference, which takes
+the CNN's eval chunks as blocks, none. Every module reads the design's
+vocabularies from here: ``PROTOCOL_DOFS`` (the wrist DoFs each protocol
+P1-P4 moves; P4's list is all three, in column order) and ``MATRIX_MODES``,
+each mode's matrix length L at a given rate coming from ``matrix_length``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -168,6 +173,11 @@ class NormalizationStats:
             bad = ", ".join(names[i] for i in np.flatnonzero(flat))
             raise DegenerateChannelError(f"channel(s) {bad} have max <= min; cannot min-max scale")
 
+    @classmethod
+    def fit(cls, emg: np.ndarray) -> "NormalizationStats":
+        """Per-channel min/max of ``emg`` [T x N]."""
+        return cls(emg.min(axis=0), emg.max(axis=0))
+
 
 def standard_chain(fs: float) -> list[np.ndarray]:
     """The fixed high-pass -> low-pass -> notch cascade at rate ``fs`` as SOS
@@ -188,32 +198,44 @@ def standard_chain(fs: float) -> list[np.ndarray]:
     return chain
 
 
+def _chain_runner(fs: float, n_channels: int):
+    """``run(src, out)``: the standard chain at rate ``fs``, run causally over
+    ``src`` [T x N] into ``out`` ``FILTER_BLOCK`` samples at a time, each
+    stage carrying its state through ``sosfilt``'s ``zi`` from block to block
+    and from one ``run`` to the next, so consecutive runs over consecutive
+    samples give the bytes of one call per stage over all of them. Raises
+    DataError on a non-finite sample."""
+    chain = standard_chain(fs)
+    states = [np.zeros((len(sos), 2, n_channels)) for sos in chain]
+
+    def run(src: np.ndarray, out: np.ndarray) -> None:
+        for start in range(0, len(src), FILTER_BLOCK):
+            block = out[start : start + FILTER_BLOCK]
+            block[...] = src[start : start + FILTER_BLOCK]
+            if not np.all(np.isfinite(block)):
+                raise DataError("recording contains non-finite samples")
+            for i, sos in enumerate(chain):
+                block[...], states[i] = signal.sosfilt(sos, block, axis=0, zi=states[i])
+
+    return run
+
+
 def apply_filter_chain(rec: SemgRecording) -> SemgRecording:
     """Run the standard chain causally (single forward pass) over all channels.
 
-    The chain runs ``FILTER_BLOCK`` samples at a time, each stage carrying
-    its state from block to block through ``sosfilt``'s ``zi``, into one
-    channel-major output (the layout one ``sosfilt`` call returns). Every
-    sample sees the arithmetic of one call per stage over the whole
-    recording, so the bytes are the same, and the temporaries are one
-    block's, not the recording's."""
-    if not np.all(np.isfinite(rec.emg)):
-        raise DataError("recording contains non-finite samples")
-    chain = standard_chain(rec.fs_emg)
+    The chain runs ``FILTER_BLOCK`` samples at a time (``_chain_runner``)
+    into one channel-major output (the layout one ``sosfilt`` call returns),
+    so the bytes are those of one call per stage over the whole recording,
+    and the temporaries are one block's, not the recording's."""
     n_samples, n_channels = rec.emg.shape
     filtered = np.empty((n_channels, n_samples)).T
-    states = [np.zeros((len(sos), 2, n_channels)) for sos in chain]
-    for start in range(0, n_samples, FILTER_BLOCK):
-        block = filtered[start : start + FILTER_BLOCK]
-        block[...] = rec.emg[start : start + FILTER_BLOCK]
-        for i, sos in enumerate(chain):
-            block[...], states[i] = signal.sosfilt(sos, block, axis=0, zi=states[i])
+    _chain_runner(rec.fs_emg, n_channels)(rec.emg, filtered)
     return replace(rec, emg=filtered)
 
 
 def fit_normalizer(train: SemgRecording) -> NormalizationStats:
     """Fit per-channel min/max on the training partition (leakage guard)."""
-    return NormalizationStats(train.emg.min(axis=0), train.emg.max(axis=0))
+    return NormalizationStats.fit(train.emg)
 
 
 def _scale_in_place(stats: NormalizationStats, emg: np.ndarray) -> np.ndarray:
@@ -235,6 +257,29 @@ def window_geometry(fs: float) -> tuple[int, int]:
     return int(round(WINDOW_MS * fs / 1000.0)), int(round(HOP_MS * fs / 1000.0))
 
 
+def _windows(emg: np.ndarray, window: int, hop: int) -> np.ndarray:
+    """Read-only views [M x window x N] of every ``window``-sample run of
+    ``emg`` [T x N] that starts on a multiple of ``hop``."""
+    return sliding_window_view(emg, window, axis=0)[::hop].swapaxes(1, 2)
+
+
+def window_labels(rec: SemgRecording) -> tuple[np.ndarray, np.ndarray]:
+    """(labels [M x D], end_times [M]) of ``segment_windows(rec)``'s windows,
+    from the timestamps and angles alone."""
+    window_samples, hop_samples = window_geometry(rec.fs_emg)
+    n = len(rec.emg)
+    if window_samples > n:
+        raise InsufficientDataError(
+            f"window of {window_samples} samples exceeds recording length {n}"
+        )
+    end_times = rec.t_emg[window_samples - 1 :: hop_samples]
+    labels = np.stack(
+        [np.interp(end_times, rec.t_ang, rec.angles[:, d]) for d in range(rec.n_dof)],
+        axis=1,
+    )
+    return labels, end_times
+
+
 def segment_windows(rec: SemgRecording) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slice the recording into overlapping windows with causally aligned labels.
 
@@ -245,35 +290,59 @@ def segment_windows(rec: SemgRecording) -> tuple[np.ndarray, np.ndarray, np.ndar
     window's end time, so a window only ever sees a target from its own
     past-and-present samples.
     """
-    window_samples, hop_samples = window_geometry(rec.fs_emg)
-    n = len(rec.emg)
-    if window_samples > n:
-        raise InsufficientDataError(
-            f"window of {window_samples} samples exceeds recording length {n}"
-        )
-    windows = sliding_window_view(rec.emg, window_samples, axis=0)[::hop_samples]
-    end_times = rec.t_emg[window_samples - 1 :: hop_samples]
-    labels = np.stack(
-        [np.interp(end_times, rec.t_ang, rec.angles[:, d]) for d in range(rec.n_dof)],
-        axis=1,
-    )
-    return windows.swapaxes(1, 2), labels, end_times
+    labels, end_times = window_labels(rec)
+    return _windows(rec.emg, *window_geometry(rec.fs_emg)), labels, end_times
+
+
+def condition_blocks(
+    rec: SemgRecording,
+    stats: NormalizationStats | None,
+    bounds: list[tuple[int, int]],
+) -> Iterator[tuple[NormalizationStats, np.ndarray]]:
+    """Filter, min-max scale and window ``rec`` one block of windows at a time.
+
+    ``bounds`` are consecutive [start, stop) ranges that cover the M windows
+    of ``window_labels(rec)``. For each, (stats, windows
+    [stop - start x window x N]) is yielded: read-only views into one
+    channel-major block of scaled samples. A block holds its windows' samples
+    (the last block every sample to the end of the recording). Only its new
+    samples are filtered, the chain carrying its state from the block before
+    (``_chain_runner``), and scaled in place; the ``window - hop`` samples it
+    shares with that block are copied over already scaled. With ``stats``
+    None the min/max are fitted on the filtered recording, which needs one
+    block. Every window has the bytes of ``condition``'s one-block pass."""
+    window, hop = window_geometry(rec.fs_emg)
+    n_samples, n_channels = rec.emg.shape
+    n_windows = (n_samples - window) // hop + 1
+    if stats is None and len(bounds) != 1:
+        raise ValueError("fitting the min/max needs the recording in one block")
+    run = _chain_runner(rec.fs_emg, n_channels)
+    shared = np.empty((0, n_channels))  # scaled samples the next block starts with
+    for start, stop in bounds:
+        end = n_samples if stop == n_windows else (stop - 1) * hop + window
+        block = np.empty((n_channels, end - start * hop)).T
+        block[: len(shared)] = shared
+        fresh = block[len(shared) :]
+        run(rec.emg[start * hop + len(shared) : end], fresh)
+        if stats is None:
+            stats = NormalizationStats.fit(fresh)
+        _scale_in_place(stats, fresh)
+        shared = block[(stop - start) * hop :]
+        yield stats, _windows(block, window, hop)
 
 
 def condition(
     rec: SemgRecording, stats: NormalizationStats | None = None
 ) -> tuple[NormalizationStats, np.ndarray, np.ndarray, np.ndarray]:
     """(stats, windows, labels, end_times): filter, min-max scale and window
-    one partition. With ``stats`` None the min/max are fitted on ``rec`` (a
-    training partition); given stats are applied and returned as they are,
-    so a test partition's windows may leave [0, 1]. The filtered copy is
-    scaled in place, so the call holds one copy of the recording beyond
+    one partition, ``condition_blocks`` over one block. With ``stats`` None
+    the min/max are fitted on ``rec`` (a training partition); given stats are
+    applied and returned as they are, so a test partition's windows may
+    leave [0, 1]. The call holds one scaled copy of the recording beyond
     ``rec``, and the windows are views into it."""
-    filtered = apply_filter_chain(rec)
-    if stats is None:
-        stats = fit_normalizer(filtered)
-    _scale_in_place(stats, filtered.emg)  # the filtered copy is condition's own
-    return (stats, *segment_windows(filtered))
+    labels, end_times = window_labels(rec)
+    ((stats, windows),) = condition_blocks(rec, stats, [(0, len(end_times))])
+    return stats, windows, labels, end_times
 
 
 def matrix_length(mode: str, fs: float) -> int:

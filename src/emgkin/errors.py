@@ -54,6 +54,11 @@ class LoadError(EmgkinError):
     """Session files failed validation on load."""
 
 
+class OutputPathError(EmgkinError):
+    """An output path cannot be written: a file where a directory must be,
+    or a directory where a file must be."""
+
+
 class CorruptCheckpointError(EmgkinError):
     """Checkpoint file is malformed; ``field`` names the offending part."""
 

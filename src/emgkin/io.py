@@ -72,6 +72,7 @@ from .errors import (
     DimensionError,
     InsufficientDataError,
     LoadError,
+    OutputPathError,
     UnsupportedVersionError,
 )
 from .evaluation import EvaluationReport
@@ -112,6 +113,24 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
 def atomic_write_text(path: str | Path, text: str) -> Path:
     _atomic_write_bytes(path, text.encode("utf-8"))
     return Path(path)
+
+
+def check_output(path: str | Path, directory: bool = False) -> Path:
+    """Refuse, with OutputPathError naming it, an output path that the
+    writers here would fail on only after the work: an existing directory
+    where a file goes, an existing file where a ``directory`` goes, or a
+    nearest existing ancestor that is not a directory. Missing directories
+    are fine; the writers make them."""
+    path = Path(path)
+    if path.exists() and path.is_dir() != directory:
+        found, want = ("a file", "a directory") if directory else ("a directory", "a file")
+        raise OutputPathError(f"output {path} is {found}, not {want}")
+    ancestor = path.parent
+    while not ancestor.exists():
+        ancestor = ancestor.parent
+    if not ancestor.is_dir():
+        raise OutputPathError(f"output {path} cannot be written: {ancestor} is not a directory")
+    return path
 
 
 # --------------------------------------------------------------------------

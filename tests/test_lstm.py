@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from emgkin import lstm, nn
+from conftest import traced_peak
+from emgkin import lstm, nn, training
 from emgkin.lstm import (
     LstmParams,
     build_sequences,
@@ -239,6 +240,65 @@ def test_cache_free_forward_keeps_the_eval_bytes(batch, seed):
     assert y_free.dtype == y.dtype and y_free.tobytes() == y.tobytes()
     with pytest.raises(ValueError, match="requires the cache"):
         lstm_backward(p, no_cache, np.ones_like(y))
+
+
+def concatenating_forward(p: LstmParams, seqs: np.ndarray, mode="eval", rng=None, steps=None):
+    """y_k by the fused forward as it was before its steps wrote into arrays
+    given to them: a new z, gate block, c_j and h_j at every step. Each
+    step's (z, a, c_{j-1}, tanh c_j) is appended to ``steps`` if given."""
+    h = c = np.zeros((len(seqs), p.hidden), dtype=p.W.dtype)
+    for j in range(seqs.shape[1]):
+        z = np.concatenate([h, seqs[:, j, :]], axis=1)
+        a = z @ p.W.T
+        a += p.b
+        sig = a[:, : 3 * p.hidden]
+        sig *= 0.5
+        np.tanh(a, out=a)
+        sig *= 0.5
+        sig += 0.5
+        i, m, o, g = np.split(a, 4, axis=1)
+        c_new = i * g + m * c
+        tanh_c = np.tanh(c_new)
+        if steps is not None:
+            steps.append((z, a, c, tanh_c))
+        h = o * tanh_c
+        c = c_new
+    h = nn.Dropout(nn.DEFAULT_DROPOUT, rng).forward(h, mode)
+    return h @ p.W_y.T + p.b_y
+
+
+@pytest.mark.parametrize("k, seed", [(1, 0), (18, 1), (98, 2)])
+def test_forward_keeps_the_concatenating_bytes(k, seed):
+    """y_k has the bytes of the forward that made new arrays at every step:
+    without the cache at the 6,005 - k + 1 sequences of a 300 s recording,
+    with it at 512 (its k-step cache at 6,005 sequences and k = 98 is
+    0.86 GB), and in train mode, whose cache keeps the reference's bytes too."""
+    p = init_lstm_params(n_outputs=3, seed=seed)
+    features = np.random.default_rng(seed + 40).standard_normal((6005, nn.FEATURE_DIM))
+    seqs = build_sequences(features.astype(np.float32), k)
+    for batch, keep_cache in ((seqs, False), (seqs[:512], True)):
+        y, _ = lstm_forward_batch(p, batch, mode="eval", keep_cache=keep_cache)
+        y_ref = concatenating_forward(p, batch)
+        assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes()
+    batch, steps_ref = seqs[: training.LSTM_BATCH], []
+    y_ref = concatenating_forward(p, batch, "train", np.random.default_rng(seed), steps_ref)
+    y, cache = lstm_forward_batch(p, batch, mode="train", rng=np.random.default_rng(seed))
+    assert y.tobytes() == y_ref.tobytes()
+    for step, step_ref in zip(cache.steps, steps_ref, strict=True):
+        assert [x.tobytes() for x in step] == [x.tobytes() for x in step_ref]
+
+
+def test_cache_free_forward_peak_memory_is_one_step():
+    """At 6,005 sequences and k = 18 the forward without a cache holds z,
+    the gate block, c and one temporary, written over at every step; a new
+    set per step peaked at 14.3 MB."""
+    p = init_lstm_params(seed=3)
+    features = np.random.default_rng(41).standard_normal((6005 + 17, nn.FEATURE_DIM))
+    seqs = build_sequences(features.astype(np.float32), 18)
+    z_dim = p.hidden + nn.FEATURE_DIM
+    step_bytes = len(seqs) * (z_dim + 4 * p.hidden + 2 * p.hidden) * p.W.itemsize
+    _, peak = traced_peak(lstm_forward_batch, p, seqs, "eval", None, False)
+    assert peak <= step_bytes + (256 << 10), (peak, step_bytes)
 
 
 def test_init_deterministic_per_seed():

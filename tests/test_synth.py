@@ -214,7 +214,8 @@ def test_config_refuses_settings_that_crash_or_write_unreadable_sessions(field, 
 
 def reference_emg(config: SynthConfig, gain: np.ndarray) -> np.ndarray:
     """The sEMG as whole-recording expressions, one new array per step: the
-    generator computed it this way before it worked in place."""
+    generator computed it this way before it worked in place, block by
+    block."""
     rng = np.random.default_rng(config.seed)
     n_emg = int(round(config.duration_s * config.fs_emg))
     t_emg = np.arange(n_emg) / config.fs_emg
@@ -234,12 +235,17 @@ def reference_emg(config: SynthConfig, gain: np.ndarray) -> np.ndarray:
     return emg + rng.standard_normal(emg.shape) * noise_rms
 
 
+# rows at 1024 Hz against NOISE_BLOCK = 4,096 rows per block
 GENERATOR_CASES = [
-    SynthConfig(protocol="P1", duration_s=7.3, seed=4),  # under one noise block
-    SynthConfig(protocol="P4", duration_s=16.0, seed=0),  # exactly one block
-    SynthConfig(protocol="P2", duration_s=40.0, seed=7),  # 2.5 blocks
+    SynthConfig(protocol="P1", duration_s=7.3, seed=4),  # 7,475 rows: 1.8 blocks
+    SynthConfig(protocol="P4", duration_s=16.0, seed=0),  # exactly 4 blocks
+    SynthConfig(protocol="P2", duration_s=40.0, seed=7),  # exactly 10 blocks
     SynthConfig(protocol="P3", duration_s=20.0, seed=2, snr_db=float("inf")),
     SynthConfig(protocol="P1", duration_s=9.0, seed=5, fs_emg=2048.0),
+    SynthConfig(protocol="P2", duration_s=3.1, seed=9),  # under one block
+    SynthConfig(protocol="P4", duration_s=9.87, seed=11, fs_emg=2000.0),  # 19,740 rows
+    SynthConfig(protocol="P4", duration_s=6.1, seed=12, snr_db=float("inf")),
+    SynthConfig(protocol="P1", duration_s=37.3, seed=13),  # 38,195 rows: 9.3 blocks
 ]
 
 
@@ -262,8 +268,10 @@ def test_session_pair_keeps_the_whole_array_bytes(config):
     assert b.emg.tobytes() == reference_emg(config_b, gain * jitter).tobytes()
 
 
-def test_generate_peak_memory_is_about_three_recordings():
-    """Drive, white noise and its filtered copy are the most alive at once;
-    one full-size array per step peaked at 5.4 recordings."""
+def test_generate_peak_memory_is_about_one_recording():
+    """The output is the one recording-sized array: beside it are the
+    timestamps or one carrier column's square (each a sixth of it) and one
+    noise block's temporaries. Drawing and filtering the whole noise at once
+    peaked at 3.2 recordings, and one full-size array per step at 5.4."""
     rec, peak = traced_peak(generate, SynthConfig(protocol="P1", duration_s=60.0, seed=1))
-    assert peak <= 3.5 * rec.emg.nbytes, (peak, rec.emg.nbytes)
+    assert peak <= 1.5 * rec.emg.nbytes, (peak, rec.emg.nbytes)
