@@ -221,7 +221,13 @@ def eval_cmd(model_path, data_dir, report_path, baselines):
 def sweep_cmd(what, config_path, data_dir, out_dir, desk, seed):
     """Run the k sweep or the spectral/temporal comparison; write reports."""
     workers = _workers()
+    if what == "timesteps":
+        names = [f"k{k}" for k in evaluation.DEFAULT_K_SWEEP]
+    else:
+        names = list(MATRIX_MODES)
     io.check_output(out_dir, directory=True)
+    for path in [*(out_dir / f"{name}.json" for name in names), out_dir / "summary.csv"]:
+        io.check_output(path)
     sessions = _load_sessions(data_dir)
     cfg = _resolve_config(config_path, desk, {"seed": seed})
     _banner(
@@ -235,11 +241,9 @@ def sweep_cmd(what, config_path, data_dir, out_dir, desk, seed):
     )
     if what == "timesteps":
         reports = evaluation.sweep_timesteps(cfg, sessions, max_workers=workers)
-        names = [f"k{r.k}" for r in reports]
     else:
         reports = evaluation.compare_matrix_modes(cfg, sessions, max_workers=workers)
-        names = [r.matrix_mode for r in reports]
-    for name, report in zip(names, reports):
+    for name, report in zip(names, reports, strict=True):
         path = io.write_report(report, out_dir / f"{name}.json")
         click.echo(f"wrote {path}")
     summary_path = io.atomic_write_text(out_dir / "summary.csv", _summary_csv(names, reports))

@@ -15,8 +15,8 @@ row blocks W_i, W_m, W_o, W_c and b_i, b_m, b_o, b_c in that order, so each
 step runs one GEMM for all four (Appleyard et al., arXiv:1604.01946).
 
 Each step activates the gate block in place with one ``tanh`` over all 4H
-columns, using sigmoid(x) = (1 + tanh(x / 2)) / 2: the i, m and o columns
-are halved first, then mapped by * 0.5 + 0.5. In float32 this is within one
+rows, using sigmoid(x) = (1 + tanh(x / 2)) / 2: the i, m and o rows are
+halved first, then mapped by * 0.5 + 0.5. In float32 this is within one
 ulp of 1 (1.2e-7) of the logistic function, and train and eval mode share
 it. BPTT is unchanged: the cache holds the activated i, m, o and g.
 
@@ -28,18 +28,37 @@ eval-mode forward it is the identity in BPTT too. The feature width
 defaults to the CNN's ``nn.FEATURE_DIM``. Backpropagation through time is
 hand-written and finite-difference checked.
 
-One step body, ``_step``, writes each step into arrays it is given: the
-gate block through ``np.matmul(z, W.T, out=a)``, c_j, tanh c_j (which holds
-i * g first) and h_j. The forward keeps each step's (z, a, c_{j-1},
-tanh c_j) for BPTT, in eval mode too, since the gradient checks run BPTT
-after an eval-mode forward, so with the cache every step gets fresh
-arrays. Inference has no backward, so ``training.predict_heads`` passes
-``keep_cache=False``: the same body then rewrites one z, one gate block,
-c and one temporary at every step, with h_j written into z's first H
-columns, and y_k keeps its bytes. At 6,005 sequences and k = 18 that is
-8.9 MB, where the k-step cache is 164 MB. The forward is not chunked over
-sequences: with three outputs, y_k changed bytes (by up to 7.5e-8) at six
-of eight chunk sizes tried, from 1 to 1,500 sequences.
+One step body, ``_step``, writes each step into arrays it is given, laid
+out gate-major after Appleyard et al.: the gate block a = [4H x B] through
+``np.matmul(W, z.T, out=a)`` plus b as a column, so i, m, o and g are
+contiguous row blocks, and c_j and tanh c_j (which holds i * g first) are
+[H x B]. z = [h_{j-1}, f_j] stays row-major [B x (H+F)], and h_j goes into
+z_{j+1}'s first H columns through their transposed view. In float32, the
+recipe's dtype, ``W @ z.T`` gave the bytes of the row-major ``z @ W.T`` at
+every batch tried (1-70, 127, 128, 255, 902, 2,049 and 6,005 rows), so the
+layout kept every output's bytes. In float64 it did not at 254 rows and
+more (254, 255, 902, 2,049 and 6,005 rows tried): there the gates can
+differ from a row-major product in the last bit.
+
+The forward keeps each step's (z, a, c_{j-1}, tanh c_j) for BPTT, in eval
+mode too, since the gradient checks run BPTT after an eval-mode forward.
+With the cache, the k steps' z, a, c and tanh c are one preallocated block
+each, z's feature columns filled once from the sequences. Inference has no
+backward, so ``training.predict_heads`` passes ``keep_cache=False``: the
+same body then rewrites one z, one gate block, c and one temporary at
+every step, with h_j written into z's own first H columns, and y_k keeps
+its bytes. At 6,005 sequences and k = 18 that is 8.9 MB, where the k-step
+cache is 164 MB. The forward is not chunked over sequences: with three
+outputs, y_k changed bytes (by up to 7.5e-8) at six of eight chunk sizes
+tried, from 1 to 1,500 sequences.
+
+BPTT writes each gate's derivative with ``out=`` into one gate-major
+[4H x B] buffer, in the order of the per-gate expressions, and copies it
+once into a row-major [B x 4H] d_a, so the weight, bias and h gradients
+are the same ``d_a.T @ z``, ``d_a.sum(axis=0)`` and ``d_a @ W_h`` calls,
+and every gradient has the bytes of per-gate derivatives joined by
+``np.concatenate``. At batch 64 this made forward plus BPTT about 1.5x
+faster at k = 18 and k = 98 (``BENCH_pr28.json``).
 """
 
 from __future__ import annotations
@@ -108,9 +127,18 @@ def init_lstm_params(
 
 @dataclass
 class LstmCache:
-    """Forward-pass intermediates required by backpropagation through time."""
+    """Forward-pass intermediates required by backpropagation through time.
 
-    steps: list  # per step: (z, a, c_prev, tanh_c); a holds i, m, o, g in turn
+    ``steps`` holds one (z, a, c_{j-1}, tanh c_j) tuple per step, each a
+    view of the forward's blocks: z row-major [B x (H+F)], the activated
+    gate block a gate-major [4H x B] with row blocks i, m, o, g, and
+    c_{j-1} and tanh c_j [H x B]. In float32, the transposes of a, c_{j-1}
+    and tanh c_j hold the bytes of a row-major forward by ``z @ W.T``; in
+    float64, a can differ from it in the last bit at 254 rows and more
+    (module docstring).
+    """
+
+    steps: list  # per step: views (z, a, c_prev, tanh_c)
     h_final: np.ndarray  # h_k after dropout, as the readout saw it
     dropout: nn.Dropout
 
@@ -143,44 +171,50 @@ def lstm_forward_batch(
     if mode == "train" and rng is None:
         raise ValueError("train-mode dropout requires an rng")
     hidden, dtype = params.hidden, params.W.dtype
-    z = np.empty((batch, hidden + feat), dtype=dtype)
-    z[:, :hidden] = 0.0  # h_0
-    c = np.zeros((batch, hidden), dtype=dtype)
-    if not keep_cache:  # one step's arrays, rewritten at every step
-        a = np.empty((batch, 4 * hidden), dtype=dtype)
-        tanh_c = np.empty_like(c)
-    steps = []
+    # z rows [h_{j-1}, f_j]; a, c and tanh c gate-major, [rows x B]
+    held = k if keep_cache else 1  # the cache-free forward rewrites one step
+    states = k + 1 if keep_cache else 1  # z and c: also the state after step k
+    z = np.empty((states, batch, hidden + feat), dtype=dtype)
+    a = np.empty((held, 4 * hidden, batch), dtype=dtype)
+    c = np.empty((states, hidden, batch), dtype=dtype)
+    tanh_c = np.empty((held, hidden, batch), dtype=dtype)
+    z[0, :, :hidden] = 0.0  # h_0
+    c[0] = 0.0  # c_0
+    if keep_cache:
+        z[:k, :, hidden:] = seqs.swapaxes(0, 1)
     for j in range(k):
-        z[:, hidden:] = seqs[:, j, :]
-        if keep_cache:  # fresh arrays, which the cache keeps
-            a = np.empty((batch, 4 * hidden), dtype=dtype)
-            c_new, tanh_c, z_next = np.empty_like(c), np.empty_like(c), np.empty_like(z)
-            _step(params, z, a, c, c_new, tanh_c, z_next[:, :hidden])
-            steps.append((z, a, c, tanh_c))
-            z, c = z_next, c_new
+        if keep_cache:  # step j reads state j and writes state j + 1
+            s, t = j, j + 1
         else:
-            _step(params, z, a, c, c, tanh_c, z[:, :hidden])
+            s = t = 0
+            z[0, :, hidden:] = seqs[:, j, :]
+        _step(params, z[s], a[s], c[s], c[t], tanh_c[s], z[t, :, :hidden].T)
     dropout = nn.Dropout(nn.DEFAULT_DROPOUT, rng)
-    h = dropout.forward(z[:, :hidden], mode)
+    h = dropout.forward(z[-1, :, :hidden], mode)
     y = h @ params.W_y.T + params.b_y
-    return y, LstmCache(steps=steps, h_final=h, dropout=dropout) if keep_cache else None
+    if not keep_cache:
+        return y, None
+    steps = [(z[j], a[j], c[j], tanh_c[j]) for j in range(k)]
+    return y, LstmCache(steps=steps, h_final=h, dropout=dropout)
 
 
 def _step(params, z, a, c_prev, c, tanh_c, h) -> None:
-    """One step from z = [h_{j-1}, f_j] and c_{j-1} (``c_prev``), written
-    into the arrays given: the activated gates i, m, o, g into ``a``, c_j into
-    ``c``, tanh c_j into ``tanh_c`` and h_j into ``h``. ``c`` may be
-    ``c_prev`` and ``h`` may be ``z[:, :H]``; ``tanh_c`` holds i * g first."""
+    """One step from z = [h_{j-1}, f_j] [B x (H+F)] and c_{j-1} (``c_prev``),
+    written into the gate-major arrays given: the activated gates i, m, o, g
+    into the row blocks of ``a`` [4H x B], c_j into ``c``, tanh c_j into
+    ``tanh_c`` and h_j into ``h``, all [H x B]. ``c`` may be ``c_prev`` and
+    ``h`` may be ``z[:, :H].T``; ``tanh_c`` holds i * g first."""
     # activated in place, one tanh over all four gates: sigmoid(x) is
     # (1 + tanh(x / 2)) / 2 on the i, m, o block
-    np.matmul(z, params.W.T, out=a)
-    a += params.b
-    sig = a[:, : 3 * params.hidden]
+    hidden = params.hidden
+    np.matmul(params.W, z.T, out=a)
+    a += params.b[:, None]
+    sig = a[: 3 * hidden]
     sig *= 0.5
     np.tanh(a, out=a)
     sig *= 0.5
     sig += 0.5
-    i, m, o, g = np.split(a, 4, axis=1)
+    i, m, o, g = a[:hidden], a[hidden : 2 * hidden], a[2 * hidden : 3 * hidden], a[3 * hidden :]
     np.multiply(i, g, out=tanh_c)
     np.multiply(m, c_prev, out=c)
     c += tanh_c  # c_j = i * g + m * c_{j-1}
@@ -202,22 +236,37 @@ def lstm_backward(
     grads = {name: np.zeros_like(arr) for name, arr in params.parameters().items()}
     grads["W_y"] = dy.T @ cache.h_final
     grads["b_y"] = dy.sum(axis=0)
-    dh = cache.dropout.backward(dy @ params.W_y)
-    w_h = params.W[:, : params.hidden]  # the gates' weights on h_{j-1}
-    dc = np.zeros_like(dh)
-    for z, a, c_prev, tanh_c in reversed(cache.steps):
-        i, m, o, g = np.split(a, 4, axis=1)
-        do = dh * tanh_c
-        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-        d_ai = (dc * g) * i * (1.0 - i)
-        d_am = (dc * c_prev) * m * (1.0 - m)
-        d_ao = do * o * (1.0 - o)
-        d_ag = (dc * i) * (1.0 - g * g)
-        d_a = np.concatenate([d_ai, d_am, d_ao, d_ag], axis=1)
+    dh = cache.dropout.backward(dy @ params.W_y)  # [B x H], as d_a @ w_h gives it
+    hidden, batch = params.hidden, dh.shape[0]
+    w_h = params.W[:, :hidden]  # the gates' weights on h_{j-1}
+    dtype = np.result_type(dh, cache.steps[0][1])
+    d_gates = np.empty((4 * hidden, batch), dtype=dtype)  # gate-major, as a
+    d_sig, d_ag = d_gates[: 3 * hidden], d_gates[3 * hidden :]  # i, m, o; g
+    d_ai, d_am, d_ao = np.split(d_sig, 3)
+    d_a = np.empty((batch, 4 * hidden), dtype=dtype)  # row-major, for the GEMMs
+    dc = np.zeros((hidden, batch), dtype=dtype)
+    for j in reversed(range(len(cache.steps))):
+        z, a, c_prev, tanh_c = cache.steps[j]
+        sig, g = a[: 3 * hidden], a[3 * hidden :]
+        i, m, o = sig[:hidden], sig[hidden : 2 * hidden], sig[2 * hidden :]
+        dh_t = dh.T
+        dc_h = dh_t * o
+        dc_h *= 1.0 - tanh_c * tanh_c
+        dc += dc_h  # dc + dh * o * (1 - tanh c_j^2)
+        # a sigmoid gate's derivative: (upstream * its factor) * gate * (1 - gate)
+        np.multiply(dc, g, out=d_ai)
+        np.multiply(dc, c_prev, out=d_am)
+        np.multiply(dh_t, tanh_c, out=d_ao)
+        d_sig *= sig
+        d_sig *= 1.0 - sig
+        np.multiply(dc, i, out=d_ag)
+        d_ag *= 1.0 - g * g
+        np.copyto(d_a, d_gates.T)
         grads["W"] += d_a.T @ z
         grads["b"] += d_a.sum(axis=0)
-        dh = d_a @ w_h
-        dc = dc * m
+        if j:  # dh and dc into step j - 1; nothing reads them after step 0
+            dh = d_a @ w_h
+            dc *= m
     return grads
 
 

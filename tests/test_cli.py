@@ -352,9 +352,15 @@ def test_error_class_sets_exit_code(monkeypatch, tmp_path, error, code):
          "afile"),
         (["sweep", "--what", "matrixmode", "--data", "{solo}", "--out", "{tmp}/afile"], "afile"),
         (["synth", "gen", "--out", "{tmp}/afile"], "afile"),
+        (["sweep", "--what", "timesteps", "--data", "{solo}", "--out", "{tmp}/kdir"],
+         "kdir/k18.json"),
+        (["sweep", "--what", "matrixmode", "--data", "{solo}", "--out", "{tmp}/mdir"],
+         "mdir/temporal.json"),
+        (["sweep", "--what", "timesteps", "--data", "{solo}", "--out", "{tmp}/sdir"],
+         "sdir/summary.csv"),
     ],
     ids=["train-out-dir", "eval-report-dir", "eval-report-under-file", "sweep-out-file",
-         "synth-out-file"],
+         "synth-out-file", "sweep-k-report-dir", "sweep-mode-report-dir", "sweep-summary-dir"],
 )
 def test_unwritable_output_exits_2_before_any_work(
     workspace, trained, tmp_path, monkeypatch, args, named
@@ -362,10 +368,13 @@ def test_unwritable_output_exits_2_before_any_work(
     """An output path the writers would fail on (a directory where a file
     goes, a file where a directory goes or in the way of one) exits 2 with
     an error naming it before any data is read, so nothing is trained,
-    scored or generated; each of these used to end in a traceback after
-    the work."""
+    scored, generated or written; each of these used to end in a traceback
+    after the work. A sweep checks each variant's report and its summary."""
     (tmp_path / "adir").mkdir()
     (tmp_path / "afile").write_text("")
+    for blocked in ("kdir/k18.json", "mdir/temporal.json", "sdir/summary.csv"):
+        (tmp_path / blocked).mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
     calls = []
     for owner, name in [(cli, "_load_sessions"), (training, "train_hybrid"),
                         (evaluation, "evaluate_model"), (evaluation, "compare_matrix_modes"),
@@ -377,6 +386,7 @@ def test_unwritable_output_exits_2_before_any_work(
     assert f"error: output {tmp_path}/" in _all_output(result)
     assert str(tmp_path / named) in _all_output(result)
     assert calls == []
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_eval_corrupt_checkpoint_exits_1(workspace, tmp_path):

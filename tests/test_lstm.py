@@ -242,11 +242,14 @@ def test_cache_free_forward_keeps_the_eval_bytes(batch, seed):
         lstm_backward(p, no_cache, np.ones_like(y))
 
 
-def concatenating_forward(p: LstmParams, seqs: np.ndarray, mode="eval", rng=None, steps=None):
-    """y_k by the fused forward as it was before its steps wrote into arrays
-    given to them: a new z, gate block, c_j and h_j at every step. Each
-    step's (z, a, c_{j-1}, tanh c_j) is appended to ``steps`` if given."""
+def concatenating_forward(p: LstmParams, seqs: np.ndarray, mode="eval", rng=None,
+                          keep_cache=False):
+    """(y_k, cache) by the fused forward as it was before its steps wrote
+    into arrays given to them: a new z, gate block, c_j and h_j at every
+    step, each row-major [B x width]. With ``keep_cache`` the cache is
+    ``reference_backward``'s, holding every step; otherwise it is None."""
     h = c = np.zeros((len(seqs), p.hidden), dtype=p.W.dtype)
+    steps = []
     for j in range(seqs.shape[1]):
         z = np.concatenate([h, seqs[:, j, :]], axis=1)
         a = z @ p.W.T
@@ -259,12 +262,40 @@ def concatenating_forward(p: LstmParams, seqs: np.ndarray, mode="eval", rng=None
         i, m, o, g = np.split(a, 4, axis=1)
         c_new = i * g + m * c
         tanh_c = np.tanh(c_new)
-        if steps is not None:
+        if keep_cache:
             steps.append((z, a, c, tanh_c))
         h = o * tanh_c
         c = c_new
-    h = nn.Dropout(nn.DEFAULT_DROPOUT, rng).forward(h, mode)
-    return h @ p.W_y.T + p.b_y
+    dropout = nn.Dropout(nn.DEFAULT_DROPOUT, rng)
+    h = dropout.forward(h, mode)
+    cache = lstm.LstmCache(steps=steps, h_final=h, dropout=dropout) if keep_cache else None
+    return h @ p.W_y.T + p.b_y, cache
+
+
+def reference_backward(p: LstmParams, cache, dy: np.ndarray) -> dict[str, np.ndarray]:
+    """BPTT as it was before the gate-major layout, over the row-major steps
+    of ``concatenating_forward``: per-gate [B x H] derivatives joined by
+    ``np.concatenate`` at every step."""
+    grads = {name: np.zeros_like(arr) for name, arr in p.parameters().items()}
+    grads["W_y"] = dy.T @ cache.h_final
+    grads["b_y"] = dy.sum(axis=0)
+    dh = cache.dropout.backward(dy @ p.W_y)
+    w_h = p.W[:, : p.hidden]
+    dc = np.zeros_like(dh)
+    for z, a, c_prev, tanh_c in reversed(cache.steps):
+        i, m, o, g = np.split(a, 4, axis=1)
+        do = dh * tanh_c
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        d_ai = (dc * g) * i * (1.0 - i)
+        d_am = (dc * c_prev) * m * (1.0 - m)
+        d_ao = do * o * (1.0 - o)
+        d_ag = (dc * i) * (1.0 - g * g)
+        d_a = np.concatenate([d_ai, d_am, d_ao, d_ag], axis=1)
+        grads["W"] += d_a.T @ z
+        grads["b"] += d_a.sum(axis=0)
+        dh = d_a @ w_h
+        dc = dc * m
+    return grads
 
 
 @pytest.mark.parametrize("k, seed", [(1, 0), (18, 1), (98, 2)])
@@ -272,20 +303,52 @@ def test_forward_keeps_the_concatenating_bytes(k, seed):
     """y_k has the bytes of the forward that made new arrays at every step:
     without the cache at the 6,005 - k + 1 sequences of a 300 s recording,
     with it at 512 (its k-step cache at 6,005 sequences and k = 98 is
-    0.86 GB), and in train mode, whose cache keeps the reference's bytes too."""
+    0.86 GB), and in train mode, whose cache holds the reference's bytes
+    too: z row-major as there, and the gate-major a, c_{j-1} and tanh c_j
+    as the transposes of its row-major arrays."""
     p = init_lstm_params(n_outputs=3, seed=seed)
     features = np.random.default_rng(seed + 40).standard_normal((6005, nn.FEATURE_DIM))
     seqs = build_sequences(features.astype(np.float32), k)
     for batch, keep_cache in ((seqs, False), (seqs[:512], True)):
         y, _ = lstm_forward_batch(p, batch, mode="eval", keep_cache=keep_cache)
-        y_ref = concatenating_forward(p, batch)
+        y_ref, _ = concatenating_forward(p, batch)
         assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes()
-    batch, steps_ref = seqs[: training.LSTM_BATCH], []
-    y_ref = concatenating_forward(p, batch, "train", np.random.default_rng(seed), steps_ref)
+    batch = seqs[: training.LSTM_BATCH]
+    y_ref, ref = concatenating_forward(p, batch, "train", np.random.default_rng(seed), True)
     y, cache = lstm_forward_batch(p, batch, mode="train", rng=np.random.default_rng(seed))
     assert y.tobytes() == y_ref.tobytes()
-    for step, step_ref in zip(cache.steps, steps_ref, strict=True):
-        assert [x.tobytes() for x in step] == [x.tobytes() for x in step_ref]
+    for (z, a, c_prev, tanh_c), step_ref in zip(cache.steps, ref.steps, strict=True):
+        assert z.shape == step_ref[0].shape and a.shape == step_ref[1].shape[::-1]
+        got = [z.tobytes(), a.T.tobytes(), c_prev.T.tobytes(), tanh_c.T.tobytes()]
+        assert got == [x.tobytes() for x in step_ref]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    batch=st.integers(1, 70),
+    k=st.sampled_from((1, 2, 18, 98)),
+    seed=st.integers(0, 2**16),
+)
+@example(batch=64, k=18, seed=0)  # training.LSTM_BATCH
+# the P4 desk sweep's last batches: 902 training windows, S = 903 - k sequences
+@example(batch=63, k=8, seed=1)
+@example(batch=53, k=18, seed=2)
+@example(batch=13, k=58, seed=3)
+@example(batch=37, k=98, seed=4)
+def test_bptt_keeps_the_concatenating_bytes(batch, k, seed):
+    """At the recipe's float32 shapes, BPTT through the gate-major cache
+    gives every gradient the bytes of the per-gate, concatenating BPTT over
+    the row-major cache, after the same train-mode forward."""
+    p = init_lstm_params(n_outputs=3, seed=seed)
+    rng = np.random.default_rng(seed)
+    seqs = rng.standard_normal((batch, k, nn.FEATURE_DIM)).astype(np.float32)
+    dy = rng.standard_normal((batch, 3)).astype(np.float32)
+    _, ref = concatenating_forward(p, seqs, "train", np.random.default_rng(seed), True)
+    _, cache = lstm_forward_batch(p, seqs, mode="train", rng=np.random.default_rng(seed))
+    grads, grads_ref = lstm_backward(p, cache, dy), reference_backward(p, ref, dy)
+    for name in lstm.PARAM_NAMES:
+        assert grads[name].dtype == grads_ref[name].dtype == np.float32, name
+        assert grads[name].tobytes() == grads_ref[name].tobytes(), name
 
 
 def test_cache_free_forward_peak_memory_is_one_step():
