@@ -12,16 +12,15 @@ beside the ``config`` mapping. The sessions also set the split
 (``evaluation.partition``): one session is scored intra-session
 (folds 1-3 train, fold 4 tests), two inter-session (train on the first,
 test on the second), and any other count exits 2.
-``EMGKIN_THREADS`` caps sweep worker threads (default 1 for strict
-reproducibility). The timesteps sweep trains one CNN shared by every k and
-one LSTM per k; the matrix-mode sweep trains a whole model per mode.
+``sweep`` runs its variants one after another. The timesteps sweep trains
+one CNN shared by every k and one LSTM per k; the matrix-mode sweep trains a
+whole model per mode.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -58,17 +57,6 @@ def _banner(command: str, **payload) -> None:
         "effective-config: "
         + json.dumps({"command": command, **payload}, sort_keys=True)
     )
-
-
-def _workers() -> int:
-    raw = os.environ.get("EMGKIN_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"EMGKIN_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise ConfigError(f"EMGKIN_THREADS must be >= 1, got {value}")
-    return value
 
 
 def _load_sessions(data_dir: Path) -> list[SemgRecording]:
@@ -220,7 +208,6 @@ def eval_cmd(model_path, data_dir, report_path, baselines):
 @_handle_errors
 def sweep_cmd(what, config_path, data_dir, out_dir, desk, seed):
     """Run the k sweep or the spectral/temporal comparison; write reports."""
-    workers = _workers()
     if what == "timesteps":
         names = [f"k{k}" for k in evaluation.DEFAULT_K_SWEEP]
     else:
@@ -237,12 +224,11 @@ def sweep_cmd(what, config_path, data_dir, out_dir, desk, seed):
         protocol=sessions[0].protocol,
         data=str(data_dir),
         out=str(out_dir),
-        workers=workers,
     )
     if what == "timesteps":
-        reports = evaluation.sweep_timesteps(cfg, sessions, max_workers=workers)
+        reports = evaluation.sweep_timesteps(cfg, sessions)
     else:
-        reports = evaluation.compare_matrix_modes(cfg, sessions, max_workers=workers)
+        reports = evaluation.compare_matrix_modes(cfg, sessions)
     for name, report in zip(names, reports, strict=True):
         path = io.write_report(report, out_dir / f"{name}.json")
         click.echo(f"wrote {path}")

@@ -263,16 +263,22 @@ def _windows(emg: np.ndarray, window: int, hop: int) -> np.ndarray:
     return sliding_window_view(emg, window, axis=0)[::hop].swapaxes(1, 2)
 
 
+def window_end_times(rec: SemgRecording) -> np.ndarray:
+    """End time [M] of each of ``segment_windows(rec)``'s windows, from the
+    timestamps alone; none if ``rec`` is shorter than one window."""
+    window_samples, hop_samples = window_geometry(rec.fs_emg)
+    return rec.t_emg[window_samples - 1 :: hop_samples]
+
+
 def window_labels(rec: SemgRecording) -> tuple[np.ndarray, np.ndarray]:
     """(labels [M x D], end_times [M]) of ``segment_windows(rec)``'s windows,
     from the timestamps and angles alone."""
-    window_samples, hop_samples = window_geometry(rec.fs_emg)
-    n = len(rec.emg)
-    if window_samples > n:
+    end_times = window_end_times(rec)
+    if not len(end_times):
         raise InsufficientDataError(
-            f"window of {window_samples} samples exceeds recording length {n}"
+            f"window of {window_geometry(rec.fs_emg)[0]} samples exceeds "
+            f"recording length {len(rec.emg)}"
         )
-    end_times = rec.t_emg[window_samples - 1 :: hop_samples]
     labels = np.stack(
         [np.interp(end_times, rec.t_ang, rec.angles[:, d]) for d in range(rec.n_dof)],
         axis=1,
@@ -313,7 +319,7 @@ def condition_blocks(
     block. Every window has the bytes of ``condition``'s one-block pass."""
     window, hop = window_geometry(rec.fs_emg)
     n_samples, n_channels = rec.emg.shape
-    n_windows = (n_samples - window) // hop + 1
+    n_windows = len(window_end_times(rec))
     if stats is None and len(bounds) != 1:
         raise ValueError("fitting the min/max needs the recording in one block")
     run = _chain_runner(rec.fs_emg, n_channels)

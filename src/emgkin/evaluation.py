@@ -20,6 +20,7 @@ partition is conditioned (filter, scale, window) by ``dsp.condition``.
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Any, Sequence
 
@@ -214,7 +215,8 @@ def run_evaluation(
     all on the identical split. The cnn-lstm report's runtime_s includes
     training.
     """
-    train_raw, _, _ = partition(data)
+    train_raw, test_raw, _ = partition(data)
+    training.require_windows(test_raw, config.k, "test")
     start = time.perf_counter()
     run = training.train_hybrid(train_raw, config)
     train_s = time.perf_counter() - start
@@ -275,12 +277,15 @@ def sweep_timesteps(
 ) -> list[EvaluationReport]:
     """Stage-2-only k sweep: one shared CNN, one LSTM retraining per k.
 
-    Stage 1 runs once; each k reuses the frozen CNN and deep features, so
-    variants are independent and may fan out to ``max_workers`` threads.
+    Both partitions are checked against the largest k, then stage 1 runs
+    once and each k reuses its frozen CNN and deep features. The ks run on
+    the calling thread, or on ``max_workers`` > 1 threads with the same bytes.
     Each report's runtime_s is the shared stage 1 plus that k's stage 2 and
     inference.
     """
-    train_raw, _, _ = partition(data)
+    train_raw, test_raw, _ = partition(data)
+    for rec, name in ((train_raw, "training"), (test_raw, "test")):
+        training.require_windows(rec, max(ks, default=1), name)
 
     shared_start = time.perf_counter()
     stage1 = training._train_cnn_stage(train_raw, config)
@@ -295,32 +300,22 @@ def sweep_timesteps(
         report.runtime_s = shared_s + time.perf_counter() - start
         return report
 
-    return _fan_out(run_k, list(ks), max_workers)
-
-
-def _fan_out(fn, variants: list, max_workers: int) -> list:
-    """Run one independent model per variant, optionally on worker threads."""
-    if max_workers <= 1 or len(variants) <= 1:
-        return [fn(v) for v in variants]
-    from concurrent.futures import ThreadPoolExecutor
-
+    if max_workers <= 1:
+        return [run_k(k) for k in ks]
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(fn, variants))
+        return list(pool.map(run_k, ks))
 
 
 def compare_matrix_modes(
     config: PipelineConfig,
     data: SemgRecording | Sequence[SemgRecording],
-    max_workers: int = 1,
 ) -> list[EvaluationReport]:
-    """Identical pipeline under both input-matrix modes; spectral first.
+    """Identical pipeline under each input-matrix mode in turn; spectral first.
 
     The reports' input_len field records the mode's matrix length (101
     spectral bins vs 102 raw samples at the default window).
     """
-
-    def run_mode(mode: str) -> EvaluationReport:
-        mode_config = replace(config, matrix_mode=mode)
-        return run_evaluation(mode_config, data, baselines=False)[0]
-
-    return _fan_out(run_mode, list(dsp.MATRIX_MODES), max_workers)
+    return [
+        run_evaluation(replace(config, matrix_mode=mode), data, baselines=False)[0]
+        for mode in dsp.MATRIX_MODES
+    ]

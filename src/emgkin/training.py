@@ -18,8 +18,8 @@ head from one CNN pass, and refuses a recording at any other rate, even one
 that rounds to the same windows.
 
 All shuffling and dropout draw from generators derived from the run seed,
-so a (seed, config, dataset) triple reproduces bit-identical models in
-single-threaded mode.
+so a (seed, config, dataset) triple reproduces bit-identical models;
+``evaluation.sweep_timesteps`` on worker threads gives its serial bytes.
 """
 
 from __future__ import annotations
@@ -59,11 +59,12 @@ class LabelScaler:
     the same scale for every DoF whatever its amplitude in degrees;
     predictions are mapped back to degrees. R² is invariant to the affine
     map. Standardization does not make the published learning rates
-    converge: at ``cnn.lr0`` 1e-4 the stage-1 loss on these targets stays
-    at 1.4-1.75 (always predicting the mean scores 1.0) through the desk
-    recipe's five epochs (ROADMAP item 1). ``transform`` returns float64, so
-    ``inverse`` gives the labels back to float64 rounding; ``train_cnn`` and
-    ``train_lstm`` cast the targets to float32 themselves.
+    converge: at ``cnn.lr0`` 1e-4 the desk recipe's last stage-1 epoch ends
+    at a loss of 1.29-2.03 on these targets (folds 1-3 of 60 s P1 sessions,
+    seeds 1-5), where predicting the mean scores 1.0 (ROADMAP item 1).
+    ``transform`` returns float64, so ``inverse`` gives the labels back to
+    float64 rounding; ``train_cnn`` and ``train_lstm`` cast the targets to
+    float32 themselves.
     """
 
     mean: np.ndarray  # [D]
@@ -291,8 +292,18 @@ def _train_lstm_stage(
     return model, lstm_hist
 
 
+def require_windows(rec: SemgRecording, k: int, partition: str) -> None:
+    """Refuse, before anything trains, a partition with fewer windows than k."""
+    n_windows = len(dsp.window_end_times(rec))
+    if n_windows < k:
+        raise InsufficientDataError(
+            f"session {rec.session_id}: {partition} partition has {n_windows} windows, fewer than k={k}"
+        )
+
+
 def train_hybrid(rec: SemgRecording, config: PipelineConfig) -> TrainingRun:
-    """Run both stages on one training recording."""
+    """Run both stages on one training recording of at least config.k windows."""
+    require_windows(rec, config.k, "training")
     stage1 = _train_cnn_stage(rec, config)
     model, lstm_hist = _train_lstm_stage(stage1, rec, config)
     return TrainingRun(cnn_loss=stage1.loss, lstm_loss=lstm_hist, model=model)

@@ -483,17 +483,43 @@ def test_train_names_a_flat_channel_by_its_csv_column(tmp_path):
     assert "error: channel(s) ch3 have max <= min" in _all_output(result)
 
 
-def test_threads_env_must_be_positive_integer(workspace, tmp_path):
-    args = ["sweep", "--what", "matrixmode", "--config",
-            str(workspace / "tiny.yaml"), "--data", str(workspace / "solo"),
-            "--out", str(tmp_path / "x")]
-    result = _invoke(args, env={"EMGKIN_THREADS": "abc"})
-    assert result.exit_code == 2
-    assert "must be an integer" in _all_output(result)
+def test_sweep_reads_no_thread_variable(workspace, tmp_path):
+    """``sweep`` runs its variants one after another: a thread count in the
+    environment is not read, and the banner has no ``workers`` key."""
+    result = _invoke(
+        ["sweep", "--what", "matrixmode", "--config", str(workspace / "tiny.yaml"),
+         "--data", str(workspace / "solo"), "--out", str(tmp_path / "x")],
+        env={"EMGKIN_THREADS": "abc"},
+    )
+    assert result.exit_code == 0, _all_output(result)
+    banner = result.output.splitlines()[0]
+    assert banner.startswith("effective-config: ")
+    payload = json.loads(banner.removeprefix("effective-config: "))
+    assert payload["command"] == "sweep"
+    assert "workers" not in payload
 
-    result = _invoke(args, env={"EMGKIN_THREADS": "0"})
-    assert result.exit_code == 2
-    assert "must be >= 1" in _all_output(result)
+
+def test_sweep_refuses_a_short_test_fold_before_training(workspace, tmp_path, monkeypatch):
+    """A 15 s session's test fold has 74 windows, fewer than the sweep's
+    largest k: the sweep exits 1 naming the session, the partition and k,
+    and stage 1 never trains."""
+    save_session(
+        generate(SynthConfig(protocol="P1", duration_s=15.0, seed=1)), tmp_path / "short"
+    )
+
+    def no_training(*args, **kwargs):
+        pytest.fail("the sweep trained before refusing the short test fold")
+
+    monkeypatch.setattr(training, "train_cnn", no_training)
+    result = _invoke(
+        ["sweep", "--what", "timesteps", "--config", str(workspace / "tiny.yaml"),
+         "--data", str(tmp_path / "short"), "--out", str(tmp_path / "ks")]
+    )
+    assert result.exit_code == 1
+    assert (
+        "error: session s0: test partition has 74 windows, fewer than k=98"
+        in _all_output(result)
+    )
 
 
 @pytest.mark.parametrize(

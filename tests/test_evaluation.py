@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from emgkin import dsp, nn, training
 from emgkin.config import PipelineConfig, StageConfig
-from emgkin.errors import ConfigError, DataError, UndefinedMetricError
+from emgkin.errors import ConfigError, DataError, InsufficientDataError, UndefinedMetricError
 from emgkin.evaluation import (
     EvaluationReport,
     compare_matrix_modes,
@@ -335,12 +335,68 @@ def test_sweep_timesteps_counts_and_thread_determinism(quick_config, quick_sessi
         np.testing.assert_array_equal(rep_s.timestamps, alone.timestamps)
 
 
-def test_compare_matrix_modes_pairs(quick_config, quick_session):
-    reports = compare_matrix_modes(quick_config, quick_session)
-    modes = {r.matrix_mode: r for r in reports}
+@pytest.fixture(scope="module")
+def mode_reports(quick_config, quick_session):
+    return compare_matrix_modes(quick_config, quick_session)
+
+
+def test_compare_matrix_modes_pairs(mode_reports):
+    modes = {r.matrix_mode: r for r in mode_reports}
     assert set(modes) == {"spectral", "temporal"}
     assert modes["spectral"].input_len == 101
     assert modes["temporal"].input_len == 102
+
+
+def test_compare_matrix_modes_equals_each_mode_run_alone(
+    mode_reports, quick_config, quick_session
+):
+    """Each mode's report has the bytes of ``run_evaluation`` on that mode."""
+    for mode, report in zip(dsp.MATRIX_MODES, mode_reports, strict=True):
+        alone = run_evaluation(
+            dataclasses.replace(quick_config, matrix_mode=mode), quick_session, baselines=False
+        )[0]
+        assert report.dof == alone.dof
+        assert report.predictions.tobytes() == alone.predictions.tobytes()
+        assert report.timestamps.tobytes() == alone.timestamps.tobytes()
+
+
+@pytest.fixture(scope="module")
+def short_session():
+    """15 s: folds 1-3 give 224 windows, and fold 4 gives 74, fewer than k=98."""
+    return generate(SynthConfig(protocol="P1", duration_s=15.0, seed=1))
+
+
+@pytest.mark.parametrize(
+    "driver, partition_name",
+    [
+        ("run_evaluation", "test"),
+        ("sweep_timesteps", "test"),
+        ("sweep_timesteps_pair", "training"),
+        ("train_hybrid", "training"),
+    ],
+)
+def test_short_partition_is_refused_before_training(
+    quick_config, short_session, quick_session, monkeypatch, driver, partition_name
+):
+    """A partition with fewer windows than k is refused, naming the session,
+    the partition and k, before stage 1 trains; the sweep checks both of its
+    partitions against its largest k."""
+
+    def no_training(*args, **kwargs):
+        pytest.fail(f"{driver} trained before refusing the short partition")
+
+    monkeypatch.setattr(training, "train_cnn", no_training)
+    config = dataclasses.replace(quick_config, k=98)
+    _, test = split_session(short_session)
+    calls = {
+        "run_evaluation": lambda: run_evaluation(config, short_session),
+        "sweep_timesteps": lambda: sweep_timesteps(quick_config, short_session),
+        "sweep_timesteps_pair": lambda: sweep_timesteps(quick_config, [test, quick_session]),
+        "train_hybrid": lambda: train_hybrid(test, config),
+    }
+    message = f"session s0: {partition_name} partition has 74 windows, fewer than k=98"
+    with pytest.raises(InsufficientDataError, match=message):
+        calls[driver]()
 
 
 def test_intra_scores_match_direct_training(quick_config, quick_session, quick_reports):
