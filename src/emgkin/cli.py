@@ -61,8 +61,9 @@ def _banner(command: str, **payload) -> None:
 
 def _load_sessions(data_dir: Path) -> list[SemgRecording]:
     data_dir = Path(data_dir)
-    if not data_dir.exists():
-        raise LoadError(f"data directory {data_dir} does not exist")
+    if not data_dir.is_dir():
+        found = "is not a directory" if data_dir.exists() else "does not exist"
+        raise LoadError(f"data directory {data_dir} {found}")
     dirs = io.list_session_dirs(data_dir)
     if not dirs:
         raise LoadError(f"no session (emg.csv) found under {data_dir}")

@@ -236,9 +236,11 @@ def evaluate_model(
     baseline must fit on it); the hybrid itself is not retrained. Every
     report is built here, by one construction: each DoF scored by
     ``r_squared``, and the protocol, split, k and matrix mode shared, so the
-    KRR report carries the hybrid's k and matrix mode.
+    KRR report carries the hybrid's k and matrix mode. A test set of fewer
+    than the model's k windows is refused first, naming its session.
     """
     train_raw, test_raw, split = partition(data)
+    training.require_windows(test_raw, model.k, "test")
     start = time.perf_counter()
     hybrid, cnn = training.predict_heads(model, test_raw)
     heads_s = time.perf_counter() - start

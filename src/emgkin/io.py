@@ -23,29 +23,31 @@ feature-scatter and the sweep's ``summary.csv``): a float as ``%.17g``
 
 Checkpoint layout (little-endian throughout):
     magic "EMGK" | version u32 | header length u32 | header JSON | blob
-The v2 header JSON holds what a run varies: ``k``, ``matrix_mode``,
-``dof_names``, ``n_outputs``, the EMG rate ``fs_emg`` (which sets the window
-and hop lengths), the CNN's ``input_len`` and ``in_channels``, the
-preprocessing ``norm_stats`` and ``label_scaler``, and the name and shape of
-every array in blob order: the CNN's ``cnn.*`` state, then the LSTM's
-``lstm.W``, ``lstm.b``, ``lstm.W_y`` and ``lstm.b_y`` as ``lstm`` holds them
-(fused gates). The blob is their float32 values concatenated row-major.
-What the recipe fixes is not stored: the leaky slope, the dropout rate, the
-LSTM's ``lstm.HIDDEN_UNITS`` (50) units and its zero initial state. All
-writes go through a temp file + rename so interrupted runs never leave
-partial files.
+The v3 header JSON holds only what a run varies: ``k``, ``matrix_mode``,
+``dof_names``, the EMG rate ``fs_emg`` (which sets the window and hop
+lengths), the preprocessing ``norm_stats`` and ``label_scaler``, and the
+``arrays`` table: the name and shape of every array in blob order, the
+CNN's ``cnn.*`` state, then the LSTM's ``lstm.W``, ``lstm.b``, ``lstm.W_y``
+and ``lstm.b_y`` as ``lstm`` holds them (fused gates). The blob is their
+float32 values concatenated row-major. What the recipe fixes is not stored:
+the layer plan, the leaky slope, the dropout rate, the LSTM's
+``lstm.HIDDEN_UNITS`` (50) units and its zero initial state. All writes go
+through a temp file + rename so interrupted runs never leave partial files.
 
-``load_model`` reads v2 only; any other version, v1 included, raises
+``load_model`` reads v3 only; any other version, v1 and v2 included, raises
 UnsupportedVersionError (field ``version``), and a model is retrained rather
-than converted. It checks the header's ``in_channels``, ``n_outputs`` and
-``input_len`` against the table's shapes and the blob's length against the
-table, then builds the model those sizes and the recipe describe. The table
-must equal the one ``save_model`` writes for that model, name for name and
-shape for shape; the blob is copied into the model's own arrays.
-``fs_emg`` must be a number that ``dsp.valid_emg_rate`` accepts,
-``input_len`` the ``dsp.matrix_length`` of the header's ``matrix_mode`` at
-that rate, and ``dof_names`` one of ``dsp.PROTOCOL_DOFS``'s lists. Every
-refusal is a CorruptCheckpointError naming the field at fault.
+than converted. ``fs_emg`` must be a rate ``dsp.valid_emg_rate`` accepts,
+``dof_names`` one of ``dsp.PROTOCOL_DOFS``'s lists, ``norm_stats`` two
+equal-length lists and ``label_scaler`` two of one value per DoF. The
+CNN's sizes are worked out from these: its input length is the
+``dsp.matrix_length`` of ``matrix_mode`` at ``fs_emg``, its channels the
+length of ``norm_stats``, its outputs (the LSTM's too) the number of
+``dof_names``. Before anything is built, they are checked against the
+table's ``cnn.conv1.W``, ``cnn.head.W`` and ``cnn.fc1.W`` and the blob's
+length against the table, so the file's length bounds what the build
+allocates. The table must equal the one ``save_model`` writes for that
+model; the blob is copied into the model's own arrays. Every refusal is a
+CorruptCheckpointError naming the field at fault.
 """
 
 from __future__ import annotations
@@ -77,12 +79,11 @@ from .errors import (
 )
 from .evaluation import EvaluationReport
 from .lstm import LstmParams, init_lstm_params
-from .nn import CONV_CHANNELS, CnnModel, MaxPool1d
+from .nn import CnnModel, flat_dim
 from .training import HybridModel, LabelScaler
 
 MAGIC = b"EMGK"
-CHECKPOINT_VERSION = 2
-MODEL_KIND = "cnn-lstm-hybrid"
+CHECKPOINT_VERSION = 3
 ANGLE_COLUMNS = tuple(PROTOCOL_DOFS["P4"])
 EMG_FILE = "emg.csv"
 ANGLES_FILE = "angles.csv"
@@ -291,14 +292,10 @@ def save_model(model: HybridModel, path: str | Path) -> Path:
     path = Path(path)
     arrays = _model_arrays(model.cnn, model.lstm)
     header = {
-        "model_kind": MODEL_KIND,
         "k": model.k,
         "matrix_mode": model.matrix_mode,
         "dof_names": list(model.dof_names),
-        "n_outputs": model.n_outputs,
         "fs_emg": float(model.fs_emg),
-        "input_len": model.cnn.input_len,
-        "in_channels": model.cnn.in_channels,
         "norm_stats": {
             "mins": model.norm_stats.mins.tolist(),
             "maxs": model.norm_stats.maxs.tolist(),
@@ -336,11 +333,13 @@ def _emg_rate(value) -> float:
     return float(value)
 
 
-def _float_lists(raw: dict, names: tuple[str, str], length: int) -> list[np.ndarray]:
-    """``raw[name]`` for each name as ``length`` finite float64 values."""
+def _float_lists(raw: dict, names: tuple[str, str], length: int | None = None) -> list[np.ndarray]:
+    """``raw[name]`` for each name as finite float64 values, one non-empty
+    list each, of ``length`` values if given, else of the first's."""
     vectors = [np.asarray(raw[name], dtype=np.float64) for name in names]
-    if any(v.shape != (length,) or not np.all(np.isfinite(v)) for v in vectors):
-        raise ValueError(f"want {names} as {length} finite numbers each")
+    shape = (length or max(1, vectors[0].size),)
+    if any(v.shape != shape or not np.all(np.isfinite(v)) for v in vectors):
+        raise ValueError(f"want {names} as {shape[0]} finite numbers each")
     return vectors
 
 
@@ -388,47 +387,43 @@ def load_model(path: str | Path) -> HybridModel:
         raise CorruptCheckpointError("header", f"invalid JSON ({exc})") from exc
     if not isinstance(header, dict):
         raise CorruptCheckpointError("header", f"not a JSON object: {header!r:.80}")
-    if _header_field(header, "model_kind") != MODEL_KIND:
-        raise CorruptCheckpointError(
-            "model_kind", f"got {header['model_kind']!r}, want {MODEL_KIND!r}"
-        )
 
     table = _header_field(header, "arrays", _array_entries)
+    matrix_mode = _header_field(header, "matrix_mode")
+    if matrix_mode not in MATRIX_MODES:
+        raise CorruptCheckpointError("matrix_mode", f"unknown mode {matrix_mode!r:.80}")
+    fs_emg = _header_field(header, "fs_emg", _emg_rate)
+    dof_names = _header_field(header, "dof_names")
+    if dof_names not in PROTOCOL_DOFS.values():
+        raise CorruptCheckpointError("dof_names", f"got {dof_names!r:.80}, want a protocol's")
+    stats = _header_field(
+        header, "norm_stats", lambda v: NormalizationStats(*_float_lists(v, ("mins", "maxs")))
+    )
+    n_outputs = len(dof_names)
+    scaler = _header_field(
+        header, "label_scaler", lambda v: LabelScaler(*_float_lists(v, ("mean", "std"), n_outputs))
+    )
+    k = _header_field(header, "k", _positive_int)
+    input_len = matrix_length(matrix_mode, fs_emg)  # what predict will feed the CNN
+    in_channels = len(stats.mins)
+    # The sizes must fit the table's shapes, and the table the blob, before
+    # they size the CNN built below: the file's length bounds what it allocates.
     shapes = dict(table)
-    in_channels = _header_field(header, "in_channels", _positive_int)
-    n_outputs = _header_field(header, "n_outputs", _positive_int)
-    input_len = _header_field(header, "input_len", _positive_int)
-    # The header sizes must fit the table's shapes before they size the CNN
-    # built below; otherwise a corrupt header alone decides what it allocates.
-    pooled_len = input_len - len(CONV_CHANNELS) * (MaxPool1d.SIZE - 1)
-    for key, name, axis, size in (
-        ("in_channels", "cnn.conv1.W", 1, in_channels),
-        ("n_outputs", "cnn.head.W", 1, n_outputs),
-        ("input_len", "cnn.fc1.W", 0, pooled_len * CONV_CHANNELS[-1]),
+    for name, axis, size in (
+        ("cnn.conv1.W", 1, in_channels),
+        ("cnn.head.W", 1, n_outputs),
+        ("cnn.fc1.W", 0, flat_dim(input_len)),
     ):
         shape = shapes.get(name)
-        if shape is None:
-            raise CorruptCheckpointError("arrays", f"no {name!r} in the table")
-        if len(shape) <= axis or shape[axis] != size:
+        if shape is None or len(shape) <= axis or shape[axis] != size:
             raise CorruptCheckpointError(
-                key, f"{header[key]} needs {name} with {size} along axis "
-                f"{axis}, stored shape {shape}"
-            )
-    # Checked before the build: fc1's rows must then be in the file, so the
-    # file's own length bounds what the build allocates.
+                "arrays", f"{name} stored as {shape}, but the header needs {size} "
+                f"along axis {axis}")
     blob = raw[12 + header_len :]
     nbytes = 4 * sum(math.prod(shape) for _, shape in table)
     if len(blob) != nbytes:
         fault = "truncated" if len(blob) < nbytes else "trailing bytes"
         raise CorruptCheckpointError("blob", f"{fault}: {len(blob)} bytes, table {nbytes}")
-    matrix_mode = _header_field(header, "matrix_mode")
-    if matrix_mode not in MATRIX_MODES:
-        raise CorruptCheckpointError("matrix_mode", f"unknown mode {matrix_mode!r:.80}")
-    fs_emg = _header_field(header, "fs_emg", _emg_rate)
-    want_len = matrix_length(matrix_mode, fs_emg)  # what predict will feed the CNN
-    if input_len != want_len:
-        raise CorruptCheckpointError(
-            "input_len", f"{input_len}, but {matrix_mode} at {fs_emg:g} Hz gives {want_len}")
     cnn = CnnModel(input_len, in_channels, n_outputs)
     lstm = init_lstm_params(n_outputs=n_outputs)
     arrays = _model_arrays(cnn, lstm)
@@ -439,27 +434,12 @@ def load_model(path: str | Path) -> HybridModel:
     ends = np.cumsum([array.size for _, array in arrays])[:-1]
     for (_, array), values in zip(arrays, np.split(np.frombuffer(blob, "<f4"), ends)):
         array[...] = values.reshape(array.shape)
-
-    stats = _header_field(
-        header,
-        "norm_stats",
-        lambda v: NormalizationStats(*_float_lists(v, ("mins", "maxs"), in_channels)),
-    )
-    scaler = _header_field(
-        header,
-        "label_scaler",
-        lambda v: LabelScaler(*_float_lists(v, ("mean", "std"), n_outputs)),
-    )
-    dof_names = _header_field(header, "dof_names")
-    if dof_names not in PROTOCOL_DOFS.values() or len(dof_names) != n_outputs:
-        raise CorruptCheckpointError(
-            "dof_names", f"got {dof_names!r:.80}, want a protocol's {n_outputs}")
     return HybridModel(
         cnn=cnn,
         lstm=lstm,
         norm_stats=stats,
         label_scaler=scaler,
-        k=_header_field(header, "k", _positive_int),
+        k=k,
         matrix_mode=matrix_mode,
         dof_names=dof_names,
         fs_emg=fs_emg,

@@ -407,6 +407,13 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
+def flat_dim(input_len: int) -> int:
+    """fc1's input width for ``input_len``-long matrices: each of the
+    ``CONV_CHANNELS`` blocks' pools takes ``MaxPool1d.SIZE - 1`` off the
+    length, and the last block has ``CONV_CHANNELS[-1]`` channels."""
+    return (input_len - len(CONV_CHANNELS) * (MaxPool1d.SIZE - 1)) * CONV_CHANNELS[-1]
+
+
 class CnnModel:
     """The deep-feature CNN plus its regression head.
 
@@ -440,10 +447,9 @@ class CnnModel:
                 (f"drop{i}", Dropout(DEFAULT_DROPOUT, self.rng)),
             ]
             prev_ch = out_ch
-        length = self.block_lengths()[-1]
-        if length < 1:
+        self.flat_dim = flat_dim(input_len)
+        if self.flat_dim < 1:
             raise DimensionError(f"input length {input_len} leaves nothing after the pools")
-        self.flat_dim = length * prev_ch
         self._feature_layers.append(("flatten", Flatten()))
         prev = self.flat_dim
         for i, width in enumerate(FC_SIZES, start=1):

@@ -114,10 +114,6 @@ class HybridModel:
             )
 
     @property
-    def n_outputs(self) -> int:
-        return self.lstm.n_outputs
-
-    @property
     def window_samples(self) -> int:
         return dsp.window_geometry(self.fs_emg)[0]
 

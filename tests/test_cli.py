@@ -220,6 +220,42 @@ def test_eval_baselines_report_text_is_pinned(workspace, trained, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+def test_data_that_is_a_file_exits_2(workspace, trained, tmp_path, command):
+    """``--data`` naming a file is refused with its path, not a traceback."""
+    data = workspace / "solo" / "emg.csv"
+    out, _ = trained
+    args = {
+        "train": ["train", "--config", str(workspace / "tiny.yaml"),
+                  "--out", str(tmp_path / "m.ckpt")],
+        "eval": ["eval", "--model", str(out), "--report", str(tmp_path / "r.json")],
+        "sweep": ["sweep", "--what", "timesteps", "--config",
+                  str(workspace / "tiny.yaml"), "--out", str(tmp_path / "ks")],
+    }[command]
+    result = _invoke([*args, "--data", str(data)])
+    assert result.exit_code == 2
+    assert f"data directory {data} is not a directory" in _all_output(result)
+    assert "Traceback" not in _all_output(result)
+
+
+def test_eval_names_a_test_fold_shorter_than_k(trained, tmp_path):
+    """A 1 s session's test fold has 4 windows, fewer than the checkpoint's
+    k=18: eval exits 1 naming the session, the partition and k."""
+    out, _ = trained
+    save_session(
+        generate(SynthConfig(protocol="P1", duration_s=1.0, seed=3)), tmp_path / "short"
+    )
+    result = _invoke(
+        ["eval", "--model", str(out), "--data", str(tmp_path / "short"),
+         "--report", str(tmp_path / "r.json")]
+    )
+    assert result.exit_code == 1
+    assert (
+        "error: session s0: test partition has 4 windows, fewer than k=18"
+        in _all_output(result)
+    )
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
 def test_three_session_dir_exits_2(workspace, trained, tmp_path, command):
     """One session is intra, two are inter; three name no protocol."""
     trio = tmp_path / "trio"

@@ -36,7 +36,7 @@ from emgkin.io import (
     write_trajectory,
 )
 from emgkin.lstm import init_lstm_params
-from emgkin.nn import CONV_CHANNELS, CnnModel, MaxPool1d
+from emgkin.nn import CnnModel, flat_dim
 from emgkin.synth import SynthConfig, generate
 from emgkin.training import LabelScaler, predict, train_hybrid
 from conftest import traced_peak
@@ -300,10 +300,7 @@ def test_checkpoint_round_trip_bit_identical(saved_model, tiny_session):
     assert loaded.matrix_mode == model.matrix_mode
     assert loaded.dof_names == model.dof_names
     assert loaded.fs_emg == model.fs_emg == tiny_session.fs_emg
-    assert (loaded.window_samples, loaded.hop_samples) == (
-        model.window_samples,
-        model.hop_samples,
-    )
+    assert dsp.window_geometry(loaded.fs_emg) == dsp.window_geometry(model.fs_emg) == (102, 51)
     np.testing.assert_array_equal(loaded.norm_stats.mins, model.norm_stats.mins)
     np.testing.assert_array_equal(loaded.norm_stats.maxs, model.norm_stats.maxs)
     np.testing.assert_array_equal(loaded.label_scaler.mean, model.label_scaler.mean)
@@ -315,6 +312,17 @@ def test_checkpoint_round_trip_bit_identical(saved_model, tiny_session):
     np.testing.assert_array_equal(after.timestamps, before.timestamps)
 
 
+def test_header_holds_only_what_a_run_varies(saved_model):
+    """The CNN's sizes are worked out on load (from ``matrix_mode`` at
+    ``fs_emg``, ``norm_stats`` and ``dof_names``), so none is stored."""
+    _, path = saved_model
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<I", raw[8:12])
+    assert set(json.loads(raw[12 : 12 + header_len])) == {
+        "k", "matrix_mode", "dof_names", "fs_emg", "norm_stats", "label_scaler", "arrays"
+    }
+
+
 def _replace_header(raw: bytes, rebuild) -> bytes:
     """The checkpoint with its JSON header replaced by rebuild(header)."""
     (header_len,) = struct.unpack("<I", raw[8:12])
@@ -323,9 +331,10 @@ def _replace_header(raw: bytes, rebuild) -> bytes:
     return raw[:8] + struct.pack("<I", len(encoded)) + encoded + raw[12 + header_len :]
 
 
-def _set(key: str, value):
-    """(key, rebuild) for a header whose ``key`` holds ``value``."""
-    return key, lambda header: {**header, key: value}
+def _set(key: str, value, field: str | None = None):
+    """(field, rebuild) for a header whose ``key`` holds ``value``; the
+    refusal names ``field``, ``key`` unless given."""
+    return field or key, lambda header: {**header, key: value}
 
 
 BAD_HEADERS = {
@@ -336,10 +345,6 @@ BAD_HEADERS = {
     "negative-dimension": _set("arrays", [{"name": "cnn.conv1.W", "shape": [-16, 6, 3]}]),
     "text-k": _set("k", "abc"),
     "zero-k": _set("k", 0),
-    "negative-in-channels": _set("in_channels", -6),
-    "other-in-channels": _set("in_channels", 7),
-    "other-n-outputs": _set("n_outputs", 2),
-    "short-input-len": _set("input_len", 8),
     # The rate sets the windows and designs the filters: it must be a
     # finite number above the low-pass's Nyquist limit.
     "nan-fs-emg": _set("fs_emg", float("nan")),
@@ -347,20 +352,25 @@ BAD_HEADERS = {
     "true-fs-emg": _set("fs_emg", True),
     "nyquist-fs-emg": _set("fs_emg", 2 * dsp.LOWPASS_HZ),
     "empty-norm-stats": _set("norm_stats", {}),
-    "short-norm-stats": _set("norm_stats", {"mins": [0.0], "maxs": [1.0]}),
+    # The header's sizes must fit the table: norm_stats sets conv1's input
+    # channels, the matrix mode at the rate fc1's rows, and dof_names the
+    # label scaler's length.
+    "short-norm-stats": _set("norm_stats", {"mins": [0.0], "maxs": [1.0]}, "arrays"),
+    "seven-channel-norm-stats": _set(
+        "norm_stats", {"mins": [0.0] * 7, "maxs": [1.0] * 7}, "arrays"
+    ),
     "text-label-scaler": _set("label_scaler", "x"),
     "unknown-matrix-mode": _set("matrix_mode", "wavelet"),
-    # input_len must be the length of the header's matrix mode at its rate:
-    # a 101-bin spectral model read as 1024 Hz temporal (102 samples) or as
+    # A 101-bin spectral model read as 1024 Hz temporal (102 samples) or as
     # 2048 Hz temporal (205 samples).
     "temporal-matrix-mode": (
-        "input_len", lambda header: {**header, "matrix_mode": "temporal"}
+        "arrays", lambda header: {**header, "matrix_mode": "temporal"}
     ),
     "temporal-at-2048-hz": (
-        "input_len",
+        "arrays",
         lambda header: {**header, "matrix_mode": "temporal", "fs_emg": 2048.0},
     ),
-    "three-dof-names": _set("dof_names", ["fe", "ps", "ru"]),
+    "three-dof-names": _set("dof_names", ["fe", "ps", "ru"], "label_scaler"),
     # dof_names must be one protocol's list, as save_model writes it.
     "text-dof-names": _set("dof_names", "f"),
     "number-dof-names": _set("dof_names", [1]),
@@ -488,24 +498,27 @@ def refuse_checkpoint(path, match=None):
 
 
 def test_oversized_header_fails_before_allocating(saved_model, tmp_path):
-    """input_len 3000 asks for a ~95k-row fc1; the header must be checked
-    against the stored arrays before the CNN is built at that size."""
+    """Temporal at 30 kHz gives 3000-sample matrices and asks for a
+    ~95k-row fc1; the worked-out sizes must be checked against the stored
+    arrays before the CNN is built at that size."""
     _, path = saved_model
     bad = tmp_path / "wide.ckpt"
-    _, rebuild = _set("input_len", 3000)
-    bad.write_bytes(_replace_header(path.read_bytes(), rebuild))
+    bad.write_bytes(_replace_header(
+        path.read_bytes(), lambda header: {**header, "matrix_mode": "temporal", "fs_emg": 30e3}
+    ))
+    assert dsp.matrix_length("temporal", 30e3) == 3000
     exc_info, peak = traced_peak(refuse_checkpoint, bad)
     assert peak < 20 * 2**20
-    assert exc_info.value.field == "input_len"
+    assert exc_info.value.field == "arrays"
 
 
 def test_short_blob_fails_before_allocating(saved_model, tmp_path):
-    """An input_len of 10**6 with an fc1 shape to match passes the header
-    checks, but the blob lacks fc1's ~38 GB: it is refused before the CNN
-    is built at that size."""
+    """Temporal at 10 MHz (10**6-sample matrices) with an fc1 shape to match
+    passes the header checks, but the blob lacks fc1's ~38 GB: it is refused
+    before the CNN is built at that size."""
     _, path = saved_model
-    input_len = 10**6
-    rows = (input_len - len(CONV_CHANNELS) * (MaxPool1d.SIZE - 1)) * CONV_CHANNELS[-1]
+    assert dsp.matrix_length("temporal", 10e6) == 10**6
+    rows = flat_dim(10**6)
 
     def widen(header):
         arrays = [
@@ -514,7 +527,7 @@ def test_short_blob_fails_before_allocating(saved_model, tmp_path):
             else entry
             for entry in header["arrays"]
         ]
-        return {**header, "input_len": input_len, "arrays": arrays}
+        return {**header, "matrix_mode": "temporal", "fs_emg": 10e6, "arrays": arrays}
 
     bad = tmp_path / "huge.ckpt"
     bad.write_bytes(_replace_header(path.read_bytes(), widen))
@@ -558,13 +571,14 @@ def test_tiny_file_rejected(tmp_path):
     assert exc_info.value.field == "magic"
 
 
-@pytest.mark.parametrize("version", [1, 99])
+@pytest.mark.parametrize("version", [1, 2, 99])
 def test_future_version_rejected(saved_model, tmp_path, version):
     """Only this build's version loads: v1 (per-gate LSTM arrays, no rate)
-    is refused by name like any later one, and such a model is retrained."""
+    and v2 (stored CNN sizes) are refused by name like any later one, and
+    such a model is retrained."""
     _, path = saved_model
     raw = bytearray(path.read_bytes())
-    assert struct.unpack("<I", raw[4:8]) == (CHECKPOINT_VERSION,) == (2,)
+    assert struct.unpack("<I", raw[4:8]) == (CHECKPOINT_VERSION,) == (3,)
     raw[4:8] = struct.pack("<I", version)
     bad = tmp_path / "future.ckpt"
     bad.write_bytes(bytes(raw))
@@ -584,17 +598,6 @@ def test_missing_header_field_is_named(saved_model, tmp_path):
     with pytest.raises(CorruptCheckpointError, match="bad k") as exc_info:
         load_model(bad)
     assert exc_info.value.field == "k"
-
-
-def test_wrong_model_kind_rejected(saved_model, tmp_path):
-    _, path = saved_model
-    bad = tmp_path / "kind.ckpt"
-    bad.write_bytes(
-        _replace_header(path.read_bytes(), lambda h: {**h, "model_kind": "something-else"})
-    )
-    with pytest.raises(CorruptCheckpointError) as exc_info:
-        load_model(bad)
-    assert exc_info.value.field == "model_kind"
 
 
 def test_garbage_header_rejected(saved_model, tmp_path):

@@ -5,7 +5,8 @@ Every ``emgkin ...`` line in a bash block of the README is resolved against
 the click command tree: the subcommand must exist, and every ``--option``
 on the line must be one of that command's options. Every yaml block must
 load as a pipeline config. Every name a python block imports from emgkin
-must be an attribute of its module; the blocks are parsed, not run.
+must be an attribute of its module; the blocks are parsed, not run. The
+checkpoint version the README names is ``io.CHECKPOINT_VERSION``.
 """
 
 import ast
@@ -18,6 +19,7 @@ import click
 import yaml
 
 from emgkin.cli import main
+from emgkin.io import CHECKPOINT_VERSION
 from emgkin.config import config_from_dict
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -77,3 +79,8 @@ def test_readme_python_imports_resolve():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing, f"README imports names that do not exist: {missing}"
+
+
+def test_readme_names_the_checkpoint_version():
+    versions = re.findall(r"The format\s+is\s+version\s+(\d+)", README.read_text())
+    assert versions == [str(CHECKPOINT_VERSION)]

@@ -225,7 +225,7 @@ def test_predict_refuses_a_rate_with_the_same_windows(tiny_session, tiny_config)
     model's own rate, not its window lengths, decides."""
     run = train_hybrid(tiny_session, tiny_config)
     near = generate(SynthConfig(protocol="P1", duration_s=10.0, seed=5, fs_emg=1020.0))
-    assert dsp.window_geometry(near.fs_emg) == (run.model.window_samples, run.model.hop_samples)
+    assert dsp.window_geometry(near.fs_emg) == dsp.window_geometry(run.model.fs_emg)
     for score in (predict, predict_cnn_only):
         with pytest.raises(DataError, match=r"1020 Hz.*102/51.*1024 Hz"):
             score(run.model, near)
