@@ -21,7 +21,7 @@ class DegenerateChannelError(EmgkinError):
     """A channel has zero dynamic range, so min-max scaling is undefined."""
 
 
-class InsufficientDataError(EmgkinError):
+class InsufficientDataError(DataError):
     """Recording or feature stream is too short for the requested windowing."""
 
 

@@ -66,8 +66,8 @@ of the select-based forms they replaced; the tests hold those as references.
 
 Dtypes in training: parameters, caches, optimizer state and gradients are
 all float32. ``training.LabelScaler`` returns float64 targets, and
-``train_cnn`` and ``train_lstm`` cast them once to the parameters' dtype
-where the optimizers read them, so ``mse_loss`` returns a float32 gradient
+``training._fit``, the epoch loop of both stages, casts them once to the
+parameters' dtype, so ``mse_loss`` returns a float32 gradient
 and the backward passes of this CNN and of the LSTM run in float32 from the
 loss down to conv1 and through every BPTT step. Each layer's backward keeps
 the upstream gradient's dtype (batch norm holds its count in that dtype), so
@@ -540,13 +540,14 @@ class CnnModel:
         self._check_input(x)
         return self._features(x, "eval")
 
-    def backward(self, dpred: np.ndarray) -> None:
+    def backward(self, dpred: np.ndarray) -> dict[str, np.ndarray]:
         """Backpropagate a gradient on predictions through the head and every
-        feature layer, conv1 included, each by its own ``backward``; the
-        gradient of the network input that conv1 returns is dropped."""
+        feature layer, conv1 included, each by its own ``backward`` (conv1's
+        input gradient is dropped), and return ``gradients()``."""
         grad = dpred
         for _, layer in reversed([*self._feature_layers, ("head", self.head)]):
             grad = layer.backward(grad)
+        return self.gradients()
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Trainable arrays in declared (checkpoint) order."""

@@ -6,8 +6,9 @@ extracts 20-dim deep features from every window in segmentation order, forms
 overlapping k-length sequences, and trains the LSTM with ADAM (batches of
 ``LSTM_BATCH`` = 64, lr0 1e-3) on the last-step output. Both batch sizes are
 the paper's recipe. Both stages drop the learning rate by 90% every 10
-epochs and record one mean loss per epoch. Both cast their float64 targets to
-the parameters' float32 before the epoch loop, so every gradient is float32.
+epochs and run one epoch loop, ``_fit``: it casts the float64 targets once
+to the parameters' float32, so every gradient is float32, refuses a
+non-finite loss before its step, and records one mean loss per epoch.
 
 Training conditions a recording through ``dsp.condition``, and prediction
 through ``dsp.condition_blocks`` one eval chunk at a time, with the training
@@ -63,8 +64,8 @@ class LabelScaler:
     at a loss of 1.29-2.03 on these targets (folds 1-3 of 60 s P1 sessions,
     seeds 1-5), where predicting the mean scores 1.0 (ROADMAP item 1).
     ``transform`` returns float64, so ``inverse`` gives the labels back to
-    float64 rounding; ``train_cnn`` and ``train_lstm`` cast the targets to
-    float32 themselves.
+    float64 rounding; both stages' epoch loop (``_fit``) casts the targets
+    to float32 once.
     """
 
     mean: np.ndarray  # [D]
@@ -152,6 +153,29 @@ def _batch_bounds(n: int, batch: int) -> list[tuple[int, int]]:
     return bounds
 
 
+def _fit(x, y, bounds, stage, rng, optimizer, params, forward) -> list[float]:
+    """Both stages' epoch loop; one mean loss per epoch. Each epoch shuffles
+    by ``rng``; each batch of ``bounds`` runs ``forward(x_batch)`` -> (pred,
+    backward), the loss and the divergence check, then steps ``optimizer`` on
+    ``backward(dpred)``. y is cast once to the parameters' dtype."""
+    y = y.astype(next(iter(params.values())).dtype, copy=False)
+    step = optimizer(params, stage.lr0).step
+    history: list[float] = []
+    for epoch in range(stage.epochs):
+        order = rng.permutation(len(x))
+        epoch_losses = []
+        for batch_index, (lo, hi) in enumerate(bounds):
+            idx = order[lo:hi]
+            pred, backward = forward(x[idx])
+            loss, dpred = mse_loss(pred, y[idx])
+            if not np.isfinite(loss):
+                raise DivergenceError(epoch, batch_index, loss)
+            step(params, backward(dpred), epoch)
+            epoch_losses.append(loss)
+        history.append(float(np.mean(epoch_losses)))
+    return history
+
+
 def train_cnn(
     x: np.ndarray,
     y: np.ndarray,
@@ -171,26 +195,10 @@ def train_cnn(
         n_outputs=y.shape[1],
         seed=seed,
     )
-    # targets in the parameters' dtype, so the loss gradient and every
-    # gradient below it stay float32
-    y = y.astype(model.dtype, copy=False)
-    optimizer = Sgdm(model.parameters(), stage.lr0)
-    shuffle_rng = np.random.default_rng(seed + _SHUFFLE_OFFSET)
-    history: list[float] = []
-    for epoch in range(stage.epochs):
-        order = shuffle_rng.permutation(n)
-        epoch_losses = []
-        for batch_index, (lo, hi) in enumerate(_batch_bounds(n, CNN_BATCH)):
-            idx = order[lo:hi]
-            pred = model.forward(x[idx], mode="train")
-            loss, dpred = mse_loss(pred, y[idx])
-            if not np.isfinite(loss):
-                raise DivergenceError(epoch, batch_index, loss)
-            model.backward(dpred)
-            optimizer.step(model.parameters(), model.gradients(), epoch)
-            epoch_losses.append(loss)
-        history.append(float(np.mean(epoch_losses)))
-    return model, history
+    return model, _fit(
+        x, y, _batch_bounds(n, CNN_BATCH), stage, np.random.default_rng(seed + _SHUFFLE_OFFSET),
+        Sgdm, model.parameters(), lambda xb: (model.forward(xb, mode="train"), model.backward),
+    )
 
 
 def extract_dataset_features(cnn: CnnModel, x: np.ndarray) -> np.ndarray:
@@ -206,30 +214,19 @@ def train_lstm(
 ) -> tuple[LstmParams, list[float]]:
     """Stage 2: ADAM on last-step MSE of sequences x [S x k x F] against
     targets y [S x D], with 30% dropout before the readout."""
-    n = x.shape[0]
     params = init_lstm_params(
         feature_dim=x.shape[2],
         n_outputs=y.shape[1],
         seed=seed + _LSTM_INIT_OFFSET,
     )
-    y = y.astype(params.W.dtype, copy=False)  # as in train_cnn
-    optimizer = Adam(params.parameters(), stage.lr0)
     rng = np.random.default_rng(seed + _LSTM_SHUFFLE_OFFSET)
-    history: list[float] = []
-    for epoch in range(stage.epochs):
-        order = rng.permutation(n)
-        epoch_losses = []
-        for batch_index, start in enumerate(range(0, n, LSTM_BATCH)):
-            idx = order[start : start + LSTM_BATCH]
-            pred, cache = lstm_forward_batch(params, x[idx], mode="train", rng=rng)
-            loss, dpred = mse_loss(pred, y[idx])
-            if not np.isfinite(loss):
-                raise DivergenceError(epoch, batch_index, loss)
-            grads = lstm_backward(params, cache, dpred)
-            optimizer.step(params.parameters(), grads, epoch)
-            epoch_losses.append(loss)
-        history.append(float(np.mean(epoch_losses)))
-    return params, history
+
+    def forward(xb):
+        pred, cache = lstm_forward_batch(params, xb, mode="train", rng=rng)
+        return pred, lambda dpred: lstm_backward(params, cache, dpred)
+
+    bounds = [(s, s + LSTM_BATCH) for s in range(0, x.shape[0], LSTM_BATCH)]
+    return params, _fit(x, y, bounds, stage, rng, Adam, params.parameters(), forward)
 
 
 def preprocess_training(

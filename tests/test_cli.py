@@ -12,7 +12,14 @@ from click.testing import CliRunner
 
 from emgkin import __version__, cli, evaluation, synth, training
 from emgkin.cli import main
-from emgkin.errors import ConfigError, DataError, DivergenceError, LoadError, OutputPathError
+from emgkin.errors import (
+    ConfigError,
+    DataError,
+    DivergenceError,
+    InsufficientDataError,
+    LoadError,
+    OutputPathError,
+)
 from emgkin.evaluation import evaluate_model
 from emgkin.io import load_model, load_session, read_report, save_session
 from emgkin.synth import SynthConfig, generate
@@ -239,7 +246,7 @@ def test_data_that_is_a_file_exits_2(workspace, trained, tmp_path, command):
 
 def test_eval_names_a_test_fold_shorter_than_k(trained, tmp_path):
     """A 1 s session's test fold has 4 windows, fewer than the checkpoint's
-    k=18: eval exits 1 naming the session, the partition and k."""
+    k=18: eval exits 2 naming the session, the partition and k."""
     out, _ = trained
     save_session(
         generate(SynthConfig(protocol="P1", duration_s=1.0, seed=3)), tmp_path / "short"
@@ -248,11 +255,29 @@ def test_eval_names_a_test_fold_shorter_than_k(trained, tmp_path):
         ["eval", "--model", str(out), "--data", str(tmp_path / "short"),
          "--report", str(tmp_path / "r.json")]
     )
-    assert result.exit_code == 1
+    assert result.exit_code == 2
     assert (
         "error: session s0: test partition has 4 windows, fewer than k=18"
         in _all_output(result)
     )
+
+
+def test_train_names_a_session_shorter_than_k(workspace, tmp_path):
+    """A 1 s session has 14 windows, fewer than k=18: train exits 2 naming
+    the session, the partition and k, and writes no checkpoint."""
+    save_session(
+        generate(SynthConfig(protocol="P1", duration_s=1.0, seed=3)), tmp_path / "short"
+    )
+    result = _invoke(
+        ["train", "--config", str(workspace / "tiny.yaml"), "--data", str(tmp_path / "short"),
+         "--out", str(tmp_path / "m.ckpt")]
+    )
+    assert result.exit_code == 2
+    assert (
+        "error: session s0: training partition has 14 windows, fewer than k=18"
+        in _all_output(result)
+    )
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
@@ -362,6 +387,7 @@ def test_eval_refuses_session_of_other_protocol(trained, tmp_path):
         (LoadError("bad file"), 2),
         (DataError("bad rate"), 2),
         (OutputPathError("bad output"), 2),
+        (InsufficientDataError("short partition"), 2),
         (DivergenceError(0, 0, float("nan")), 1),
     ],
     ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
@@ -537,7 +563,7 @@ def test_sweep_reads_no_thread_variable(workspace, tmp_path):
 
 def test_sweep_refuses_a_short_test_fold_before_training(workspace, tmp_path, monkeypatch):
     """A 15 s session's test fold has 74 windows, fewer than the sweep's
-    largest k: the sweep exits 1 naming the session, the partition and k,
+    largest k: the sweep exits 2 naming the session, the partition and k,
     and stage 1 never trains."""
     save_session(
         generate(SynthConfig(protocol="P1", duration_s=15.0, seed=1)), tmp_path / "short"
@@ -551,7 +577,7 @@ def test_sweep_refuses_a_short_test_fold_before_training(workspace, tmp_path, mo
         ["sweep", "--what", "timesteps", "--config", str(workspace / "tiny.yaml"),
          "--data", str(tmp_path / "short"), "--out", str(tmp_path / "ks")]
     )
-    assert result.exit_code == 1
+    assert result.exit_code == 2
     assert (
         "error: session s0: test partition has 74 windows, fewer than k=98"
         in _all_output(result)

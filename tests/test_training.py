@@ -8,6 +8,8 @@ import pytest
 from emgkin import dsp, nn, training
 from emgkin.config import PipelineConfig, StageConfig
 from emgkin.errors import DataError, DivergenceError, InsufficientDataError
+from emgkin.evaluation import split_session
+from emgkin.optim import Adam, Sgdm
 from emgkin.synth import SynthConfig, generate
 from emgkin.training import (
     LabelScaler,
@@ -138,6 +140,127 @@ def test_train_cnn_diverges_loudly(tiny_session, tiny_config):
     stage = StageConfig(epochs=3, lr0=1e12)
     with pytest.raises(DivergenceError):
         train_cnn(x, y, stage, seed=0)
+
+
+def _spy_steps(monkeypatch, optimizer):
+    """Wrap ``optimizer.step``; the returned list collects, per step, the
+    live parameter dict and a copy of it taken after the step."""
+    steps = []
+    real = optimizer.step
+
+    def spy(self, params, grads, epoch):
+        real(self, params, grads, epoch)
+        steps.append((params, {name: p.copy() for name, p in params.items()}))
+
+    monkeypatch.setattr(optimizer, "step", spy)
+    return steps
+
+
+@pytest.mark.parametrize(
+    "train, shape, optimizer, offset, batch",
+    [
+        (train_cnn, (12, 3), Sgdm, training._SHUFFLE_OFFSET, training.CNN_BATCH),
+        (train_lstm, (4, nn.FEATURE_DIM), Adam, training._LSTM_SHUFFLE_OFFSET,
+         training.LSTM_BATCH),
+    ],
+    ids=["cnn", "lstm"],
+)
+def test_a_non_finite_target_stops_training_before_its_step(
+    monkeypatch, train, shape, optimizer, offset, batch
+):
+    """A NaN target in the first epoch's last batch raises DivergenceError
+    before that batch's step: every earlier batch took one step, and the
+    parameters are what those steps left."""
+    n = 3 * batch - 20
+    x, y = _float64_labelled(n, shape)
+    # the row the stage's first shuffle puts last
+    y[np.random.default_rng(3 + offset).permutation(n)[-1], 0] = np.nan
+    steps = _spy_steps(monkeypatch, optimizer)
+    with pytest.raises(DivergenceError) as caught:
+        train(x, y, StageConfig(epochs=2, lr0=1e-3), seed=3)
+    assert (caught.value.epoch, caught.value.batch) == (0, 2)
+    assert len(steps) == caught.value.batch
+    live, after_last_step = steps[-1]
+    for name, p in live.items():
+        assert p.tobytes() == after_last_step[name].tobytes(), name
+
+
+def test_train_cnn_merges_a_trailing_batch_of_one(monkeypatch):
+    """129 windows are one batch of 129, not 128 + 1: train-mode batch norm
+    cannot normalize a single window."""
+    steps = _spy_steps(monkeypatch, Sgdm)
+    _, history = train_cnn(*_float64_labelled(129, (12, 3)), StageConfig(epochs=2, lr0=1e-4))
+    assert len(history) == 2
+    assert len(steps) == 2
+
+
+def test_train_lstm_keeps_a_trailing_batch_of_one(monkeypatch):
+    """65 sequences are batches of 64 and 1: the LSTM has no batch norm, and
+    its batches are plain LSTM_BATCH steps."""
+    steps = _spy_steps(monkeypatch, Adam)
+    _, history = train_lstm(
+        *_float64_labelled(65, (4, nn.FEATURE_DIM)), StageConfig(epochs=2, lr0=1e-3)
+    )
+    assert len(history) == 2
+    assert len(steps) == 4
+
+
+# Folds 1-3 of a 20 s P1 session (synth seed 1), 1-epoch stages at seed 1:
+# the final loss of each stage, then the hybrid's and the CNN head's
+# predictions on fold 4 (degrees).
+_PINNED_CNN_LOSS = 1.80946883
+_PINNED_LSTM_LOSS = 1.04341741
+_PINNED_HYBRID = [
+    7.21632291, 6.91516616, 6.65897471, 6.72642818, 6.89490449, 6.65748768, 6.66967345,
+    6.47992532, 6.42847223, 6.07204898, 5.85178469, 5.7352756, 5.69604574, 5.50035395,
+    5.34035935, 5.40589585, 5.47258265, 5.70848464, 5.60183775, 5.35471624, 5.74095726,
+    5.90710858, 5.86194332, 5.76302133, 5.85722065, 5.94755139, 5.67684898, 5.578307,
+    5.84029249, 5.49901012, 5.1348956, 5.12047205, 5.16014234, 5.24508161, 5.46270878,
+    5.81238948, 5.76122015, 5.51200806, 5.17823652, 5.37640795, 5.56443767, 5.58593222,
+    5.38984129, 5.27962184, 5.20832334, 5.26998319, 5.03296654, 5.01510375, 4.89395215,
+    4.7508686, 4.72691353, 5.03035458, 5.02469447, 5.13751037, 5.25054074, 5.30398552,
+    5.35129513, 5.24178697, 5.5160867, 5.49579059, 5.52605583, 5.44848199, 5.83071264,
+    5.94782104, 5.88599686, 5.82880533, 6.1992562, 6.32075458, 6.38041932, 6.46211248,
+    6.48895761, 6.70327724, 6.88959801, 7.0119714, 6.96848014, 7.07306003, 7.23297911,
+    7.39797469, 7.48350895, 7.64253842, 7.78482761, 7.88265196,
+]
+_PINNED_CNN_HEAD = [
+    16.4426418, 15.6989915, 17.5563325, 17.8946911, 17.3203511, 16.0385649, 18.5997433,
+    18.7924809, 19.6975198, 21.1626825, 19.3269364, 17.3954079, 18.4989093, 15.4777491,
+    20.5600818, 19.5147845, 20.7046605, 19.7808776, 21.5789012, 21.3081472, 19.5832696,
+    20.2423328, 19.905288, 22.4149981, 21.9698494, 23.4371427, 16.5402995, 16.4447644,
+    15.1206029, 17.8582478, 23.1021343, 20.3725076, 17.1558814, 19.4839058, 17.7679681,
+    16.3587451, 18.5415633, 12.5632863, 17.348901, 20.9061672, 17.6650172, 18.3542912,
+    23.5177238, 15.6770849, 20.3225845, 19.9768326, 12.7335817, 15.7286256, 18.9249362,
+    15.9625118, 17.2428866, 12.6399638, 19.0455799, 23.7097833, 25.6554328, 12.8447136,
+    16.8434135, 23.7252302, 20.9472327, 12.9788855, 17.9283513, 23.2923732, 15.6651646,
+    17.4585934, 19.5243301, 13.4988437, 18.527232, 20.7886933, 19.7238673, 17.1696238,
+    19.8003039, 13.348777, 20.3811245, 20.644855, 19.5530064, 23.7892253, 18.3126546,
+    18.1659043, 26.2994953, 20.8444913, 17.3069212, 23.1340432, 20.6899554, 22.0825352,
+    16.8233363, 17.1677542, 19.4299541, 19.7091525, 21.4036042, 19.5380411, 19.1649042,
+    15.8095354, 19.7927311, 15.7639952, 18.4804198, 17.1394508, 17.2687565, 18.1025761,
+    16.6630053,
+]
+
+
+def test_a_trained_model_predicts_the_pinned_values():
+    """Training and inference keep their answers. Summing batch norm's mean
+    over the rows in reverse order, a float32 reordering, moves these
+    predictions by up to 8.6e-5 of the largest one and the losses by 2e-6
+    relative; nn.BN_MOMENTUM 0.2 in place of 0.1 moves the CNN head's by
+    0.43 of it and the LSTM loss by 8e-3 relative."""
+    train, test = split_session(generate(SynthConfig(protocol="P1", duration_s=20.0, seed=1)))
+    config = PipelineConfig(
+        seed=1, cnn=StageConfig(epochs=1, lr0=1e-4), lstm=StageConfig(epochs=1, lr0=1e-3)
+    )
+    run = train_hybrid(train, config)
+    np.testing.assert_allclose(run.cnn_loss, [_PINNED_CNN_LOSS], rtol=1e-4)
+    np.testing.assert_allclose(run.lstm_loss, [_PINNED_LSTM_LOSS], rtol=1e-4)
+    hybrid, cnn = predict_heads(run.model, test)
+    for traj, pinned in ((hybrid, _PINNED_HYBRID), (cnn, _PINNED_CNN_HEAD)):
+        pinned = np.array(pinned)[:, None]
+        atol = 1e-3 * np.abs(pinned).max()
+        np.testing.assert_allclose(traj.predictions, pinned, rtol=0, atol=atol)
 
 
 def test_train_hybrid_end_to_end(tiny_session, tiny_config):
