@@ -4,8 +4,8 @@ Every command echoes an ``effective-config:`` banner (one JSON line with all
 resolved values) so any run can be reproduced from its log. Exit codes:
 0 success, 1 runtime failure (e.g. divergence or a corrupt checkpoint),
 2 usage, config or input error (``ConfigError``, ``LoadError``, ``DataError``:
-e.g. a recording at a rate the model was not trained for, or a partition
-with fewer windows than k; ``OutputPathError``:
+e.g. a recording at a rate the model was not trained for, a partition
+with fewer windows than k, or a flat EMG channel; ``OutputPathError``:
 an output path that cannot be written, refused before any data is read).
 ``train``, ``eval`` and ``sweep`` take the protocol from the sessions under
 ``--data``; the ``train`` and ``sweep`` banners print it as ``protocol``

@@ -13,8 +13,9 @@ recording's own rate sets the window in samples: ``segment_windows(rec)``
 uses ``window_geometry(rec.fs_emg)``, and ``WINDOW_SAMPLES``/``HOP_SAMPLES``
 = 102/51 are only its values at the paper's 1024 Hz. ``DEFAULT_FS_EMG`` =
 1024 Hz, ``DEFAULT_FS_ANG`` = 100 Hz and ``N_CHANNELS`` = 6 are the paper's
-recording setup and what a session without ``meta.json`` is read as;
-``channel_names`` is the one rule that names channels (``ch1`` ...).
+recording setup; ``channel_names`` is the one rule that names channels
+(``ch1`` ...), and a training partition with a flat channel is refused
+naming its session (``DegenerateChannelError``, a ``DataError``).
 The rate rule is this module's: ``valid_emg_rate`` tests an EMG rate, and
 every ``SemgRecording``, read from files or not, checks each declared rate
 against its timestamps within ``RATE_TOLERANCE`` = 1 %.
@@ -331,7 +332,10 @@ def condition_blocks(
         fresh = block[len(shared) :]
         run(rec.emg[start * hop + len(shared) : end], fresh)
         if stats is None:
-            stats = NormalizationStats.fit(fresh)
+            try:
+                stats = NormalizationStats.fit(fresh)
+            except DegenerateChannelError as exc:
+                raise DegenerateChannelError(f"session {rec.session_id}: {exc}") from None
         _scale_in_place(stats, fresh)
         shared = block[(stop - start) * hop :]
         yield stats, _windows(block, window, hop)

@@ -17,7 +17,7 @@ class FilterDesignError(EmgkinError):
     """Filter specification cannot be realized (e.g. cutoff beyond Nyquist)."""
 
 
-class DegenerateChannelError(EmgkinError):
+class DegenerateChannelError(DataError):
     """A channel has zero dynamic range, so min-max scaling is undefined."""
 
 

@@ -20,7 +20,6 @@ partition is conditioned (filter, scale, window) by ``dsp.condition``.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Any, Sequence
 
@@ -275,15 +274,13 @@ def sweep_timesteps(
     config: PipelineConfig,
     data: SemgRecording | Sequence[SemgRecording],
     ks: Sequence[int] = DEFAULT_K_SWEEP,
-    max_workers: int = 1,
 ) -> list[EvaluationReport]:
     """Stage-2-only k sweep: one shared CNN, one LSTM retraining per k.
 
     Both partitions are checked against the largest k, then stage 1 runs
-    once and each k reuses its frozen CNN and deep features. The ks run on
-    the calling thread, or on ``max_workers`` > 1 threads with the same bytes.
-    Each report's runtime_s is the shared stage 1 plus that k's stage 2 and
-    inference.
+    once and each k, in turn, reuses its frozen CNN and deep features, so a
+    k's report has the bytes of that k trained alone. Each report's
+    runtime_s is the shared stage 1 plus that k's stage 2 and inference.
     """
     train_raw, test_raw, _ = partition(data)
     for rec, name in ((train_raw, "training"), (test_raw, "test")):
@@ -293,19 +290,16 @@ def sweep_timesteps(
     stage1 = training._train_cnn_stage(train_raw, config)
     shared_s = time.perf_counter() - shared_start
 
-    def run_k(k: int) -> EvaluationReport:
+    reports = []
+    for k in ks:
         start = time.perf_counter()
         model, _ = training._train_lstm_stage(
             stage1, train_raw, replace(config, k=int(k))
         )
         report = evaluate_model(model, data, baselines=False)[0]
         report.runtime_s = shared_s + time.perf_counter() - start
-        return report
-
-    if max_workers <= 1:
-        return [run_k(k) for k in ks]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(run_k, ks))
+        reports.append(report)
+    return reports
 
 
 def compare_matrix_modes(

@@ -9,10 +9,14 @@ Session format (one directory per session):
                 any channel count but ``dsp.N_CHANNELS`` with DataError
     angles.csv  header ``ANGLES_HEADER`` (``t,fe,ps,ru``, P4's DoFs) —
                 seconds, degrees; inactive DoF columns are zeros for P1-P3
-    meta.json   optional {protocol, session_id, fs_emg, fs_ang}; when absent
-                the protocol is inferred from which angle columns are nonzero
+    meta.json   required, with all of ``META_KEYS``: ``protocol`` (a key of
+                ``dsp.PROTOCOL_DOFS``), ``session_id`` (a non-empty string),
+                and the rates ``fs_emg`` and ``fs_ang`` (finite, positive Hz)
 
-``load_session`` checks the files, not the timestamps: the
+``load_session`` reads exactly this layout. A missing ``meta.json``, a
+missing key or a value its rule refuses is a LoadError naming the file and
+the key; nothing is guessed from the angle columns or the directory name.
+It checks the files, not the timestamps: the
 ``dsp.SemgRecording`` it builds applies ``dsp``'s rules (strictly increasing
 timestamps, named by data row, and the rate rule), and its DataError becomes
 a LoadError naming the session.
@@ -64,15 +68,13 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .dsp import DEFAULT_FS_ANG, DEFAULT_FS_EMG, LOWPASS_HZ, MATRIX_MODES, N_CHANNELS
+from .dsp import LOWPASS_HZ, MATRIX_MODES, N_CHANNELS
 from .dsp import PROTOCOL_DOFS, NormalizationStats, SemgRecording, matrix_length
 from .dsp import channel_names, valid_emg_rate
 from .errors import (
     CorruptCheckpointError,
     DataError,
-    DegenerateChannelError,
     DimensionError,
-    InsufficientDataError,
     LoadError,
     OutputPathError,
     UnsupportedVersionError,
@@ -138,6 +140,24 @@ def check_output(path: str | Path, directory: bool = False) -> Path:
 # sessions
 
 
+def _meta_rate(value: Any) -> bool:
+    """Whether ``value`` is a finite, positive rate in Hz."""
+    return type(value) in (int, float) and math.isfinite(value) and value > 0
+
+
+# meta.json's keys, in the order save_session writes them, each with what its
+# value must be and the rule load_session checks it by.
+_META_RULES = {
+    "protocol": (
+        "one of " + ", ".join(PROTOCOL_DOFS), lambda v: isinstance(v, str) and v in PROTOCOL_DOFS
+    ),
+    "session_id": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
+    "fs_emg": ("a finite positive number", _meta_rate),
+    "fs_ang": ("a finite positive number", _meta_rate),
+}
+META_KEYS = tuple(_META_RULES)
+
+
 def save_session(rec: SemgRecording, directory: str | Path) -> Path:
     """Write emg.csv / angles.csv / meta.json for one recording."""
     if rec.n_channels != N_CHANNELS:
@@ -148,12 +168,7 @@ def save_session(rec: SemgRecording, directory: str | Path) -> Path:
     by_name = dict(zip(rec.dof_names, rec.angles.T))
     angles = [by_name.get(name, np.zeros_like(rec.t_ang)) for name in ANGLE_COLUMNS]
     atomic_write_text(directory / ANGLES_FILE, csv_text(ANGLES_HEADER, [rec.t_ang, *angles]))
-    meta = {
-        "protocol": rec.protocol,
-        "session_id": rec.session_id,
-        "fs_emg": rec.fs_emg,
-        "fs_ang": rec.fs_ang,
-    }
+    meta = {key: getattr(rec, key) for key in META_KEYS}
     atomic_write_text(directory / META_FILE, json.dumps(meta, indent=2) + "\n")
     return directory
 
@@ -205,27 +220,24 @@ def _read_csv(path: Path, expected_header: str) -> np.ndarray:
     return data
 
 
-def _infer_protocol(full_angles: np.ndarray) -> str:
-    active = tuple(
-        name
-        for i, name in enumerate(ANGLE_COLUMNS)
-        if np.any(full_angles[:, i] != 0.0)
-    )
-    table = {tuple(dofs): protocol for protocol, dofs in PROTOCOL_DOFS.items()}
-    if active not in table:
-        raise LoadError(
-            f"cannot infer protocol from active angle columns {active}; "
-            "provide meta.json"
-        )
-    return table[active]
-
-
-def _meta_rate(meta: dict[str, Any], key: str, default: float) -> float:
-    """``meta[key]`` (``default`` if absent) as a finite, positive rate in Hz."""
-    value = meta.get(key, default)
-    if type(value) in (int, float) and math.isfinite(value) and value > 0:
-        return float(value)
-    raise LoadError(f"meta.json: {key} must be a finite positive number, got {value!r}")
+def _read_meta(path: Path) -> dict[str, Any]:
+    """meta.json as ``save_session`` writes it: an object with every key of
+    ``META_KEYS``, each value passing its rule. LoadError names the file,
+    and the key at fault."""
+    if not path.is_file():
+        raise LoadError(f"missing {path}")
+    try:
+        meta = json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise LoadError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise LoadError(f"{path}: expected a JSON object, got {meta!r:.80}")
+    for key, (want, valid) in _META_RULES.items():
+        if key not in meta:
+            raise LoadError(f"{path}: missing key {key!r}")
+        if not valid(meta[key]):
+            raise LoadError(f"{path}: {key} must be {want}, got {meta[key]!r:.80}")
+    return meta
 
 
 def load_session(directory: str | Path) -> SemgRecording:
@@ -233,20 +245,8 @@ def load_session(directory: str | Path) -> SemgRecording:
     directory = Path(directory)
     emg_data = _read_csv(directory / EMG_FILE, EMG_HEADER)
     ang_data = _read_csv(directory / ANGLES_FILE, ANGLES_HEADER)
-
-    meta_path = directory / META_FILE
-    meta: dict[str, Any] = {}
-    if meta_path.is_file():
-        try:
-            meta = json.loads(meta_path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise LoadError(f"meta.json: invalid JSON ({exc})") from exc
-        if not isinstance(meta, dict):
-            raise LoadError(f"meta.json: expected a JSON object, got {meta!r:.80}")
-    protocol = meta.get("protocol") or _infer_protocol(ang_data[:, 1:])
-    if not isinstance(protocol, str) or protocol not in PROTOCOL_DOFS:
-        raise LoadError(f"meta.json: unknown protocol {protocol!r}")
-    dof_names = PROTOCOL_DOFS[protocol]
+    meta = _read_meta(directory / META_FILE)
+    dof_names = PROTOCOL_DOFS[meta["protocol"]]
     angles = np.column_stack(
         [ang_data[:, 1 + ANGLE_COLUMNS.index(name)] for name in dof_names]
     )
@@ -256,10 +256,10 @@ def load_session(directory: str | Path) -> SemgRecording:
             t_emg=emg_data[:, 0],
             angles=angles,
             t_ang=ang_data[:, 0],
-            protocol=protocol,
-            session_id=str(meta.get("session_id", directory.name)),
-            fs_emg=_meta_rate(meta, "fs_emg", DEFAULT_FS_EMG),
-            fs_ang=_meta_rate(meta, "fs_ang", DEFAULT_FS_ANG),
+            protocol=meta["protocol"],
+            session_id=meta["session_id"],
+            fs_emg=float(meta["fs_emg"]),
+            fs_ang=float(meta["fs_ang"]),
         )
     except DataError as exc:
         raise LoadError(f"session {directory}: {exc}") from exc
@@ -361,7 +361,7 @@ def _header_field(header: dict, key: str, convert=None):
         raise CorruptCheckpointError(key, "missing from header") from None
     try:
         return value if convert is None else convert(value)
-    except (TypeError, ValueError, KeyError, DegenerateChannelError, InsufficientDataError) as exc:
+    except (TypeError, ValueError, KeyError, DataError) as exc:
         raise CorruptCheckpointError(key, f"{exc!r}; got {value!r:.80}") from None
 
 

@@ -19,8 +19,7 @@ head from one CNN pass, and refuses a recording at any other rate, even one
 that rounds to the same windows.
 
 All shuffling and dropout draw from generators derived from the run seed,
-so a (seed, config, dataset) triple reproduces bit-identical models;
-``evaluation.sweep_timesteps`` on worker threads gives its serial bytes.
+so a (seed, config, dataset) triple reproduces bit-identical models.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from emgkin.cli import main
 from emgkin.errors import (
     ConfigError,
     DataError,
+    DegenerateChannelError,
     DivergenceError,
     InsufficientDataError,
     LoadError,
@@ -280,6 +281,20 @@ def test_train_names_a_session_shorter_than_k(workspace, tmp_path):
     assert not (tmp_path / "m.ckpt").exists()
 
 
+def test_train_refuses_a_session_without_meta(workspace, tmp_path):
+    """A session directory without meta.json exits 2 naming the file, and no
+    protocol is guessed from its angle columns."""
+    shutil.copytree(workspace / "solo", tmp_path / "anon")
+    (tmp_path / "anon" / "meta.json").unlink()
+    result = _invoke(
+        ["train", "--config", str(workspace / "tiny.yaml"), "--data", str(tmp_path / "anon"),
+         "--out", str(tmp_path / "m.ckpt")]
+    )
+    assert result.exit_code == 2
+    assert f"error: missing {tmp_path / 'anon' / 'meta.json'}" in _all_output(result)
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
 def test_three_session_dir_exits_2(workspace, trained, tmp_path, command):
     """One session is intra, two are inter; three name no protocol."""
@@ -388,6 +403,7 @@ def test_eval_refuses_session_of_other_protocol(trained, tmp_path):
         (DataError("bad rate"), 2),
         (OutputPathError("bad output"), 2),
         (InsufficientDataError("short partition"), 2),
+        (DegenerateChannelError("session s0: channel(s) ch3 have max <= min"), 2),
         (DivergenceError(0, 0, float("nan")), 1),
     ],
     ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
@@ -531,8 +547,9 @@ def test_sweep_summary_carries_the_reports_exact_values(workspace, tmp_path):
 
 
 def test_train_names_a_flat_channel_by_its_csv_column(tmp_path):
-    """A session whose ch3 column is all zeros cannot be min-max scaled; the
-    error names the column as emg.csv does (exit code unchanged)."""
+    """A session whose ch3 column is all zeros cannot be min-max scaled: an
+    input fault, so exit 2, with the session and the column as emg.csv
+    names it."""
     rec = generate(SynthConfig(protocol="P1", duration_s=10.0, seed=3))
     emg = rec.emg.copy()
     emg[:, 2] = 0.0
@@ -541,8 +558,8 @@ def test_train_names_a_flat_channel_by_its_csv_column(tmp_path):
         ["train", "--desk", "--data", str(tmp_path / "flat"),
          "--out", str(tmp_path / "m.ckpt")]
     )
-    assert result.exit_code == 1
-    assert "error: channel(s) ch3 have max <= min" in _all_output(result)
+    assert result.exit_code == 2
+    assert "error: session s0: channel(s) ch3 have max <= min" in _all_output(result)
 
 
 def test_sweep_reads_no_thread_variable(workspace, tmp_path):

@@ -70,12 +70,45 @@ def test_p4_round_trip_keeps_all_angle_columns(tmp_path):
     np.testing.assert_array_equal(loaded.angles, rec.angles)
 
 
-def test_missing_meta_falls_back_to_inference(tiny_session, tmp_path):
+def test_missing_meta_is_refused_naming_its_path(tiny_session, tmp_path):
+    """Nothing is guessed for a session without meta.json: not its protocol
+    from the angle columns, nor its id from the directory name."""
     save_session(tiny_session, tmp_path / "anon")
     (tmp_path / "anon" / "meta.json").unlink()
-    loaded = load_session(tmp_path / "anon")
-    assert loaded.protocol == "P1"  # only the fe column is nonzero
-    assert loaded.session_id == "anon"  # directory name stands in
+    with pytest.raises(LoadError, match=re.escape(f"missing {tmp_path / 'anon' / 'meta.json'}")):
+        load_session(tmp_path / "anon")
+
+
+@pytest.mark.parametrize("key", ["protocol", "session_id", "fs_emg", "fs_ang"])
+def test_meta_missing_a_key_is_refused_naming_the_key(tiny_session, tmp_path, key):
+    save_session(tiny_session, tmp_path)
+    meta_path = tmp_path / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    del meta[key]
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(LoadError, match=re.escape(f"{meta_path}: missing key {key!r}")):
+        load_session(tmp_path)
+
+
+def test_p1_session_with_noisy_idle_columns_needs_its_meta(tmp_path):
+    """A goniometer reports all three angles, so a real P1 session has small
+    nonzero ps and ru columns. With its meta.json it loads as P1 with one
+    DoF; without it, it is refused rather than read as P4."""
+    rec = generate(SynthConfig(protocol="P1", duration_s=5.0, seed=1))
+    save_session(rec, tmp_path)
+    path = tmp_path / "angles.csv"
+    lines = path.read_text().splitlines()
+    t, fe, _, _ = lines[10].split(",")
+    lines[10] = ",".join([t, fe, "0.01", "0.01"])
+    path.write_text("\n".join(lines) + "\n")
+
+    loaded = load_session(tmp_path)
+    assert (loaded.protocol, loaded.dof_names) == ("P1", ["fe"])
+    np.testing.assert_array_equal(loaded.angles, rec.angles)
+
+    (tmp_path / "meta.json").unlink()
+    with pytest.raises(LoadError, match="meta.json"):
+        load_session(tmp_path)
 
 
 def test_missing_emg_csv_rejected(tmp_path):
@@ -218,12 +251,13 @@ def test_unknown_protocol_in_meta_rejected(tiny_session, tmp_path):
     meta = json.loads(meta_path.read_text())
     meta["protocol"] = "P9"
     meta_path.write_text(json.dumps(meta))
-    with pytest.raises(LoadError, match="unknown protocol"):
+    with pytest.raises(LoadError, match="protocol must be one of P1, P2, P3, P4, got 'P9'"):
         load_session(tmp_path)
 
 
 def test_uninferable_angles_need_meta(tmp_path):
-    # Two active single-DoF columns match no known protocol.
+    """Hand-written CSVs with two active single-DoF columns, and no
+    meta.json: the protocol is not guessed, the session is refused."""
     t_emg = np.arange(2048) / 1024.0
     t_ang = np.arange(200) / 100.0
     emg_lines = ["t," + ",".join(f"ch{i + 1}" for i in range(6))]
@@ -232,7 +266,7 @@ def test_uninferable_angles_need_meta(tmp_path):
     ang_lines = ["t,fe,ps,ru"]
     ang_lines += [f"{t},0.0,1.0,1.0" for t in t_ang]
     (tmp_path / "angles.csv").write_text("\n".join(ang_lines) + "\n")
-    with pytest.raises(LoadError, match="cannot infer protocol"):
+    with pytest.raises(LoadError, match=re.escape(f"missing {tmp_path / 'meta.json'}")):
         load_session(tmp_path)
 
 
@@ -251,12 +285,30 @@ def test_uninferable_angles_need_meta(tmp_path):
         '{"fs_ang": NaN}',
         '{"fs_ang": -100.0}',
         '{"protocol": ["P1"]}',
+        '{"protocol": null}',
+        '{"protocol": ""}',
+        '{"session_id": null}',
+        '{"session_id": ""}',
+        '{"session_id": 7}',
+        '{"fs_emg": true}',
     ],
 )
 def test_malformed_meta_raises_load_error(tiny_session, tmp_path, meta_text):
+    """A JSON value that is not an object replaces meta.json; an object
+    replaces one key of the saved meta.json, so the case meets that key's
+    rule and not a missing key."""
     save_session(tiny_session, tmp_path)
-    (tmp_path / "meta.json").write_text(meta_text)
-    with pytest.raises(LoadError, match="meta.json"):
+    meta_path = tmp_path / "meta.json"
+    value = json.loads(meta_text)
+    if isinstance(value, dict):
+        ((key, _),) = value.items()
+        meta = json.loads(meta_path.read_text())
+        meta.update(value)
+        meta_text, fault = json.dumps(meta), f"{key} must be"
+    else:
+        fault = "expected a JSON object"
+    meta_path.write_text(meta_text)
+    with pytest.raises(LoadError, match=re.escape(f"{meta_path}: {fault}")):
         load_session(tmp_path)
 
 

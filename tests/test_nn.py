@@ -619,6 +619,24 @@ def test_extract_peak_memory_is_one_chunk_over_the_fc1_buffer():
     assert peak <= fc1_bytes + chunk_bytes + slack, (peak, fc1_bytes, chunk_bytes)
 
 
+@pytest.mark.parametrize("shape", [(4, 2), (2, 2, 2)])
+def test_batchnorm_running_stats_follow_momentum_one_tenth(shape):
+    """One train-mode forward moves each running statistic a tenth of the way
+    to the batch's: per channel, mean [2, 4] and population variance [1, 4]
+    over every axis but the last."""
+    x = np.array([[1.0, 2.0], [3.0, 6.0], [3.0, 6.0], [1.0, 2.0]]).reshape(shape)
+    layer = nn.BatchNorm(2, np.float64)
+    layer.running_mean = np.array([10.0, -10.0])
+    layer.running_var = np.array([2.0, 3.0])
+    layer.forward(x, "train")
+    np.testing.assert_allclose(
+        layer.running_mean, [0.9 * 10.0 + 0.1 * 2.0, 0.9 * -10.0 + 0.1 * 4.0], rtol=1e-12
+    )
+    np.testing.assert_allclose(
+        layer.running_var, [0.9 * 2.0 + 0.1 * 1.0, 0.9 * 3.0 + 0.1 * 4.0], rtol=1e-12
+    )
+
+
 class ReferenceBatchNorm(nn.BatchNorm):
     """The batch norm this layer replaced: reductions over every axis but the
     last, ``x.var`` for the variance, and one expression per output."""

@@ -6,7 +6,8 @@ the click command tree: the subcommand must exist, and every ``--option``
 on the line must be one of that command's options. Every yaml block must
 load as a pipeline config. Every name a python block imports from emgkin
 must be an attribute of its module; the blocks are parsed, not run. The
-checkpoint version the README names is ``io.CHECKPOINT_VERSION``.
+checkpoint version the README names is ``io.CHECKPOINT_VERSION``, and the
+meta.json keys its session layout names are ``io.META_KEYS``.
 """
 
 import ast
@@ -19,7 +20,7 @@ import click
 import yaml
 
 from emgkin.cli import main
-from emgkin.io import CHECKPOINT_VERSION
+from emgkin.io import CHECKPOINT_VERSION, META_KEYS
 from emgkin.config import config_from_dict
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -84,3 +85,12 @@ def test_readme_python_imports_resolve():
 def test_readme_names_the_checkpoint_version():
     versions = re.findall(r"The format\s+is\s+version\s+(\d+)", README.read_text())
     assert versions == [str(CHECKPOINT_VERSION)]
+
+
+def test_readme_names_the_session_meta_keys():
+    """The session-layout paragraph names exactly the keys ``load_session``
+    requires, in the order ``save_session`` writes them."""
+    paragraphs = re.findall(r"\*\*Session layout\.\*\*(.*?)\n\n", README.read_text(), flags=re.S)
+    assert len(paragraphs) == 1, "README has no one Session layout paragraph"
+    (keys,) = re.findall(r"meta\.json` holds the keys ([^.]*)\.", paragraphs[0])
+    assert tuple(re.findall(r"`(\w+)`", keys)) == META_KEYS
