@@ -85,6 +85,11 @@ def valid_emg_rate(fs: float) -> bool:
     return math.isfinite(fs) and fs > 2 * LOWPASS_HZ
 
 
+def valid_session_id(session_id) -> bool:
+    """A non-empty ``str``: the id names the session in paths and messages."""
+    return isinstance(session_id, str) and session_id != ""
+
+
 @dataclass
 class SemgRecording:
     """One session of multi-channel sEMG with synchronized wrist angles.
@@ -113,6 +118,8 @@ class SemgRecording:
         self.t_ang = np.asarray(self.t_ang, dtype=np.float64)
         if self.protocol not in PROTOCOL_DOFS:
             raise DataError(f"unknown protocol {self.protocol!r}")
+        if not valid_session_id(self.session_id):
+            raise DataError(f"session_id must be a non-empty string, got {self.session_id!r}")
         if self.emg.ndim != 2 or self.angles.ndim != 2:
             raise DimensionError("emg and angles must be 2-D arrays")
         if self.angles.shape[1] != len(PROTOCOL_DOFS[self.protocol]):

@@ -129,12 +129,12 @@ class EvaluationReport:
     ``trajectory`` as ``_TRAJECTORY_KEYS`` names them.
 
     ``runtime_s`` is wall time, and what it covers depends on the model and
-    the driver: cnn-lstm from ``run_evaluation`` counts training plus
-    inference, from ``evaluate_model`` inference only; the cnn-lstm and cnn
-    reports from ``evaluate_model`` both carry the wall time of their one
-    shared inference pass (``training.predict_heads``); krr counts its own
-    filtering, features, tuning, fit and predict; a ``sweep_timesteps``
-    report counts the shared stage 1 plus that k's stage 2 and inference.
+    the driver: the cnn-lstm and cnn reports from ``evaluate_model`` both
+    carry the wall time of their one shared inference pass
+    (``training.predict_heads``), and a driver that trains the hybrid
+    (``run_evaluation``, ``sweep_timesteps``) adds its ``TrainingRun.train_s``
+    to the cnn-lstm report's; krr counts its own filtering, features,
+    tuning, fit and predict.
     """
 
     model: str  # cnn-lstm | cnn | krr
@@ -216,11 +216,9 @@ def run_evaluation(
     """
     train_raw, test_raw, _ = partition(data)
     training.require_windows(test_raw, config.k, "test")
-    start = time.perf_counter()
     run = training.train_hybrid(train_raw, config)
-    train_s = time.perf_counter() - start
     reports = evaluate_model(run.model, data, baselines)
-    reports[0].runtime_s += train_s
+    reports[0].runtime_s += run.train_s
     return reports
 
 
@@ -275,29 +273,19 @@ def sweep_timesteps(
     data: SemgRecording | Sequence[SemgRecording],
     ks: Sequence[int] = DEFAULT_K_SWEEP,
 ) -> list[EvaluationReport]:
-    """Stage-2-only k sweep: one shared CNN, one LSTM retraining per k.
+    """Stage-2-only k sweep: ``training.train_hybrids`` trains one shared
+    CNN and one LSTM per k, and each k's hybrid is scored in turn.
 
-    Both partitions are checked against the largest k, then stage 1 runs
-    once and each k, in turn, reuses its frozen CNN and deep features, so a
-    k's report has the bytes of that k trained alone. Each report's
-    runtime_s is the shared stage 1 plus that k's stage 2 and inference.
+    The test partition is checked against the largest k first, then
+    ``train_hybrids`` checks every k and the training partition before
+    anything trains, so a k's report has the bytes of that k trained alone.
     """
     train_raw, test_raw, _ = partition(data)
-    for rec, name in ((train_raw, "training"), (test_raw, "test")):
-        training.require_windows(rec, max(ks, default=1), name)
-
-    shared_start = time.perf_counter()
-    stage1 = training._train_cnn_stage(train_raw, config)
-    shared_s = time.perf_counter() - shared_start
-
+    training.require_windows(test_raw, max(ks, default=1), "test")
     reports = []
-    for k in ks:
-        start = time.perf_counter()
-        model, _ = training._train_lstm_stage(
-            stage1, train_raw, replace(config, k=int(k))
-        )
-        report = evaluate_model(model, data, baselines=False)[0]
-        report.runtime_s = shared_s + time.perf_counter() - start
+    for run in training.train_hybrids(train_raw, config, ks):
+        report = evaluate_model(run.model, data, baselines=False)[0]
+        report.runtime_s += run.train_s
         reports.append(report)
     return reports
 

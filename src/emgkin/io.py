@@ -70,7 +70,7 @@ import numpy as np
 
 from .dsp import LOWPASS_HZ, MATRIX_MODES, N_CHANNELS
 from .dsp import PROTOCOL_DOFS, NormalizationStats, SemgRecording, matrix_length
-from .dsp import channel_names, valid_emg_rate
+from .dsp import channel_names, valid_emg_rate, valid_session_id
 from .errors import (
     CorruptCheckpointError,
     DataError,
@@ -151,7 +151,7 @@ _META_RULES = {
     "protocol": (
         "one of " + ", ".join(PROTOCOL_DOFS), lambda v: isinstance(v, str) and v in PROTOCOL_DOFS
     ),
-    "session_id": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
+    "session_id": ("a non-empty string", valid_session_id),
     "fs_emg": ("a finite positive number", _meta_rate),
     "fs_ang": ("a finite positive number", _meta_rate),
 }

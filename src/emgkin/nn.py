@@ -407,11 +407,17 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
+def block_lengths(input_len: int) -> list[int]:
+    """The conv feature map's length before each block and after the last:
+    each of the ``CONV_CHANNELS`` blocks' pools takes ``MaxPool1d.SIZE - 1``
+    off the length."""
+    return [input_len - i * (MaxPool1d.SIZE - 1) for i in range(len(CONV_CHANNELS) + 1)]
+
+
 def flat_dim(input_len: int) -> int:
-    """fc1's input width for ``input_len``-long matrices: each of the
-    ``CONV_CHANNELS`` blocks' pools takes ``MaxPool1d.SIZE - 1`` off the
-    length, and the last block has ``CONV_CHANNELS[-1]`` channels."""
-    return (input_len - len(CONV_CHANNELS) * (MaxPool1d.SIZE - 1)) * CONV_CHANNELS[-1]
+    """fc1's input width for ``input_len``-long matrices: the last block's
+    length times its ``CONV_CHANNELS[-1]`` channels."""
+    return block_lengths(input_len)[-1] * CONV_CHANNELS[-1]
 
 
 class CnnModel:
@@ -465,11 +471,8 @@ class CnnModel:
         self.head = Dense(FEATURE_DIM, n_outputs, self.rng, dtype)
 
     def block_lengths(self) -> list[int]:
-        """Length of the conv feature map before each block and after the last."""
-        lengths = [self.input_len]
-        for _ in CONV_CHANNELS:
-            lengths.append(lengths[-1] - (MaxPool1d.SIZE - 1))
-        return lengths
+        """``block_lengths`` of this model's input length."""
+        return block_lengths(self.input_len)
 
     def _check_input(self, x: np.ndarray) -> None:
         if x.ndim != 3 or x.shape[1] != self.input_len or x.shape[2] != self.in_channels:

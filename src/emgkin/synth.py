@@ -37,10 +37,10 @@ the timestamps, made after the squares) and one block's temporaries: the
 tracemalloc peak at 300 s is 1.24 times the recording.
 
 ``SynthConfig`` holds only what callers vary: protocol, duration, SNR,
-seed, session id and EMG rate. It refuses a rate unless
+seed and EMG rate. It refuses a rate unless
 ``dsp.valid_emg_rate``, and a duration that gives fewer than 2 angle or EMG
-samples. Session B of ``generate_session_pair`` multiplies G by a seeded
-jitter within +-``GAIN_JITTER``.
+samples. A session's id is ``s0``; session B of ``generate_session_pair``,
+``s0_b``, multiplies G by a seeded jitter within +-``GAIN_JITTER``.
 """
 
 from __future__ import annotations
@@ -103,7 +103,6 @@ class SynthConfig:
     duration_s: float = 180.0
     snr_db: float = 20.0
     seed: int = 0
-    session_id: str = "s0"
     fs_emg: float = DEFAULT_FS_EMG
 
     def __post_init__(self):
@@ -194,7 +193,7 @@ def generate(config: SynthConfig) -> SemgRecording:
     return _generate(config, default_gain(config.protocol))
 
 
-def _generate(config: SynthConfig, gain: np.ndarray) -> SemgRecording:
+def _generate(config: SynthConfig, gain: np.ndarray, session_id: str = "s0") -> SemgRecording:
     """One seeded session with the [N x D] channel ``gain``."""
     rng = np.random.default_rng(config.seed)
     n_emg, n_ang = config._sample_counts()
@@ -232,7 +231,7 @@ def _generate(config: SynthConfig, gain: np.ndarray) -> SemgRecording:
         angles=_angles_at(config, t_ang),
         t_ang=t_ang,
         protocol=config.protocol,
-        session_id=config.session_id,
+        session_id=session_id,
         fs_emg=config.fs_emg,
         fs_ang=DEFAULT_FS_ANG,
     )
@@ -250,9 +249,5 @@ def generate_session_pair(
     session_a = _generate(config, gain)
     jitter_rng = np.random.default_rng(config.seed + SESSION_SEED_OFFSET)
     jitter = 1.0 + GAIN_JITTER * jitter_rng.uniform(-1.0, 1.0, gain.shape)
-    config_b = dataclasses.replace(
-        config,
-        seed=config.seed + SESSION_SEED_OFFSET,
-        session_id=f"{config.session_id}_b",
-    )
-    return session_a, _generate(config_b, gain * jitter)
+    config_b = dataclasses.replace(config, seed=config.seed + SESSION_SEED_OFFSET)
+    return session_a, _generate(config_b, gain * jitter, "s0_b")

@@ -10,6 +10,11 @@ epochs and run one epoch loop, ``_fit``: it casts the float64 targets once
 to the parameters' float32, so every gradient is float32, refuses a
 non-finite loss before its step, and records one mean loss per epoch.
 
+``train_hybrids`` is the one training path: stage 1 does not depend on k,
+so it runs once and each k of a sweep trains its own stage 2 on it;
+``train_hybrid`` is its one-k case. Each ``TrainingRun`` carries its wall
+time, ``train_s``: stage 1 plus that k's stage 2.
+
 Training conditions a recording through ``dsp.condition``, and prediction
 through ``dsp.condition_blocks`` one eval chunk at a time, with the training
 stats stored in the model. A model keeps the EMG rate it was trained at
@@ -24,7 +29,9 @@ so a (seed, config, dataset) triple reproduces bit-identical models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -134,11 +141,12 @@ class PredictionTrajectory:
 
 @dataclass
 class TrainingRun:
-    """Both stages' per-epoch mean losses and the trained model."""
+    """Both stages' per-epoch mean losses, the trained model and its training time."""
 
     cnn_loss: list[float]
     lstm_loss: list[float]
     model: HybridModel
+    train_s: float  # wall time of stage 1 plus this run's stage 2
 
 
 def _batch_bounds(n: int, batch: int) -> list[tuple[int, int]]:
@@ -235,53 +243,16 @@ def preprocess_training(
 
     Returns (stats, scaler, windows, x, y): ``windows`` [M x window x N] are
     the scaled samples, ``x`` [M x L x N] their input matrices and ``y``
-    [M x D] the labels standardized for the optimizers (see LabelScaler).
+    [M x D] the labels standardized for the optimizers (see LabelScaler);
+    constant labels are refused naming the session.
     """
     stats, windows, labels, _ = dsp.condition(rec)
-    scaler = LabelScaler.fit(labels)
+    try:
+        scaler = LabelScaler.fit(labels)
+    except InsufficientDataError as exc:
+        raise InsufficientDataError(f"session {rec.session_id}: {exc}") from None
     x, y = dsp.stack_matrices(windows, scaler.transform(labels), config.matrix_mode)
     return stats, scaler, windows, x, y
-
-
-@dataclass
-class _CnnStage:
-    """Stage 1's output, shared by every stage 2 trained on top of it."""
-
-    stats: NormalizationStats
-    scaler: LabelScaler
-    cnn: CnnModel
-    loss: list[float]
-    features: np.ndarray  # [M x 20] deep features in segmentation order
-    y: np.ndarray  # [M x D] standardized labels
-
-
-def _train_cnn_stage(rec: SemgRecording, config: PipelineConfig) -> _CnnStage:
-    """Stage 1: preprocess the training recording, train the CNN, and extract
-    the deep features stage 2 trains on."""
-    stats, scaler, _, x, y = preprocess_training(rec, config)
-    cnn, cnn_hist = train_cnn(x, y, config.cnn, seed=config.seed)
-    features = extract_dataset_features(cnn, x)
-    return _CnnStage(stats, scaler, cnn, cnn_hist, features, y)
-
-
-def _train_lstm_stage(
-    stage1: _CnnStage, rec: SemgRecording, config: PipelineConfig
-) -> tuple[HybridModel, list[float]]:
-    """Stage 2: train the LSTM on config.k-step sequences of the frozen
-    CNN's features and assemble the hybrid."""
-    seqs, targets = stack_sequences(stage1.features, stage1.y, config.k)
-    lstm, lstm_hist = train_lstm(seqs, targets, config.lstm, seed=config.seed)
-    model = HybridModel(
-        cnn=stage1.cnn,
-        lstm=lstm,
-        norm_stats=stage1.stats,
-        label_scaler=stage1.scaler,
-        k=config.k,
-        matrix_mode=config.matrix_mode,
-        dof_names=list(rec.dof_names),
-        fs_emg=rec.fs_emg,
-    )
-    return model, lstm_hist
 
 
 def require_windows(rec: SemgRecording, k: int, partition: str) -> None:
@@ -293,12 +264,43 @@ def require_windows(rec: SemgRecording, k: int, partition: str) -> None:
         )
 
 
+def train_hybrids(
+    rec: SemgRecording, config: PipelineConfig, ks: Sequence[int]
+) -> list[TrainingRun]:
+    """One hybrid per k of ``ks``, all on one stage 1.
+
+    Every k's config is built, and the recording checked against the
+    largest k, before anything trains. Stage 1 (preprocessing, the CNN and
+    its deep features) does not depend on k and runs once; each k then
+    trains its own LSTM on k-step sequences of the frozen CNN's features, so
+    a k's run has the bytes of that k trained alone. Each run's ``train_s``
+    is stage 1's wall time plus that k's stage 2."""
+    configs = [replace(config, k=int(k)) for k in ks]
+    require_windows(rec, max((c.k for c in configs), default=1), "training")
+    start = time.perf_counter()
+    stats, scaler, _, x, y = preprocess_training(rec, config)
+    cnn, cnn_loss = train_cnn(x, y, config.cnn, seed=config.seed)
+    features = extract_dataset_features(cnn, x)
+    stage1_s = time.perf_counter() - start
+    runs = []
+    for cfg in configs:
+        start = time.perf_counter()
+        seqs, targets = stack_sequences(features, y, cfg.k)
+        lstm, lstm_loss = train_lstm(seqs, targets, cfg.lstm, seed=cfg.seed)
+        model = HybridModel(
+            cnn=cnn, lstm=lstm, norm_stats=stats, label_scaler=scaler, k=cfg.k,
+            matrix_mode=cfg.matrix_mode, dof_names=list(rec.dof_names), fs_emg=rec.fs_emg,
+        )
+        train_s = stage1_s + time.perf_counter() - start
+        runs.append(TrainingRun(cnn_loss, lstm_loss, model, train_s))
+    return runs
+
+
 def train_hybrid(rec: SemgRecording, config: PipelineConfig) -> TrainingRun:
-    """Run both stages on one training recording of at least config.k windows."""
-    require_windows(rec, config.k, "training")
-    stage1 = _train_cnn_stage(rec, config)
-    model, lstm_hist = _train_lstm_stage(stage1, rec, config)
-    return TrainingRun(cnn_loss=stage1.loss, lstm_loss=lstm_hist, model=model)
+    """``train_hybrids``' one-k case: both stages on one training recording of
+    at least config.k windows."""
+    (run,) = train_hybrids(rec, config, [config.k])
+    return run
 
 
 def predict_heads(

@@ -455,8 +455,8 @@ def test_unwritable_output_exits_2_before_any_work(
     before = sorted(tmp_path.rglob("*"))
     calls = []
     for owner, name in [(cli, "_load_sessions"), (training, "train_hybrid"),
-                        (evaluation, "evaluate_model"), (evaluation, "compare_matrix_modes"),
-                        (synth, "generate")]:
+                        (training, "train_hybrids"), (evaluation, "evaluate_model"),
+                        (evaluation, "compare_matrix_modes"), (synth, "generate")]:
         monkeypatch.setattr(owner, name, lambda *a, name=name, **kw: calls.append(name))
     fields = {"solo": workspace / "solo", "model": trained[0], "tmp": tmp_path}
     result = _invoke([arg.format(**fields) for arg in args])
@@ -560,6 +560,20 @@ def test_train_names_a_flat_channel_by_its_csv_column(tmp_path):
     )
     assert result.exit_code == 2
     assert "error: session s0: channel(s) ch3 have max <= min" in _all_output(result)
+
+
+def test_train_names_a_session_whose_labels_are_constant(tmp_path):
+    """A session whose fe column never moves cannot be standardized: an
+    input fault, so exit 2, naming the session."""
+    rec = generate(SynthConfig(protocol="P1", duration_s=20.0, seed=3))
+    save_session(replace(rec, angles=np.full_like(rec.angles, 5.0)), tmp_path / "still")
+    result = _invoke(
+        ["train", "--desk", "--data", str(tmp_path / "still"),
+         "--out", str(tmp_path / "m.ckpt")]
+    )
+    assert result.exit_code == 2
+    assert "error: session s0: label std [0.] is not positive" in _all_output(result)
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_sweep_reads_no_thread_variable(workspace, tmp_path):

@@ -154,6 +154,16 @@ def test_recording_names_the_first_row_whose_timestamp_does_not_increase(field, 
         replace(rec, **{field: t})
 
 
+@pytest.mark.parametrize("session_id", ["", 7, None])
+def test_recording_refuses_a_session_id_that_is_not_a_non_empty_string(session_id):
+    """The id names the session in paths and messages, and meta.json's rule
+    is this one: so ``save_session`` cannot write a session that
+    ``load_session`` refuses."""
+    rec = make_recording(np.random.default_rng(2).normal(size=(2048, 6)))
+    with pytest.raises(DataError, match="session_id must be a non-empty string"):
+        replace(rec, session_id=session_id)
+
+
 def test_designed_sections_are_stable():
     for sos in dsp.standard_chain(FS):
         for section in sos:
@@ -349,6 +359,36 @@ def test_only_dsp_composes_the_conditioning_chain():
             else:
                 continue
             offenders += [f"{path.name}:{node.lineno} {n}" for n in names if n in steps]
+    assert offenders == []
+
+
+def test_no_module_reads_another_modules_private_names():
+    """An ``_``-prefixed name is its module's own: no other package module
+    reads it as an attribute (``training._x``) or imports it
+    (``from .training import _x``)."""
+    offenders = []
+    for path in sorted(Path(dsp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {  # the names ``from . import dsp, nn`` binds to sibling modules
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                owner, names = node.value.id, [node.attr]
+                if owner not in imported:
+                    continue
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                owner, names = node.module, [alias.name for alias in node.names]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno} {owner}.{name}"
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            ]
     assert offenders == []
 
 

@@ -300,6 +300,13 @@ def test_run_evaluation_emits_all_models(quick_reports):
         assert np.isfinite(rep.dof[0]["r2"])
 
 
+def test_run_evaluation_counts_training_in_the_hybrids_runtime(quick_reports):
+    """The cnn-lstm report adds the run's ``train_s`` to the inference pass
+    both heads' reports share."""
+    hybrid, cnn, _ = quick_reports
+    assert hybrid.runtime_s > cnn.runtime_s
+
+
 def test_trajectory_lengths_follow_model_kind(quick_reports, quick_session):
     _, test = split_session(quick_session)
     m = (len(test.emg) - 102) // 51 + 1
@@ -333,6 +340,18 @@ def test_sweep_timesteps_counts_and_order_independence(quick_config, quick_sessi
         assert rep_s.dof == alone.dof
         np.testing.assert_array_equal(rep_s.predictions, alone.predictions)
         np.testing.assert_array_equal(rep_s.timestamps, alone.timestamps)
+
+
+def test_sweep_refuses_a_bad_k_before_anything_trains(quick_config, quick_session, monkeypatch):
+    """Every k's config is built before stage 1, so k=0 is refused before
+    the CNN or any k's LSTM trains."""
+
+    def no_training(*args, **kwargs):
+        pytest.fail("the sweep trained before refusing k=0")
+
+    monkeypatch.setattr(training, "train_cnn", no_training)
+    with pytest.raises(ConfigError, match="k must be >= 1, got 0"):
+        sweep_timesteps(quick_config, quick_session, ks=(8, 0))
 
 
 @pytest.fixture(scope="module")

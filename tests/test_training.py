@@ -9,6 +9,7 @@ from emgkin import dsp, nn, training
 from emgkin.config import PipelineConfig, StageConfig
 from emgkin.errors import DataError, DivergenceError, InsufficientDataError
 from emgkin.evaluation import split_session
+from emgkin.io import save_model
 from emgkin.optim import Adam, Sgdm
 from emgkin.synth import SynthConfig, generate
 from emgkin.training import (
@@ -20,6 +21,7 @@ from emgkin.training import (
     preprocess_training,
     train_cnn,
     train_hybrid,
+    train_hybrids,
     train_lstm,
 )
 from conftest import traced_peak
@@ -270,6 +272,23 @@ def test_train_hybrid_end_to_end(tiny_session, tiny_config):
     assert run.model.k == tiny_config.k
     assert run.model.dof_names == ["fe"]
     assert run.model.lstm.W.shape == (4 * 50, 70)
+
+
+def test_train_hybrids_gives_each_k_the_run_of_that_k_trained_alone(tiny_session, tmp_path):
+    """One shared stage 1 and one stage 2 per k: each k's checkpoint and both
+    loss histories equal ``train_hybrid`` on that k, and every run's
+    ``train_s`` is positive."""
+    cfg = PipelineConfig(
+        seed=5, cnn=StageConfig(epochs=1, lr0=1e-4), lstm=StageConfig(epochs=1, lr0=1e-3)
+    )
+    runs = train_hybrids(tiny_session, cfg, ks=(12, 8))
+    assert [run.model.k for run in runs] == [12, 8]
+    for run in runs:
+        alone = train_hybrid(tiny_session, dataclasses.replace(cfg, k=run.model.k))
+        shared = save_model(run.model, tmp_path / "shared.ckpt").read_bytes()
+        assert shared == save_model(alone.model, tmp_path / "alone.ckpt").read_bytes()
+        assert (run.cnn_loss, run.lstm_loss) == (alone.cnn_loss, alone.lstm_loss)
+        assert run.train_s > 0 and alone.train_s > 0
 
 
 def test_hybrid_loss_decreases_with_more_epochs(tiny_session):
