@@ -2,7 +2,8 @@
 
 Sweeps the sequence length k over {8, 18, 58, 98} on one short session.
 The CNN trains once; each k only retrains the LSTM stage on the same frozen
-deep features.
+deep features, and every k is scored from one pass of that CNN over the
+test fold.
 """
 from emgkin.config import PipelineConfig, desk_preset
 from emgkin.evaluation import sweep_timesteps

@@ -5,7 +5,8 @@ resolved values) so any run can be reproduced from its log. Exit codes:
 0 success, 1 runtime failure (e.g. divergence or a corrupt checkpoint),
 2 usage, config or input error (``ConfigError``, ``LoadError``, ``DataError``:
 e.g. a recording at a rate the model was not trained for, a partition
-with fewer windows than k, or a flat EMG channel; ``OutputPathError``:
+with fewer windows than k, a training channel that is flat before or after
+filtering, or a test partition whose angle never moves; ``OutputPathError``:
 an output path that cannot be written, refused before any data is read).
 ``train``, ``eval`` and ``sweep`` take the protocol from the sessions under
 ``--data``; the ``train`` and ``sweep`` banners print it as ``protocol``
@@ -14,8 +15,8 @@ beside the ``config`` mapping. The sessions also set the split
 (folds 1-3 train, fold 4 tests), two inter-session (train on the first,
 test on the second), and any other count exits 2.
 ``sweep`` runs its variants one after another. The timesteps sweep trains
-one CNN shared by every k and one LSTM per k; the matrix-mode sweep trains a
-whole model per mode.
+one shared CNN and one LSTM per k and scores every k from one pass over the
+test partition; the matrix-mode sweep trains a whole model per mode.
 """
 
 from __future__ import annotations

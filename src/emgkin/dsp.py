@@ -324,12 +324,16 @@ def condition_blocks(
     (``_chain_runner``), and scaled in place; the ``window - hop`` samples it
     shares with that block are copied over already scaled. With ``stats``
     None the min/max are fitted on the filtered recording, which needs one
-    block. Every window has the bytes of ``condition``'s one-block pass."""
+    block, after the same rule has refused a channel whose raw samples are
+    constant: the high-pass's start-up transient would give it a range.
+    Every window has the bytes of ``condition``'s one-block pass."""
     window, hop = window_geometry(rec.fs_emg)
     n_samples, n_channels = rec.emg.shape
     n_windows = len(window_end_times(rec))
-    if stats is None and len(bounds) != 1:
-        raise ValueError("fitting the min/max needs the recording in one block")
+    if stats is None:
+        if len(bounds) != 1:
+            raise ValueError("fitting the min/max needs the recording in one block")
+        NormalizationStats.fit(rec.emg)
     run = _chain_runner(rec.fs_emg, n_channels)
     shared = np.empty((0, n_channels))  # scaled samples the next block starts with
     for start, stop in bounds:
@@ -339,10 +343,7 @@ def condition_blocks(
         fresh = block[len(shared) :]
         run(rec.emg[start * hop + len(shared) : end], fresh)
         if stats is None:
-            try:
-                stats = NormalizationStats.fit(fresh)
-            except DegenerateChannelError as exc:
-                raise DegenerateChannelError(f"session {rec.session_id}: {exc}") from None
+            stats = NormalizationStats.fit(fresh)
         _scale_in_place(stats, fresh)
         shared = block[(stop - start) * hop :]
         yield stats, _windows(block, window, hop)
@@ -355,10 +356,14 @@ def condition(
     one partition, ``condition_blocks`` over one block. With ``stats`` None
     the min/max are fitted on ``rec`` (a training partition); given stats are
     applied and returned as they are, so a test partition's windows may
-    leave [0, 1]. The call holds one scaled copy of the recording beyond
-    ``rec``, and the windows are views into it."""
+    leave [0, 1], and a flat channel is refused naming the session. The call
+    holds one scaled copy of the recording beyond ``rec``, and the windows
+    are views into it."""
     labels, end_times = window_labels(rec)
-    ((stats, windows),) = condition_blocks(rec, stats, [(0, len(end_times))])
+    try:
+        ((stats, windows),) = condition_blocks(rec, stats, [(0, len(end_times))])
+    except DegenerateChannelError as exc:
+        raise DegenerateChannelError(f"session {rec.session_id}: {exc}") from None
     return stats, windows, labels, end_times
 
 

@@ -129,12 +129,12 @@ class EvaluationReport:
     ``trajectory`` as ``_TRAJECTORY_KEYS`` names them.
 
     ``runtime_s`` is wall time, and what it covers depends on the model and
-    the driver: the cnn-lstm and cnn reports from ``evaluate_model`` both
-    carry the wall time of their one shared inference pass
-    (``training.predict_heads``), and a driver that trains the hybrid
-    (``run_evaluation``, ``sweep_timesteps``) adds its ``TrainingRun.train_s``
-    to the cnn-lstm report's; krr counts its own filtering, features,
-    tuning, fit and predict.
+    the driver: every cnn-lstm report and the cnn report of one
+    ``evaluate_model`` call carry the wall time of its one shared inference
+    pass (``training.predict_heads``), and the training drivers
+    (``run_evaluation``, ``sweep_timesteps``) add each run's
+    ``TrainingRun.train_s`` to its cnn-lstm report's; krr counts its own
+    filtering, features, tuning, fit and predict.
     """
 
     model: str  # cnn-lstm | cnn | krr
@@ -211,60 +211,68 @@ def run_evaluation(
     """Train on ``partition(data)``'s training set, score every model on its test.
 
     Returns reports for cnn-lstm, then (if ``baselines``) cnn-only and krr,
-    all on the identical split. The cnn-lstm report's runtime_s includes
-    training.
+    all on the identical split: ``_train_and_score`` for the one k
+    ``config.k``. The cnn-lstm report's runtime_s includes training.
     """
-    train_raw, test_raw, _ = partition(data)
-    training.require_windows(test_raw, config.k, "test")
-    run = training.train_hybrid(train_raw, config)
-    reports = evaluate_model(run.model, data, baselines)
-    reports[0].runtime_s += run.train_s
-    return reports
+    return _train_and_score(config, data, [config.k], baselines)
+
+
+def _require_scorable(test_raw: SemgRecording, k: int) -> None:
+    """Refuse, naming its session, a test partition of fewer than k windows
+    or with a DoF whose angle never moves, on which R² is undefined."""
+    training.require_windows(test_raw, k, "test")
+    flat = [d for d, span in zip(test_raw.dof_names, np.ptp(test_raw.angles, axis=0)) if span == 0]
+    if flat:
+        raise DataError(f"session {test_raw.session_id}: test partition's "
+                        f"{', '.join(flat)} angle is constant; R² is undefined")
 
 
 def evaluate_model(
-    model: HybridModel,
+    models: HybridModel | Sequence[HybridModel],
     data: SemgRecording | Sequence[SemgRecording],
     baselines: bool = False,
 ) -> list[EvaluationReport]:
-    """Score an already-trained hybrid on ``partition(data)``'s test set.
+    """Score one trained hybrid, or the models of one stage 1 (the runs of
+    one ``training.train_hybrids``), on ``partition(data)``'s test set.
 
-    The training set is only touched when ``baselines`` is set (the KRR
-    baseline must fit on it); the hybrid itself is not retrained. Every
-    report is built here, by one construction: each DoF scored by
-    ``r_squared``, and the protocol, split, k and matrix mode shared, so the
-    KRR report carries the hybrid's k and matrix mode. A test set of fewer
-    than the model's k windows is refused first, naming its session.
+    The data is partitioned once, and a test set of fewer windows than the
+    largest k, or with a constant DoF, is refused first, naming its session.
+    One ``training.predict_heads`` pass scores every hybrid and the CNN head;
+    the training set is only touched when ``baselines`` is set (the KRR
+    baseline must fit on it). Every report is built here, by one
+    construction: one cnn-lstm report per model, in order, then cnn and krr
+    if ``baselines``, which carry the first model's k and matrix mode.
     """
+    models = [models] if isinstance(models, HybridModel) else list(models)
     train_raw, test_raw, split = partition(data)
-    training.require_windows(test_raw, model.k, "test")
+    _require_scorable(test_raw, max((m.k for m in models), default=1))
     start = time.perf_counter()
-    hybrid, cnn = training.predict_heads(model, test_raw)
+    *hybrids, cnn = training.predict_heads(models, test_raw)
     heads_s = time.perf_counter() - start
-    scored = [("cnn-lstm", hybrid, heads_s, model.cnn.input_len)]
+    scored = [("cnn-lstm", m, traj, heads_s, m.cnn.input_len) for m, traj in zip(models, hybrids)]
     if baselines:
         start = time.perf_counter()
         krr_traj, window = _krr_trajectory(train_raw, test_raw)
-        scored.append(("cnn", cnn, heads_s, model.cnn.input_len))
-        scored.append(("krr", krr_traj, time.perf_counter() - start, window))
-    shared = dict(
-        protocol=test_raw.protocol, split=split, k=model.k, matrix_mode=model.matrix_mode
-    )
+        scored.append(("cnn", models[0], cnn, heads_s, models[0].cnn.input_len))
+        scored.append(("krr", models[0], krr_traj, time.perf_counter() - start, window))
     return [
         EvaluationReport(
             model=name,
+            protocol=test_raw.protocol,
+            split=split,
             dof=[
                 {"name": dof, "r2": r_squared(traj.truths[:, d], traj.predictions[:, d])}
                 for d, dof in enumerate(traj.dof_names)
             ],
+            k=hybrid.k,
+            matrix_mode=hybrid.matrix_mode,
             runtime_s=runtime_s,
             input_len=input_len,
             timestamps=traj.timestamps,
             truths=traj.truths,
             predictions=traj.predictions,
-            **shared,
         )
-        for name, traj, runtime_s, input_len in scored
+        for name, hybrid, traj, runtime_s, input_len in scored
     ]
 
 
@@ -273,20 +281,23 @@ def sweep_timesteps(
     data: SemgRecording | Sequence[SemgRecording],
     ks: Sequence[int] = DEFAULT_K_SWEEP,
 ) -> list[EvaluationReport]:
-    """Stage-2-only k sweep: ``training.train_hybrids`` trains one shared
-    CNN and one LSTM per k, and each k's hybrid is scored in turn.
+    """Stage-2-only k sweep, ``_train_and_score`` without baselines: one
+    shared CNN, one LSTM per k, and every k scored from one pass over the
+    test partition. A k's report has the bytes of that k trained alone."""
+    return _train_and_score(config, data, ks, baselines=False)
 
-    The test partition is checked against the largest k first, then
-    ``train_hybrids`` checks every k and the training partition before
-    anything trains, so a k's report has the bytes of that k trained alone.
-    """
+
+def _train_and_score(config, data, ks, baselines) -> list[EvaluationReport]:
+    """Both training drivers' one body: the test partition is checked against
+    the largest k (no k is a ValueError), ``training.train_hybrids`` checks
+    the rest before anything trains, one ``evaluate_model`` scores every run,
+    and each cnn-lstm report's runtime_s gains its run's ``train_s``."""
     train_raw, test_raw, _ = partition(data)
-    training.require_windows(test_raw, max(ks, default=1), "test")
-    reports = []
-    for run in training.train_hybrids(train_raw, config, ks):
-        report = evaluate_model(run.model, data, baselines=False)[0]
+    _require_scorable(test_raw, max(ks))
+    runs = training.train_hybrids(train_raw, config, ks)
+    reports = evaluate_model([run.model for run in runs], data, baselines)
+    for run, report in zip(runs, reports):
         report.runtime_s += run.train_s
-        reports.append(report)
     return reports
 
 

@@ -19,9 +19,9 @@ Training conditions a recording through ``dsp.condition``, and prediction
 through ``dsp.condition_blocks`` one eval chunk at a time, with the training
 stats stored in the model. A model keeps the EMG rate it was trained at
 (``HybridModel.fs_emg``); its window and hop lengths follow from that rate
-(``dsp.window_geometry``). ``predict_heads`` scores the hybrid and the CNN
-head from one CNN pass, and refuses a recording at any other rate, even one
-that rounds to the same windows.
+(``dsp.window_geometry``). ``predict_heads`` scores every hybrid of one
+stage 1 and the CNN head from one conditioning and one CNN pass, and refuses
+a recording at any other rate, even one that rounds to the same windows.
 
 All shuffling and dropout draw from generators derived from the run seed,
 so a (seed, config, dataset) triple reproduces bit-identical models.
@@ -304,14 +304,15 @@ def train_hybrid(rec: SemgRecording, config: PipelineConfig) -> TrainingRun:
 
 
 def predict_heads(
-    model: HybridModel, rec: SemgRecording
-) -> tuple[PredictionTrajectory, PredictionTrajectory]:
-    """(hybrid, CNN head) trajectories from one conditioning and one CNN pass.
+    models: Sequence[HybridModel], rec: SemgRecording
+) -> list[PredictionTrajectory]:
+    """Each model's hybrid trajectory, then the CNN head's, from one CNN pass.
 
-    The LSTM gives one y_k per k-window sequence, stamped with its last
-    window's end time; the CNN head one y per window from the same features.
-    Raises DataError if the recording's protocol has other DoFs than the
-    model's, or its EMG rate is not the model's.
+    The models share one stage 1 (the runs of one ``train_hybrids``): one
+    ``cnn``, ``norm_stats`` and ``label_scaler``, else ValueError. Each LSTM
+    gives one y_k per k-window sequence, stamped with its last window's end
+    time; the CNN head one y per window from the same features. Raises
+    DataError if the recording's DoFs or EMG rate are not the models'.
 
     No copy of the recording's samples is made. The windows are taken in
     the CNN's eval chunks (``nn.eval_chunk_bounds``): ``dsp.condition_blocks``
@@ -324,6 +325,9 @@ def predict_heads(
     above its start under ``tracemalloc``, below the recording's own
     14.7 MB. Each step gives the bytes of one pass over the whole
     recording."""
+    if len({(id(m.cnn), id(m.norm_stats), id(m.label_scaler)) for m in models}) != 1:
+        raise ValueError("predict_heads takes models that share one stage 1")
+    model = models[0]
     if rec.dof_names != model.dof_names:
         raise DataError(
             f"recording {rec.session_id} is protocol {rec.protocol} (DoFs "
@@ -342,21 +346,21 @@ def predict_heads(
     features = model.cnn.extract_chunks(
         (dsp.build_matrices(windows, model.matrix_mode) for _, windows in blocks), len(labels)
     )
-    seqs, y_true = stack_sequences(features, labels, model.k)
-    y_pred, _ = lstm_forward_batch(model.lstm, seqs, mode="eval", keep_cache=False)
-    y_cnn = model.cnn.head.forward(features, "eval")
     inverse, names = model.label_scaler.inverse, model.dof_names
-    return (
-        PredictionTrajectory(end_times[model.k - 1 :], inverse(y_pred), y_true, list(names)),
-        PredictionTrajectory(end_times, inverse(y_cnn), labels, list(names)),
-    )
+    heads = []
+    for m in models:
+        seqs, y_true = stack_sequences(features, labels, m.k)
+        y_k, _ = lstm_forward_batch(m.lstm, seqs, mode="eval", keep_cache=False)
+        heads.append(PredictionTrajectory(end_times[m.k - 1 :], inverse(y_k), y_true, list(names)))
+    y_cnn = model.cnn.head.forward(features, "eval")
+    return [*heads, PredictionTrajectory(end_times, inverse(y_cnn), labels, list(names))]
 
 
 def predict(model: HybridModel, rec: SemgRecording) -> PredictionTrajectory:
-    """The hybrid's trajectory from ``predict_heads``."""
-    return predict_heads(model, rec)[0]
+    """The hybrid's trajectory: ``predict_heads``' one-model case."""
+    return predict_heads([model], rec)[0]
 
 
 def predict_cnn_only(model: HybridModel, rec: SemgRecording) -> PredictionTrajectory:
     """Stage-1-only inference: the CNN head's trajectory from ``predict_heads``."""
-    return predict_heads(model, rec)[1]
+    return predict_heads([model], rec)[1]

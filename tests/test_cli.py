@@ -576,6 +576,56 @@ def test_train_names_a_session_whose_labels_are_constant(tmp_path):
     assert not (tmp_path / "m.ckpt").exists()
 
 
+def test_train_refuses_a_channel_that_is_constant_before_filtering(tmp_path):
+    """A ch3 held at 0.5 leaves the high-pass with only its start-up
+    transient, which would give the channel a range to scale by: the raw
+    samples are checked by the same rule, so this exits 2 like a channel of
+    zeros, naming the session and the column, and writes no checkpoint."""
+    rec = generate(SynthConfig(protocol="P1", duration_s=20.0, seed=3))
+    emg = rec.emg.copy()
+    emg[:, 2] = 0.5
+    save_session(replace(rec, emg=emg), tmp_path / "offset")
+    result = _invoke(
+        ["train", "--desk", "--data", str(tmp_path / "offset"),
+         "--out", str(tmp_path / "m.ckpt")]
+    )
+    assert result.exit_code == 2
+    assert "error: session s0: channel(s) ch3 have max <= min" in _all_output(result)
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_eval_names_a_session_whose_test_angles_are_constant(trained, tmp_path):
+    """R² is undefined on a test partition whose fe angle never moves: an
+    input fault, so exit 2 naming the session and the DoF, and no report."""
+    rec = generate(SynthConfig(protocol="P1", duration_s=20.0, seed=3))
+    save_session(replace(rec, angles=np.full_like(rec.angles, 5.0)), tmp_path / "still")
+    report = tmp_path / "r.json"
+    result = _invoke(
+        ["eval", "--model", str(trained[0]), "--data", str(tmp_path / "still"),
+         "--report", str(report), "--baselines"]
+    )
+    assert result.exit_code == 2
+    assert "error: session s0: test partition's fe angle is constant" in _all_output(result)
+    assert not report.exists() and not report.with_suffix(".trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("level", [0.0, 0.5])
+def test_eval_scores_a_test_partition_with_a_dead_channel(trained, tmp_path, level):
+    """A test partition is scaled by the training partition's min/max, so a
+    dead test electrode is still defined input: ``eval`` scores it."""
+    rec = generate(SynthConfig(protocol="P1", duration_s=20.0, seed=3))
+    emg = rec.emg.copy()
+    emg[:, 2] = level
+    save_session(replace(rec, emg=emg), tmp_path / "dead")
+    report = tmp_path / "r.json"
+    result = _invoke(
+        ["eval", "--model", str(trained[0]), "--data", str(tmp_path / "dead"),
+         "--report", str(report)]
+    )
+    assert result.exit_code == 0, _all_output(result)
+    assert read_report(report).model == "cnn-lstm"
+
+
 def test_sweep_reads_no_thread_variable(workspace, tmp_path):
     """``sweep`` runs its variants one after another: a thread count in the
     environment is not read, and the banner has no ``workers`` key."""

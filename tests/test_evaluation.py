@@ -252,7 +252,7 @@ def test_pair_of_two_protocols_is_refused_up_front(quick_config, monkeypatch):
     def no_training(*args, **kwargs):
         pytest.fail("run_evaluation trained before refusing the pair")
 
-    monkeypatch.setattr(training, "train_hybrid", no_training)
+    monkeypatch.setattr(training, "train_hybrids", no_training)
     with pytest.raises(DataError, match=protocols):
         run_evaluation(quick_config, [p1, p2])
 
@@ -285,7 +285,7 @@ def test_pair_at_two_rates_is_refused_up_front(quick_config, p1_model, monkeypat
     def no_training(*args, **kwargs):
         pytest.fail("run_evaluation trained before refusing the pair")
 
-    monkeypatch.setattr(training, "train_hybrid", no_training)
+    monkeypatch.setattr(training, "train_hybrids", no_training)
     with pytest.raises(DataError, match=rates):
         run_evaluation(quick_config, pair)
 
@@ -352,6 +352,91 @@ def test_sweep_refuses_a_bad_k_before_anything_trains(quick_config, quick_sessio
     monkeypatch.setattr(training, "train_cnn", no_training)
     with pytest.raises(ConfigError, match="k must be >= 1, got 0"):
         sweep_timesteps(quick_config, quick_session, ks=(8, 0))
+
+
+def test_sweep_of_no_k_is_refused_before_anything_trains(quick_config, quick_session, monkeypatch):
+    """A sweep over no k has nothing to score, so stage 1 does not train."""
+
+    def no_training(*args, **kwargs):
+        pytest.fail("the sweep trained with no k to score")
+
+    monkeypatch.setattr(training, "train_cnn", no_training)
+    with pytest.raises(ValueError, match="empty"):
+        sweep_timesteps(quick_config, quick_session, ks=())
+
+
+@pytest.fixture
+def pass_counts(monkeypatch):
+    """Counts, while the test runs, of conditioning passes (each one
+    ``dsp.condition_blocks`` call) and eval-mode CNN passes (each one
+    ``CnnModel.extract_chunks`` call)."""
+    calls = {"filter": 0, "eval_cnn": 0}
+    condition_blocks, extract_chunks = dsp.condition_blocks, nn.CnnModel.extract_chunks
+
+    def counted_conditioning(rec, stats, bounds):
+        calls["filter"] += 1
+        return condition_blocks(rec, stats, bounds)
+
+    def counted_extract(self, chunks, n):
+        calls["eval_cnn"] += 1
+        return extract_chunks(self, chunks, n)
+
+    monkeypatch.setattr(dsp, "condition_blocks", counted_conditioning)
+    monkeypatch.setattr(nn.CnnModel, "extract_chunks", counted_extract)
+    return calls
+
+
+def test_a_k_sweep_conditions_and_runs_the_cnn_once_per_partition(p1_short, pass_counts):
+    """A 4-k sweep conditions each partition once and runs the eval-mode CNN
+    once over each: stage 1's features, then one shared pass over the test
+    partition that every k's LSTM reads (scoring each k alone took 5 and 5)."""
+    config = PipelineConfig(
+        seed=1, cnn=StageConfig(epochs=1, lr0=1e-4), lstm=StageConfig(epochs=1, lr0=1e-3)
+    )
+    reports = sweep_timesteps(config, p1_short, ks=(8, 18, 58, 98))
+    assert [r.k for r in reports] == [8, 18, 58, 98]
+    assert pass_counts == {"filter": 2, "eval_cnn": 2}
+
+
+def test_evaluate_model_scores_the_models_of_one_stage_1_in_order(quick_config, quick_session):
+    """A list of models gives one cnn-lstm report per model, in order, then
+    cnn and krr carrying the first model's k; each hybrid's report has the
+    bytes of that model scored alone, and all three heads' reports share the
+    one inference pass's wall time."""
+    train, _ = split_session(quick_session)
+    models = [run.model for run in training.train_hybrids(train, quick_config, ks=(12, 8))]
+    reports = evaluate_model(models, quick_session, baselines=True)
+    assert [(r.model, r.k) for r in reports] == [
+        ("cnn-lstm", 12), ("cnn-lstm", 8), ("cnn", 12), ("krr", 12)
+    ]
+    for model, report in zip(models, reports):
+        alone = evaluate_model(model, quick_session)[0]
+        assert report.dof == alone.dof
+        assert report.predictions.tobytes() == alone.predictions.tobytes()
+        assert report.timestamps.tobytes() == alone.timestamps.tobytes()
+    assert reports[0].runtime_s == reports[1].runtime_s == reports[2].runtime_s
+
+
+def test_a_constant_test_angle_is_refused_before_training(
+    quick_config, p1_model, monkeypatch
+):
+    """A test partition whose fe angle never moves has no R²: scoring it is
+    refused naming the session and the DoF, and ``run_evaluation`` refuses
+    it before anything trains."""
+    rec = generate(SynthConfig(protocol="P1", duration_s=20.0, seed=3))
+    angles = rec.angles.copy()
+    angles[len(angles) // 2 :] = 5.0  # all of fold 4, while folds 1-3 move
+    rec = dataclasses.replace(rec, angles=angles)
+
+    def no_training(*args, **kwargs):
+        pytest.fail("run_evaluation trained before refusing the constant test angle")
+
+    monkeypatch.setattr(training, "train_cnn", no_training)
+    message = "session s0: test partition's fe angle is constant"
+    with pytest.raises(DataError, match=message):
+        evaluate_model(p1_model, rec, baselines=True)
+    with pytest.raises(DataError, match=message):
+        run_evaluation(quick_config, rec)
 
 
 @pytest.fixture(scope="module")
@@ -448,7 +533,7 @@ def test_three_reports_share_split_protocol_and_model_settings(p1_model, quick_s
 
 
 def test_both_heads_share_one_conditioning_and_one_cnn_pass(
-    p1_model, quick_session, monkeypatch
+    p1_model, quick_session, monkeypatch, pass_counts
 ):
     """With baselines, the test partition is conditioned (filtered, scaled
     and windowed) once for both heads and once for KRR, the training
@@ -456,21 +541,8 @@ def test_both_heads_share_one_conditioning_and_one_cnn_pass(
     conditioning pass is one ``dsp.condition_blocks`` call and every eval
     CNN pass one ``CnnModel.extract_chunks`` call. The two head reports
     equal ``predict`` and ``predict_cnn_only`` byte for byte."""
-    calls = {"filter": 0, "eval_cnn": 0}
-    condition_blocks, extract_chunks = dsp.condition_blocks, nn.CnnModel.extract_chunks
-
-    def counted_conditioning(rec, stats, bounds):
-        calls["filter"] += 1
-        return condition_blocks(rec, stats, bounds)
-
-    def counted_extract(self, chunks, n):
-        calls["eval_cnn"] += 1
-        return extract_chunks(self, chunks, n)
-
-    monkeypatch.setattr(dsp, "condition_blocks", counted_conditioning)
-    monkeypatch.setattr(nn.CnnModel, "extract_chunks", counted_extract)
     hybrid, cnn, _ = evaluate_model(p1_model, quick_session, baselines=True)
-    assert calls == {"filter": 3, "eval_cnn": 1}
+    assert pass_counts == {"filter": 3, "eval_cnn": 1}
     monkeypatch.undo()
 
     _, test = split_session(quick_session)

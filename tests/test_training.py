@@ -258,7 +258,7 @@ def test_a_trained_model_predicts_the_pinned_values():
     run = train_hybrid(train, config)
     np.testing.assert_allclose(run.cnn_loss, [_PINNED_CNN_LOSS], rtol=1e-4)
     np.testing.assert_allclose(run.lstm_loss, [_PINNED_LSTM_LOSS], rtol=1e-4)
-    hybrid, cnn = predict_heads(run.model, test)
+    hybrid, cnn = predict_heads([run.model], test)
     for traj, pinned in ((hybrid, _PINNED_HYBRID), (cnn, _PINNED_CNN_HEAD)):
         pinned = np.array(pinned)[:, None]
         atol = 1e-3 * np.abs(pinned).max()
@@ -289,6 +289,16 @@ def test_train_hybrids_gives_each_k_the_run_of_that_k_trained_alone(tiny_session
         assert shared == save_model(alone.model, tmp_path / "alone.ckpt").read_bytes()
         assert (run.cnn_loss, run.lstm_loss) == (alone.cnn_loss, alone.lstm_loss)
         assert run.train_s > 0 and alone.train_s > 0
+
+
+def test_predict_heads_refuses_models_of_two_stage_1s(desk_tiny_runs, tiny_session):
+    """Models of two ``train_hybrid`` calls have two CNNs, even trained
+    alike, so no one pass can score them both; no model at all is refused
+    the same way."""
+    models = [run.model for run in desk_tiny_runs]
+    for refused in (models, []):
+        with pytest.raises(ValueError, match="share one stage 1"):
+            predict_heads(refused, tiny_session)
 
 
 def test_hybrid_loss_decreases_with_more_epochs(tiny_session):
@@ -414,13 +424,13 @@ def test_predict_heads_memory_is_bounded_by_the_recording(
     matrices and LSTM over the whole recording peaked at 19.3 and 33.6 MB."""
     model = train_hybrid(tiny_session, tiny_config).model
     bound = 7 * p1_session.emg.nbytes
-    (hybrid, cnn), peak = traced_peak(predict_heads, model, p1_session)
+    (hybrid, cnn), peak = traced_peak(predict_heads, [model], p1_session)
     assert len(cnn.predictions) == (len(p1_session.emg) - 102) // 51 + 1
     assert len(hybrid.predictions) == len(cnn.predictions) - model.k + 1
     assert peak <= bound, (peak, bound)
 
     long = generate(SynthConfig(protocol="P1", duration_s=300.0, seed=1001))
-    _, peak = traced_peak(predict_heads, model, long)
+    _, peak = traced_peak(predict_heads, [model], long)
     assert peak < long.emg.nbytes, (peak, long.emg.nbytes)
 
 
@@ -446,7 +456,7 @@ def test_predict_heads_keeps_the_whole_recording_bytes(tiny_session, tiny_config
     block), 137.7 s (2,763 windows, 22 blocks) and 300 s (6,005 windows)."""
     model = train_hybrid(tiny_session, tiny_config).model
     rec = generate(SynthConfig(protocol="P1", duration_s=duration_s, seed=97))
-    heads = predict_heads(model, rec)
+    heads = predict_heads([model], rec)
     for traj, reference in zip(heads, whole_recording_heads(model, rec), strict=True):
         assert traj.predictions.dtype == reference.dtype
         assert traj.predictions.tobytes() == reference.tobytes()
