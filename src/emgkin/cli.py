@@ -4,9 +4,10 @@ Every command echoes an ``effective-config:`` banner (one JSON line with all
 resolved values) so any run can be reproduced from its log. Exit codes:
 0 success, 1 runtime failure (e.g. divergence or a corrupt checkpoint),
 2 usage, config or input error (``ConfigError``, ``LoadError``, ``DataError``:
-e.g. a recording at a rate the model was not trained for, a partition
-with fewer windows than k, a training channel that is flat before or after
-filtering, or a test partition whose angle never moves; ``OutputPathError``:
+e.g. a recording of another protocol, rate or channel count than the
+checkpoint or the pair's other session, a partition with fewer windows than
+k, a training channel that is flat before or after filtering, or a test
+partition whose angle never moves; ``OutputPathError``:
 an output path that cannot be written, refused before any data is read).
 ``train``, ``eval`` and ``sweep`` take the protocol from the sessions under
 ``--data``; the ``train`` and ``sweep`` banners print it as ``protocol``

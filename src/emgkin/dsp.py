@@ -18,7 +18,9 @@ recording setup; ``channel_names`` is the one rule that names channels
 naming its session (``DegenerateChannelError``, a ``DataError``).
 The rate rule is this module's: ``valid_emg_rate`` tests an EMG rate, and
 every ``SemgRecording``, read from files or not, checks each declared rate
-against its timestamps within ``RATE_TOLERANCE`` = 1 %.
+against its timestamps within ``RATE_TOLERANCE`` = 1 %. ``require_match`` is
+the one rule for whether a recording meets a model or the other session of
+a pair: the same DoFs, EMG rate and channel count.
 ``condition_blocks`` runs filter -> scale -> window over consecutive blocks
 of windows, and no other module composes those steps; ``condition`` is that
 pass over one block, for a training or test partition. Each block filters
@@ -265,6 +267,25 @@ def window_geometry(fs: float) -> tuple[int, int]:
     return int(round(WINDOW_MS * fs / 1000.0)), int(round(HOP_MS * fs / 1000.0))
 
 
+def require_match(rec: SemgRecording, other: str, dof_names, fs_emg, n_channels) -> None:
+    """Refuse, with a DataError naming the session, ``other`` and both values,
+    a recording that cannot meet ``other`` (the model, or the other session of
+    a pair) of these DoFs, EMG rate and channel count: another protocol,
+    another rate, even one that windows alike as 1020 Hz does 1024 Hz (both
+    geometries are named), or another channel count."""
+    name = f"session {rec.session_id}"
+    if rec.dof_names != list(dof_names):
+        protocol = next((p for p, dofs in PROTOCOL_DOFS.items() if dofs == list(dof_names)), "?")
+        raise DataError(f"{name} is protocol {rec.protocol} (DoFs {', '.join(rec.dof_names)}), "
+                        f"but {other} is protocol {protocol} (DoFs {', '.join(dof_names)})")
+    if rec.fs_emg != fs_emg:
+        mine, theirs = ("%d/%d" % window_geometry(fs) for fs in (rec.fs_emg, fs_emg))
+        raise DataError(f"{name} is at {rec.fs_emg:g} Hz (window/hop {mine} samples), "
+                        f"but {other} is at {fs_emg:g} Hz ({theirs})")
+    if rec.n_channels != n_channels:
+        raise DataError(f"{name} has {rec.n_channels} EMG channels, but {other} has {n_channels}")
+
+
 def _windows(emg: np.ndarray, window: int, hop: int) -> np.ndarray:
     """Read-only views [M x window x N] of every ``window``-sample run of
     ``emg`` [T x N] that starts on a multiple of ``hop``."""
@@ -274,8 +295,8 @@ def _windows(emg: np.ndarray, window: int, hop: int) -> np.ndarray:
 def window_end_times(rec: SemgRecording) -> np.ndarray:
     """End time [M] of each of ``segment_windows(rec)``'s windows, from the
     timestamps alone; none if ``rec`` is shorter than one window."""
-    window_samples, hop_samples = window_geometry(rec.fs_emg)
-    return rec.t_emg[window_samples - 1 :: hop_samples]
+    window, hop = window_geometry(rec.fs_emg)
+    return rec.t_emg[window - 1 :: hop]
 
 
 def window_labels(rec: SemgRecording) -> tuple[np.ndarray, np.ndarray]:

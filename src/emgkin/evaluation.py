@@ -13,8 +13,8 @@ at raw-sample boundaries floor(i*T/4) — folds 1-3 train, fold 4 tests — and
 each partition is filtered/segmented independently so no window straddles
 the boundary and no test sample leaks into preprocessing statistics. A pair
 of sessions is scored inter-session: train on the whole first, test on the
-whole second, and the two must share one protocol and one EMG rate. Every
-partition is conditioned (filter, scale, window) by ``dsp.condition``.
+whole second; the two must share protocol, EMG rate and channel count.
+Every partition is conditioned (filter, scale, window) by ``dsp.condition``.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ def partition(
 
     One recording (or a sequence of one) is quartered by ``split_session``;
     a pair trains on the whole first session and tests on the whole second.
-    A pair of two protocols or two EMG rates raises DataError.
+    A pair of two protocols, two EMG rates or two channel counts raises
+    DataError (``dsp.require_match``).
     """
     sessions = [data] if isinstance(data, SemgRecording) else list(data)
     if len(sessions) == 1:
@@ -66,18 +67,8 @@ def partition(
         return train, test, f"intra:{train.session_id}:folds123/fold4"
     if len(sessions) == 2:
         train, test = sessions
-        if train.protocol != test.protocol:
-            raise DataError(
-                f"session {train.session_id} is protocol {train.protocol} but "
-                f"{test.session_id} is protocol {test.protocol}; an inter-session "
-                "pair must share one protocol"
-            )
-        if train.fs_emg != test.fs_emg:
-            raise DataError(
-                f"session {train.session_id} is at {train.fs_emg:g} Hz but "
-                f"{test.session_id} is at {test.fs_emg:g} Hz; an inter-session "
-                "pair must share one EMG rate"
-            )
+        dsp.require_match(train, f"session {test.session_id}", test.dof_names, test.fs_emg,
+                          test.n_channels)
         return train, test, f"inter:{train.session_id}->{test.session_id}"
     raise ConfigError(
         "evaluation takes one session (intra) or two (inter), "

@@ -481,14 +481,6 @@ class CnnModel:
                 f"got {tuple(x.shape)}"
             )
 
-    def _features(self, x: np.ndarray, mode: Mode) -> np.ndarray:
-        if mode == "train":
-            for _, layer in self._feature_layers:
-                x = layer.forward(x, mode)
-            return x
-        chunks = (x[start:stop] for start, stop in eval_chunk_bounds(len(x)))
-        return self.extract_chunks(chunks, len(x))
-
     def extract_chunks(self, chunks: Iterable[np.ndarray], n: int) -> np.ndarray:
         """Deep features [n x 20] of a batch of ``n`` inputs given as
         ``chunks``: the inputs of its ``eval_chunk_bounds(n)`` chunks, in
@@ -535,13 +527,18 @@ class CnnModel:
         return x
 
     def forward(self, x: np.ndarray, mode: Mode = "eval") -> np.ndarray:
+        if mode != "train":
+            return self.head.forward(self.extract(x), mode)
         self._check_input(x)
-        return self.head.forward(self._features(x, mode), mode)
+        for _, layer in [*self._feature_layers, ("head", self.head)]:
+            x = layer.forward(x, mode)
+        return x
 
     def extract(self, x: np.ndarray) -> np.ndarray:
         """Deep features [B x 20]; deterministic (eval mode)."""
         self._check_input(x)
-        return self._features(x, "eval")
+        chunks = (x[start:stop] for start, stop in eval_chunk_bounds(len(x)))
+        return self.extract_chunks(chunks, len(x))
 
     def backward(self, dpred: np.ndarray) -> dict[str, np.ndarray]:
         """Backpropagate a gradient on predictions through the head and every

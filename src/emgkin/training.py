@@ -21,7 +21,8 @@ stats stored in the model. A model keeps the EMG rate it was trained at
 (``HybridModel.fs_emg``); its window and hop lengths follow from that rate
 (``dsp.window_geometry``). ``predict_heads`` scores every hybrid of one
 stage 1 and the CNN head from one conditioning and one CNN pass, and refuses
-a recording at any other rate, even one that rounds to the same windows.
+(``dsp.require_match``) a recording of other DoFs or channels or at any
+other rate, even one that rounds to the same windows.
 
 All shuffling and dropout draw from generators derived from the run seed,
 so a (seed, config, dataset) triple reproduces bit-identical models.
@@ -38,7 +39,7 @@ import numpy as np
 from . import dsp, nn
 from .config import PipelineConfig, StageConfig
 from .dsp import NormalizationStats, SemgRecording
-from .errors import DataError, DimensionError, DivergenceError, InsufficientDataError
+from .errors import DimensionError, DivergenceError, InsufficientDataError
 from .lstm import (
     LstmParams,
     init_lstm_params,
@@ -270,13 +271,13 @@ def train_hybrids(
     """One hybrid per k of ``ks``, all on one stage 1.
 
     Every k's config is built, and the recording checked against the
-    largest k, before anything trains. Stage 1 (preprocessing, the CNN and
-    its deep features) does not depend on k and runs once; each k then
-    trains its own LSTM on k-step sequences of the frozen CNN's features, so
-    a k's run has the bytes of that k trained alone. Each run's ``train_s``
-    is stage 1's wall time plus that k's stage 2."""
+    largest k (no k is a ValueError), before anything trains. Stage 1
+    (preprocessing, the CNN and its features) does not depend on k and runs
+    once; each k then trains its own LSTM on k-step sequences of the frozen
+    CNN's features, so a k's run has the bytes of that k trained alone. Each
+    run's ``train_s`` is stage 1's wall time plus that k's stage 2."""
     configs = [replace(config, k=int(k)) for k in ks]
-    require_windows(rec, max((c.k for c in configs), default=1), "training")
+    require_windows(rec, max(c.k for c in configs), "training")
     start = time.perf_counter()
     stats, scaler, _, x, y = preprocess_training(rec, config)
     cnn, cnn_loss = train_cnn(x, y, config.cnn, seed=config.seed)
@@ -311,8 +312,8 @@ def predict_heads(
     The models share one stage 1 (the runs of one ``train_hybrids``): one
     ``cnn``, ``norm_stats`` and ``label_scaler``, else ValueError. Each LSTM
     gives one y_k per k-window sequence, stamped with its last window's end
-    time; the CNN head one y per window from the same features. Raises
-    DataError if the recording's DoFs or EMG rate are not the models'.
+    time; the CNN head one y per window from the same features. A recording
+    of other DoFs, EMG rate or channel count is refused (``dsp.require_match``).
 
     No copy of the recording's samples is made. The windows are taken in
     the CNN's eval chunks (``nn.eval_chunk_bounds``): ``dsp.condition_blocks``
@@ -328,19 +329,7 @@ def predict_heads(
     if len({(id(m.cnn), id(m.norm_stats), id(m.label_scaler)) for m in models}) != 1:
         raise ValueError("predict_heads takes models that share one stage 1")
     model = models[0]
-    if rec.dof_names != model.dof_names:
-        raise DataError(
-            f"recording {rec.session_id} is protocol {rec.protocol} (DoFs "
-            f"{', '.join(rec.dof_names)}), but the model was trained on DoFs "
-            f"{', '.join(model.dof_names)}"
-        )
-    if rec.fs_emg != model.fs_emg:
-        window, hop = dsp.window_geometry(rec.fs_emg)
-        raise DataError(
-            f"recording at {rec.fs_emg:g} Hz windows as {window}/{hop} samples "
-            f"(window/hop), but the model was trained at {model.fs_emg:g} Hz on "
-            f"{model.window_samples}/{model.hop_samples}"
-        )
+    dsp.require_match(rec, "the model", model.dof_names, model.fs_emg, model.cnn.in_channels)
     labels, end_times = dsp.window_labels(rec)
     blocks = dsp.condition_blocks(rec, model.norm_stats, nn.eval_chunk_bounds(len(labels)))
     features = model.cnn.extract_chunks(

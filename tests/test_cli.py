@@ -22,7 +22,8 @@ from emgkin.errors import (
     OutputPathError,
 )
 from emgkin.evaluation import evaluate_model
-from emgkin.io import load_model, load_session, read_report, save_session
+from emgkin.config import PipelineConfig, StageConfig
+from emgkin.io import load_model, load_session, read_report, save_model, save_session
 from emgkin.synth import SynthConfig, generate
 
 
@@ -606,6 +607,28 @@ def test_eval_names_a_session_whose_test_angles_are_constant(trained, tmp_path):
     )
     assert result.exit_code == 2
     assert "error: session s0: test partition's fe angle is constant" in _all_output(result)
+    assert not report.exists() and not report.with_suffix(".trajectory.csv").exists()
+
+
+def test_eval_refuses_a_checkpoint_of_another_channel_count(tmp_path):
+    """A checkpoint that ``save_model`` wrote for 5-channel data meets a
+    6-channel session: exit 2 naming the session and both counts, no
+    traceback and no report (it ended in numpy's broadcast traceback)."""
+    rec = generate(SynthConfig(protocol="P1", duration_s=20.0, seed=5))
+    config = PipelineConfig(
+        seed=5, cnn=StageConfig(epochs=1, lr0=1e-4), lstm=StageConfig(epochs=1, lr0=1e-3)
+    )
+    run = training.train_hybrid(replace(rec, emg=rec.emg[:, :5]), config)
+    save_model(run.model, tmp_path / "five.ckpt")
+    save_session(rec, tmp_path / "six")
+    report = tmp_path / "r.json"
+    result = _invoke(
+        ["eval", "--model", str(tmp_path / "five.ckpt"), "--data", str(tmp_path / "six"),
+         "--report", str(report), "--baselines"]
+    )
+    assert result.exit_code == 2
+    assert "error: session s0 has 6 EMG channels, but the model has 5" in _all_output(result)
+    assert "Traceback" not in _all_output(result)
     assert not report.exists() and not report.with_suffix(".trajectory.csv").exists()
 
 

@@ -362,6 +362,35 @@ def test_only_dsp_composes_the_conditioning_chain():
     assert offenders == []
 
 
+def test_only_dsp_compares_what_a_recording_must_share():
+    """``dsp.require_match`` is the one rule for whether a recording meets a
+    model or the other session of a pair: no other package module compares
+    two objects' protocol, DoFs, EMG rate or channel count with ``==`` or
+    ``!=``."""
+    shared = {"protocol", "dof_names", "fs_emg", "n_channels"}
+    offenders = []
+    for path in sorted(Path(dsp.__file__).parent.glob("*.py")):
+        if path.name == "dsp.py":
+            continue
+        tree = ast.parse(path.read_text())
+        where = {}  # node -> the innermost function holding it
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                where.update((node, func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            offenders += [
+                f"{path.name}:{node.lineno} {where.get(node, '<module>')}"
+                for op, a, b in zip(node.ops, operands, operands[1:])
+                if isinstance(op, ast.Eq | ast.NotEq)
+                and all(isinstance(x, ast.Attribute) for x in (a, b))
+                and {a.attr, b.attr} & shared
+            ]
+    assert offenders == []
+
+
 def test_no_module_reads_another_modules_private_names():
     """An ``_``-prefixed name is its module's own: no other package module
     reads it as an attribute (``training._x``) or imports it

@@ -262,7 +262,7 @@ def test_model_refuses_session_of_another_protocol(p1_model, protocol):
     """A P1 model neither scores its fe head against P2's ps angles nor runs
     a P4 session's whole inference before failing on the DoF count."""
     rec = generate(SynthConfig(protocol=protocol, duration_s=20.0, seed=5))
-    with pytest.raises(DataError, match=f"protocol {protocol}.*trained on DoFs fe"):
+    with pytest.raises(DataError, match=rf"protocol {protocol}.*the model is protocol P1 \(DoFs fe\)"):
         evaluate_model(p1_model, rec, baselines=True)
 
 
@@ -288,6 +288,25 @@ def test_pair_at_two_rates_is_refused_up_front(quick_config, p1_model, monkeypat
     monkeypatch.setattr(training, "train_hybrids", no_training)
     with pytest.raises(DataError, match=rates):
         run_evaluation(quick_config, pair)
+
+
+def test_pair_of_two_channel_counts_is_refused_up_front(quick_config, monkeypatch):
+    """A 6/5-channel pair is refused by ``partition``, naming both sessions
+    and both channel counts, before ``run_evaluation`` trains anything: it
+    would train both stages on the 6 channels before the test session's 5
+    failed to scale by their min/max."""
+    six = generate(SynthConfig(protocol="P1", duration_s=10.0, seed=4))
+    five = dataclasses.replace(six, emg=six.emg[:, :5], session_id="five")
+    counts = r"session s0 has 6 EMG channels, but session five has 5"
+    with pytest.raises(DataError, match=counts):
+        partition([six, five])
+
+    def no_training(*args, **kwargs):
+        pytest.fail("run_evaluation trained before refusing the pair")
+
+    monkeypatch.setattr(training, "train_hybrids", no_training)
+    with pytest.raises(DataError, match=counts):
+        run_evaluation(quick_config, [six, five])
 
 
 def test_run_evaluation_emits_all_models(quick_reports):

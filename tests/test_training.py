@@ -291,6 +291,14 @@ def test_train_hybrids_gives_each_k_the_run_of_that_k_trained_alone(tiny_session
         assert run.train_s > 0 and alone.train_s > 0
 
 
+def test_train_hybrids_of_no_k_refuses_before_any_work(tiny_session, tiny_config, monkeypatch):
+    """No k has no run to return, so neither preprocessing nor stage 1 runs."""
+    spies = [_spy(monkeypatch, name) for name in ("preprocess_training", "train_cnn")]
+    with pytest.raises(ValueError, match="empty"):
+        train_hybrids(tiny_session, tiny_config, ks=())
+    assert spies == [[], []]
+
+
 def test_predict_heads_refuses_models_of_two_stage_1s(desk_tiny_runs, tiny_session):
     """Models of two ``train_hybrid`` calls have two CNNs, even trained
     alike, so no one pass can score them both; no model at all is refused
@@ -381,6 +389,19 @@ def test_predict_refuses_a_rate_with_the_same_windows(tiny_session, tiny_config)
     for score in (predict, predict_cnn_only):
         with pytest.raises(DataError, match=r"1020 Hz.*102/51.*1024 Hz"):
             score(run.model, near)
+
+
+def test_predict_refuses_a_recording_of_another_channel_count(tiny_session, tiny_config):
+    """A 6-channel model does not scale a 5- or 1-channel cut of its own
+    session by its 6 channels' min/max: it refuses, naming the session and
+    both channel counts."""
+    run = train_hybrid(tiny_session, tiny_config)
+    for n_channels in (5, 1):
+        cut = dataclasses.replace(tiny_session, emg=tiny_session.emg[:, :n_channels])
+        for score in (predict, lambda model, rec: predict_heads([model], rec)):
+            with pytest.raises(DataError, match=f"session s0 has {n_channels} EMG channels, "
+                               "but the model has 6"):
+                score(run.model, cut)
 
 
 def test_prediction_ignores_target_channel(tiny_session, tiny_config):
