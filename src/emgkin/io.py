@@ -50,8 +50,10 @@ length of ``norm_stats``, its outputs (the LSTM's too) the number of
 table's ``cnn.conv1.W``, ``cnn.head.W`` and ``cnn.fc1.W`` and the blob's
 length against the table, so the file's length bounds what the build
 allocates. The table must equal the one ``save_model`` writes for that
-model; the blob is copied into the model's own arrays. Every refusal is a
-CorruptCheckpointError naming the field at fault.
+model. The header is read first, and each array of the blob is then read
+from the file into the model's own array, so no buffer of the file's size
+is held. Every refusal is a CorruptCheckpointError naming the field at
+fault.
 """
 
 from __future__ import annotations
@@ -366,23 +368,31 @@ def _header_field(header: dict, key: str, convert=None):
 
 
 def load_model(path: str | Path) -> HybridModel:
-    path = Path(path)
     try:
-        raw = path.read_bytes()
+        with Path(path).open("rb") as file:
+            return _read_model(file)
     except OSError as exc:
         raise CorruptCheckpointError("file", str(exc)) from exc
-    if len(raw) < 12:
+
+
+def _read_model(file) -> HybridModel:
+    """The model in an open checkpoint: the prelude and header are read
+    first, and each array of the blob is then read from the file into the
+    model built from them, so no copy of the blob is held."""
+    file_len = os.fstat(file.fileno()).st_size
+    prelude = file.read(12)
+    if len(prelude) < 12:
         raise CorruptCheckpointError("magic", "file shorter than fixed prelude")
-    if raw[:4] != MAGIC:
-        raise CorruptCheckpointError("magic", f"got {raw[:4]!r}, want {MAGIC!r}")
-    (version,) = struct.unpack("<I", raw[4:8])
+    if prelude[:4] != MAGIC:
+        raise CorruptCheckpointError("magic", f"got {prelude[:4]!r}, want {MAGIC!r}")
+    (version,) = struct.unpack("<I", prelude[4:8])
     if version != CHECKPOINT_VERSION:
         raise UnsupportedVersionError(version, CHECKPOINT_VERSION)
-    (header_len,) = struct.unpack("<I", raw[8:12])
-    if 12 + header_len > len(raw):
+    (header_len,) = struct.unpack("<I", prelude[8:12])
+    if 12 + header_len > file_len:
         raise CorruptCheckpointError("header", "declared length exceeds file")
     try:
-        header = json.loads(raw[12 : 12 + header_len])
+        header = json.loads(file.read(header_len))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptCheckpointError("header", f"invalid JSON ({exc})") from exc
     if not isinstance(header, dict):
@@ -419,11 +429,11 @@ def load_model(path: str | Path) -> HybridModel:
             raise CorruptCheckpointError(
                 "arrays", f"{name} stored as {shape}, but the header needs {size} "
                 f"along axis {axis}")
-    blob = raw[12 + header_len :]
+    blob_len = file_len - (12 + header_len)
     nbytes = 4 * sum(math.prod(shape) for _, shape in table)
-    if len(blob) != nbytes:
-        fault = "truncated" if len(blob) < nbytes else "trailing bytes"
-        raise CorruptCheckpointError("blob", f"{fault}: {len(blob)} bytes, table {nbytes}")
+    if blob_len != nbytes:
+        fault = "truncated" if blob_len < nbytes else "trailing bytes"
+        raise CorruptCheckpointError("blob", f"{fault}: {blob_len} bytes, table {nbytes}")
     cnn = CnnModel(input_len, in_channels, n_outputs)
     lstm = init_lstm_params(n_outputs=n_outputs)
     arrays = _model_arrays(cnn, lstm)
@@ -431,9 +441,8 @@ def load_model(path: str | Path) -> HybridModel:
     if table != expected:
         got, want = next(pair for pair in zip_longest(table, expected) if pair[0] != pair[1])
         raise CorruptCheckpointError("arrays", f"table entry {got}, save_model writes {want}")
-    ends = np.cumsum([array.size for _, array in arrays])[:-1]
-    for (_, array), values in zip(arrays, np.split(np.frombuffer(blob, "<f4"), ends)):
-        array[...] = values.reshape(array.shape)
+    for _, array in arrays:
+        array[...] = np.fromfile(file, "<f4", array.size).reshape(array.shape)
     return HybridModel(
         cnn=cnn,
         lstm=lstm,

@@ -9,17 +9,21 @@ contiguous inner cross-validation over the fixed log grids ``GAMMA_GRID``
 (1e-3 to 10) and ``LAMBDA_GRID`` (1e-6 to 1), five points each.
 
 Every solve, in ``fit`` and in each cross-validation fold, goes through
-``_solve``: it adds lambda on the diagonal of a copy of the kernel, factors
-the system by Cholesky, and falls back to LU where the factorization fails
-(a numerically singular system at a tiny lambda). Before any solve, kernel
+``_solve``: it adds lambda on the diagonal of one Fortran-ordered copy of
+the kernel, factors that copy by Cholesky in place, and falls back to LU,
+on a system built again from the kernel, where the factorization fails (a
+numerically singular system at a tiny lambda). Before any solve, kernel
 entries below ``KERNEL_FLOOR`` = 1e-50 are set to 0. At gamma = 10 many
 entries are tiny, and the Cholesky of such a system forms subnormal products
 of small but normal entries, which run many times slower than normal
 arithmetic; flushing only the input's subnormals does not help. With the
 floor at 1e-50 every CV score kept its bytes on the synthetic P1 and P4
 features tried, and the gamma = 10 Cholesky ran about as fast as the other
-gammas'. Cross-validation in ``tune`` builds one floored kernel over all
-samples per gamma and slices each fold's train and test blocks from it.
+gammas'. Cross-validation in ``tune`` writes each gamma's floored kernel
+over all samples into one reused buffer and slices each fold's train and
+test blocks from it. On 902 samples of 20 features ``tune``'s traced peak
+is 22.7 MB, against 31.4 MB with a new kernel per gamma and two copies of
+the system per solve; every score keeps its bytes.
 """
 
 from __future__ import annotations
@@ -76,17 +80,29 @@ def _floored(kernel: np.ndarray) -> np.ndarray:
     return kernel
 
 
-def _solve(kernel: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarray:
-    """alpha with (kernel + ridge*I) alpha = rhs: Cholesky, else LU."""
-    system = kernel.copy()
+def _system(kernel: np.ndarray, ridge: float) -> np.ndarray:
+    """A new Fortran-ordered array holding kernel + ridge*I, the order in
+    which LAPACK's Cholesky can factor it in place."""
+    system = np.array(kernel, order="F")
     system.flat[:: system.shape[0] + 1] += ridge
+    return system
+
+
+def _solve(kernel: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarray:
+    """alpha with (kernel + ridge*I) alpha = rhs: Cholesky, else LU.
+
+    The Cholesky factors its copy of the system in place; only the LU
+    fallback builds the system again, as the failed factorization has
+    overwritten the first."""
     try:
-        factor = scipy.linalg.cho_factor(system, check_finite=False)
+        factor = scipy.linalg.cho_factor(
+            _system(kernel, ridge), overwrite_a=True, check_finite=False
+        )
         return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
     except np.linalg.LinAlgError:
         pass
     try:
-        return np.linalg.solve(system, rhs)
+        return np.linalg.solve(_system(kernel, ridge), rhs)
     except np.linalg.LinAlgError as exc:
         raise SolverError(
             f"kernel system is singular ({exc}); duplicate training points at "
@@ -142,9 +158,12 @@ def _cv_scores(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         mean = y_train.mean(axis=0)
         splits.append((fold, np.ix_(mask, mask), mask, y_train - mean, mean))
     sq = _sq_distances(x, x)
+    kernel = np.empty_like(sq)  # every gamma's kernel, in turn
     grid = np.empty((len(GAMMA_GRID), len(LAMBDA_GRID)))
     for row, gamma in zip(grid, GAMMA_GRID):
-        kernel = _floored(np.exp(-gamma * sq))
+        np.multiply(-gamma, sq, out=kernel)
+        np.exp(kernel, out=kernel)
+        _floored(kernel)
         scores_by_ridge = [[] for _ in LAMBDA_GRID]
         for fold, train_block, mask, centered, mean in splits:
             k_train = kernel[train_block]

@@ -4,6 +4,7 @@ import scipy.linalg
 
 from emgkin import dsp, features, krr, synth
 from emgkin.errors import InsufficientDataError, SolverError
+from conftest import traced_peak
 
 
 def toy_data(n=10, f=4, seed=0):
@@ -208,6 +209,69 @@ def test_kernel_floor_keeps_every_cv_score(protocol, seed):
     grid = krr._cv_scores(x, y)
     assert grid.shape == (len(krr.GAMMA_GRID), len(krr.LAMBDA_GRID))
     assert grid.tobytes() == reference_cv_scores(x, y).tobytes()
+
+
+def reference_solve(kernel, ridge, rhs):
+    """The solve this one replaced: a C-ordered system that cho_factor
+    copies again into Fortran order."""
+    system = kernel.copy()
+    system.flat[:: system.shape[0] + 1] += ridge
+    try:
+        factor = scipy.linalg.cho_factor(system, check_finite=False)
+        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    except np.linalg.LinAlgError:
+        return np.linalg.solve(system, rhs)
+
+
+def reference_floored_cv_scores(x, y):
+    """The CV grid this one replaced: a new floored kernel per gamma, each
+    solve by ``reference_solve``."""
+    splits = []
+    for fold in krr._fold_slices(x.shape[0], krr.INNER_FOLDS):
+        mask = np.ones(x.shape[0], dtype=bool)
+        mask[fold] = False
+        y_train = y[mask]
+        mean = y_train.mean(axis=0)
+        splits.append((fold, np.ix_(mask, mask), mask, y_train - mean, mean))
+    sq = krr._sq_distances(x, x)
+    grid = np.empty((len(krr.GAMMA_GRID), len(krr.LAMBDA_GRID)))
+    for row, gamma in zip(grid, krr.GAMMA_GRID):
+        kernel = krr._floored(np.exp(-gamma * sq))
+        scores_by_ridge = [[] for _ in krr.LAMBDA_GRID]
+        for fold, train_block, mask, centered, mean in splits:
+            k_train = kernel[train_block]
+            k_test = kernel[fold][:, mask]
+            for scores, ridge in zip(scores_by_ridge, krr.LAMBDA_GRID):
+                coef = reference_solve(k_train, ridge, centered)
+                scores.append(krr._mean_r2(y[fold], mean + k_test @ coef))
+        row[:] = [np.mean(scores) for scores in scores_by_ridge]
+    return grid
+
+
+@pytest.mark.parametrize("protocol", ["P1", "P4"])
+def test_cv_scores_match_the_copying_solve_bytes(protocol):
+    """One reused kernel buffer and an in-place Cholesky of one Fortran-ordered
+    copy give every score of a new kernel per gamma and a copy per solve,
+    gamma = 10 included, where the floor zeroes most of the kernel."""
+    x, y = synthetic_features(3, protocol)
+    assert max(krr.GAMMA_GRID) == 10.0
+    assert krr._cv_scores(x, y).tobytes() == reference_floored_cv_scores(x, y).tobytes()
+
+
+def test_tune_peak_memory_is_two_kernels_and_two_train_blocks():
+    """tune holds the squared distances, one kernel buffer, a fold's train
+    block and the one copy of it that the Cholesky factors in place, and the
+    fold's test block."""
+    n = 902
+    rng = np.random.default_rng(28)
+    x = rng.standard_normal((n, 20))
+    y = rng.standard_normal((n, 3))
+    sizes = [fold.stop - fold.start for fold in krr._fold_slices(n, krr.INNER_FOLDS)]
+    train, test = n - min(sizes), max(sizes)
+    budget = (2 * n * n + 2 * train * train + test * train) * 8
+    slack = 1 << 20
+    _, peak = traced_peak(krr.tune, x, y)
+    assert peak <= budget + slack, (peak, budget)
 
 
 def test_tune_falls_back_to_lu_when_cholesky_fails(monkeypatch):

@@ -379,7 +379,8 @@ def test_train_mode_dropout_requires_rng_and_differs_from_eval():
     y_train, cache = lstm_forward_batch(p, seqs, mode="train", rng=np.random.default_rng(17))
     assert not np.allclose(y_eval, y_train)
     # inverted dropout at the recipe's rate: kept units scale by 1/(1 - rate)
-    assert set(np.unique(cache.dropout._cache)) == {0.0, 1.0 / (1.0 - nn.DEFAULT_DROPOUT)}
+    grad = cache.dropout.backward(np.ones_like(cache.h_final))
+    assert set(np.unique(grad)) == {0.0, 1.0 / (1.0 - nn.DEFAULT_DROPOUT)}
     with pytest.raises(ValueError):
         lstm_forward_batch(p, seqs, mode="train", rng=None)
 

@@ -413,6 +413,22 @@ def test_conv_eval_forward_peak_memory():
     assert peak <= cols_bytes + out_bytes + slack, (peak, cols_bytes, out_bytes)
 
 
+def test_conv_backward_peak_memory():
+    """A backward holds the rebuilt im2col matrix and the input gradient's
+    im2col matrix, each the same size, one at a time: dcols and the padded
+    input gradient, never the rebuilt matrix beside them."""
+    batch, in_ch, out_ch, length = REAL_CONV_SHAPES[-1]
+    layer = nn.Conv1d(in_ch, out_ch, np.random.default_rng(30), 0.1, np.float32)
+    x = np.random.default_rng(31).standard_normal((batch, length, in_ch)).astype(np.float32)
+    dout = np.random.default_rng(32).standard_normal((batch, length, out_ch)).astype(np.float32)
+    layer.forward(x, "train")
+    cols_bytes = batch * length * in_ch * 3 * 4
+    dx_bytes = batch * (length + 2) * in_ch * 4
+    slack = 256 << 10
+    _, peak = traced_peak(layer.backward, dout)
+    assert peak <= cols_bytes + dx_bytes + slack, (peak, cols_bytes, dx_bytes)
+
+
 def _batch_arrays(obj, batch):
     """Names of the arrays reachable from a layer whose leading axis is batch."""
     found = []
@@ -791,3 +807,175 @@ def test_elementwise_layers_peak_memory(grad_dtype):
     ]:
         _, peak = traced_peak(run)
         assert peak <= budget + slack, (name, peak, budget)
+
+
+def _cached_arrays(layer):
+    cache = layer._cache
+    items = cache if isinstance(cache, tuple) else (cache,)
+    return [item for item in items if isinstance(item, np.ndarray) and item.ndim]
+
+
+def test_train_forward_caches_only_what_backward_needs():
+    """After a train-mode forward at the recipe's batch, the layers hold each
+    conv's input (not its im2col matrix), batch norm's x-hat, one byte per
+    element for every leaky ReLU, pool and dropout, and each dense input.
+    No two caches share a buffer, so their bytes add up."""
+    batch, input_len, in_ch = 128, 101, 6
+    model = nn.CnnModel(input_len, in_ch, n_outputs=1, seed=14)
+    x = np.random.default_rng(33).standard_normal((batch, input_len, in_ch)).astype(np.float32)
+    model.forward(x, "train")
+    itemsize = x.itemsize
+    budget = 0
+    for length, prev_ch, out_ch in zip(
+        model.block_lengths(), (in_ch, *nn.CONV_CHANNELS), nn.CONV_CHANNELS
+    ):
+        conv_out = batch * length * out_ch
+        pooled = batch * (length - (nn.MaxPool1d.SIZE - 1)) * out_ch
+        budget += batch * length * prev_ch * itemsize  # conv input
+        budget += conv_out * itemsize  # batch norm x-hat
+        budget += conv_out + 2 * pooled  # leaky ReLU, pool and dropout bytes
+    for in_dim, width in zip((model.flat_dim, *nn.FC_SIZES), nn.FC_SIZES):
+        budget += batch * in_dim * itemsize  # dense input
+        budget += batch * width * itemsize  # batch norm x-hat
+        budget += 2 * batch * width  # leaky ReLU and dropout bytes
+    budget += batch * nn.FEATURE_DIM * itemsize  # head input
+    slack = 4 << 10  # batch norm's inv_std vectors
+    layers = [layer for _, layer in model._feature_layers] + [model.head]
+    held = sum(a.nbytes for layer in layers for a in _cached_arrays(layer))
+    assert held <= budget + slack, (held, budget)
+
+
+class ReferenceConv1d(nn.Conv1d):
+    """The conv this layer replaced in training: its train forward cached
+    the im2col matrix that backward reads."""
+
+    def forward(self, x, mode, weights=None):
+        batch, length, in_ch = x.shape
+        cols = np.empty((batch, length, in_ch, 3), dtype=x.dtype)
+        cols[:, 0, :, 0] = 0
+        cols[:, 1:, :, 0] = x[:, :-1, :]
+        cols[:, :, :, 1] = x
+        cols[:, :-1, :, 2] = x[:, 1:, :]
+        cols[:, -1, :, 2] = 0
+        cols = cols.reshape(batch, length, in_ch * 3)
+        self._cache = cols if mode == "train" else None
+        w_mat, b = weights or (self.w_mat, self.b)
+        out = cols @ w_mat
+        out += b
+        return out
+
+    def backward(self, dout):
+        cols = self._cache
+        batch, length, out_ch = dout.shape
+        in_ch = self.W.shape[1]
+        d_wmat = cols.reshape(-1, in_ch * 3).T @ dout.reshape(-1, out_ch)
+        self.dW = d_wmat.reshape(in_ch, 3, out_ch).transpose(2, 0, 1)
+        self.db = dout.sum(axis=(0, 1))
+        dcols = (dout @ self.w_mat.T).reshape(batch, length, in_ch, 3)
+        dpadded = np.zeros((batch, length + 2, in_ch), dtype=dout.dtype)
+        for tap in range(3):
+            dpadded[:, tap : tap + length, :] += dcols[:, :, :, tap]
+        return dpadded[:, 1 : 1 + length, :]
+
+
+class ReferenceMaxPool1d(nn.MaxPool1d):
+    """The pool this layer replaced in training: one first-max mask per tap."""
+
+    def forward(self, x, mode):
+        out_len = x.shape[1] - (self.SIZE - 1)
+        a, b, c = (x[:, i : i + out_len, :] for i in range(self.SIZE))
+        out = np.maximum(np.maximum(a, b), c)
+        m0 = a == out
+        m1 = (b == out) & ~m0
+        self._cache = (m0, m1, ~(m0 | m1)) if mode == "train" else None
+        return out
+
+    def backward(self, dout):
+        masks = self._cache
+        batch, out_len, channels = dout.shape
+        dx = np.zeros((batch, out_len + self.SIZE - 1, channels), dtype=dout.dtype)
+        for tap in reversed(range(self.SIZE)):
+            dx[:, tap : tap + out_len, :] += dout * masks[tap]
+        return dx
+
+
+class ReferenceDropout(nn.Dropout):
+    """The dropout this layer replaced: a float mask of 0 and 1/(1-rate) in
+    the input's dtype."""
+
+    def forward(self, x, mode):
+        if mode != "train" or self.rate == 0.0:
+            self._cache = None
+            return x
+        keep = 1.0 - self.rate
+        self._cache = (self.rng.random(x.shape) < keep).astype(x.dtype) / keep
+        return x * self._cache
+
+    def backward(self, dout):
+        return dout if self._cache is None else dout * self._cache
+
+
+REFERENCE_LAYERS = {
+    nn.Conv1d: ReferenceConv1d,
+    nn.MaxPool1d: ReferenceMaxPool1d,
+    nn.Dropout: ReferenceDropout,
+}
+
+
+def model_arrays(model):
+    """Every parameter, gradient and running statistic of every layer."""
+    names = ("W", "b", "gamma", "beta", "running_mean", "running_var")
+    names += tuple("d" + n for n in names[:4])
+    return {
+        f"{layer_name}.{name}": getattr(layer, name)
+        for layer_name, layer in [*model._feature_layers, ("head", model.head)]
+        for name in names
+        if hasattr(layer, name)
+    }
+
+
+@pytest.mark.parametrize("n_outputs", [1, 3], ids=["P1", "P4"])
+def test_train_step_matches_reference_layer_bytes(n_outputs):
+    """Two train steps (train forward, mse_loss, backward) at the recipe's
+    shapes give the outputs, gradients and running statistics of the same
+    model built from the layers that cached im2col matrices, float dropout
+    masks and three pool masks, byte for byte. The inputs hold ±0 and ties."""
+    models = [nn.CnnModel(101, 6, n_outputs, seed=15) for _ in range(2)]
+    for _, layer in models[1]._feature_layers:
+        if type(layer) in REFERENCE_LAYERS:
+            layer.__class__ = REFERENCE_LAYERS[type(layer)]
+    for step in range(2):
+        rng = np.random.default_rng(34 + step)
+        x = zeros_and_ties(rng, (128, 101, 6), np.float32)
+        target = rng.standard_normal((128, n_outputs)).astype(np.float32)
+        preds = []
+        for model in models:
+            pred = model.forward(x, "train")
+            model.backward(nn.mse_loss(pred, target)[1])
+            preds.append(pred)
+        assert_same_bytes(*preds, f"step {step} pred")
+        got, ref = (model_arrays(model) for model in models)
+        assert got.keys() == ref.keys()
+        for name in ref:
+            assert_same_bytes(got[name], ref[name], f"step {step} {name}")
+
+
+@pytest.mark.parametrize(
+    "dtypes", [*LAYER_GRAD_DTYPES, (np.float32, np.float32), (np.float64, np.float32)]
+)
+def test_dropout_matches_float_mask_reference_bytes(dtypes):
+    """The boolean mask and scale give the float mask's bytes in both passes
+    and its dtype promotion, at ±0, NaN, ±inf and a value that the scale
+    overflows."""
+    dtype, grad_dtype = dtypes
+    specials = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf])
+    x = np.random.default_rng(35).standard_normal((64, 40)).astype(dtype)
+    x[:, : len(specials)] = specials
+    x[:, len(specials)] = -np.finfo(dtype).max
+    dout = np.random.default_rng(36).standard_normal(x.shape).astype(grad_dtype)
+    dout[:, -len(specials) :] = specials
+    layer = nn.Dropout(0.3, np.random.default_rng(37))
+    ref = ReferenceDropout(0.3, np.random.default_rng(37))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_same_bytes(layer.forward(x, "train"), ref.forward(x, "train"), "out")
+        assert_same_bytes(layer.backward(dout), ref.backward(dout), "dx")
