@@ -29,36 +29,37 @@ defaults to the CNN's ``nn.FEATURE_DIM``. Backpropagation through time is
 hand-written and finite-difference checked.
 
 One step body, ``_step``, writes each step into arrays it is given, laid
-out gate-major after Appleyard et al.: the gate block a = [4H x B] through
-``np.matmul(W, z.T, out=a)`` plus b as a column, so i, m, o and g are
-contiguous row blocks, and c_j and tanh c_j (which holds i * g first) are
-[H x B]. z = [h_{j-1}, f_j] stays row-major [B x (H+F)], and h_j goes into
-z_{j+1}'s first H columns through their transposed view. In float32, the
-recipe's dtype, ``W @ z.T`` gave the bytes of the row-major ``z @ W.T`` at
-every batch tried (1-70, 127, 128, 255, 902, 2,049 and 6,005 rows), so the
-layout kept every output's bytes. In float64 it did not at 254 rows and
-more (254, 255, 902, 2,049 and 6,005 rows tried): there the gates can
-differ from a row-major product in the last bit.
+out gate-major after Appleyard et al.: z = [h_{j-1}; f_j] is [(H+F) x B],
+the gate block a = [4H x B] is ``np.matmul(W, z, out=a)`` plus b as a
+column, so i, m, o and g are contiguous row blocks, and c_j and tanh c_j
+(which holds i * g first) are [H x B]. h_j goes into z_{j+1}'s first H
+rows, and the readout takes h_k through its [B x H] transposed view.
+``W @ z`` is another BLAS call than the row-major ``z @ W.T`` the layer
+ran before, and in float32 its bytes differ at some batches (20 and 37
+rows, for two) and not at others (64, 512 and 6,005 rows in eval mode).
+Like every reordered kernel it is held to its float64 twin instead
+(``tests/test_kernel_accuracy.py``): at batch 64 and k = 98, over 20
+seeds, y_k reads a median relative error of 1.6e-7 and BPTT's weight
+gradient 4.3e-7, where the row-major layer read 1.6e-7 and 4.4e-7.
 
 The forward keeps each step's (z, a, c_{j-1}, tanh c_j) for BPTT, in eval
 mode too, since the gradient checks run BPTT after an eval-mode forward.
 With the cache, the k steps' z, a, c and tanh c are one preallocated block
-each, z's feature columns filled once from the sequences. Inference has no
+each, z's feature rows filled once from the sequences. Inference has no
 backward, so ``training.predict_heads`` passes ``keep_cache=False``: the
 same body then rewrites one z, one gate block, c and one temporary at
-every step, with h_j written into z's own first H columns, and y_k keeps
-its bytes. At 6,005 sequences and k = 18 that is 8.9 MB, where the k-step
-cache is 164 MB. The forward is not chunked over sequences: with three
-outputs, y_k changed bytes (by up to 7.5e-8) at six of eight chunk sizes
-tried, from 1 to 1,500 sequences.
+every step, with f_j copied into z's feature rows and h_j written into its
+first H rows, and y_k keeps its bytes. At 6,005 sequences and k = 18 that
+is 8.9 MB, where the k-step cache is 164 MB. The forward is not chunked
+over sequences: with three outputs, y_k changed bytes (by up to 7.5e-8)
+at six of eight chunk sizes tried, from 1 to 1,500 sequences.
 
-BPTT writes each gate's derivative with ``out=`` into one gate-major
-[4H x B] buffer, in the order of the per-gate expressions, and copies it
-once into a row-major [B x 4H] d_a, so the weight, bias and h gradients
-are the same ``d_a.T @ z``, ``d_a.sum(axis=0)`` and ``d_a @ W_h`` calls,
-and every gradient has the bytes of per-gate derivatives joined by
-``np.concatenate``. At batch 64 this made forward plus BPTT about 1.5x
-faster at k = 18 and k = 98 (``BENCH_pr28.json``).
+BPTT runs gate-major too, in buffers made once per call: dh and dc are
+[H x B], each gate's derivative is written with ``out=`` into its row
+block of one [4H x B] d_a, the weight gradient adds ``d_a @ z_j.T`` at
+each step, dh for the step before is ``W_h.T @ d_a``, and the bias
+gradient is one running [4H x B] sum, reduced over the batch once at the
+end. No step transposes or allocates an array.
 """
 
 from __future__ import annotations
@@ -130,15 +131,13 @@ class LstmCache:
     """Forward-pass intermediates required by backpropagation through time.
 
     ``steps`` holds one (z, a, c_{j-1}, tanh c_j) tuple per step, each a
-    view of the forward's blocks: z row-major [B x (H+F)], the activated
-    gate block a gate-major [4H x B] with row blocks i, m, o, g, and
-    c_{j-1} and tanh c_j [H x B]. In float32, the transposes of a, c_{j-1}
-    and tanh c_j hold the bytes of a row-major forward by ``z @ W.T``; in
-    float64, a can differ from it in the last bit at 254 rows and more
-    (module docstring).
+    gate-major view of the forward's blocks: z = [h_{j-1}; f_j] as
+    [(H+F) x B], the activated gate block a as [4H x B] with row blocks i,
+    m, o, g, and c_{j-1} and tanh c_j as [H x B]. ``h_final`` is h_k after
+    dropout, [B x H], a transposed view of z's rows in eval mode.
     """
 
-    steps: list  # per step: views (z, a, c_prev, tanh_c)
+    steps: list  # per step: gate-major views (z, a, c_prev, tanh_c)
     h_final: np.ndarray  # h_k after dropout, as the readout saw it
     dropout: nn.Dropout
 
@@ -171,26 +170,31 @@ def lstm_forward_batch(
     if mode == "train" and rng is None:
         raise ValueError("train-mode dropout requires an rng")
     hidden, dtype = params.hidden, params.W.dtype
-    # z rows [h_{j-1}, f_j]; a, c and tanh c gate-major, [rows x B]
+    # z [h_{j-1}; f_j], a, c and tanh c gate-major, [rows x B]
     held = k if keep_cache else 1  # the cache-free forward rewrites one step
     states = k + 1 if keep_cache else 1  # z and c: also the state after step k
-    z = np.empty((states, batch, hidden + feat), dtype=dtype)
+    z = np.empty((states, hidden + feat, batch), dtype=dtype)
     a = np.empty((held, 4 * hidden, batch), dtype=dtype)
     c = np.empty((states, hidden, batch), dtype=dtype)
     tanh_c = np.empty((held, hidden, batch), dtype=dtype)
-    z[0, :, :hidden] = 0.0  # h_0
+    z[0, :hidden] = 0.0  # h_0
     c[0] = 0.0  # c_0
     if keep_cache:
-        z[:k, :, hidden:] = seqs.swapaxes(0, 1)
+        z[:k, hidden:] = seqs.transpose(1, 2, 0)
+    # the i, m and o rows of W and b halved once for the sigmoids' x / 2,
+    # which is exact in binary floating point, so the gates keep the bytes
+    # of halving them at every step
+    half = np.repeat(np.array([0.5, 0.5, 0.5, 1.0], dtype=dtype), hidden)[:, None]
+    w, b = params.W * half, params.b[:, None] * half
     for j in range(k):
         if keep_cache:  # step j reads state j and writes state j + 1
             s, t = j, j + 1
         else:
             s = t = 0
-            z[0, :, hidden:] = seqs[:, j, :]
-        _step(params, z[s], a[s], c[s], c[t], tanh_c[s], z[t, :, :hidden].T)
+            z[0, hidden:] = seqs[:, j, :].T
+        _step(w, b, z[s], a[s], c[s], c[t], tanh_c[s], z[t, :hidden])
     dropout = nn.Dropout(nn.DEFAULT_DROPOUT, rng)
-    h = dropout.forward(z[-1, :, :hidden], mode)
+    h = dropout.forward(z[-1, :hidden].T, mode)  # [B x H]
     y = h @ params.W_y.T + params.b_y
     if not keep_cache:
         return y, None
@@ -198,20 +202,21 @@ def lstm_forward_batch(
     return y, LstmCache(steps=steps, h_final=h, dropout=dropout)
 
 
-def _step(params, z, a, c_prev, c, tanh_c, h) -> None:
-    """One step from z = [h_{j-1}, f_j] [B x (H+F)] and c_{j-1} (``c_prev``),
-    written into the gate-major arrays given: the activated gates i, m, o, g
-    into the row blocks of ``a`` [4H x B], c_j into ``c``, tanh c_j into
-    ``tanh_c`` and h_j into ``h``, all [H x B]. ``c`` may be ``c_prev`` and
-    ``h`` may be ``z[:, :H].T``; ``tanh_c`` holds i * g first."""
+def _step(w, b, z, a, c_prev, c, tanh_c, h) -> None:
+    """One step from z = [h_{j-1}; f_j] [(H+F) x B] and c_{j-1} (``c_prev``),
+    with ``w`` and the column ``b`` the gate weights and bias whose i, m and
+    o rows are halved, written into the gate-major arrays given: the
+    activated gates i, m, o, g into the row blocks of ``a`` [4H x B], c_j
+    into ``c``, tanh c_j into ``tanh_c`` and h_j into ``h``, all [H x B].
+    ``c`` may be ``c_prev`` and ``h`` may be ``z[:H]``; ``tanh_c`` holds
+    i * g first."""
     # activated in place, one tanh over all four gates: sigmoid(x) is
     # (1 + tanh(x / 2)) / 2 on the i, m, o block
-    hidden = params.hidden
-    np.matmul(params.W, z.T, out=a)
-    a += params.b[:, None]
-    sig = a[: 3 * hidden]
-    sig *= 0.5
+    hidden = len(c)
+    np.matmul(w, z, out=a)
+    a += b
     np.tanh(a, out=a)
+    sig = a[: 3 * hidden]
     sig *= 0.5
     sig += 0.5
     i, m, o, g = a[:hidden], a[hidden : 2 * hidden], a[2 * hidden : 3 * hidden], a[3 * hidden :]
@@ -236,37 +241,48 @@ def lstm_backward(
     grads = {name: np.zeros_like(arr) for name, arr in params.parameters().items()}
     grads["W_y"] = dy.T @ cache.h_final
     grads["b_y"] = dy.sum(axis=0)
-    dh = cache.dropout.backward(dy @ params.W_y)  # [B x H], as d_a @ w_h gives it
-    hidden, batch = params.hidden, dh.shape[0]
-    w_h = params.W[:, :hidden]  # the gates' weights on h_{j-1}
-    dtype = np.result_type(dh, cache.steps[0][1])
-    d_gates = np.empty((4 * hidden, batch), dtype=dtype)  # gate-major, as a
+    hidden, batch = params.hidden, dy.shape[0]
+    w_h_t = params.W[:, :hidden].T  # [H x 4H]: the gates' weights on h_{j-1}
+    dtype = np.result_type(dy, cache.steps[0][1])
+    # gate-major [rows x B], as the forward's blocks; written in place
+    dh = np.empty((hidden, batch), dtype=dtype)
+    dh[...] = cache.dropout.backward(dy @ params.W_y).T
+    dc = np.zeros((hidden, batch), dtype=dtype)
+    d_gates = np.empty((4 * hidden, batch), dtype=dtype)
     d_sig, d_ag = d_gates[: 3 * hidden], d_gates[3 * hidden :]  # i, m, o; g
     d_ai, d_am, d_ao = np.split(d_sig, 3)
-    d_a = np.empty((batch, 4 * hidden), dtype=dtype)  # row-major, for the GEMMs
-    dc = np.zeros((hidden, batch), dtype=dtype)
+    d_b = np.zeros((4 * hidden, batch), dtype=dtype)  # summed over B at the end
+    d_w = np.empty_like(grads["W"])
+    tmp = np.empty((3 * hidden, batch), dtype=dtype)
+    tmp_h = tmp[:hidden]
     for j in reversed(range(len(cache.steps))):
         z, a, c_prev, tanh_c = cache.steps[j]
         sig, g = a[: 3 * hidden], a[3 * hidden :]
         i, m, o = sig[:hidden], sig[hidden : 2 * hidden], sig[2 * hidden :]
-        dh_t = dh.T
-        dc_h = dh_t * o
-        dc_h *= 1.0 - tanh_c * tanh_c
-        dc += dc_h  # dc + dh * o * (1 - tanh c_j^2)
+        # dc + dh * o * (1 - tanh c_j^2)
+        np.multiply(tanh_c, tanh_c, out=tmp_h)
+        np.subtract(1.0, tmp_h, out=tmp_h)
+        tmp_h *= o
+        tmp_h *= dh
+        dc += tmp_h
         # a sigmoid gate's derivative: (upstream * its factor) * gate * (1 - gate)
         np.multiply(dc, g, out=d_ai)
         np.multiply(dc, c_prev, out=d_am)
-        np.multiply(dh_t, tanh_c, out=d_ao)
+        np.multiply(dh, tanh_c, out=d_ao)
         d_sig *= sig
-        d_sig *= 1.0 - sig
+        np.subtract(1.0, sig, out=tmp)
+        d_sig *= tmp
+        np.multiply(g, g, out=tmp_h)
+        np.subtract(1.0, tmp_h, out=tmp_h)
         np.multiply(dc, i, out=d_ag)
-        d_ag *= 1.0 - g * g
-        np.copyto(d_a, d_gates.T)
-        grads["W"] += d_a.T @ z
-        grads["b"] += d_a.sum(axis=0)
+        d_ag *= tmp_h
+        np.matmul(d_gates, z.T, out=d_w)
+        grads["W"] += d_w
+        d_b += d_gates
         if j:  # dh and dc into step j - 1; nothing reads them after step 0
-            dh = d_a @ w_h
+            np.matmul(w_h_t, d_gates, out=dh)
             dc *= m
+    grads["b"] += d_b.sum(axis=1)
     return grads
 
 

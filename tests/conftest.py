@@ -17,6 +17,10 @@ from emgkin.evaluation import run_evaluation
 from emgkin.synth import SynthConfig, generate, generate_session_pair
 from emgkin.training import train_hybrid
 
+# (batch, in channels, out channels, length) of conv1..conv4 in training on
+# the desk recipe's 6-channel, 101-bin spectral matrices.
+REAL_CONV_SHAPES = [(128, 6, 16, 101), (128, 16, 16, 99), (128, 16, 32, 97), (128, 32, 32, 95)]
+
 
 def traced_peak(fn, *args):
     """(fn(*args), the peak bytes ``tracemalloc`` traced during the call)."""

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emgkin import dsp, nn
-from conftest import traced_peak
+from conftest import REAL_CONV_SHAPES, traced_peak
 
 EPS = 1e-6
 TOL = 1e-4
@@ -211,7 +211,7 @@ def test_full_model_parameter_gradients_sampled():
     _, dpred = nn.mse_loss(pred, target)
     model.backward(dpred)
     grads = model.gradients()
-    worst = 0.0
+    worst, where = 0.0, None
     for name, param in model.parameters().items():
         flat = param.ravel()
         picks = rng.choice(flat.size, size=min(20, flat.size), replace=False)
@@ -228,9 +228,12 @@ def test_full_model_parameter_gradients_sampled():
                 # dead parameter (conv bias feeding a batchnorm): the true
                 # gradient is 0 and the central difference is pure noise
                 continue
-            denom = abs(num) + abs(ana)
-            worst = max(worst, abs(num - ana) / denom)
-    assert worst < TOL, f"worst sampled relative error {worst:.3e}"
+            err = abs(num - ana) / (abs(num) + abs(ana))
+            if err > worst:
+                worst, where = err, (name, i, num, ana)
+    assert worst < TOL, (
+        "worst sampled relative error {:.3e} at {}[{}]: numeric {:.6e}, analytic {:.6e}"
+    ).format(worst, *where)
 
 
 def test_full_model_gradients_all_finite_and_live():
@@ -339,11 +342,6 @@ def reference_conv_backward(layer, cols, dout):
     for tap in range(3):
         dpadded[:, tap : tap + length, :] += dcols[:, :, :, tap]
     return dpadded[:, 1 : 1 + length, :], dW
-
-
-# (batch, in channels, out channels, length) of conv1..conv4 in training on
-# the desk recipe's 6-channel, 101-bin spectral matrices.
-REAL_CONV_SHAPES = [(128, 6, 16, 101), (128, 16, 16, 99), (128, 16, 32, 97), (128, 32, 32, 95)]
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
@@ -741,9 +739,17 @@ def test_batchnorm_matches_reference_bytes(shape, dtypes):
     assert_same_bytes(layer.forward(x, "train"), ref.forward(x, "train"), "train out")
     for name in ("running_mean", "running_var"):
         assert_same_bytes(getattr(layer, name), getattr(ref, name), name)
-    assert_same_bytes(layer.backward(dout), ref.backward(dout), "dx")
-    for name in ("dgamma", "dbeta"):
-        assert_same_bytes(getattr(layer, name), getattr(ref, name), name)
+    # The backward factors gamma out and sums columns by GEMV: its float32
+    # accuracy is held by test_kernel_accuracy; here, under a float64
+    # gradient, it is the reference's to float64 rounding.
+    dx, ref_dx = layer.backward(dout), ref.backward(dout)
+    for name, got, want in [
+        ("dx", dx, ref_dx),
+        ("dgamma", layer.dgamma, ref.dgamma),
+        ("dbeta", layer.dbeta, ref.dbeta),
+    ]:
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
 
 
 @pytest.mark.parametrize("slope", [0.1, 0.3, 0.01])
